@@ -149,15 +149,58 @@ impl CostModel {
     }
 
     /// Like [`CostModel::global_cost_with`], but gives up as soon as the running
-    /// cost exceeds `limit` and returns `None`.
+    /// cost exceeds `limit` and returns `None`: `Some(cost)` if and only if
+    /// `cost ≤ limit`.
     ///
     /// Rows of the difference triangle contribute independently and
     /// non-negatively, so every partial sum is a lower bound on the final cost:
-    /// `None` therefore *proves* `cost > limit` without finishing the sweep.  The
-    /// Costas reset procedure uses this to discard the bulk of its ≈ 2n candidate
-    /// perturbations after the first (heaviest-weighted) rows instead of paying
-    /// the full O(n·d_max) sweep per candidate.
+    /// `None` therefore *proves* `cost > limit` without finishing the sweep.
+    /// This is the Costas reset's evaluator, called on each of its ≈ 2n
+    /// candidate perturbations.  The abort saves less than one might hope:
+    /// on the benchmark's Costas walks (optimised model), reset candidates
+    /// scanned on average 4.5 of 7, 13.4 of 19 and 28.6 of 39 rows at
+    /// n = 16, 40 and 80, so the sweep itself has to be fast.
+    ///
+    /// Two tiers, chosen by CPU feature and order only:
+    ///
+    /// * **AVX-512 row lanes** (x86-64 with AVX-512 F + DQ, n ≤ 128): one row
+    ///   of the triangle per 64-bit lane, eight rows per pass, each row's
+    ///   buckets as a 1–4-word occupancy bitset; the abort is checked after
+    ///   every eight rows (see `kernel::simd`).  `scratch` is not touched.
+    /// * **Scalar histogram** (every other host, n > 128): one row at a time
+    ///   through the `2n − 1`-entry `scratch` histogram, zeroed per row, the
+    ///   abort checked after every row.
+    ///
+    /// Both return the same value for every permutation; a `debug_assert!` pins the
+    /// vector tier to the scalar one on every call, and the kernel suite
+    /// checks both tiers directly.
     pub fn global_cost_bounded(
+        &self,
+        values: &[usize],
+        limit: u64,
+        scratch: &mut Vec<u32>,
+    ) -> Option<u64> {
+        #[cfg(target_arch = "x86_64")]
+        if values.len() <= crate::kernel::simd::ROW_LANES_MAX_ORDER
+            && crate::kernel::simd::probe_kernel_available()
+        {
+            // SAFETY: gated on runtime detection of the exact features the
+            // row-lane body is compiled for (AVX-512 F + DQ), and the order
+            // fits its four occupancy words per lane.
+            let bounded = unsafe { self.global_cost_bounded_avx512(values, limit) };
+            debug_assert_eq!(
+                bounded,
+                self.global_cost_bounded_scalar(values, limit, scratch),
+                "row-lane reset evaluator diverged from the scalar body (limit {limit})"
+            );
+            return bounded;
+        }
+        self.global_cost_bounded_scalar(values, limit, scratch)
+    }
+
+    /// Scalar histogram body of [`CostModel::global_cost_bounded`]: the
+    /// portable tier, the n > 128 fallback, and the vector tier's reference.
+    pub(crate) fn global_cost_bounded_scalar(
         &self,
         values: &[usize],
         limit: u64,

@@ -60,6 +60,14 @@
 //! assumed.  It was never widened past one mask word per row; multi-word
 //! orders are served by the width-generic production kernel above.
 //!
+//! The `simd` module also holds the vector tier of the reset evaluator,
+//! [`CostModel::global_cost_bounded`](crate::CostModel::global_cost_bounded):
+//! one difference-triangle row per 64-bit lane, for n ≤ 128.  Its scalar
+//! histogram tier stays in `cost.rs`.  The `reset_evaluator_*` tests below
+//! call both tiers directly, so the scalar tier runs on AVX-512 hosts too,
+//! and a `debug_assert!` in the dispatcher pins the vector result to the
+//! scalar one on every call.
+//!
 //! Equivalence with the histogram reference is enforced three ways: the
 //! `debug_assert!` in the probe dispatcher (every call, bit for bit), the unit
 //! suite below (orders 2–32 exhaustively plus multi-word orders 33/40/65/80,
@@ -1031,5 +1039,90 @@ mod tests {
         let table = ConflictTable::new(&p, CostModel::basic());
         let mut out = vec![0u64; 32];
         table.probe_range_masked::<u64, 16>(0, 0, &mut out);
+    }
+
+    /// Check every tier of the bounded reset evaluator against `expected` —
+    /// the scalar body and the vector body called directly, so the scalar
+    /// tier runs on AVX-512 hosts too, plus the dispatcher.  Returns whether
+    /// the vector body ran.
+    fn assert_bounded_tiers(
+        model: CostModel,
+        p: &[usize],
+        limit: u64,
+        expected: Option<u64>,
+        context: &str,
+    ) -> bool {
+        let mut scratch = Vec::new();
+        assert_eq!(
+            model.global_cost_bounded_scalar(p, limit, &mut scratch),
+            expected,
+            "scalar body, limit {limit} ({context})"
+        );
+        assert_eq!(
+            model.global_cost_bounded(p, limit, &mut scratch),
+            expected,
+            "dispatcher, limit {limit} ({context})"
+        );
+        #[cfg(target_arch = "x86_64")]
+        if p.len() <= simd::ROW_LANES_MAX_ORDER && simd::probe_kernel_available() {
+            // SAFETY: the CPU features and the order were just checked.
+            let vector = unsafe { model.global_cost_bounded_avx512(p, limit) };
+            assert_eq!(vector, expected, "row-lane body, limit {limit} ({context})");
+            return true;
+        }
+        false
+    }
+
+    /// The reset evaluator's tiers agree with the from-scratch cost: orders
+    /// 1..=130 (every row-lane width W = 1…4 and the n > 128 fallback edge),
+    /// all cost models, random, identity and reversed permutations, at limits
+    /// on both sides of the true cost.
+    #[test]
+    fn reset_evaluator_tiers_match_the_from_scratch_cost() {
+        let mut rng = default_rng(0x05E7_E7A1);
+        let mut scratch = Vec::new();
+        let mut vector_orders = 0;
+        for n in 1..=130usize {
+            let random = one_based(random_permutation(n, &mut rng));
+            let identity: Vec<usize> = (1..=n).collect();
+            let reversed: Vec<usize> = (1..=n).rev().collect();
+            let mut vector_ran = false;
+            for model in models() {
+                for (name, p) in [
+                    ("random", &random),
+                    ("identity", &identity),
+                    ("reversed", &reversed),
+                ] {
+                    let cost = model.global_cost_with(p, &mut scratch);
+                    for limit in [u64::MAX, cost, cost.saturating_sub(1), 0] {
+                        let expected = (cost <= limit).then_some(cost);
+                        let context = format!("{name}, n={n}, {model:?}");
+                        vector_ran |= assert_bounded_tiers(model, p, limit, expected, &context);
+                    }
+                }
+            }
+            vector_orders += usize::from(vector_ran);
+        }
+        println!("reset evaluator tiers: scalar 130 orders, AVX-512 row lanes {vector_orders}");
+    }
+
+    /// Reset-shaped inputs: random permutations at every width class with
+    /// limits drawn around the true cost, where the early abort can fire
+    /// after any row group.
+    #[test]
+    fn reset_evaluator_tiers_agree_at_random_limits() {
+        let mut rng = default_rng(0x0B0A_7DED);
+        let mut scratch = Vec::new();
+        for n in [3usize, 16, 17, 32, 33, 40, 64, 65, 80, 96, 97, 128, 129] {
+            for model in models() {
+                for _ in 0..20 {
+                    let p = one_based(random_permutation(n, &mut rng));
+                    let cost = model.global_cost_with(&p, &mut scratch);
+                    let limit = rng.next_u64() % (2 * cost + 2);
+                    let expected = (cost <= limit).then_some(cost);
+                    assert_bounded_tiers(model, &p, limit, expected, &format!("n={n}, {model:?}"));
+                }
+            }
+        }
     }
 }

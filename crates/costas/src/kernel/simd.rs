@@ -1,4 +1,7 @@
-//! AVX-512 lane-parallel probe body for register-width rows (n ≤ 64).
+//! AVX-512 lane-parallel bodies: the probe for register-width rows (n ≤ 64)
+//! and the reset evaluator's bounded from-scratch cost (n ≤ 128).
+//!
+//! # Probe body
 //!
 //! The scalar event-replay kernel (`probe_body_sim`) is serial in the one
 //! dimension the workload has plenty of: candidates.  Each (candidate, row)
@@ -34,15 +37,42 @@
 //! (`o1 = o2`, detected as a k-register compare).  Those lanes are scored by
 //! the exact per-bucket merge instead, added straight onto `out`.
 //!
+//! # Reset evaluator body
+//!
+//! The Costas reset scores ≈ 2n candidate permutations from scratch
+//! ([`CostModel::global_cost_bounded`]).  The scalar body sweeps one row of
+//! the difference triangle at a time through a `2n − 1`-entry histogram.
+//! This body instead gives each of the eight 64-bit lanes one row `d`: lane
+//! `l` of group `d0` holds row `d0 + l` as a `W`-word occupancy bitset
+//! (`W = ⌈(2n − 1) / 64⌉ ≤ 4`, so n ≤ 128).  For each left index `i` one
+//! masked load fetches `values[i + d0 .. i + d0 + 8]` and one subtraction of
+//! the broadcast `values[i]` turns it into the eight rows' differences `δ`.
+//! A rotate (`vprolvq`) of 1 by `δ` gives bit `δ mod 64`, and word `w` takes
+//! the lanes whose `δ` lies in its 64-wide window (signed compares against
+//! the window ends; one word needs none).  A row's repeats are its pair
+//! count minus its distinct buckets, so no per-pair hit test or counter is
+//! needed: after the group, a SWAR popcount of the bitsets gives each
+//! row's distinct count, the eight rows' repeats are weighted by `ERR(d)`
+//! and summed, and the sweep returns `None` as soon as the partial cost
+//! exceeds the limit.  At one word per row the inner step is
+//! three vector instructions (subtract with a broadcast operand, rotate,
+//! masked OR) for eight pairs; a shift by `δ + n − 1` per word, the
+//! obvious alternative, compiled to about twice the instructions.
+//!
 //! Dispatch is by runtime feature detection ([`probe_kernel_available`]):
-//! AVX-512 F (shifts, compares, mask ops, `vpmuldq`) and DQ.  Machines
-//! without it take the scalar replay body — same contract, same pinning.
+//! AVX-512 F (shifts, rotates, compares, mask ops, `vpmuldq`) and DQ.
+//! Machines without it take the scalar bodies — same contract, same
+//! pinning.
 
 use std::arch::x86_64::*;
 
 use super::{row_merge, MaskWord, SimRow};
-use crate::cost::ConflictTable;
+use crate::cost::{ConflictTable, CostModel};
 use crate::merge::BucketMerge;
+
+/// Largest order [`CostModel::global_cost_bounded_avx512`] serves: a lane
+/// holds one row's `2n − 1` buckets in at most four 64-bit words.
+pub(crate) const ROW_LANES_MAX_ORDER: usize = 128;
 
 /// Runtime gate for [`ConflictTable::probe_body_avx512`]: AVX-512 F + DQ,
 /// detected once and cached.
@@ -337,5 +367,161 @@ impl ConflictTable {
             let cur = _mm512_maskz_loadu_epi64(mask, out_ptr);
             _mm512_mask_storeu_epi64(out_ptr, mask, _mm512_add_epi64(cur, *acc));
         }
+    }
+}
+
+/// Mask of the lowest `k` lanes (all eight for `k ≥ 8`).
+#[inline]
+fn low_lanes(k: usize) -> __mmask8 {
+    if k >= 8 {
+        0xff
+    } else {
+        (1u8 << k) - 1
+    }
+}
+
+/// OR the buckets of the pairs `(i, i + d0 + l)` into lane `l`'s bitset,
+/// for the `live` lanes, where `left` points at `values[i]`.  A difference
+/// `δ` lands in the first word whose end exceeds it, at bit `δ mod 64`
+/// (`vprolvq` rotates by the count's low six bits, negative counts
+/// included); the words span 64 consecutive differences each, so distinct
+/// differences get distinct bits.
+///
+/// # Safety
+///
+/// Requires AVX-512 F and DQ at runtime.  `left` and `left + d0 + l` must
+/// point into one slice for every live lane `l`.
+#[inline]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn mark_pairs<const W: usize>(
+    seen: &mut [__m512i; W],
+    left: *const i64,
+    d0: usize,
+    live: __mmask8,
+    word_ends: &[__m512i; W],
+) {
+    let right = _mm512_maskz_loadu_epi64(live, left.add(d0));
+    let diff = _mm512_sub_epi64(right, _mm512_set1_epi64(*left));
+    let bit = _mm512_rolv_epi64(_mm512_set1_epi64(1), diff);
+    let mut rest = live;
+    for (w, s) in seen.iter_mut().enumerate() {
+        let k = if w + 1 == W {
+            rest
+        } else {
+            _mm512_mask_cmplt_epi64_mask(rest, diff, word_ends[w])
+        };
+        *s = _mm512_mask_or_epi64(*s, k, *s, bit);
+        rest &= !k;
+    }
+}
+
+impl CostModel {
+    /// Row-lane AVX-512 body of [`CostModel::global_cost_bounded`], same
+    /// contract: `Some(cost)` iff the from-scratch cost is `≤ limit`.  See the
+    /// module docs for the lane layout.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and DQ at runtime (see [`probe_kernel_available`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the order exceeds [`ROW_LANES_MAX_ORDER`].
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(crate) unsafe fn global_cost_bounded_avx512(
+        &self,
+        values: &[usize],
+        limit: u64,
+    ) -> Option<u64> {
+        let n = values.len();
+        if n < 2 {
+            return Some(0);
+        }
+        match (2 * n - 1).div_ceil(64) {
+            1 => self.row_lanes::<1>(values, limit),
+            2 => self.row_lanes::<2>(values, limit),
+            3 => self.row_lanes::<3>(values, limit),
+            4 => self.row_lanes::<4>(values, limit),
+            _ => panic!("the row-lane evaluator covers n ≤ {ROW_LANES_MAX_ORDER}, got n = {n}"),
+        }
+    }
+
+    /// The row-lane sweep at `W = ⌈(2n − 1) / 64⌉` occupancy words per lane.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and DQ at runtime.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn row_lanes<const W: usize>(&self, values: &[usize], limit: u64) -> Option<u64> {
+        let n = values.len();
+        let dmax = self.max_distance(n);
+        // `usize` is 64-bit on this arch; masked-out lanes are not read.
+        let base = values.as_ptr().cast::<i64>();
+        // Word w of a lane holds the differences in
+        // [64w − (n − 1), 64(w + 1) − (n − 1)).
+        let mut word_ends = [_mm512_setzero_si512(); W];
+        for (w, end) in word_ends.iter_mut().enumerate() {
+            *end = _mm512_set1_epi64(64 * (w as i64 + 1) - (n as i64 - 1));
+        }
+        let (m1, m2, m4) = (
+            _mm512_set1_epi64(0x5555_5555_5555_5555),
+            _mm512_set1_epi64(0x3333_3333_3333_3333),
+            _mm512_set1_epi64(0x0f0f_0f0f_0f0f_0f0f),
+        );
+        let mut cost = 0u64;
+        for d0 in (1..=dmax).step_by(8) {
+            let rows = low_lanes(dmax - d0 + 1);
+            let mut seen = [_mm512_setzero_si512(); W];
+            // Lane l scores row d0 + l, whose pairs (i, i + d0 + l) exist
+            // for i < n − d0 − l: every live row has a pair at i below
+            // `full`, and the tail loses one lane per step.
+            let full = (n - d0).saturating_sub(7);
+            // SAFETY: lane l is live only while i + d0 + l < n, so every
+            // pointer handed over stays inside `values`.
+            for i in 0..full {
+                mark_pairs(&mut seen, base.add(i), d0, rows, &word_ends);
+            }
+            for i in full..n - d0 {
+                mark_pairs(
+                    &mut seen,
+                    base.add(i),
+                    d0,
+                    rows & low_lanes(n - d0 - i),
+                    &word_ends,
+                );
+            }
+            // Distinct buckets per lane: SWAR byte counts summed over the
+            // words (≤ 32 per byte), then across the bytes.
+            let mut bytes = _mm512_setzero_si512();
+            for s in seen {
+                let x = _mm512_sub_epi64(s, _mm512_and_si512(_mm512_srli_epi64::<1>(s), m1));
+                let x = _mm512_add_epi64(
+                    _mm512_and_si512(x, m2),
+                    _mm512_and_si512(_mm512_srli_epi64::<2>(x), m2),
+                );
+                let x = _mm512_and_si512(_mm512_add_epi64(x, _mm512_srli_epi64::<4>(x)), m4);
+                bytes = _mm512_add_epi64(bytes, x);
+            }
+            // A row has at most n − 1 ≤ 127 distinct buckets, so every
+            // partial sum of its byte counts fits one byte.
+            let bytes = _mm512_add_epi64(bytes, _mm512_srli_epi64::<8>(bytes));
+            let bytes = _mm512_add_epi64(bytes, _mm512_srli_epi64::<16>(bytes));
+            let bytes = _mm512_add_epi64(bytes, _mm512_srli_epi64::<32>(bytes));
+            let mut distinct = [0u64; 8];
+            _mm512_storeu_epi64(
+                distinct.as_mut_ptr().cast(),
+                _mm512_and_si512(bytes, _mm512_set1_epi64(0xff)),
+            );
+            // Row d has n − d pairs; each beyond its bucket's first repeats.
+            for (l, &k) in distinct.iter().enumerate().take(dmax + 1 - d0) {
+                let d = d0 + l;
+                cost += ((n - d) as u64 - k) * self.weight_at(n, d);
+            }
+            if cost > limit {
+                return None;
+            }
+        }
+        Some(cost)
     }
 }

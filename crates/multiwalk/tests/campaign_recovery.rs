@@ -273,6 +273,23 @@ fn flipped_byte_in_the_checkpoint_is_a_typed_corruption_error() {
     );
 }
 
+/// A validly framed checkpoint whose payload nests 10⁵ levels deep is a
+/// typed parse error, not a stack overflow.
+#[test]
+fn deeply_nested_checkpoint_payload_is_a_typed_parse_error() {
+    let spec = small_spec(scratch_dir("deep"));
+    let mut c = open_fresh(&spec);
+    c.run_round().expect("round");
+    drop(c);
+    let deep = frame_record(&"[".repeat(100_000));
+    fs::write(spec.checkpoint_path(), deep).expect("write deep checkpoint");
+    let err = Campaign::open(spec).expect_err("deep payload must be rejected");
+    assert!(
+        matches!(err, CampaignError::Parse { ref message, .. } if message.contains("nesting deeper")),
+        "want Parse, got {err:?}"
+    );
+}
+
 #[test]
 fn stale_schema_version_is_a_typed_error() {
     let spec = small_spec(scratch_dir("stale"));

@@ -168,9 +168,18 @@ impl std::fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts.  The parser is
+/// recursive descent, so without a cap a line of `[` characters well under
+/// any line-length limit overflows the stack and aborts the process; with
+/// it, deeper input is an ordinary [`JsonParseError`].  Every document this
+/// workspace writes nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -216,8 +225,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, JsonParseError> {
         self.skip_whitespace();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -226,6 +235,21 @@ impl<'a> Parser<'a> {
             Some(c) => self.error(format!("unexpected character {:?}", c as char)),
             None => self.error("unexpected end of input"),
         }
+    }
+
+    /// Parse an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonParseError>,
+    ) -> Result<Json, JsonParseError> {
+        if self.depth == MAX_DEPTH {
+            return self.error(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonParseError> {
@@ -411,11 +435,13 @@ impl Json {
     ///
     /// Accepts standard JSON (objects, arrays, strings with escapes, numbers,
     /// booleans, null); trailing content after the top-level value is an error,
-    /// as are non-finite numbers (which [`Json::render`] never emits).
+    /// as are non-finite numbers (which [`Json::render`] never emits) and
+    /// nesting deeper than [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Json, JsonParseError> {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let value = parser.value()?;
         parser.skip_whitespace();
@@ -586,6 +612,24 @@ mod tests {
         ] {
             let err = Json::parse(bad).expect_err(bad);
             assert!(!err.message.is_empty(), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth_with_a_typed_error() {
+        let nest = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            assert!(Json::parse(&nest(open, close, MAX_DEPTH)).is_ok(), "{open}");
+            let err = Json::parse(&nest(open, close, MAX_DEPTH + 1)).expect_err(open);
+            assert!(err.message.contains("nesting deeper"), "{open}: {err}");
+            // ≈ 10⁵ levels, unterminated and terminated: an error, not a
+            // stack overflow.
+            let deep = open.repeat(100_000);
+            let err = Json::parse(&deep).expect_err(open);
+            assert_eq!(err.offset, MAX_DEPTH * open.len(), "{open}: {err}");
+            assert!(Json::parse(&nest(open, close, 100_000)).is_err(), "{open}");
         }
     }
 

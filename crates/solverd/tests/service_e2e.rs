@@ -360,3 +360,43 @@ fn tcp_mode_round_trips_requests() {
     assert_eq!(field(rejected, "status"), "rejected");
     assert_eq!(field(rejected, "reason"), "unknown-problem");
 }
+
+/// A deeply nested line is an ordinary parse reject, not a stack overflow:
+/// the real binary answers it, answers the request behind it, and exits
+/// cleanly at EOF.
+#[test]
+fn deeply_nested_line_is_rejected_and_the_next_request_answered() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_solverd"))
+        .args(["--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn solverd");
+    let mut stdin = child.stdin.take().expect("stdin");
+    // 100 KB of `[`, under the 256 KiB line cap.
+    writeln!(stdin, "{}", "[".repeat(100_000)).expect("send deep line");
+    writeln!(
+        stdin,
+        r#"{{"id":"after","problem":"costas","n":8,"seed":1}}"#
+    )
+    .expect("send");
+    drop(stdin);
+    let output = child.wait_with_output().expect("solverd exits");
+    assert!(output.status.success(), "solverd died: {:?}", output.status);
+
+    let responses = parse_lines(&output.stdout);
+    assert_eq!(responses.len(), 2, "{responses:?}");
+    let reject = by_id(&responses, "");
+    assert_eq!(field(reject, "status"), "error");
+    assert_eq!(field(reject, "reason"), "parse");
+    assert!(
+        field(reject, "detail").contains("nesting deeper"),
+        "{reject:?}"
+    );
+    let ok = by_id(&responses, "after");
+    assert_eq!(field(ok, "status"), "ok");
+    assert_eq!(field(ok, "termination"), "solved");
+}
