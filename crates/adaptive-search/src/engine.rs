@@ -525,7 +525,7 @@ impl<P: PermutationProblem> Engine<P> {
     fn best_swap_for(&mut self, culprit: usize) -> (usize, u64) {
         self.problem.probe_partners(culprit, &mut self.probe);
         // Kernel-equivalence cross-check: a model routing the probe through an
-        // accelerated (SWAR) kernel must agree bit-for-bit with its scalar
+        // accelerated (bitmask) kernel must agree bit-for-bit with its scalar
         // reference on every neighbourhood the search actually visits.
         #[cfg(debug_assertions)]
         if self.problem.has_accelerated_probe() {

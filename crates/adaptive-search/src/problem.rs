@@ -119,7 +119,7 @@ pub trait PermutationProblem {
     /// Scalar **reference implementation** of
     /// [`PermutationProblem::probe_partners`]: always the plain per-pair delta
     /// scan, even when `probe_partners` itself routes through an accelerated
-    /// (batched / SWAR) kernel.
+    /// (batched bitmask) kernel.
     ///
     /// **Equivalence contract:** for every configuration and every `culprit`,
     /// the vector written here must be *bit-for-bit* equal to what
@@ -146,7 +146,7 @@ pub trait PermutationProblem {
 
     /// Does [`PermutationProblem::probe_partners`] route through an accelerated
     /// kernel that is *distinct* from [`probe_partners_reference`]
-    /// (e.g. the Costas SWAR kernel)?  When `true`, the conformance kit pins the
+    /// (e.g. the Costas bitmask kernel)?  When `true`, the conformance kit pins the
     /// two bit-for-bit against each other; the default is `false`.
     ///
     /// [`probe_partners_reference`]: PermutationProblem::probe_partners_reference

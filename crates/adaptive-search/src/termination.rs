@@ -4,8 +4,8 @@
 //! every `c` iterations* to learn whether some other process has already found a
 //! solution (§V-A).  The engine models this with a [`StopCondition`]: a cheap
 //! predicate polled every [`crate::AsConfig::stop_check_interval`] iterations.  The
-//! `multiwalk` crate plugs an `AtomicBool` (thread runner) or an `mpi-sim` probe
-//! (message-passing runner) into this hook.
+//! `multiwalk` thread runner plugs a shared `AtomicBool` ([`FlagStop`]) into this
+//! hook, next to the request deadline and cancel token.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -23,8 +23,8 @@ pub enum StopReason {
 /// A poll-able stop condition.
 ///
 /// Deliberately *not* `Send`-bounded: each walk owns its own stop condition (which may
-/// wrap a non-`Sync` message-passing endpoint); only the underlying signal (an atomic
-/// flag, a channel) needs to cross threads.
+/// hold non-`Sync` state); only the underlying signal (an atomic flag, a channel)
+/// needs to cross threads.
 pub trait StopCondition {
     /// Return `Some(reason)` when the engine should stop now.
     fn should_stop(&mut self) -> Option<StopReason>;
@@ -159,16 +159,6 @@ impl StopCondition for AnyStop {
     }
 }
 
-/// A closure-based stop condition (handy in tests and for custom integrations such as
-/// the mpi-sim probe).
-pub struct FnStop<F: FnMut() -> Option<StopReason>>(pub F);
-
-impl<F: FnMut() -> Option<StopReason>> StopCondition for FnStop<F> {
-    fn should_stop(&mut self) -> Option<StopReason> {
-        (self.0)()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,21 +214,5 @@ mod tests {
         assert_eq!(stop.should_stop(), Some(StopReason::Cancelled));
         assert!(token.same_token(&clone));
         assert!(!token.same_token(&CancelToken::new()));
-    }
-
-    #[test]
-    fn fn_stop_uses_the_closure() {
-        let mut calls = 0;
-        let mut s = FnStop(move || {
-            calls += 1;
-            if calls >= 3 {
-                Some(StopReason::Cancelled)
-            } else {
-                None
-            }
-        });
-        assert_eq!(s.should_stop(), None);
-        assert_eq!(s.should_stop(), None);
-        assert_eq!(s.should_stop(), Some(StopReason::Cancelled));
     }
 }

@@ -14,7 +14,7 @@
 //!   candidate, reports the current cost at the culprit slot, and neither probe
 //!   observably mutates the problem;
 //! * **(b′) kernel equivalence** — `probe_partners` agrees **bit-for-bit** with
-//!   the scalar `probe_partners_reference`, pinning any accelerated (SWAR)
+//!   the scalar `probe_partners_reference`, pinning any accelerated (bitmask)
 //!   kernel to its reference implementation on every visited neighbourhood
 //!   (models reporting `has_accelerated_probe` — currently Costas at every
 //!   order, single-word masks up to n = 32 and the width-generic multi-word

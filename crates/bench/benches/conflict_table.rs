@@ -65,19 +65,6 @@ fn bench_conflict_table(c: &mut Criterion) {
             },
         );
 
-        // The batched SWAR experiment (see `costas::kernel`): kept measured so
-        // the "the scalar bitmask kernel wins at these orders" conclusion stays
-        // a number, not folklore.
-        group.bench_with_input(BenchmarkId::new("probe_partners_swar", n), &n, |b, _| {
-            let table = ConflictTable::new(&perm, model);
-            let mut rng = default_rng(11);
-            let mut out = Vec::with_capacity(n);
-            b.iter(|| {
-                table.probe_partners_swar(rng.index(n), &mut out);
-                black_box(out[0])
-            });
-        });
-
         // What the batched probe replaced: n−1 apply+un-apply evaluations.
         group.bench_with_input(
             BenchmarkId::new("probe_via_apply_unapply", n),
@@ -153,9 +140,7 @@ fn bench_conflict_table(c: &mut Criterion) {
 
     // Past the single-word mask boundary: the width-generic multi-word kernel
     // (two words per row at n = 34/40, the slice-based variant at n = 65)
-    // against the histogram reference it is pinned to.  The SWAR experiment is
-    // deliberately absent here — it is a single-word-only path and asserts as
-    // much (see `costas::kernel`).
+    // against the histogram reference it is pinned to.
     for &n in &[34usize, 40, 65] {
         let mut rng = default_rng(7);
         let mut perm = random_permutation(n, &mut rng);

@@ -800,37 +800,6 @@ impl ConflictTable {
         self.probe_reference_range(culprit, culprit + 1, out);
     }
 
-    /// The batched SWAR probe **experiment**: same contract and bit-for-bit the
-    /// same results as [`ConflictTable::probe_partners`], scoring
-    /// [`crate::kernel::LANES`] candidates per pass.  Measured *slower* than
-    /// the dispatched bitmask kernel on commodity x86-64 (the per-candidate
-    /// event gather is data-dependent, so the lanes share only the final
-    /// accumulation — see the [`crate::kernel`] module docs for the write-up),
-    /// which is why it does not drive the dispatch.  Kept public so the
-    /// `conflict_table` micro-benchmark tracks the comparison.
-    ///
-    /// The experiment was written against the single-word mask layout and was
-    /// never widened: it panics unless the occupancy bitmasks are maintained
-    /// at one word per row (row width ≤ 63, i.e. n ≤ 32).  Wider orders are
-    /// served by the width-generic kernel behind the dispatched
-    /// [`ConflictTable::probe_partners`] (see [`crate::kernel`]).
-    pub fn probe_partners_swar(&self, culprit: usize, out: &mut Vec<u64>) {
-        let n = self.n;
-        assert!(culprit < n, "culprit {culprit} out of range for order {n}");
-        assert!(
-            self.masks_enabled() && self.mask_words == 1,
-            "the SWAR probe experiment needs single-word occupancy bitmasks \
-             (row width ≤ 63); wider orders dispatch to the width-generic \
-             kernel in costas::kernel"
-        );
-        out.clear();
-        out.resize(n, self.cost);
-        if n < 2 {
-            return;
-        }
-        self.probe_range_swar(culprit, 0, out);
-    }
-
     /// Reference-path prologue shared by the `_reference` probes.
     fn probe_reference_range(&self, m: usize, lo_bound: usize, out: &mut Vec<u64>) {
         let n = self.n;

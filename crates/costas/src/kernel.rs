@@ -40,25 +40,6 @@
 //!   over slice-held mask copies for arbitrary width (`W ≥ 3`, n ≥ 65), with
 //!   the patched masks kept in a table-owned scratch so the read-only probe
 //!   contract stays allocation-free.
-//! * [`ConflictTable::probe_partners_swar`] — the **batched SWAR experiment**
-//!   (single-word widths only): scores [`LANES`] candidates per pass by
-//!   packing each lane's ≤ 6 touched-bucket events as bits of one byte per
-//!   lane of two `u64` words, counting them with one bytewise popcount per
-//!   word, and accumulating `w · (pos − neg)` branch-free.
-//!
-//! **Measured outcome of the SWAR experiment (honest write-up).**  The SWAR
-//! variant is *slower* than the scalar bitmask kernel on commodity x86-64 —
-//! 7–34 % across n = 12…24 in the `conflict_table` micro-benchmark.  The
-//! reason is structural: the per-candidate events are data-dependent gathers
-//! (`values[j ± d]` loads and variable-distance bit tests), so the lanes
-//! cannot share the gather — only the final accumulation — and the
-//! packing/bias/popcount overhead exceeds what the shared accumulation saves
-//! once the scalar path has already reduced every baseline test to a single
-//! register bit test.  The experiment is retained behind
-//! [`ConflictTable::probe_partners_swar`], benchmarked next to the production
-//! kernel, and equivalence-pinned so the comparison stays measured rather than
-//! assumed.  It was never widened past one mask word per row; multi-word
-//! orders are served by the width-generic production kernel above.
 //!
 //! The `simd` module also holds the vector tier of the reset evaluator,
 //! [`CostModel::global_cost_bounded`](crate::CostModel::global_cost_bounded):
@@ -71,33 +52,17 @@
 //! Equivalence with the histogram reference is enforced three ways: the
 //! `debug_assert!` in the probe dispatcher (every call, bit for bit), the unit
 //! suite below (orders 2–32 exhaustively plus multi-word orders 33/40/65/80,
-//! all cost models, adversarial permutations, every kernel), and the
-//! cross-crate conformance kit in `adaptive-search`, which drives random
-//! swap/reset/inject sequences against a from-scratch oracle.
+//! all cost models, adversarial permutations, every kernel — the scalar
+//! replay tier is called directly at one and two words per row, so it runs on
+//! AVX-512 hosts too), and the cross-crate conformance kit in
+//! `adaptive-search`, which drives random swap/reset/inject sequences against
+//! a from-scratch oracle.
 
 use crate::cost::ConflictTable;
 use crate::merge::BucketMerge;
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod simd;
-
-/// Candidate partners scored per SWAR pass (one byte per lane in a `u64`).
-pub const LANES: usize = 8;
-
-/// Per-byte bias keeping the packed `pos − neg` lane counts non-negative
-/// (`pos ∈ 0..=4`, `neg ∈ 0..=2`, so `pos + 2 − neg ∈ 0..=6`: no borrow or
-/// carry ever crosses a lane boundary).
-const BIAS: u64 = 0x0202_0202_0202_0202;
-
-/// SWAR bytewise popcount: each byte of the result holds the popcount of the
-/// corresponding byte of `x` (the classic parallel bit-count, stopped at the
-/// byte-accumulation step instead of reducing to a single total).
-#[inline]
-pub(crate) fn bytewise_popcount(mut x: u64) -> u64 {
-    x -= (x >> 1) & 0x5555_5555_5555_5555;
-    x = (x & 0x3333_3333_3333_3333) + ((x >> 2) & 0x3333_3333_3333_3333);
-    (x + (x >> 4)) & 0x0f0f_0f0f_0f0f_0f0f
-}
 
 /// Width-independent half of the per-row probe context: the row weight, the
 /// histogram base, the culprit's neighbouring values, and the ≤ 2
@@ -720,129 +685,6 @@ impl ConflictTable {
         };
         self.probe_body(&src, m, lo_bound, removal_total, out);
     }
-
-    /// Batched SWAR probe body (single-word masks, n ≤ 32): fill `out[j]` for
-    /// `j in lo_bound..n`, `j != m`, scoring [`LANES`] candidates per pass.
-    /// Retained as a measured experiment — see the module docs for why it does
-    /// **not** drive the dispatch.  Bit-for-bit equal to the reference paths.
-    pub(crate) fn probe_range_swar(&self, m: usize, lo_bound: usize, out: &mut [u64]) {
-        let n = self.n;
-        let dmax = self.dmax;
-        let vm = self.values[m] as i64;
-        let values = &self.values[..];
-        let counts = &self.counts[..];
-        let off = n as i64 - 1;
-        let mut rows = [SimRow {
-            meta: RowMeta::default(),
-            occ: 0u64,
-            multi: 0u64,
-            p1: 0,
-            p2: 0,
-            p3: 0,
-            p4: 0,
-        }; 32];
-        let removal_total = self.build_rows(m, &mut rows);
-
-        let mut touched = BucketMerge::<6>::new();
-        let mut block = lo_bound;
-        while block < n {
-            let lanes = (n - block).min(LANES);
-            let mut vjs = [0i64; LANES];
-            let mut acc = [0i64; LANES];
-            for (l, vj) in vjs.iter_mut().enumerate().take(lanes) {
-                *vj = values[block + l] as i64;
-            }
-            for (di, row) in rows[..dmax].iter().enumerate() {
-                let d = di + 1;
-                let m_minus_d = m.wrapping_sub(d);
-                let m_plus_d = m + d;
-                let (occ, multi) = (row.occ, row.multi);
-                let mut pos_word = 0u64;
-                let mut neg_word = 0u64;
-                for l in 0..lanes {
-                    let j = block + l;
-                    if j == m {
-                        continue;
-                    }
-                    let vj = vjs[l];
-                    if j != m_minus_d && j != m_plus_d {
-                        // Fast path: gather the lane's ≤ 6 events as bits of
-                        // its byte; `seen` accumulates the touched buckets as
-                        // a bit set, so "no two events share a bucket" is one
-                        // popcount-vs-count comparison.
-                        let mut seen = 0u64;
-                        let mut events = 0u32;
-                        let mut pos = 0u64;
-                        let mut neg = 0u64;
-                        if row.meta.has_left {
-                            let k1 = (vj - row.meta.left_other + off) as usize;
-                            pos |= (occ >> k1) & 1;
-                            seen |= 1u64 << k1;
-                            events += 1;
-                        }
-                        if row.meta.has_right {
-                            let k2 = (row.meta.right_other - vj + off) as usize;
-                            pos |= ((occ >> k2) & 1) << 1;
-                            seen |= 1u64 << k2;
-                            events += 1;
-                        }
-                        if j >= d {
-                            let vl = values[j - d] as i64;
-                            let o1 = (vj - vl + off) as usize;
-                            let n1 = (vm - vl + off) as usize;
-                            pos |= ((occ >> n1) & 1) << 2;
-                            neg |= (multi >> o1) & 1;
-                            seen |= (1u64 << o1) | (1u64 << n1);
-                            events += 2;
-                        }
-                        if j + d < n {
-                            let vr = values[j + d] as i64;
-                            let o2 = (vr - vj + off) as usize;
-                            let n2 = (vr - vm + off) as usize;
-                            pos |= ((occ >> n2) & 1) << 3;
-                            neg |= ((multi >> o2) & 1) << 1;
-                            seen |= (1u64 << o2) | (1u64 << n2);
-                            events += 2;
-                        }
-                        if seen.count_ones() == events {
-                            pos_word |= pos << (8 * l);
-                            neg_word |= neg << (8 * l);
-                            continue;
-                        }
-                    }
-                    // Exact merge for culprit-neighbour cells and collisions;
-                    // the lane's bytes stay zero, contributing 0 through the
-                    // popcount path.
-                    acc[l] += row_merge(
-                        &mut touched,
-                        counts,
-                        values,
-                        &row.meta,
-                        d,
-                        n,
-                        m,
-                        vm,
-                        off,
-                        j,
-                        vj,
-                    );
-                }
-                // Branch-free popcount accumulation: count every lane's events
-                // at once, bias so `pos − neg` never borrows across lanes.
-                let biased = bytewise_popcount(pos_word) + BIAS - bytewise_popcount(neg_word);
-                for (l, a) in acc.iter_mut().enumerate().take(lanes) {
-                    *a += row.meta.w * ((((biased >> (8 * l)) & 0xff) as i64) - 2);
-                }
-            }
-            for (l, &a) in acc.iter().enumerate().take(lanes) {
-                let j = block + l;
-                if j != m {
-                    out[j] = out[j].wrapping_add_signed(removal_total + a);
-                }
-            }
-            block += lanes;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -871,9 +713,43 @@ mod tests {
         ]
     }
 
-    /// Pin the dispatched probe, and — at single-word widths — the SWAR
-    /// experiment, to the histogram reference, for every culprit and both
-    /// probe variants.
+    /// The scalar replay tier ([`ConflictTable::probe_body_sim`]) called
+    /// directly, bypassing the dispatcher, so it runs on AVX-512 hosts too:
+    /// `u64` rows for n ≤ 32, `u128` rows for n ≤ 64.  `None` for the
+    /// slice-held widths and disabled masks, which have no scalar replay tier.
+    fn probe_scalar_tier(table: &ConflictTable, m: usize, lo_bound: usize) -> Option<Vec<u64>> {
+        fn run<Wd: MaskWord, const R: usize>(
+            table: &ConflictTable,
+            m: usize,
+            lo_bound: usize,
+        ) -> Vec<u64> {
+            let mut rows = [SimRow {
+                meta: RowMeta::default(),
+                occ: Wd::ZERO,
+                multi: Wd::ZERO,
+                p1: 0,
+                p2: 0,
+                p3: 0,
+                p4: 0,
+            }; R];
+            let removal_total = table.build_rows(m, &mut rows);
+            let mut out = vec![table.cost(); table.order()];
+            table.probe_body_sim(&rows[..table.dmax], m, lo_bound, removal_total, &mut out);
+            out
+        }
+        if !table.has_probe_kernel() {
+            return None;
+        }
+        match table.mask_words {
+            1 => Some(run::<u64, 32>(table, m, lo_bound)),
+            2 => Some(run::<u128, 64>(table, m, lo_bound)),
+            _ => None,
+        }
+    }
+
+    /// Pin the dispatched probe, and — at one- and two-word widths — the
+    /// scalar replay tier, to the histogram reference, for every culprit and
+    /// both probe variants.
     fn assert_probe_matches_reference(table: &ConflictTable, context: &str) {
         let n = table.order();
         let (mut fast, mut reference) = (Vec::new(), Vec::new());
@@ -881,12 +757,8 @@ mod tests {
             table.probe_partners(m, &mut fast);
             table.probe_partners_reference(m, &mut reference);
             assert_eq!(fast, reference, "probe_partners culprit {m} ({context})");
-            if table.has_probe_kernel() && table.mask_words == 1 {
-                table.probe_partners_swar(m, &mut fast);
-                assert_eq!(
-                    fast, reference,
-                    "probe_partners_swar culprit {m} ({context})"
-                );
+            if let Some(scalar) = probe_scalar_tier(table, m, 0) {
+                assert_eq!(scalar, reference, "scalar tier culprit {m} ({context})");
             }
             table.probe_partners_above(m, &mut fast);
             table.probe_partners_above_reference(m, &mut reference);
@@ -894,26 +766,19 @@ mod tests {
                 fast, reference,
                 "probe_partners_above culprit {m} ({context})"
             );
+            if let Some(scalar) = probe_scalar_tier(table, m, m + 1) {
+                assert_eq!(
+                    scalar, reference,
+                    "scalar tier above culprit {m} ({context})"
+                );
+            }
         }
     }
 
-    #[test]
-    fn bytewise_popcount_counts_each_byte_independently() {
-        assert_eq!(bytewise_popcount(0), 0);
-        assert_eq!(bytewise_popcount(u64::MAX), 0x0808_0808_0808_0808);
-        // one byte full, neighbours untouched
-        assert_eq!(bytewise_popcount(0xff00), 0x0800);
-        // mixed bytes: 0b1011 (3 bits) in lane 0, 0b1 in lane 7
-        assert_eq!(
-            bytewise_popcount(0x0100_0000_0000_000b),
-            0x0100_0000_0000_0003
-        );
-    }
-
     /// The tentpole equivalence: for every single-word order and every cost
-    /// model, both mask-based kernels agree bit for bit with the histogram
-    /// reference on random permutations, for every culprit and both probe
-    /// variants.
+    /// model, the dispatched kernel and the scalar replay tier agree bit for
+    /// bit with the histogram reference on random permutations, for every
+    /// culprit and both probe variants.
     #[test]
     fn kernels_match_histogram_reference_on_random_permutations() {
         for model in models() {

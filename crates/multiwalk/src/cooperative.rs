@@ -7,13 +7,12 @@
 //! every walk performs a **coordinated restart**
 //! (via [`adaptive_search::Engine::schedule_restart`]).
 //!
-//! The exchange protocol is the same on all three substrates:
+//! The exchange protocol is the same on both substrates:
 //!
 //! 1. every walk runs `exchange_interval` iterations (the cooperative analogue of the
 //!    paper's termination-check period `c`);
 //! 2. the globally best `(cost, rank, configuration)` is determined — behind a mutex
-//!    on the thread substrate, with [`mpi_sim::collectives::allreduce_min`] on the
-//!    message-passing substrate, by direct inspection on the virtual cluster;
+//!    on the thread substrate, by direct inspection on the virtual cluster;
 //! 3. every other walk is *offered* the elite and adopts it iff it strictly improves
 //!    on the walk's own current cost;
 //! 4. if the global best cost has not improved for `stagnation_limit` consecutive
@@ -31,8 +30,6 @@
 //! clock exactly like [`crate::VirtualCluster::run_exact`] and exchanges at round
 //! boundaries, so the entire cooperative trajectory — winner, iteration count,
 //! adoption pattern — is a pure function of the master seed.
-//! [`CooperativeRunner::run_mpi`] performs the same rounds through blocking
-//! collectives and is equally seed-deterministic; only
 //! [`CooperativeRunner::run_threads`] trades determinism for real wall-clock
 //! parallelism (exchanges are asynchronous there).
 
@@ -42,8 +39,6 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use adaptive_search::{PermutationProblem, SearchStats, StepOutcome};
-use mpi_sim::collectives::allreduce_min;
-use mpi_sim::run_world_with_threads;
 
 use crate::virtual_cluster::VirtualCluster;
 use crate::walker::WalkSpec;
@@ -101,7 +96,7 @@ pub struct CoopResult {
     pub winner_iterations: u64,
     /// Total iterations executed across all walks (the work performed).
     pub total_iterations: u64,
-    /// Exchange rounds completed (per-walk rounds on the synchronous substrates,
+    /// Exchange rounds completed (rounds on the virtual-cluster substrate,
     /// individual exchange operations on the thread substrate).
     pub exchanges: u64,
     /// Elite configurations adopted across all walks.
@@ -124,10 +119,6 @@ impl CoopResult {
         self.solution.is_some()
     }
 }
-
-/// Message exchanged by the `mpi-sim` substrate: `(cost, rank, configuration)`.
-/// The lexicographic `Ord` of the tuple gives the documented lowest-rank tie-break.
-type Elite = (u64, usize, Vec<usize>);
 
 /// Runs `walks` cooperating Adaptive Search walks.
 #[derive(Debug, Clone)]
@@ -240,7 +231,7 @@ impl CooperativeRunner {
 
             // Exchange: the best (cost, rank) wins; every strictly worse walk is
             // offered it (a tied-or-better walk could never adopt, so the offer —
-            // and its O(n²) cost evaluation — is skipped, as on the mpi substrate).
+            // and its O(n²) cost evaluation — is skipped).
             exchanges += 1;
             let (best_rank, best_cost) = engines
                 .iter()
@@ -296,134 +287,6 @@ impl CooperativeRunner {
                     .seconds_for(winner_iterations, cluster.reference_rate()),
             ),
             walk_stats: engines.iter().map(|e| e.stats().clone()).collect(),
-        }
-    }
-
-    /// Cooperative run over `mpi-sim` ranks: every rank runs `exchange_interval`
-    /// iterations, then joins an [`allreduce_min`] carrying `(cost, rank, config)`.
-    /// A solved rank contributes cost 0, so the same round's reduction terminates
-    /// every rank; ties go to the lowest rank by the tuple ordering.  The round
-    /// structure makes this substrate seed-deterministic too, despite running on
-    /// real threads.
-    pub fn run_mpi(&self, master_seed: u64) -> CoopResult {
-        self.run_mpi_with_threads(master_seed, self.walks)
-    }
-
-    /// Like [`CooperativeRunner::run_mpi`] with an explicit cap on OS threads.
-    ///
-    /// Unlike the independent `MpiRunner`, the cooperative protocol is synchronous:
-    /// every rank must be alive to join each exchange round, so `max_threads` must be
-    /// at least `walks`.
-    ///
-    /// # Panics
-    /// Panics if `max_threads < walks` (a smaller cap would deadlock the first
-    /// exchange).
-    pub fn run_mpi_with_threads(&self, master_seed: u64, max_threads: usize) -> CoopResult {
-        assert!(
-            max_threads >= self.walks,
-            "cooperative exchange is synchronous: need max_threads >= walks"
-        );
-        let start = Instant::now();
-        let interval = self.coop.exchange_interval;
-        let stagnation_limit = self.coop.stagnation_limit;
-        let spec = self.spec.clone();
-
-        struct RankReport {
-            iterations: u64,
-            solved: bool,
-            solution: Option<Vec<usize>>,
-            rounds: u64,
-            coordinated_restarts: u64,
-            stats: SearchStats,
-        }
-
-        let reports: Vec<RankReport> =
-            run_world_with_threads::<Elite, _, _>(self.walks, max_threads, move |comm| {
-                let rank = comm.rank();
-                let mut engine = spec.build_engine(master_seed, rank);
-                let budget = spec.config.max_iterations;
-                let mut iterations = 0u64;
-                let mut solved = false;
-                let mut rounds = 0u64;
-                let mut restarts = 0u64;
-                let mut global_best = u64::MAX;
-                let mut stagnant = 0u64;
-                let mut winning: Option<Vec<usize>> = None;
-                // Every rank computes the same capped block sequence, so all ranks
-                // run the same number of exchange rounds and reach the budget
-                // exactly — no rank can overrun it or miss a collective.
-                while iterations < budget {
-                    let block = interval.min(budget - iterations);
-                    for _ in 0..block {
-                        iterations += 1;
-                        if engine.step() == StepOutcome::Solved {
-                            solved = true;
-                            break;
-                        }
-                    }
-                    let mine: Elite = (
-                        engine.current_cost(),
-                        rank,
-                        engine.problem().configuration().to_vec(),
-                    );
-                    let (best_cost, _best_rank, best_config) =
-                        allreduce_min(comm, mine).expect("exchange round");
-                    rounds += 1;
-                    if best_cost == 0 {
-                        winning = Some(best_config);
-                        break;
-                    }
-                    if best_cost < engine.current_cost() {
-                        let threshold = engine.current_cost();
-                        let _ = engine.inject_candidate(&best_config, threshold);
-                    }
-                    // Every rank sees the same reduction, so the stagnation counter —
-                    // and therefore the restart round — is identical on all ranks:
-                    // the restarts are coordinated without extra messages.
-                    if best_cost < global_best {
-                        global_best = best_cost;
-                        stagnant = 0;
-                    } else if let Some(limit) = stagnation_limit {
-                        stagnant += 1;
-                        if stagnant >= limit {
-                            engine.schedule_restart();
-                            restarts += 1;
-                            stagnant = 0;
-                            global_best = u64::MAX;
-                        }
-                    }
-                }
-                RankReport {
-                    iterations,
-                    solved,
-                    solution: winning,
-                    rounds,
-                    coordinated_restarts: restarts,
-                    stats: engine.stats().clone(),
-                }
-            });
-
-        let winner = reports.iter().position(|r| r.solved);
-        let solution = reports.iter().find_map(|r| r.solution.clone());
-        let winner_iterations = winner
-            .map(|w| reports[w].iterations)
-            .unwrap_or(self.spec.config.max_iterations);
-        CoopResult {
-            solution,
-            winner,
-            winner_iterations,
-            total_iterations: reports.iter().map(|r| r.iterations).sum(),
-            exchanges: reports.iter().map(|r| r.rounds).max().unwrap_or(0),
-            adoptions: reports.iter().map(|r| r.stats.injections_adopted).sum(),
-            coordinated_restarts: reports
-                .iter()
-                .map(|r| r.coordinated_restarts)
-                .max()
-                .unwrap_or(0),
-            walks: self.walks,
-            elapsed: start.elapsed(),
-            virtual_seconds: None,
-            walk_stats: reports.into_iter().map(|r| r.stats).collect(),
         }
     }
 
@@ -670,18 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn mpi_substrate_solves_and_matches_its_own_replay() {
-        let runner = CooperativeRunner::new(coop_spec(11), 3).with_coop(CoopConfig::every(64));
-        let a = runner.run_mpi(7);
-        let b = runner.run_mpi(7);
-        assert!(a.solved());
-        assert!(is_costas_permutation(a.solution.as_ref().unwrap()));
-        assert_eq!(a.winner, b.winner);
-        assert_eq!(a.winner_iterations, b.winner_iterations);
-        assert_eq!(a.solution, b.solution);
-    }
-
-    #[test]
     fn thread_substrate_solves() {
         let runner = CooperativeRunner::new(coop_spec(12), 4).with_coop(CoopConfig::every(64));
         let result = runner.run_threads(99);
@@ -740,9 +591,6 @@ mod tests {
         assert!(!v.solved());
         assert_eq!(v.winner, None);
         assert_eq!(v.winner_iterations, 200);
-        let m = runner.run_mpi(1);
-        assert!(!m.solved());
-        assert_eq!(m.winner, None);
     }
 
     #[test]
@@ -757,11 +605,6 @@ mod tests {
         assert_eq!(v.total_iterations, 300);
         for s in &v.walk_stats {
             assert_eq!(s.iterations, 100, "virtual walk ran past its budget");
-        }
-        let m = runner.run_mpi(11);
-        assert!(!m.solved());
-        for s in &m.walk_stats {
-            assert_eq!(s.iterations, 100, "mpi walk ran past its budget");
         }
         let t = runner.run_threads(11);
         assert!(!t.solved());
@@ -780,12 +623,5 @@ mod tests {
     #[should_panic(expected = "exchange interval")]
     fn zero_interval_rejected() {
         let _ = CoopConfig::every(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "synchronous")]
-    fn thread_cap_below_walks_rejected_on_mpi_substrate() {
-        let runner = CooperativeRunner::new(coop_spec(8), 4);
-        let _ = runner.run_mpi_with_threads(1, 2);
     }
 }

@@ -6,14 +6,12 @@
 //! during the search, and terminate the whole job as soon as any walk finds a
 //! solution (each walk polls for a termination message every `c` iterations).
 //!
-//! This crate provides three execution substrates for that scheme:
+//! This crate provides two execution substrates for that scheme:
 //!
 //! * [`ThreadRunner`] — real OS-thread parallelism on the host, termination via a
-//!   shared atomic flag.  This is what a user running on a multi-core workstation
-//!   wants.
-//! * [`MpiRunner`] — the same algorithm written against the [`mpi_sim`] message
-//!   passing API (non-blocking probe every `c` iterations, winner announcement to all
-//!   ranks), mirroring the paper's OpenMPI implementation structure.
+//!   shared atomic flag that every walk polls every `c` iterations (the paper's
+//!   OpenMPI "solution found" message).  This is what a user running on a
+//!   multi-core workstation wants.
 //! * [`VirtualCluster`] — a deterministic simulator that reproduces the paper's
 //!   *cluster-scale* experiments (32 … 8 192 cores) on a small host.  Walks are
 //!   interleaved step by step and time is measured on a virtual clock whose unit is
@@ -34,9 +32,8 @@
 //! `exchange_interval` iterations the globally best configuration is shared and
 //! adopted by lagging walks ([`adaptive_search::Engine::inject_candidate`]), and a
 //! stagnating job performs coordinated restarts
-//! ([`adaptive_search::Engine::schedule_restart`]).  All three substrates are
-//! supported — OS threads (shared elite pool), `mpi-sim` ranks
-//! ([`mpi_sim::collectives::allreduce_min`] rounds) and the virtual cluster
+//! ([`adaptive_search::Engine::schedule_restart`]).  Both substrates are
+//! supported — OS threads (shared elite pool) and the virtual cluster
 //! (deterministic interleaved exchange on the virtual clock).
 //!
 //! **Use cooperation judiciously.**  Elite exchange helps on deep, hard instances
@@ -51,7 +48,6 @@
 
 pub mod campaign;
 pub mod cooperative;
-pub mod mpi_runner;
 pub mod platform;
 pub mod thread_runner;
 pub mod virtual_cluster;
@@ -59,7 +55,6 @@ pub mod walker;
 
 pub use campaign::{Campaign, CampaignError, CampaignSpec};
 pub use cooperative::{CoopConfig, CoopResult, CooperativeRunner};
-pub use mpi_runner::MpiRunner;
 pub use platform::PlatformProfile;
 pub use thread_runner::{MultiWalkResult, ThreadRunner};
 pub use virtual_cluster::{SimulatedRun, VirtualCluster};

@@ -93,21 +93,7 @@ impl ThreadRunner {
     /// Run the job: all walks start from rank-specific chaotic seeds derived from
     /// `master_seed`, and the first walk to reach cost zero raises the shared flag.
     pub fn run(&self, master_seed: u64) -> MultiWalkResult {
-        self.run_with_deadline(master_seed, None)
-    }
-
-    /// [`ThreadRunner::run`] with an optional wall-clock bound: every walk polls
-    /// both the shared first-solution flag *and* the deadline at its usual check
-    /// interval, so a request-scoped fan-out (the `solverd` service) can enforce
-    /// per-request deadlines without a watchdog thread.  A job whose deadline
-    /// fires before any walk solves returns unsolved with every walk reporting
-    /// `ExternallyStopped` (or `IterationLimit` if its budget ran out first).
-    pub fn run_with_deadline(
-        &self,
-        master_seed: u64,
-        deadline: Option<Instant>,
-    ) -> MultiWalkResult {
-        self.run_with_controls(master_seed, deadline, None)
+        self.run_with_controls(master_seed, None, None)
     }
 
     /// The fully-controlled fan-out: an optional deadline *and* an optional
@@ -115,7 +101,11 @@ impl ThreadRunner {
     ///
     /// * Every walk polls the shared first-solution flag, the deadline and the
     ///   cancel token at its stop-check interval; whichever fires first ends
-    ///   the walk.
+    ///   the walk.  A request-scoped fan-out (the `solverd` service) thus
+    ///   enforces per-request deadlines without a watchdog thread: a job whose
+    ///   deadline fires before any walk solves returns unsolved with every walk
+    ///   reporting `ExternallyStopped` (or `IterationLimit` if its budget ran
+    ///   out first).
     /// * A panicking walk (a buggy or fault-injected model) is caught with
     ///   `catch_unwind` and costs only itself: its slot in `walk_results`
     ///   becomes a synthetic [`SolveResult::panicked`] placeholder and the
@@ -423,7 +413,7 @@ mod tests {
         let start = Instant::now();
         let runner = ThreadRunner::new(WalkSpec::costas(24), 2);
         let deadline = Instant::now() + Duration::from_millis(50);
-        let result = runner.run_with_deadline(1, Some(deadline));
+        let result = runner.run_with_controls(1, Some(deadline), None);
         assert!(
             start.elapsed() < Duration::from_secs(30),
             "deadline ignored"
@@ -462,7 +452,7 @@ mod tests {
     fn no_deadline_matches_plain_run_semantics() {
         let spec = WalkSpec::costas(18).with_config(AsConfig::builder().max_iterations(20).build());
         let runner = ThreadRunner::new(spec, 2);
-        let result = runner.run_with_deadline(1, None);
+        let result = runner.run_with_controls(1, None, None);
         assert!(!result.solved());
         assert!(result
             .walk_results

@@ -11,8 +11,7 @@
 //! |---|---|---|
 //! | [`costas`] | `costas` | Costas-array domain: difference triangle, validity, symmetry, Welch/Golomb constructions, enumeration, incremental conflict table |
 //! | [`adaptive_search`] | `adaptive-search` | The Adaptive Search metaheuristic, the CAP model (§IV), the N-Queens / All-Interval / Magic-Square / Langford / number-partitioning models, and the string-keyed workload registry (`problems`) |
-//! | [`multiwalk`] | `multiwalk` | Independent + cooperative multi-walk runners (threads, message passing) and the virtual cluster simulator (§V) |
-//! | [`mpi_sim`] | `mpi-sim` | MPI-shaped in-process message passing (ranks, iprobe, collectives) |
+//! | [`multiwalk`] | `multiwalk` | Independent + cooperative multi-walk runners (OS threads) and the virtual cluster simulator (§V) |
 //! | [`runtime_stats`] | `runtime-stats` | Time-to-target plots, shifted-exponential fits, speed-up models, table rendering |
 //! | [`baselines`] | `baselines` | Dialectic Search, quadratic tabu search, random-restart hill climbing, complete backtracking |
 //! | [`solverd`] | `solverd` | Long-running solver service: solve requests over line-delimited JSON (stdin/stdout or localhost TCP), bounded admission queue, deadline enforcement |
@@ -43,7 +42,6 @@
 pub use adaptive_search;
 pub use baselines;
 pub use costas;
-pub use mpi_sim;
 pub use multiwalk;
 pub use runtime_stats;
 pub use solverd;
@@ -61,8 +59,8 @@ pub mod prelude {
         DifferenceTriangle, Permutation,
     };
     pub use multiwalk::{
-        CoopConfig, CoopResult, CooperativeRunner, MpiRunner, MultiWalkResult, PlatformProfile,
-        SimulatedRun, ThreadRunner, VirtualCluster, WalkSpec,
+        CoopConfig, CoopResult, CooperativeRunner, MultiWalkResult, PlatformProfile, SimulatedRun,
+        ThreadRunner, VirtualCluster, WalkSpec,
     };
     pub use runtime_stats::{BatchStats, Series, ShiftedExponential, TimeToTarget};
     pub use xrand::{default_rng, ChaoticSeeder, RandExt, SeedSequence};
