@@ -488,7 +488,9 @@ fn conformance_driver_catches_a_diverging_multi_word_kernel() {
 
 /// The Costas model now advertises an accelerated probe at *every* order: the
 /// single-word layout up to n = 32 and the width-generic multi-word kernel
-/// beyond (two words through n = 64, the slice-based variant past that).  On
+/// beyond (two words through n = 64, slice-held rows past that, scored by the
+/// AVX-512 permute body through n = 128 where the CPU has it and by the
+/// scalar slice body otherwise).  On
 /// both sides of each word boundary the probe agrees bit-for-bit with the
 /// scalar reference over random configurations and culprits — the same
 /// property (b′) enforces along conformance sequences, here pinned directly at
@@ -496,7 +498,9 @@ fn conformance_driver_catches_a_diverging_multi_word_kernel() {
 #[test]
 fn costas_advertises_its_kernel_across_every_word_width() {
     let info = adaptive_search::problems::find("costas").expect("registered");
-    // One word (n ≤ 32), two words (33 ≤ n ≤ 64), and the slice path (n ≥ 65).
+    // One word (n ≤ 32), two words (33 ≤ n ≤ 64), and three slice-held words
+    // (n = 65: the first order of the permute body, or of the scalar slice
+    // body on CPUs without AVX-512).
     for size in [18usize, 31, 32, 33, 40, 64, 65] {
         let mut problem = (info.build)(size);
         assert!(
@@ -517,8 +521,9 @@ fn costas_advertises_its_kernel_across_every_word_width() {
 }
 
 /// Full conformance sequences at the multi-word Costas orders the kernel newly
-/// covers: n = 33 and 40 (two mask words per row) and n = 65 (the slice-based
-/// variant).  Deterministic, independent of PROPTEST_CASES, so the large-order
+/// covers: n = 33 and 40 (two mask words per row) and n = 65 (three slice-held
+/// words: the AVX-512 permute body, or the scalar slice body on CPUs without
+/// AVX-512).  Deterministic, independent of PROPTEST_CASES, so the large-order
 /// widths are exercised by every tier-1 run rather than only when the property
 /// tests happen to draw them.
 #[test]

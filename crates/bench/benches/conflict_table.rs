@@ -139,9 +139,11 @@ fn bench_conflict_table(c: &mut Criterion) {
     }
 
     // Past the single-word mask boundary: the width-generic multi-word kernel
-    // (two words per row at n = 34/40, the slice-based variant at n = 65)
-    // against the histogram reference it is pinned to.
-    for &n in &[34usize, 40, 65] {
+    // (two words per row at n = 34/40; three slice-held words at n = 65/80
+    // and four at n = 128, scored by the AVX-512 permute body where the CPU
+    // has it and by the scalar slice body otherwise) against the histogram
+    // reference it is pinned to.
+    for &n in &[34usize, 40, 65, 80, 128] {
         let mut rng = default_rng(7);
         let mut perm = random_permutation(n, &mut rng);
         perm.iter_mut().for_each(|v| *v += 1);

@@ -755,7 +755,10 @@ impl ConflictTable {
     /// Candidates are scored by the width-generic bitmask probe kernel
     /// ([`crate::kernel`]), monomorphized per row width (one mask word per row
     /// for n ≤ 32 — today's single-word layout bit for bit — two words for
-    /// n ≤ 64, a slice-walking variant beyond); the plain histogram path is
+    /// n ≤ 64, a slice-walking variant beyond).  On x86-64 with AVX-512 F + DQ
+    /// an 8-candidate vector body serves every order up to n = 128 (shifted
+    /// windows for n ≤ 64, word permutes for 65 ≤ n ≤ 128); larger orders
+    /// and other CPUs take the scalar bodies.  The plain histogram path is
     /// retained as the reference implementation behind
     /// [`ConflictTable::probe_partners_reference`], and `debug_assert!` pins the
     /// kernel to it on every call.
@@ -815,7 +818,9 @@ impl ConflictTable {
     /// Dispatched implementation: fill `out[j]` for `j in lo..n`, `j != m` —
     /// the bitmask kernel ([`crate::kernel`]) when the occupancy masks are
     /// maintained (monomorphized for the one- and two-word row widths covering
-    /// n ≤ 64, slice-walking beyond), the generic histogram body otherwise.
+    /// n ≤ 64, slice-walking beyond; each picks its AVX-512 body at runtime
+    /// where the CPU has F + DQ and n ≤ 128), the generic histogram body
+    /// otherwise.
     /// Both `debug_assert!`s pin the dispatched path to an independent
     /// implementation on every call: the flat-histogram reference and the
     /// per-pair `delta_for_swap` oracle.

@@ -39,7 +39,14 @@
 //! * [`ConflictTable::probe_range_masked_dyn`] — the same candidate-major body
 //!   over slice-held mask copies for arbitrary width (`W ≥ 3`, n ≥ 65), with
 //!   the patched masks kept in a table-owned scratch so the read-only probe
-//!   contract stays allocation-free.
+//!   contract stays allocation-free.  The scalar body here detects bucket
+//!   collisions per cell and sends them to the exact merge.  On AVX-512
+//!   F + DQ hosts, rows of three or four words (n ≤ 128) take the vector
+//!   body instead: the same lane algebra as the register-width one, with
+//!   every bucket bit read from the row's words in one register by a lane
+//!   permute, since the 64-bit shifted windows cannot hold n > 64 values
+//!   (see [`simd`]).  Wider rows, and hosts without AVX-512, keep the
+//!   scalar body.
 //!
 //! The `simd` module also holds the vector tier of the reset evaluator,
 //! [`CostModel::global_cost_bounded`](crate::CostModel::global_cost_bounded):
@@ -51,12 +58,13 @@
 //!
 //! Equivalence with the histogram reference is enforced three ways: the
 //! `debug_assert!` in the probe dispatcher (every call, bit for bit), the unit
-//! suite below (orders 2–32 exhaustively plus multi-word orders 33/40/65/80,
-//! all cost models, adversarial permutations, every kernel — the scalar
-//! replay tier is called directly at one and two words per row, so it runs on
-//! AVX-512 hosts too), and the cross-crate conformance kit in
-//! `adaptive-search`, which drives random swap/reset/inject sequences against
-//! a from-scratch oracle.
+//! suite below (orders 2–32 exhaustively plus the width edges 33/40/64/65/80/
+//! 96/97/128/129, all cost models up to n = 80, adversarial permutations,
+//! swap walks, every kernel — the scalar tier is called directly at every
+//! width, so it runs on AVX-512 hosts too, and the suite prints the tiers
+//! that ran, e.g. `probe tiers: scalar W=1,2,slice; AVX-512 W=1,2,3,4`), and
+//! the cross-crate conformance kit in `adaptive-search`, which drives random
+//! swap/reset/inject sequences against a from-scratch oracle.
 
 use crate::cost::ConflictTable;
 use crate::merge::BucketMerge;
@@ -216,12 +224,25 @@ pub(crate) struct DynScratch {
 
 /// Slice-backed row source for the arbitrary-width kernel
 /// ([`ConflictTable::probe_range_masked_dyn`]): bit tests walk the patched
-/// [`DynScratch`] copies word by word.
-struct DynRows<'a> {
+/// [`DynScratch`] copies word by word (the scalar `probe_body`) or load a
+/// row's words into one register (the AVX-512 body for W ≤ 4).
+pub(crate) struct DynRows<'a> {
     metas: &'a [RowMeta],
     occ: &'a [u64],
     multi: &'a [u64],
     words: usize,
+}
+
+impl DynScratch {
+    /// The patched rows as a [`DynRows`] source of `words` words per row.
+    fn rows(&self, words: usize) -> DynRows<'_> {
+        DynRows {
+            metas: &self.metas,
+            occ: &self.occ,
+            multi: &self.multi,
+            words,
+        }
+    }
 }
 
 impl DynRows<'_> {
@@ -562,8 +583,9 @@ impl ConflictTable {
     /// collision-detecting variant over slice-held mask copies.  In the
     /// collision-free common case every baseline test is a single bit test on
     /// `src`'s patched masks; culprit-neighbour cells and bucket collisions
-    /// fall back to the exact per-bucket merge.  Bit-for-bit equal to the
-    /// histogram reference (see the module docs for how that is pinned).
+    /// fall back to the exact per-bucket merge.  Serves n > 128, and every
+    /// n ≥ 65 on hosts without AVX-512.  Bit-for-bit equal to the histogram
+    /// reference (see the module docs for how that is pinned).
     fn probe_body(
         &self,
         src: &DynRows<'_>,
@@ -635,6 +657,18 @@ impl ConflictTable {
         }
     }
 
+    /// Does the dispatcher hand this table's probe to an AVX-512 body?  True
+    /// on x86-64 with AVX-512 F + DQ ([`simd::probe_kernel_available`]) when a
+    /// row holds at most four mask words (n ≤ 128); both kernel entry points
+    /// branch on it.
+    fn vector_probe(&self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        let vector = self.n <= simd::ROW_LANES_MAX_ORDER && simd::probe_kernel_available();
+        #[cfg(not(target_arch = "x86_64"))]
+        let vector = false;
+        vector
+    }
+
     /// Production probe kernel, monomorphized per [`MaskWord`] row
     /// representation with stack storage for up to `R` rows (`u64, R = 32`
     /// for n ≤ 32 — the historical single-word layout bit for bit — and
@@ -661,7 +695,7 @@ impl ConflictTable {
         let removal_total = self.build_rows(m, &mut rows);
         let rows = &rows[..self.dmax];
         #[cfg(target_arch = "x86_64")]
-        if simd::probe_kernel_available() {
+        if self.vector_probe() {
             // SAFETY: gated on runtime detection of the exact features the
             // vector body is compiled for (AVX-512 F + DQ).
             unsafe { self.probe_body_avx512(rows, m, lo_bound, removal_total, out) };
@@ -671,18 +705,25 @@ impl ConflictTable {
     }
 
     /// Production probe kernel for arbitrary row width (`W ≥ 3` mask words,
-    /// n ≥ 65): the same candidate-major body over patched slice-held mask
-    /// copies, reusing the table-owned [`DynScratch`].
+    /// n ≥ 65) over patched slice-held mask copies, reusing the table-owned
+    /// [`DynScratch`].  The body is chosen at runtime: the AVX-512 permute
+    /// body ([`Self::probe_body_avx512_wide`]) when the CPU has F + DQ and
+    /// the rows hold at most four words (n ≤ 128), the scalar
+    /// collision-detecting body ([`Self::probe_body`]) otherwise — both
+    /// pinned bit for bit to the histogram reference.
     pub(crate) fn probe_range_masked_dyn(&self, m: usize, lo_bound: usize, out: &mut [u64]) {
         let mut scratch = self.kernel_scratch.borrow_mut();
         let scratch = &mut *scratch;
         let removal_total = self.build_rows_dyn(m, scratch);
-        let src = DynRows {
-            metas: &scratch.metas,
-            occ: &scratch.occ,
-            multi: &scratch.multi,
-            words: self.mask_words,
-        };
+        let src = scratch.rows(self.mask_words);
+        #[cfg(target_arch = "x86_64")]
+        if self.vector_probe() {
+            // SAFETY: gated on runtime detection of the exact features the
+            // vector body is compiled for (AVX-512 F + DQ); n ≤ 128 keeps the
+            // rows within its four-word cap.
+            unsafe { self.probe_body_avx512_wide(&src, m, lo_bound, removal_total, out) };
+            return;
+        }
         self.probe_body(&src, m, lo_bound, removal_total, out);
     }
 }
@@ -713,10 +754,14 @@ mod tests {
         ]
     }
 
-    /// The scalar replay tier ([`ConflictTable::probe_body_sim`]) called
-    /// directly, bypassing the dispatcher, so it runs on AVX-512 hosts too:
-    /// `u64` rows for n ≤ 32, `u128` rows for n ≤ 64.  `None` for the
-    /// slice-held widths and disabled masks, which have no scalar replay tier.
+    /// A probe tier's `(kind, row width)` label, e.g. `("scalar", "slice")`
+    /// or `("AVX-512", "3")`.
+    type Tier = (&'static str, String);
+
+    /// The scalar tier called directly, bypassing the dispatcher, so it runs
+    /// on AVX-512 hosts too: `probe_body_sim` over `u64` rows for n ≤ 32 and
+    /// `u128` rows for n ≤ 64, `probe_body` over slice-held rows beyond.
+    /// `None` for disabled masks, which have no kernel tier.
     fn probe_scalar_tier(table: &ConflictTable, m: usize, lo_bound: usize) -> Option<Vec<u64>> {
         fn run<Wd: MaskWord, const R: usize>(
             table: &ConflictTable,
@@ -740,17 +785,26 @@ mod tests {
         if !table.has_probe_kernel() {
             return None;
         }
-        match table.mask_words {
-            1 => Some(run::<u64, 32>(table, m, lo_bound)),
-            2 => Some(run::<u128, 64>(table, m, lo_bound)),
-            _ => None,
-        }
+        Some(match table.mask_words {
+            1 => run::<u64, 32>(table, m, lo_bound),
+            2 => run::<u128, 64>(table, m, lo_bound),
+            _ => {
+                let mut scratch = DynScratch::default();
+                let removal_total = table.build_rows_dyn(m, &mut scratch);
+                let mut out = vec![table.cost(); table.order()];
+                let src = scratch.rows(table.mask_words);
+                table.probe_body(&src, m, lo_bound, removal_total, &mut out);
+                out
+            }
+        })
     }
 
-    /// Pin the dispatched probe, and — at one- and two-word widths — the
-    /// scalar replay tier, to the histogram reference, for every culprit and
-    /// both probe variants.
-    fn assert_probe_matches_reference(table: &ConflictTable, context: &str) {
+    /// Pin the dispatched probe and the directly called scalar tier to the
+    /// histogram reference, for every culprit and both probe variants.
+    /// Returns the tiers that ran: the scalar one and, when the dispatcher
+    /// picks it, the AVX-512 one (the dispatched probe *is* that tier here,
+    /// so it is not called a second time).
+    fn assert_probe_matches_reference(table: &ConflictTable, context: &str) -> Vec<Tier> {
         let n = table.order();
         let (mut fast, mut reference) = (Vec::new(), Vec::new());
         for m in 0..n {
@@ -773,6 +827,22 @@ mod tests {
                 );
             }
         }
+        if !table.has_probe_kernel() {
+            return Vec::new();
+        }
+        // The scalar tier has register-width bodies at one and two words per
+        // row and one slice-held body beyond.
+        let words = table.mask_words;
+        let scalar = if words <= 2 {
+            words.to_string()
+        } else {
+            "slice".to_string()
+        };
+        let mut ran = vec![("scalar", scalar)];
+        if table.vector_probe() {
+            ran.push(("AVX-512", words.to_string()));
+        }
+        ran
     }
 
     /// The tentpole equivalence: for every single-word order and every cost
@@ -793,31 +863,75 @@ mod tests {
         }
     }
 
-    /// The same equivalence past the single-word boundary: the two-word
-    /// monomorphized kernel (n = 33…64) and the slice-walking kernel (n ≥ 65)
-    /// against the histogram reference, all cost models.
+    /// The same equivalence past the single-word boundary, at the edges of
+    /// every row width: the two-word monomorphized kernel (n = 33…64), the
+    /// three- and four-word slice-held rows (65…96 and 97…128, where the
+    /// AVX-512 permute body serves), and n = 129, the first order past that
+    /// body's cap, against the histogram reference.  Orders up to 80 run
+    /// every cost model.  From 96 on, a full check costs one to two seconds
+    /// per model in a debug build, so n = 128 runs the first two models,
+    /// which between them cover both weights and both spans, and the other
+    /// edges (96, 97, 129) run the first.  n = 32 closes the single-word
+    /// class so the printed tier line covers every width.
     #[test]
     fn multi_word_kernels_match_histogram_reference() {
-        for model in models() {
-            for (n, words) in [(33usize, 2usize), (40, 2), (64, 2), (65, 3), (80, 3)] {
+        let mut ran = std::collections::BTreeSet::new();
+        for (n, words, model_count) in [
+            (32usize, 1usize, 4usize),
+            (33, 2, 4),
+            (40, 2, 4),
+            (64, 2, 4),
+            (65, 3, 4),
+            (80, 3, 4),
+            (96, 3, 1),
+            (97, 4, 1),
+            (128, 4, 2),
+            (129, 5, 1),
+        ] {
+            for model in models().into_iter().take(model_count) {
                 let mut rng = default_rng(0x00B1_657E_57A5 ^ n as u64);
                 let p = one_based(random_permutation(n, &mut rng));
                 let table = ConflictTable::new(&p, model);
                 assert!(table.has_probe_kernel(), "masks must be on for n = {n}");
                 assert_eq!(table.mask_words, words, "mask layout for n = {n}");
-                assert_probe_matches_reference(&table, &format!("n={n}, {model:?}"));
+                ran.extend(assert_probe_matches_reference(
+                    &table,
+                    &format!("n={n}, {model:?}"),
+                ));
             }
         }
+        let widths = |tier: &str| -> String {
+            let ws: Vec<_> = ran
+                .iter()
+                .filter(|t| t.0 == tier)
+                .map(|t| t.1.as_str())
+                .collect();
+            if ws.is_empty() {
+                " none".to_string()
+            } else {
+                format!(" W={}", ws.join(","))
+            }
+        };
+        println!(
+            "probe tiers: scalar{}; AVX-512{}",
+            widths("scalar"),
+            widths("AVX-512")
+        );
     }
 
     /// Adversarial configurations: the identity permutation collapses every
     /// row into a single bucket (maximal collisions) and the reverse
     /// permutation mirrors it, so the fallback path is exercised heavily —
-    /// across all three kernel widths.
+    /// across all three kernel widths.  n = 80 runs the first two models,
+    /// which between them cover both weights and both spans, to keep the
+    /// debug-build suite short.
     #[test]
     fn kernels_match_reference_on_collision_heavy_permutations() {
-        for model in models() {
-            for n in (2..=32usize).chain([33, 40, 65]) {
+        for (i, model) in models().into_iter().enumerate() {
+            for n in (2..=32usize)
+                .chain([33, 40, 65])
+                .chain((i < 2).then_some(80))
+            {
                 let identity: Vec<usize> = (1..=n).collect();
                 let reversed: Vec<usize> = (1..=n).rev().collect();
                 for (name, p) in [("identity", identity), ("reversed", reversed)] {
@@ -830,14 +944,16 @@ mod tests {
 
     /// The kernels stay correct as the table evolves through swaps (mask
     /// maintenance and probe must agree at every intermediate state), at
-    /// every kernel width.
+    /// every kernel width.  n = 80 walks 6 steps instead of 40: one state's
+    /// full check costs about 0.7 s there in a debug build.
     #[test]
     fn kernels_match_reference_along_swap_walks() {
         let mut rng = default_rng(2_027);
-        for n in [13usize, 18, 24, 31, 32, 33, 40, 65] {
+        for n in [13usize, 18, 24, 31, 32, 33, 40, 65, 80] {
             let p = one_based(random_permutation(n, &mut rng));
             let mut table = ConflictTable::new(&p, CostModel::optimized());
-            for step in 0..40 {
+            let steps = if n <= 65 { 40 } else { 6 };
+            for step in 0..steps {
                 let i = (rng.next_u64() as usize) % n;
                 let j = (rng.next_u64() as usize) % n;
                 table.apply_swap(i, j);

@@ -1,35 +1,55 @@
-//! AVX-512 lane-parallel bodies: the probe for register-width rows (n ≤ 64)
-//! and the reset evaluator's bounded from-scratch cost (n ≤ 128).
+//! AVX-512 lane-parallel bodies: the probe for rows of up to four mask
+//! words and the reset evaluator's bounded from-scratch cost, both for
+//! n ≤ 128 ([`ROW_LANES_MAX_ORDER`]).
 //!
 //! # Probe body
 //!
-//! The scalar event-replay kernel (`probe_body_sim`) is serial in the one
-//! dimension the workload has plenty of: candidates.  Each (candidate, row)
-//! cell reads six data-dependent bucket bits, and the replay's sequential
-//! mask maintenance chains them — the scalar body tops out near the generic
-//! path's throughput once n leaves the single-word regime.  This body keeps
-//! the same event algebra but scores **eight candidates per instruction**:
+//! The scalar probe bodies (`probe_body_sim`, `probe_body`) are serial in
+//! the one dimension the workload has plenty of: candidates.  Each
+//! (candidate, row) cell reads six data-dependent bucket bits, and the
+//! scalar replay's sequential mask maintenance chains them.  The vector body
+//! keeps the same event algebra but scores **eight candidates per
+//! instruction**.  Its lane algebra is written once (`probe_lanes`) and
+//! instantiated twice; the two instances differ only in how a cell reads a
+//! bucket bit (the `LaneRows` trait):
 //!
-//! * The four single-variable bucket tests come from the per-row *shifted
-//!   windows* ([`SimRow`]): broadcast the window once, then one variable
-//!   shift by `value − 1` per lane (`vpsrlvq`) and an AND against 1.
-//! * The two candidate-vacated buckets read the row's packed masks as two
-//!   broadcast 64-bit words each; the word select (`index < 64`) is a mask
-//!   blend, so two-word rows cost one extra shift + blend, not a gather.
-//! * Shared-bucket corrections are evaluated *branchlessly in every lane*
-//!   from ten 8-way index compares (`__mmask8` k-registers): a `+1` event
-//!   with an earlier `+1` on its bucket truly scores 1, not its baseline occ
-//!   bit (correct by `1 − occ`); a `−1` event with `a` earlier `+1`s truly
-//!   scores `−[count + a ≥ 2]` (correct by `occ − multi`, then `1 − occ`).
-//!   Equalities that would force `v_j = v_m` or `j = m` are impossible
-//!   (permutation values are distinct) and not tested — the same derivation
-//!   the scalar replay's telescoping argument rests on, checked bit for bit
-//!   against the histogram reference by the same suites.
+//! * **Windows, W ≤ 2 (n ≤ 64)** — [`ConflictTable::probe_body_avx512`]
+//!   over the register-width rows.  The four single-variable bucket tests
+//!   come from the per-row *shifted windows* ([`SimRow`]): broadcast the
+//!   window once, then one variable shift by `value − 1` per lane
+//!   (`vpsrlvq`) and an AND against 1.  The two candidate-vacated buckets
+//!   read the row's packed masks as two broadcast 64-bit words each; the
+//!   word select (`index < 64`) is a mask blend, so two-word rows cost one
+//!   extra shift + blend, not a gather.
+//! * **Permutes, W = 3..=4 (65 ≤ n ≤ 128)** —
+//!   [`ConflictTable::probe_body_avx512_wide`] over the slice-held rows
+//!   ([`DynRows`]).  A 64-bit window cannot hold n > 64 values, so all six
+//!   bits are read from the patched row copies: one masked load puts a row's
+//!   `W` words in the low lanes of one register, and each test is a word
+//!   select `idx >> 6` through a lane permute (`vpermq`), a shift by
+//!   `idx & 63` and an AND against 1.  The word select is what this body
+//!   adds, so the kernel suite pins it at every width edge (n = 65, 80, 96,
+//!   97, 128); an off-by-one there fails it.
 //!
-//! Memory traffic is hoisted out of the row loop entirely: with n ≤ 64 the
-//! whole candidate axis is at most eight 8-lane accumulators, held across
-//! all rows and added onto `out` once at the end (the hoisted
-//! culprit-removal total rides in the accumulators' initial value).
+//!   Windows stay for W ≤ 2, where every value fits one 64-bit window: a
+//!   window test is one shift and one AND, and the permute test adds the
+//!   word select on top.
+//!
+//! Shared-bucket corrections are evaluated *branchlessly in every lane* from
+//! ten 8-way index compares (`__mmask8` k-registers): a `+1` event with an
+//! earlier `+1` on its bucket truly scores 1, not its baseline occ bit
+//! (correct by `1 − occ`); a `−1` event with `a` earlier `+1`s truly scores
+//! `−[count + a ≥ 2]` (correct by `occ − multi`, then `1 − occ`).
+//! Equalities that would force `v_j = v_m` or `j = m` are impossible
+//! (permutation values are distinct) and not tested — the same derivation
+//! the scalar replay's telescoping argument rests on, checked bit for bit
+//! against the histogram reference by the same suites.
+//!
+//! Memory traffic is hoisted out of the row loop entirely: the whole
+//! candidate axis is at most eight 8-lane accumulators for n ≤ 64 and
+//! sixteen for n ≤ 128, held across all rows and added onto `out` once at
+//! the end (the hoisted culprit-removal total rides in the accumulators'
+//! initial value).
 //!
 //! Only two cell shapes leave the vector path, via a lane mask on the
 //! accumulation: the culprit-neighbour cells (`j = m ± d`, a statically
@@ -66,15 +86,17 @@
 
 use std::arch::x86_64::*;
 
-use super::{row_merge, MaskWord, SimRow};
+use super::{row_merge, DynRows, MaskWord, RowMeta, SimRow};
 use crate::cost::{ConflictTable, CostModel};
 use crate::merge::BucketMerge;
 
-/// Largest order [`CostModel::global_cost_bounded_avx512`] serves: a lane
-/// holds one row's `2n − 1` buckets in at most four 64-bit words.
+/// Largest order the row-word vector bodies serve — the reset evaluator
+/// ([`CostModel::global_cost_bounded_avx512`]) and the permute probe body
+/// ([`ConflictTable::probe_body_avx512_wide`]): a row's `2n − 1` buckets fit
+/// in at most four 64-bit words.
 pub(crate) const ROW_LANES_MAX_ORDER: usize = 128;
 
-/// Runtime gate for [`ConflictTable::probe_body_avx512`]: AVX-512 F + DQ,
+/// Runtime gate for the vector bodies in this module: AVX-512 F + DQ,
 /// detected once and cached.
 pub(crate) fn probe_kernel_available() -> bool {
     use std::sync::OnceLock;
@@ -96,31 +118,211 @@ pub(crate) fn probe_kernel_available() -> bool {
 /// Requires AVX-512 F at runtime; callers are `#[target_feature]`-gated.
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn bit_at(
-    words: usize,
-    lo: __m512i,
-    hi: __m512i,
-    idx: __m512i,
-    one: __m512i,
-    c63: __m512i,
-    c64: __m512i,
-) -> __m512i {
-    let s = _mm512_and_epi64(idx, c63);
+unsafe fn bit_at(words: usize, [lo, hi]: [__m512i; 2], idx: __m512i) -> __m512i {
+    let s = _mm512_and_epi64(idx, _mm512_set1_epi64(63));
     let from_lo = _mm512_srlv_epi64(lo, s);
     let sel = if words == 1 {
         from_lo
     } else {
-        let w = _mm512_cmplt_epi64_mask(idx, c64);
+        let w = _mm512_cmplt_epi64_mask(idx, _mm512_set1_epi64(64));
         _mm512_mask_mov_epi64(_mm512_srlv_epi64(hi, s), w, from_lo)
     };
-    _mm512_and_epi64(sel, one)
+    _mm512_and_epi64(sel, _mm512_set1_epi64(1))
+}
+
+/// Per-lane bit test of a (≤ 8)-word mask held in the low lanes of `words`:
+/// a permute picks word `idx >> 6` for each lane, then a shift by
+/// `idx mod 64` brings the bit down.
+///
+/// # Safety
+///
+/// Requires AVX-512 F at runtime; callers are `#[target_feature]`-gated.
+#[inline]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn word_bit(words: __m512i, idx: __m512i) -> __m512i {
+    let word = _mm512_permutexvar_epi64(_mm512_srli_epi64::<6>(idx), words);
+    let s = _mm512_and_epi64(idx, _mm512_set1_epi64(63));
+    _mm512_and_epi64(_mm512_srlv_epi64(word, s), _mm512_set1_epi64(1))
+}
+
+/// One 8-candidate block's lane vectors that a row's bit reader needs: the
+/// candidate and neighbour values, the four `+1` bucket indices, and the
+/// culprit-neighbour lanes (`j = m − d` / `j = m + d`) whose `k1` / `k2`
+/// partner is overridden with `v_m`.
+struct Cell {
+    vj: __m512i,
+    vl: __m512i,
+    vr: __m512i,
+    k1: __m512i,
+    k2: __m512i,
+    n1: __m512i,
+    n2: __m512i,
+    lane_md: __mmask8,
+    lane_pd: __mmask8,
+}
+
+/// How the vector probe body reads a row's bucket bits — the one thing its
+/// two instantiations do differently (see the module docs).
+trait LaneRows {
+    /// One row's bits in registers, set up once per row.
+    type Row;
+    /// Rows scored: distances `1..=rows()`.
+    fn rows(&self) -> usize;
+    /// Row `di`'s metadata and register state.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and DQ at runtime.
+    unsafe fn row(&self, di: usize) -> (&RowMeta, Self::Row);
+    /// The `occ` bits (0 or 1 per lane) read by the four `+1` events, at
+    /// `k1`, `k2`, `n1`, `n2`; `k1` / `k2` read 0 when that culprit pair is
+    /// absent.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and DQ at runtime.
+    unsafe fn plus_bits(row: &Self::Row, cell: &Cell) -> [__m512i; 4];
+    /// The `occ` and `multi` bits (0 or 1 per lane) at `idx`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and DQ at runtime.
+    unsafe fn bits_at(row: &Self::Row, idx: __m512i) -> (__m512i, __m512i);
+}
+
+/// A register-width row (W ≤ 2) as broadcast vectors: the shifted windows
+/// `p1..p4` of [`SimRow`], then `occ` and `multi` as (low, high) words.
+struct WindowRow {
+    p: [__m512i; 4],
+    occ: [__m512i; 2],
+    multi: [__m512i; 2],
+}
+
+impl<Wd: MaskWord> LaneRows for [SimRow<Wd>] {
+    type Row = WindowRow;
+
+    fn rows(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn row(&self, di: usize) -> (&RowMeta, WindowRow) {
+        let row = &self[di];
+        let bits = WindowRow {
+            p: [
+                _mm512_set1_epi64(row.p1 as i64),
+                _mm512_set1_epi64(row.p2 as i64),
+                _mm512_set1_epi64(row.p3 as i64),
+                _mm512_set1_epi64(row.p4 as i64),
+            ],
+            occ: [
+                _mm512_set1_epi64(row.occ.lo64() as i64),
+                _mm512_set1_epi64(row.occ.hi64() as i64),
+            ],
+            multi: [
+                _mm512_set1_epi64(row.multi.lo64() as i64),
+                _mm512_set1_epi64(row.multi.hi64() as i64),
+            ],
+        };
+        (&row.meta, bits)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn plus_bits(row: &WindowRow, cell: &Cell) -> [__m512i; 4] {
+        // Window bit at `value − 1`; the absent-side windows are pre-zeroed,
+        // so x1/x2 self-gate.
+        let one = _mm512_set1_epi64(1);
+        let vj1 = _mm512_sub_epi64(cell.vj, one);
+        let vl1 = _mm512_sub_epi64(cell.vl, one);
+        let vr1 = _mm512_sub_epi64(cell.vr, one);
+        let mut x1 = _mm512_and_epi64(_mm512_srlv_epi64(row.p[0], vj1), one);
+        let mut x2 = _mm512_and_epi64(_mm512_srlv_epi64(row.p[1], vj1), one);
+        let x3 = _mm512_and_epi64(_mm512_srlv_epi64(row.p[2], vl1), one);
+        let x4 = _mm512_and_epi64(_mm512_srlv_epi64(row.p[3], vr1), one);
+        // The shifted windows bake in the row-constant partner, so the
+        // overridden culprit-neighbour lanes re-read their `k1`/`k2` bit from
+        // the packed masks (≤ 2 blocks per row take this branch).
+        if cell.lane_md | cell.lane_pd != 0 {
+            let bx1 = bit_at(Wd::WORDS, row.occ, cell.k1);
+            let bx2 = bit_at(Wd::WORDS, row.occ, cell.k2);
+            x1 = _mm512_mask_mov_epi64(x1, cell.lane_md, bx1);
+            x2 = _mm512_mask_mov_epi64(x2, cell.lane_pd, bx2);
+        }
+        [x1, x2, x3, x4]
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn bits_at(row: &WindowRow, idx: __m512i) -> (__m512i, __m512i) {
+        (
+            bit_at(Wd::WORDS, row.occ, idx),
+            bit_at(Wd::WORDS, row.multi, idx),
+        )
+    }
+}
+
+/// A slice-held row of three or four words: `occ` and `multi` each in the
+/// low lanes of one register, plus the culprit-side gates.
+struct PermRow {
+    kg1: __mmask8,
+    kg2: __mmask8,
+    occ: __m512i,
+    multi: __m512i,
+}
+
+impl LaneRows for DynRows<'_> {
+    type Row = PermRow;
+
+    fn rows(&self) -> usize {
+        self.metas.len()
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn row(&self, di: usize) -> (&RowMeta, PermRow) {
+        let meta = &self.metas[di];
+        let span = di * self.words..(di + 1) * self.words;
+        let (occ, multi) = (&self.occ[span.clone()], &self.multi[span]);
+        // SAFETY (of the loads): each masked load reads the first
+        // `min(words, 8)` elements of a slice just bounds-checked to hold
+        // `words`.
+        let live = low_lanes(self.words);
+        let bits = PermRow {
+            kg1: if meta.has_left { 0xff } else { 0 },
+            kg2: if meta.has_right { 0xff } else { 0 },
+            occ: _mm512_maskz_loadu_epi64(live, occ.as_ptr().cast()),
+            multi: _mm512_maskz_loadu_epi64(live, multi.as_ptr().cast()),
+        };
+        (meta, bits)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn plus_bits(row: &PermRow, cell: &Cell) -> [__m512i; 4] {
+        // The indices carry the overridden culprit-neighbour partners
+        // already, so no lane needs a second read.
+        [
+            _mm512_maskz_mov_epi64(row.kg1, word_bit(row.occ, cell.k1)),
+            _mm512_maskz_mov_epi64(row.kg2, word_bit(row.occ, cell.k2)),
+            word_bit(row.occ, cell.n1),
+            word_bit(row.occ, cell.n2),
+        ]
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn bits_at(row: &PermRow, idx: __m512i) -> (__m512i, __m512i) {
+        (word_bit(row.occ, idx), word_bit(row.multi, idx))
+    }
 }
 
 impl ConflictTable {
-    /// Eight-lane AVX-512 probe body over the register-width row contexts —
-    /// drop-in replacement for `probe_body_sim` (same contract: add each
-    /// candidate's delta onto the prefilled `out`, skipping `m`).  See the
-    /// module docs for the lane algebra.
+    /// Eight-lane AVX-512 probe body over the register-width row contexts
+    /// (n ≤ 64) — drop-in replacement for `probe_body_sim` (same contract:
+    /// add each candidate's delta onto the prefilled `out`, skipping `m`).
+    /// Bucket bits come from the shifted windows; see the module docs.
     ///
     /// # Safety
     ///
@@ -134,6 +336,57 @@ impl ConflictTable {
         removal_total: i64,
         out: &mut [u64],
     ) {
+        // n ≤ 64: eight blocks cover the candidate axis.
+        self.probe_lanes::<_, 8>(rows, m, lo_bound, removal_total, out);
+    }
+
+    /// The same lane body over slice-held rows of three or four mask words
+    /// (65 ≤ n ≤ [`ROW_LANES_MAX_ORDER`]) — drop-in replacement for
+    /// `probe_body`.  Bucket bits come from word permutes; see the module
+    /// docs.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and DQ at runtime (see [`probe_kernel_available`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows hold more than four words.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(crate) unsafe fn probe_body_avx512_wide(
+        &self,
+        rows: &DynRows<'_>,
+        m: usize,
+        lo_bound: usize,
+        removal_total: i64,
+        out: &mut [u64],
+    ) {
+        assert!(
+            rows.words <= 4,
+            "the permute probe body covers n ≤ {ROW_LANES_MAX_ORDER}, got {} words per row",
+            rows.words
+        );
+        // n ≤ 128: sixteen blocks cover the candidate axis.
+        self.probe_lanes::<_, 16>(rows, m, lo_bound, removal_total, out);
+    }
+
+    /// The lane algebra shared by both vector probe bodies, over at most
+    /// `BLOCKS` 8-candidate blocks; `S` says how a row's bucket bits are
+    /// read.  See the module docs.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and DQ at runtime.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn probe_lanes<S: LaneRows + ?Sized, const BLOCKS: usize>(
+        &self,
+        rows: &S,
+        m: usize,
+        lo_bound: usize,
+        removal_total: i64,
+        out: &mut [u64],
+    ) {
         let n = self.n;
         let vm = self.values[m] as i64;
         let values = &self.values[..];
@@ -141,21 +394,21 @@ impl ConflictTable {
         let off = n as i64 - 1;
         let mut touched = BucketMerge::<6>::new();
         // One 8-lane accumulator per candidate block, alive across the whole
-        // row loop; n ≤ 64 on this path, so eight cover the candidate axis.
-        // The culprit-removal half of every delta — identical for every
-        // candidate — is their initial value.
+        // row loop.  The culprit-removal half of every delta — identical for
+        // every candidate — is their initial value.
         let nblocks = (n - lo_bound).div_ceil(8);
-        assert!(nblocks <= 8, "register-width path is limited to n ≤ 64");
-        let mut accs = [_mm512_set1_epi64(removal_total); 8];
+        assert!(
+            nblocks <= BLOCKS,
+            "{nblocks} candidate blocks exceed this body's {BLOCKS}"
+        );
+        let mut accs = [_mm512_set1_epi64(removal_total); BLOCKS];
         let one = _mm512_set1_epi64(1);
-        let c63 = _mm512_set1_epi64(63);
-        let c64 = _mm512_set1_epi64(64);
         let off_v = _mm512_set1_epi64(off);
         let vm_off = _mm512_set1_epi64(vm + off);
         let off_vm = _mm512_set1_epi64(off - vm);
-        for (di, row) in rows.iter().enumerate() {
+        for di in 0..rows.rows() {
+            let (meta, row) = rows.row(di);
             let d = di + 1;
-            let meta = &row.meta;
             // Row weights are ≤ n² < 2³¹ and lane scores are in −6..=6, so
             // the 32×32→64 `vpmuldq` below is exact.
             let w_v = _mm512_set1_epi64(meta.w);
@@ -163,20 +416,12 @@ impl ConflictTable {
             let kg2: __mmask8 = if meta.has_right { 0xff } else { 0 };
             let k1c = _mm512_set1_epi64(off - meta.left_other);
             let k2c = _mm512_set1_epi64(off + meta.right_other);
-            let p1v = _mm512_set1_epi64(row.p1 as i64);
-            let p2v = _mm512_set1_epi64(row.p2 as i64);
-            let p3v = _mm512_set1_epi64(row.p3 as i64);
-            let p4v = _mm512_set1_epi64(row.p4 as i64);
-            let occ_lo = _mm512_set1_epi64(row.occ.lo64() as i64);
-            let occ_hi = _mm512_set1_epi64(row.occ.hi64() as i64);
-            let mul_lo = _mm512_set1_epi64(row.multi.lo64() as i64);
-            let mul_hi = _mm512_set1_epi64(row.multi.hi64() as i64);
             let m_md = m.wrapping_sub(d);
             let m_pd = m + d;
             for (b, acc) in accs[..nblocks].iter_mut().enumerate() {
                 let block = lo_bound + 8 * b;
                 let lanes = (n - block).min(8);
-                let tail: __mmask8 = if lanes == 8 { 0xff } else { (1u8 << lanes) - 1 };
+                let tail = low_lanes(lanes);
                 // Candidate positions are consecutive within a block, so the
                 // neighbour-presence gates are prefix/suffix lane masks,
                 // computed scalar.
@@ -185,40 +430,25 @@ impl ConflictTable {
                 } else {
                     (0xffu32 << (d - block).min(8)) as u8
                 };
-                let jr: __mmask8 = {
-                    let t = (n - d).saturating_sub(block).min(8);
-                    ((1u32 << t) - 1) as u8
-                };
+                let jr = low_lanes((n - d).saturating_sub(block));
                 // Candidate and neighbour values: the candidates are
                 // contiguous and the neighbours sit at fixed offsets ±d, so
-                // interior blocks are direct masked loads (`usize` is 64-bit
-                // on this arch; masked-out lanes are not read and come back
-                // 0, which every consumer tolerates).  Blocks straddling an
-                // array edge take a scalar fill with absent neighbours
-                // index-clamped to the candidate itself — their events are
-                // gated by `jl`/`jr`.
+                // all three are masked loads (`usize` is 64-bit on this
+                // arch).  A neighbour lane whose position falls off the array
+                // keeps the candidate's own value — its events are gated by
+                // `jl`/`jr` — and tail lanes come back 0, which every
+                // consumer tolerates.  Masked-off lanes are never read, so
+                // the neighbour base address, which can lie outside
+                // `values` at an array edge, is formed with wrapping
+                // arithmetic; every lane that is read is in bounds.
                 let base = values.as_ptr().cast::<i64>();
                 let vj = _mm512_maskz_loadu_epi64(tail, base.add(block));
-                let vl = if block >= d {
-                    _mm512_maskz_loadu_epi64(tail, base.add(block - d))
-                } else {
-                    let mut vlb = [1i64; 8];
-                    for (l, slot) in vlb.iter_mut().enumerate().take(lanes) {
-                        let j = block + l;
-                        *slot = values[if j >= d { j - d } else { j }] as i64;
-                    }
-                    _mm512_loadu_epi64(vlb.as_ptr())
-                };
-                let vr = if block + lanes + d <= n {
-                    _mm512_maskz_loadu_epi64(tail, base.add(block + d))
-                } else {
-                    let mut vrb = [1i64; 8];
-                    for (l, slot) in vrb.iter_mut().enumerate().take(lanes) {
-                        let j = block + l;
-                        *slot = values[if j + d < n { j + d } else { j }] as i64;
-                    }
-                    _mm512_loadu_epi64(vrb.as_ptr())
-                };
+                let vl = _mm512_mask_loadu_epi64(
+                    vj,
+                    jl & tail,
+                    base.wrapping_add(block).wrapping_sub(d),
+                );
+                let vr = _mm512_mask_loadu_epi64(vj, jr & tail, base.wrapping_add(block + d));
                 // The culprit-neighbour lanes (`j = m ± d`) are the standard
                 // cell with one substitution: their `(j ∓ d, j)` candidate
                 // pair *is* the culprit pair `(m, j)`, already removed by the
@@ -239,47 +469,33 @@ impl ConflictTable {
                 let jl = jl & !lane_pd;
                 let jr = jr & !lane_md;
                 // The six bucket indices of the cell's events.
-                let k1 = _mm512_mask_mov_epi64(
-                    _mm512_add_epi64(vj, k1c),
+                let cell = Cell {
+                    vj,
+                    vl,
+                    vr,
+                    k1: _mm512_mask_mov_epi64(
+                        _mm512_add_epi64(vj, k1c),
+                        lane_md,
+                        _mm512_add_epi64(vj, off_vm),
+                    ),
+                    k2: _mm512_mask_mov_epi64(
+                        _mm512_sub_epi64(k2c, vj),
+                        lane_pd,
+                        _mm512_sub_epi64(vm_off, vj),
+                    ),
+                    n1: _mm512_sub_epi64(vm_off, vl),
+                    n2: _mm512_add_epi64(vr, off_vm),
                     lane_md,
-                    _mm512_add_epi64(vj, off_vm),
-                );
-                let k2 = _mm512_mask_mov_epi64(
-                    _mm512_sub_epi64(k2c, vj),
                     lane_pd,
-                    _mm512_sub_epi64(vm_off, vj),
-                );
-                let n1 = _mm512_sub_epi64(vm_off, vl);
-                let n2 = _mm512_add_epi64(vr, off_vm);
+                };
+                let (k1, k2, n1, n2) = (cell.k1, cell.k2, cell.n1, cell.n2);
                 let o1 = _mm512_add_epi64(_mm512_sub_epi64(vj, vl), off_v);
                 let o2 = _mm512_add_epi64(_mm512_sub_epi64(vr, vj), off_v);
-                // Single-variable occupancy tests: window bit at `value − 1`.
-                let vj1 = _mm512_sub_epi64(vj, one);
-                let vl1 = _mm512_sub_epi64(vl, one);
-                let vr1 = _mm512_sub_epi64(vr, one);
-                let mut x1 = _mm512_and_epi64(_mm512_srlv_epi64(p1v, vj1), one);
-                let mut x2 = _mm512_and_epi64(_mm512_srlv_epi64(p2v, vj1), one);
-                let x3 = _mm512_and_epi64(_mm512_srlv_epi64(p3v, vl1), one);
-                let x4 = _mm512_and_epi64(_mm512_srlv_epi64(p4v, vr1), one);
-                // The shifted windows bake in the row-constant partner, so
-                // the overridden culprit-neighbour lanes re-read their
-                // `k1`/`k2` bit from the packed masks (≤ 2 blocks per row
-                // take this branch).
-                if lane_md | lane_pd != 0 {
-                    let bx1 = bit_at(Wd::WORDS, occ_lo, occ_hi, k1, one, c63, c64);
-                    let bx2 = bit_at(Wd::WORDS, occ_lo, occ_hi, k2, one, c63, c64);
-                    x1 = _mm512_mask_mov_epi64(x1, lane_md, bx1);
-                    x2 = _mm512_mask_mov_epi64(x2, lane_pd, bx2);
-                }
-                // Candidate-vacated bucket bits from the packed masks (see
-                // [`bit_at`]; single-word rows skip the high-word blend).
-                let mo1 = bit_at(Wd::WORDS, mul_lo, mul_hi, o1, one, c63, c64);
-                let oo1 = bit_at(Wd::WORDS, occ_lo, occ_hi, o1, one, c63, c64);
-                let mo2 = bit_at(Wd::WORDS, mul_lo, mul_hi, o2, one, c63, c64);
-                let oo2 = bit_at(Wd::WORDS, occ_lo, occ_hi, o2, one, c63, c64);
+                let [x1, x2, x3, x4] = S::plus_bits(&row, &cell);
+                let (oo1, mo1) = S::bits_at(&row, o1);
+                let (oo2, mo2) = S::bits_at(&row, o2);
                 // Independent-event score: +1 events add their baseline occ
-                // bit, −1 events subtract their baseline multi bit (the
-                // absent-side windows are pre-zeroed, so x1/x2 self-gate).
+                // bit, −1 events subtract their baseline multi bit.
                 let mut score = _mm512_add_epi64(x1, x2);
                 score = _mm512_mask_add_epi64(score, jl, score, _mm512_sub_epi64(x3, mo1));
                 score = _mm512_mask_add_epi64(score, jr, score, _mm512_sub_epi64(x4, mo2));
@@ -359,7 +575,7 @@ impl ConflictTable {
         for (b, acc) in accs[..nblocks].iter().enumerate() {
             let block = lo_bound + 8 * b;
             let lanes = (n - block).min(8);
-            let mut mask: __mmask8 = if lanes == 8 { 0xff } else { (1u8 << lanes) - 1 };
+            let mut mask = low_lanes(lanes);
             if (block..block + lanes).contains(&m) {
                 mask &= !(1 << (m - block));
             }
