@@ -34,7 +34,7 @@
 //!   with per-model metadata (constructor, default configuration, known-optimum
 //!   predicate, standard bench sizes) so harnesses dispatch by name.
 //! * [`tie_break`] — the uniform tie-break accumulator shared by the engine's
-//!   min-conflict scan and the baseline solvers.
+//!   culprit selection and min-conflict scan and by the baseline solvers.
 //! * [`multi_restart`] — a sequential driver with restart/benchmarking support.
 //! * [`request`] — the unified solve API ([`SolveRequest`] / [`SolveOutcome`]):
 //!   one typed request shape for every solve path in the workspace (baselines,
@@ -73,7 +73,7 @@ pub use request::{RequestError, SolveOutcome, SolveRequest, Termination};
 pub use stats::{SearchStats, SolveResult, SolveStatus};
 pub use tabu::TabuList;
 pub use termination::{CancelToken, StopCondition, StopReason};
-pub use tie_break::{pick_uniform, TieBreak};
+pub use tie_break::TieBreak;
 
 #[cfg(test)]
 mod tests {

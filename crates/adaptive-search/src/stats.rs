@@ -40,12 +40,6 @@ pub struct SearchStats {
     pub injections_adopted: u64,
     /// External stop-condition polls (the analogue of MPI termination probes).
     pub stop_checks: u64,
-    /// Full O(n) culprit-selection scans over the per-variable error vector.
-    pub culprit_scans: u64,
-    /// Culprit selections served from the carried tie set without a full rescan
-    /// (iterations where nothing mutated the configuration since the previous
-    /// selection, i.e. the previous iteration only froze its culprit).
-    pub culprit_fast_selects: u64,
 }
 
 impl SearchStats {
@@ -64,8 +58,6 @@ impl SearchStats {
         self.injections_offered += other.injections_offered;
         self.injections_adopted += other.injections_adopted;
         self.stop_checks += other.stop_checks;
-        self.culprit_scans += other.culprit_scans;
-        self.culprit_fast_selects += other.culprit_fast_selects;
     }
 }
 
@@ -163,8 +155,6 @@ mod tests {
             injections_offered: 6,
             injections_adopted: 2,
             stop_checks: 7,
-            culprit_scans: 4,
-            culprit_fast_selects: 1,
         };
         a.merge(&b);
         assert_eq!(a.iterations, 15);
@@ -180,8 +170,6 @@ mod tests {
         assert_eq!(a.injections_offered, 6);
         assert_eq!(a.injections_adopted, 2);
         assert_eq!(a.stop_checks, 7);
-        assert_eq!(a.culprit_scans, 4);
-        assert_eq!(a.culprit_fast_selects, 1);
     }
 
     #[test]

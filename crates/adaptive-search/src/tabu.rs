@@ -64,11 +64,6 @@ impl TabuList {
         self.frozen_until.iter_mut().for_each(|u| *u = 0);
     }
 
-    /// The configured tenure.
-    pub fn tenure(&self) -> u64 {
-        self.tenure
-    }
-
     /// Raw per-variable freeze horizons, for checkpointing.
     pub fn horizons(&self) -> &[u64] {
         &self.frozen_until
@@ -136,7 +131,9 @@ mod tests {
         tabu.freeze_for(0, 0, 10);
         assert!(tabu.is_tabu(0, 9));
         assert!(!tabu.is_tabu(0, 10));
-        assert_eq!(tabu.tenure(), 1);
+        // the configured tenure still applies to plain freezes
+        tabu.freeze(1, 0);
+        assert!(tabu.is_tabu(1, 0) && !tabu.is_tabu(1, 1));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Uniform tie-breaking over extremal candidates, shared by the engine's
-//! min-conflict scan and the baseline solvers.
+//! Uniform tie-breaking over extremal candidates, shared by the engine's culprit
+//! selection and min-conflict scan and by the baseline solvers.
 //!
 //! Every best-of-neighbourhood loop in the workspace has the same shape: sweep the
 //! candidates in a fixed order, keep the running extremum, collect the indices that
@@ -10,9 +10,7 @@
 //! happens to contain, so tuning a model's cost function cannot silently shift
 //! every later decision of the walk.
 //!
-//! [`TieBreak`] is that pattern as a reusable accumulator; [`pick_uniform`] is the
-//! final draw alone, for callers (like the engine's culprit selection) that
-//! maintain their tie set incrementally.
+//! [`TieBreak`] is that pattern as a reusable accumulator.
 
 use xrand::{RandExt, Rng64};
 
@@ -98,18 +96,11 @@ impl<V: Copy + Ord> TieBreak<V> {
     /// Resolve the sweep: one of the tied indices, uniformly at random, consuming
     /// exactly one draw; `None` when no candidate was offered.
     pub fn pick<R: Rng64 + ?Sized>(&self, rng: &mut R) -> Option<usize> {
-        pick_uniform(&self.ties, rng)
-    }
-}
-
-/// Pick one element of `ties` uniformly at random with a single draw (`None` on an
-/// empty slice).  This is the resolution step of [`TieBreak`] exposed on its own
-/// for callers that maintain their tie set incrementally.
-pub fn pick_uniform<R: Rng64 + ?Sized>(ties: &[usize], rng: &mut R) -> Option<usize> {
-    if ties.is_empty() {
-        None
-    } else {
-        Some(ties[rng.index(ties.len())])
+        if self.ties.is_empty() {
+            None
+        } else {
+            Some(self.ties[rng.index(self.ties.len())])
+        }
     }
 }
 
@@ -180,15 +171,18 @@ mod tests {
         let mut a = default_rng(3);
         let mut b = default_rng(3);
         assert_eq!(tb.pick(&mut a), None);
-        assert_eq!(pick_uniform(&[], &mut a), None);
         assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]
-    fn pick_uniform_matches_direct_indexing() {
+    fn pick_matches_direct_indexing() {
         let ties = [4usize, 8, 15, 16, 23, 42];
+        let mut tb = TieBreak::new();
+        for &i in &ties {
+            tb.offer_max(i, 1u64);
+        }
         let mut a = default_rng(99);
         let mut b = default_rng(99);
-        assert_eq!(pick_uniform(&ties, &mut a), Some(ties[b.index(ties.len())]));
+        assert_eq!(tb.pick(&mut a), Some(ties[b.index(ties.len())]));
     }
 }

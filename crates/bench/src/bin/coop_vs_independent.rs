@@ -23,9 +23,7 @@
 //! (see the `probe_throughput` harness) — so the single committed
 //! `BENCH_dev.json` tracks both the scaling shape and the raw probe-path speed.
 //! Schema v3 keeps every v2 field byte-compatible (steps/sec stays directly
-//! comparable across artefacts) and extends each throughput entry with the
-//! `culprit_scans` / `culprit_fast_selects` selection-path counters introduced by
-//! the error-maintenance layer.  Schema v4 changes no field either: the
+//! comparable across artefacts).  Schema v4 changes no field either: the
 //! throughput section is now driven by the problem registry
 //! ([`adaptive_search::problems`]), so it covers all six registered workloads —
 //! the four seed models plus `langford` and `number-partitioning` — and grows

@@ -327,8 +327,6 @@ fn validate_throughput_entries(entries: &[Json], require_accelerated: bool) -> R
         require_u64(entry, "size", &context)?;
         require_u64(entry, "steps", &context)?;
         require_number(entry, "steps_per_sec", &context)?;
-        require_u64(entry, "culprit_scans", &context)?;
-        require_u64(entry, "culprit_fast_selects", &context)?;
         match entry.get("accelerated") {
             Some(v) if v.as_bool().is_some() => {}
             Some(_) => return Err(format!("{context}: \"accelerated\" must be a boolean")),
@@ -480,8 +478,6 @@ mod tests {
             seconds: 0.005,
             steps_per_sec: 200_000.0,
             solves: 0,
-            culprit_scans: 900,
-            culprit_fast_selects: 100,
             probe_ns: None,
         }
         .to_json()
@@ -500,8 +496,6 @@ mod tests {
                     seconds: 0.01,
                     steps_per_sec: if accelerated { 90_000.0 } else { 25_000.0 },
                     solves: 0,
-                    culprit_scans: 900,
-                    culprit_fast_selects: 100,
                     probe_ns: Some(if accelerated { 2_500.0 } else { 7_500.0 }),
                 }
                 .to_json()

@@ -7,8 +7,7 @@
 //! steps/sec reflects both layers the incremental-evaluation work targets: the
 //! read-only batched probe *and* the error-maintenance layer behind selection
 //! (selection reads the model's maintained error vector instead of recomputing an
-//! O(n·d_max) sweep; the per-sample `culprit_scans` / `culprit_fast_selects`
-//! counters expose which selection path served the run).  Instances are sized so
+//! O(n·d_max) sweep).  Instances are sized so
 //! the walk keeps probing (hard enough not to solve instantly); when a walk does
 //! solve, the engine is restarted and measurement continues.
 
@@ -43,11 +42,6 @@ pub struct ThroughputSample {
     pub steps_per_sec: f64,
     /// Walks solved (and restarted) during the measurement.
     pub solves: u64,
-    /// Full culprit-selection scans performed (selection now reads the model's
-    /// incrementally maintained error vector; this counts the O(n) tie scans).
-    pub culprit_scans: u64,
-    /// Selections served by the engine's carried tie set without a rescan.
-    pub culprit_fast_selects: u64,
     /// Raw probe latency in ns — one batched `probe_partners` call on an
     /// equilibrium-walked table (the reference path when `accelerated` is
     /// false).  Only measured for large-n cells; engine steps/sec above is
@@ -67,11 +61,6 @@ impl ThroughputSample {
             ("seconds", Json::from(self.seconds)),
             ("steps_per_sec", Json::from(self.steps_per_sec)),
             ("solves", Json::from(self.solves)),
-            ("culprit_scans", Json::from(self.culprit_scans)),
-            (
-                "culprit_fast_selects",
-                Json::from(self.culprit_fast_selects),
-            ),
         ];
         if let Some(ns) = self.probe_ns {
             fields.push(("probe_ns", Json::from(ns)));
@@ -108,8 +97,6 @@ pub fn engine_throughput<P: PermutationProblem>(
         seconds,
         steps_per_sec: steps as f64 / seconds.max(f64::MIN_POSITIVE),
         solves,
-        culprit_scans: engine.stats().culprit_scans,
-        culprit_fast_selects: engine.stats().culprit_fast_selects,
         probe_ns: None,
     }
 }
@@ -240,8 +227,6 @@ mod tests {
         let rendered = s.to_json().render();
         assert!(rendered.contains("\"steps_per_sec\":"), "{rendered}");
         assert!(rendered.contains("\"model\":\"costas\""), "{rendered}");
-        assert!(rendered.contains("\"culprit_scans\":"), "{rendered}");
-        assert!(rendered.contains("\"culprit_fast_selects\":"), "{rendered}");
         assert!(rendered.contains("\"accelerated\":true"), "{rendered}");
     }
 
@@ -266,18 +251,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn selection_counters_account_for_the_run() {
-        let s = engine_throughput(
-            CostasProblem::new(14),
-            AsConfig::costas_defaults(14),
-            3,
-            500,
-        );
-        // every iteration that reached selection did a scan or a fast select
-        assert!(s.culprit_scans > 0);
-        assert!(s.culprit_scans + s.culprit_fast_selects <= 500);
     }
 }

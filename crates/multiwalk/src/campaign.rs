@@ -6,8 +6,8 @@
 //! `checkpoint_interval` steps each and makes the whole hunt *fault-tolerant*:
 //!
 //! * **Checkpointing** — after each round the full campaign state (per-walker
-//!   [`EngineSnapshot`]: RNG words, configurations, statistics, Tabu horizons,
-//!   carried selection cache) is serialized with [`runtime_stats::json`] into a
+//!   [`EngineSnapshot`]: RNG words, configurations, statistics, Tabu horizons)
+//!   is serialized with [`runtime_stats::json`] into a
 //!   single hash-framed record and written atomically (temp file + rename, with the
 //!   previous checkpoint rotated to a `.prev` file first).
 //! * **Resume** — [`Campaign::open`] restores from the newest valid checkpoint and
@@ -23,7 +23,9 @@
 //!   resume the log is truncated back to the byte offset recorded in the
 //!   checkpoint, so records appended after the last checkpoint are rolled back and
 //!   re-derived deterministically — a crash can never silently replay or duplicate
-//!   a record.
+//!   a record.  Every solution is checked with the registry's independent
+//!   `is_optimum` predicate before it is logged, and every record again when the
+//!   log is reloaded.
 //!
 //! The record framing is shared by the checkpoint and the log: one record per
 //! line, `<16-hex-digit FNV-1a-64 of the payload> <single-line JSON payload>\n`.
@@ -36,15 +38,17 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use adaptive_search::problems::DynProblem;
-use adaptive_search::{Engine, EngineSnapshot, SearchStats, SnapshotError, StepOutcome};
+use adaptive_search::problems::{self, DynProblem};
+use adaptive_search::{
+    Engine, EngineSnapshot, PermutationProblem, SearchStats, SnapshotError, StepOutcome,
+};
 use costas::canonical_form;
 use runtime_stats::Json;
 
 use crate::walker::WalkSpec;
 
 /// Version tag of the checkpoint payload; bumped on any incompatible layout change.
-pub const CHECKPOINT_SCHEMA: &str = "campaign_checkpoint/v1";
+pub const CHECKPOINT_SCHEMA: &str = "campaign_checkpoint/v2";
 /// Version tag of the artifact section emitted by [`Campaign::artifact_section`].
 pub const ARTIFACT_SCHEMA: &str = "campaign/v1";
 
@@ -401,7 +405,7 @@ impl CampaignSpec {
 // Snapshot (de)serialization
 // ---------------------------------------------------------------------------
 
-const STATS_FIELDS: [&str; 15] = [
+const STATS_FIELDS: [&str; 13] = [
     "iterations",
     "local_minima",
     "improving_moves",
@@ -415,8 +419,6 @@ const STATS_FIELDS: [&str; 15] = [
     "injections_offered",
     "injections_adopted",
     "stop_checks",
-    "culprit_scans",
-    "culprit_fast_selects",
 ];
 
 fn stats_to_json(s: &SearchStats) -> Json {
@@ -434,8 +436,6 @@ fn stats_to_json(s: &SearchStats) -> Json {
         ("injections_offered", s.injections_offered),
         ("injections_adopted", s.injections_adopted),
         ("stop_checks", s.stop_checks),
-        ("culprit_scans", s.culprit_scans),
-        ("culprit_fast_selects", s.culprit_fast_selects),
     ])
 }
 
@@ -509,12 +509,10 @@ fn stats_from_json(value: &Json, context: &str) -> Result<SearchStats, CampaignE
         injections_offered: get_u64(value, "injections_offered", context)?,
         injections_adopted: get_u64(value, "injections_adopted", context)?,
         stop_checks: get_u64(value, "stop_checks", context)?,
-        culprit_scans: get_u64(value, "culprit_scans", context)?,
-        culprit_fast_selects: get_u64(value, "culprit_fast_selects", context)?,
     })
 }
 
-const SNAPSHOT_FIELDS: [&str; 15] = [
+const SNAPSHOT_FIELDS: [&str; 9] = [
     "rng",
     "configuration",
     "stats",
@@ -524,12 +522,6 @@ const SNAPSHOT_FIELDS: [&str; 15] = [
     "marked_since_reset",
     "restart_pending",
     "tabu_horizons",
-    "freeze_log",
-    "select_cache_valid",
-    "select_cache_now",
-    "culprit_best_err",
-    "culprit_ties",
-    "errors",
 ];
 
 fn snapshot_to_json(s: &EngineSnapshot) -> Json {
@@ -556,32 +548,6 @@ fn snapshot_to_json(s: &EngineSnapshot) -> Json {
                 "tabu_horizons".to_string(),
                 Json::from(s.tabu_horizons.clone()),
             ),
-            (
-                "freeze_log".to_string(),
-                Json::Array(
-                    s.freeze_log
-                        .iter()
-                        .map(|&(var, until)| Json::Array(vec![Json::from(var), Json::UInt(until)]))
-                        .collect(),
-                ),
-            ),
-            (
-                "select_cache_valid".to_string(),
-                Json::Bool(s.select_cache_valid),
-            ),
-            (
-                "select_cache_now".to_string(),
-                Json::UInt(s.select_cache_now),
-            ),
-            (
-                "culprit_best_err".to_string(),
-                Json::UInt(s.culprit_best_err),
-            ),
-            (
-                "culprit_ties".to_string(),
-                Json::from(s.culprit_ties.clone()),
-            ),
-            ("errors".to_string(), Json::from(s.errors.clone())),
         ]
         .into_iter()
         .collect(),
@@ -604,21 +570,6 @@ fn snapshot_from_json(value: &Json, context: &str) -> Result<EngineSnapshot, Cam
             })?,
         &format!("{context}.stats"),
     )?;
-    let freeze_log = value
-        .get("freeze_log")
-        .and_then(Json::as_array)
-        .ok_or_else(|| CampaignError::MissingField {
-            field: format!("{context}.freeze_log"),
-        })?
-        .iter()
-        .map(|entry| {
-            let pair = entry.as_array().filter(|a| a.len() == 2)?;
-            Some((pair[0].as_u64()? as usize, pair[1].as_u64()?))
-        })
-        .collect::<Option<Vec<(usize, u64)>>>()
-        .ok_or_else(|| CampaignError::MissingField {
-            field: format!("{context}.freeze_log (entries must be [var, until] pairs)"),
-        })?;
     Ok(EngineSnapshot {
         rng_state,
         configuration: get_usize_array(value, "configuration", context)?,
@@ -629,12 +580,6 @@ fn snapshot_from_json(value: &Json, context: &str) -> Result<EngineSnapshot, Cam
         marked_since_reset: get_u64(value, "marked_since_reset", context)? as usize,
         restart_pending: get_bool(value, "restart_pending", context)?,
         tabu_horizons: get_u64_array(value, "tabu_horizons", context)?,
-        freeze_log,
-        select_cache_valid: get_bool(value, "select_cache_valid", context)?,
-        select_cache_now: get_u64(value, "select_cache_now", context)?,
-        culprit_best_err: get_u64(value, "culprit_best_err", context)?,
-        culprit_ties: get_usize_array(value, "culprit_ties", context)?,
-        errors: get_u64_array(value, "errors", context)?,
     })
 }
 
@@ -914,7 +859,9 @@ impl Campaign {
     /// Roll the result log back to the prefix the checkpoint recorded and rebuild
     /// the dedup set from it.  Records appended after the checkpoint (including a
     /// torn tail from a mid-append crash) are truncated — they will be re-found
-    /// deterministically when their round re-runs.
+    /// deterministically when their round re-runs.  Every kept record must hold a
+    /// solution that passes `is_solution` and canonicalises to the record's
+    /// `canonical`; anything else is [`CampaignError::Corrupt`].
     fn reload_result_log(&mut self) -> Result<(), CampaignError> {
         let path = self.spec.log_path();
         let bytes = if path.exists() {
@@ -963,8 +910,21 @@ impl Campaign {
                 path: path.clone(),
                 message: format!("record {index}: {e}"),
             })?;
-            let canonical = get_usize_array(&value, "canonical", &format!("log[{index}]"))?;
-            self.classes.insert(canonical);
+            let context = format!("log[{index}]");
+            let canonical = get_usize_array(&value, "canonical", &context)?;
+            let solution = get_usize_array(&value, "solution", &context)?;
+            let problem = if !self.is_solution(&solution) {
+                "its solution fails the registry's is_optimum check"
+            } else if self.canonicalize(&solution) != canonical {
+                "its canonical form does not match its solution"
+            } else {
+                self.classes.insert(canonical);
+                continue;
+            };
+            return Err(CampaignError::Corrupt {
+                path,
+                message: format!("record {index}: {problem}"),
+            });
         }
         // Physically truncate so append continues from the checkpointed offset.
         if bytes.len() as u64 > expected {
@@ -975,6 +935,21 @@ impl Campaign {
             file.set_len(expected).map_err(|e| io_err(&path, e))?;
         }
         Ok(())
+    }
+
+    /// Check a solution independently of the engine that reported it: a
+    /// permutation of `1..=n` for the instance (checked first, because reloaded
+    /// records are outside input and the predicates index by value) that passes
+    /// the registry's `is_optimum` predicate.
+    fn is_solution(&self, solution: &[usize]) -> bool {
+        let n = self.engines[0].problem().size();
+        let mut seen = vec![false; n];
+        let permutation = solution.len() == n
+            && solution
+                .iter()
+                .all(|&v| (1..=n).contains(&v) && !std::mem::replace(&mut seen[v - 1], true));
+        let info = problems::find(&self.spec.problem).expect("spec holds a registered key");
+        permutation && (info.is_optimum)(solution)
     }
 
     /// The symmetry-canonical representative used for dedup: the D₄ canonical form
@@ -993,6 +968,10 @@ impl Campaign {
     /// determinism), solutions are harvested in rank order, new equivalence
     /// classes are appended to the result log, and a checkpoint is written at
     /// `checkpoint_every` boundaries.
+    ///
+    /// # Errors
+    /// A harvested solution that fails the registry's `is_optimum` check is
+    /// [`CampaignError::Corrupt`]; the round then counts and logs nothing.
     pub fn run_round(&mut self) -> Result<(), CampaignError> {
         self.run_round_inner(true)
     }
@@ -1029,6 +1008,18 @@ impl Campaign {
                 .map(|h| h.join().expect("walker threads do not panic"))
                 .collect()
         });
+        for (rank, solutions) in harvests.iter().enumerate() {
+            if let Some(bad) = solutions.iter().find(|s| !self.is_solution(s)) {
+                return Err(CampaignError::Corrupt {
+                    path: self.spec.log_path(),
+                    message: format!(
+                        "walker {rank} reported {bad:?} in round {}, which fails the \
+                         registry's is_optimum check; not logged",
+                        self.rounds_done
+                    ),
+                });
+            }
+        }
         let mut appended = String::new();
         let mut appended_records = 0u64;
         for (rank, solutions) in harvests.into_iter().enumerate() {

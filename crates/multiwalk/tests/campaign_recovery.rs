@@ -294,16 +294,18 @@ fn deeply_nested_checkpoint_payload_is_a_typed_parse_error() {
 fn stale_schema_version_is_a_typed_error() {
     let spec = small_spec(scratch_dir("stale"));
     fs::create_dir_all(&spec.dir).expect("mkdir");
-    let payload = r#"{"schema":"campaign_checkpoint/v0"}"#;
-    fs::write(spec.checkpoint_path(), frame_record(payload)).expect("write stale checkpoint");
-    let err = Campaign::open(spec).expect_err("stale schema must be rejected");
-    assert_eq!(
-        err,
-        CampaignError::StaleSchema {
-            found: "campaign_checkpoint/v0".to_string(),
-            expected: CHECKPOINT_SCHEMA,
-        }
-    );
+    for stale in ["campaign_checkpoint/v0", "campaign_checkpoint/v1"] {
+        let payload = format!(r#"{{"schema":"{stale}"}}"#);
+        fs::write(spec.checkpoint_path(), frame_record(&payload)).expect("write stale checkpoint");
+        let err = Campaign::open(spec.clone()).expect_err("stale schema must be rejected");
+        assert_eq!(
+            err,
+            CampaignError::StaleSchema {
+                found: stale.to_string(),
+                expected: CHECKPOINT_SCHEMA,
+            }
+        );
+    }
 }
 
 #[test]
@@ -394,6 +396,70 @@ fn log_truncated_behind_the_checkpoint_is_a_typed_error() {
     assert!(
         matches!(err, CampaignError::LogBehindCheckpoint { .. }),
         "want LogBehindCheckpoint, got {err:?}"
+    );
+}
+
+/// Append `record` to a campaign's log with a valid frame, move the checkpoint's
+/// log offset past it so resume keeps it, and return the resume error.
+fn resume_with_forged_log_record(name: &str, record: impl Fn(&[usize]) -> String) -> CampaignError {
+    let spec = small_spec(scratch_dir(name));
+    let mut c = open_fresh(&spec);
+    c.run_round().expect("round");
+    c.run_round().expect("round");
+    let logged = c
+        .classes()
+        .iter()
+        .next()
+        .expect("n = 7 logs by round 2")
+        .clone();
+    drop(c);
+    let mut log = fs::read(spec.log_path()).expect("log");
+    log.extend_from_slice(frame_record(&record(&logged)).as_bytes());
+    fs::write(spec.log_path(), &log).expect("append forged record");
+    let bytes = fs::read(spec.checkpoint_path()).expect("checkpoint");
+    let parsed = parse_records(&bytes).expect("intact");
+    let Json::Object(mut map) = Json::parse(&parsed.records[0]).expect("payload") else {
+        panic!("checkpoint payload must be an object");
+    };
+    let records = map["log_records"].as_u64().expect("log_records");
+    map.insert("log_bytes".to_string(), Json::UInt(log.len() as u64));
+    map.insert("log_records".to_string(), Json::UInt(records + 1));
+    fs::write(
+        spec.checkpoint_path(),
+        frame_record(&Json::Object(map).render()),
+    )
+    .expect("write doctored checkpoint");
+    Campaign::open(spec).expect_err("a forged log record must be rejected")
+}
+
+#[test]
+fn logged_non_solution_is_a_typed_error_on_resume() {
+    // The identity permutation repeats every difference vector: not a Costas
+    // array.  The second record is not even a permutation; its out-of-range
+    // value must be rejected before any predicate indexes by it.
+    for (name, solution) in [
+        ("non_solution", "[1,2,3,4,5,6,7]"),
+        ("non_permutation", "[1000000,2,3,4,5,6,7]"),
+    ] {
+        let err = resume_with_forged_log_record(name, |_| {
+            format!(r#"{{"canonical":[1,2,3,4,5,6,7],"rank":0,"round":1,"solution":{solution}}}"#)
+        });
+        assert!(
+            matches!(err, CampaignError::Corrupt { ref message, .. } if message.contains("is_optimum")),
+            "{name}: want Corrupt naming the failed check, got {err:?}"
+        );
+    }
+    // A real Costas array filed under a canonical form that is not its own.
+    let err = resume_with_forged_log_record("wrong_canonical", |solution| {
+        let solution: Vec<String> = solution.iter().map(ToString::to_string).collect();
+        format!(
+            r#"{{"canonical":[1,2,3,4,5,6,7],"rank":0,"round":1,"solution":[{}]}}"#,
+            solution.join(",")
+        )
+    });
+    assert!(
+        matches!(err, CampaignError::Corrupt { ref message, .. } if message.contains("canonical")),
+        "want Corrupt naming the canonical mismatch, got {err:?}"
     );
 }
 
