@@ -51,6 +51,12 @@ impl AllIntervalProblem {
         p
     }
 
+    /// Heap bytes of an order-`n` instance: values, errors and left-index
+    /// sums (8 bytes each) and the difference histogram (4 bytes) per position.
+    pub(crate) const fn heap_bytes(n: usize) -> u128 {
+        28 * n as u128
+    }
+
     fn n(&self) -> usize {
         self.values.len()
     }

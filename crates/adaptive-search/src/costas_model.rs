@@ -44,12 +44,6 @@ pub struct CostasModelConfig {
     pub dedicated_reset: bool,
     /// How many erroneous variables the third perturbation family samples.
     pub prefix_shift_candidates: usize,
-    /// Keep the width-generic bitmask probe kernel enabled (the default).
-    /// When `false` the conflict table drops its occupancy bitmasks and every
-    /// probe takes the generic histogram path — the knob the large-n benches
-    /// use to measure the kernel against its own pre-kernel baseline on the
-    /// same build.  Solvers have no reason to turn this off.
-    pub accelerated_probe: bool,
 }
 
 impl Default for CostasModelConfig {
@@ -58,7 +52,6 @@ impl Default for CostasModelConfig {
             cost_model: CostModel::optimized(),
             dedicated_reset: true,
             prefix_shift_candidates: 3,
-            accelerated_probe: true,
         }
     }
 }
@@ -70,7 +63,6 @@ impl CostasModelConfig {
             cost_model: CostModel::basic(),
             dedicated_reset: false,
             prefix_shift_candidates: 3,
-            accelerated_probe: true,
         }
     }
 
@@ -107,12 +99,8 @@ impl CostasProblem {
     pub fn with_config(n: usize, config: CostasModelConfig) -> Self {
         assert!(n > 0, "Costas order must be positive");
         let identity: Vec<usize> = (1..=n).collect();
-        let mut table = ConflictTable::new(&identity, config.cost_model);
-        if !config.accelerated_probe {
-            table.disable_probe_kernel();
-        }
         Self {
-            table,
+            table: ConflictTable::new(&identity, config.cost_model),
             config,
             scratch: vec![0; n],
             best_candidate: vec![0; n],
@@ -121,6 +109,14 @@ impl CostasProblem {
             chain_b: vec![0; n],
             erroneous: Vec::with_capacity(n),
         }
+    }
+
+    /// Heap bytes of an order-`n` instance under `cost_model`: the conflict
+    /// table ([`ConflictTable::heap_bytes`]) plus the reset's five
+    /// order-`n` candidate buffers and its `2n − 1`-bucket cost scratch.
+    pub(crate) const fn heap_bytes(n: usize, cost_model: CostModel) -> u128 {
+        let m = n as u128;
+        ConflictTable::heap_bytes(n, cost_model) + 5 * 8 * m + 4 * 2 * m
     }
 
     /// The model configuration.
@@ -366,8 +362,9 @@ impl PermutationProblem for CostasProblem {
         self.table.probe_partners_reference(culprit, out);
     }
 
+    /// The bitmask probe kernel serves every order with a scored row (n ≥ 2).
     fn has_accelerated_probe(&self) -> bool {
-        self.table.has_probe_kernel()
+        self.order() >= 2
     }
 
     fn apply_swap(&mut self, i: usize, j: usize) {
@@ -636,36 +633,6 @@ mod tests {
         assert_eq!(basic.global_cost(), 0);
         assert_eq!(opt.global_cost(), 0);
         assert!(basic.is_solution() && opt.is_solution());
-    }
-
-    #[test]
-    fn accelerated_probe_flag_gates_the_kernel_and_preserves_results() {
-        // Orders on both sides of the single-word boundary: with the flag off
-        // the probe advertises no kernel, with it on it does, and the two
-        // configurations score every candidate identically.
-        for n in [18usize, 34, 40] {
-            let mut fast = CostasProblem::new(n);
-            let mut generic = CostasProblem::with_config(
-                n,
-                CostasModelConfig {
-                    accelerated_probe: false,
-                    ..Default::default()
-                },
-            );
-            assert!(fast.has_accelerated_probe(), "n={n}");
-            assert!(!generic.has_accelerated_probe(), "n={n}");
-            let config = random_config(n, 77 + n as u64);
-            fast.set_configuration(&config);
-            generic.set_configuration(&config);
-            // the flag must survive resets
-            assert!(!generic.has_accelerated_probe(), "n={n} after reset");
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            for culprit in 0..n {
-                fast.probe_partners(culprit, &mut a);
-                generic.probe_partners(culprit, &mut b);
-                assert_eq!(a, b, "n={n} culprit={culprit}");
-            }
-        }
     }
 
     #[test]

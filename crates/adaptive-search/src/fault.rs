@@ -284,7 +284,7 @@ pub fn ensure_chaos_registered() {
         default_config: AsConfig::costas_defaults,
         is_optimum: costas::is_costas_permutation,
         bench_size: usize::MAX,
-        bench_large_sizes: &[],
+        max_n: problems::find("costas").expect("static entry").max_n,
         test_sizes: &[8, 12],
         solvable_sizes: &[],
     });

@@ -58,6 +58,12 @@ impl LangfordProblem {
         p
     }
 
+    /// Heap bytes of an instance with `pairs` pairs: values, inverse
+    /// permutation and errors over `2n` positions, one deviation per pair.
+    pub(crate) const fn heap_bytes(pairs: usize) -> u128 {
+        56 * pairs as u128
+    }
+
     /// Number of pairs `n` of the instance.
     pub fn pairs(&self) -> usize {
         self.pairs

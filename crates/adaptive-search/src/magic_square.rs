@@ -55,6 +55,13 @@ impl MagicSquareProblem {
         p
     }
 
+    /// Heap bytes of a side-`side` instance: values and errors per cell, row
+    /// and column sums per line.
+    pub(crate) const fn heap_bytes(side: usize) -> u128 {
+        let side = side as u128;
+        16 * side * side + 16 * side
+    }
+
     /// Side length of the square.
     pub fn side(&self) -> usize {
         self.side

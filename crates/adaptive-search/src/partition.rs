@@ -64,6 +64,11 @@ impl PartitionProblem {
         p
     }
 
+    /// Heap bytes of an order-`n` instance: values and errors per position.
+    pub(crate) const fn heap_bytes(n: usize) -> u128 {
+        16 * n as u128
+    }
+
     /// Is `p` in group A?
     #[inline]
     fn in_first(&self, p: usize) -> bool {

@@ -17,17 +17,24 @@
 //! * a **known-optimum predicate** deciding whether a configuration is a genuine
 //!   solution via a from-scratch rebuild (for the Costas key, the domain crate's
 //!   independent oracle),
-//! * the **standard instance parameter** used by the steps/sec throughput benches,
-//!   plus small parameter lists for conformance property tests
-//!   ([`ProblemInfo::test_sizes`]) and for end-to-end solvability tests
-//!   ([`ProblemInfo::solvable_sizes`]).
+//! * the **admissible instance parameters** `1..=max_n`
+//!   ([`ProblemInfo::size_range`]): the upper bound is the largest parameter
+//!   whose model fits [`MODEL_MEMORY_BUDGET`] under the model's own allocation
+//!   formula, so request layers can refuse an impossible size before anything
+//!   is allocated,
+//! * the size from which `solverd` fans a request out over several walks
+//!   ([`ProblemInfo::bench_size`]), plus small parameter lists for conformance
+//!   property tests ([`ProblemInfo::test_sizes`]) and for end-to-end
+//!   solvability tests ([`ProblemInfo::solvable_sizes`]).
 //!
 //! The parameter passed to [`ProblemInfo::build`] has per-model semantics
 //! (documented in [`ProblemInfo::size_unit`]): the permutation order for Costas,
 //! N-Queens, All-Interval and number partitioning, the board side for Magic Square
 //! (`side²` variables) and the pair count for Langford (`2n` variables).
 
-use costas::is_costas_permutation;
+use std::ops::RangeInclusive;
+
+use costas::{is_costas_permutation, CostModel};
 
 use crate::all_interval::AllIntervalProblem;
 use crate::config::AsConfig;
@@ -42,6 +49,29 @@ use crate::queens::QueensProblem;
 /// walks on worker threads), and a [`PermutationProblem`] in its own right through
 /// the forwarding impl on `Box`.
 pub type DynProblem = Box<dyn PermutationProblem + Send>;
+
+/// Heap budget of one model instance (256 MiB): [`ProblemInfo::max_n`] is the
+/// largest instance parameter whose model allocates no more than this.  The
+/// engine's own buffers, a few words per variable, come on top.
+pub const MODEL_MEMORY_BUDGET: u128 = 256 << 20;
+
+/// The largest `n ≥ 1` with `bytes ≤ MODEL_MEMORY_BUDGET`, by bisection over
+/// `1..u32::MAX` (every model's `bytes` grows monotonically in `n` and exceeds
+/// the budget well before `u32::MAX`).  Evaluated at compile time.
+macro_rules! max_n_within_budget {
+    (|$n:ident| $bytes:expr) => {{
+        let (mut fits, mut exceeds) = (1usize, u32::MAX as usize);
+        while exceeds - fits > 1 {
+            let $n = fits + (exceeds - fits) / 2;
+            if $bytes <= MODEL_MEMORY_BUDGET {
+                fits = $n;
+            } else {
+                exceeds = $n;
+            }
+        }
+        fits
+    }};
+}
 
 /// Registry entry: one workload plus the metadata harnesses dispatch on.
 #[derive(Clone, Copy)]
@@ -64,19 +94,28 @@ pub struct ProblemInfo {
     /// never against searcher state — so harnesses can verify claimed solutions
     /// independently.
     pub is_optimum: fn(&[usize]) -> bool,
-    /// Standard instance parameter for the steps/sec throughput benches (sized so
-    /// a walk keeps probing rather than solving instantly).
+    /// Instance parameter from which `solverd` races a request over several
+    /// walks instead of one engine (a size where a walk keeps probing rather
+    /// than solving instantly).
     pub bench_size: usize,
-    /// Extra large instance parameters for the dedicated large-n throughput
-    /// cells (empty for models whose kernels have no size boundary to probe).
-    /// For Costas these sit past the single-word mask boundary (n > 32), where
-    /// the bench measures the multi-word kernel against the generic path.
-    pub bench_large_sizes: &'static [usize],
+    /// Largest admissible instance parameter: the largest `n` whose model fits
+    /// [`MODEL_MEMORY_BUDGET`] under its own allocation formula.  A constant of
+    /// the model, not a setting.
+    pub max_n: usize,
     /// Small valid instance parameters for conformance property tests.
     pub test_sizes: &'static [usize],
     /// Small instance parameters with known optima, solvable by the default
     /// configuration within seconds (for end-to-end tests).
     pub solvable_sizes: &'static [usize],
+}
+
+impl ProblemInfo {
+    /// The instance parameters this model accepts: `1..=max_n`.  Every
+    /// constructor asserts the lower bound; the upper one keeps a request from
+    /// allocating more than [`MODEL_MEMORY_BUDGET`].
+    pub fn size_range(&self) -> RangeInclusive<usize> {
+        1..=self.max_n
+    }
 }
 
 impl std::fmt::Debug for ProblemInfo {
@@ -123,7 +162,7 @@ static REGISTRY: [ProblemInfo; 6] = [
         default_config: AsConfig::costas_defaults,
         is_optimum: is_costas_permutation,
         bench_size: 18,
-        bench_large_sizes: &[34, 40],
+        max_n: max_n_within_budget!(|n| CostasProblem::heap_bytes(n, CostModel::optimized())),
         test_sizes: &[2, 3, 5, 8, 12, 16, 33, 40],
         solvable_sizes: &[8, 10, 12],
     },
@@ -135,7 +174,7 @@ static REGISTRY: [ProblemInfo; 6] = [
         default_config: generic_config,
         is_optimum: |values| zero_cost(QueensProblem::new(values.len().max(1)), values),
         bench_size: 100,
-        bench_large_sizes: &[],
+        max_n: max_n_within_budget!(|n| QueensProblem::heap_bytes(n)),
         test_sizes: &[2, 4, 7, 11, 16, 24],
         solvable_sizes: &[8, 16, 30],
     },
@@ -147,7 +186,7 @@ static REGISTRY: [ProblemInfo; 6] = [
         default_config: generic_config,
         is_optimum: |values| zero_cost(AllIntervalProblem::new(values.len().max(1)), values),
         bench_size: 50,
-        bench_large_sizes: &[],
+        max_n: max_n_within_budget!(|n| AllIntervalProblem::heap_bytes(n)),
         test_sizes: &[2, 3, 6, 10, 16, 24],
         solvable_sizes: &[8, 10, 12],
     },
@@ -171,7 +210,7 @@ static REGISTRY: [ProblemInfo; 6] = [
                 && zero_cost(MagicSquareProblem::new(side), values)
         },
         bench_size: 10,
-        bench_large_sizes: &[],
+        max_n: max_n_within_budget!(|side| MagicSquareProblem::heap_bytes(side)),
         test_sizes: &[2, 3, 4, 5],
         solvable_sizes: &[3, 4, 5],
     },
@@ -187,7 +226,7 @@ static REGISTRY: [ProblemInfo; 6] = [
                 && zero_cost(LangfordProblem::new(values.len() / 2), values)
         },
         bench_size: 32,
-        bench_large_sizes: &[],
+        max_n: max_n_within_budget!(|pairs| LangfordProblem::heap_bytes(pairs)),
         test_sizes: &[1, 2, 3, 5, 8, 12],
         solvable_sizes: &[3, 4, 7, 8],
     },
@@ -203,7 +242,8 @@ static REGISTRY: [ProblemInfo; 6] = [
                 && zero_cost(PartitionProblem::new(values.len()), values)
         },
         bench_size: 64,
-        bench_large_sizes: &[],
+        // The ground set must split into equal halves.
+        max_n: max_n_within_budget!(|n| PartitionProblem::heap_bytes(n)) & !1,
         test_sizes: &[2, 4, 6, 10, 16, 24],
         solvable_sizes: &[8, 12, 16],
     },
@@ -382,7 +422,7 @@ mod tests {
             default_config: AsConfig::costas_defaults,
             is_optimum: is_costas_permutation,
             bench_size: usize::MAX,
-            bench_large_sizes: &[],
+            max_n: 64,
             test_sizes: &[4],
             solvable_sizes: &[],
         };

@@ -57,6 +57,16 @@ impl QueensProblem {
         p
     }
 
+    /// Heap bytes of an order-`n` instance: values and errors, the two
+    /// `2n − 1`-diagonal count arrays and member-list headers, and the member
+    /// lists themselves (n entries per family, each non-empty list holding at
+    /// most twice its length or four entries).
+    pub(crate) const fn heap_bytes(n: usize) -> u128 {
+        let (n, diagonals) = (n as u128, (2 * n as u128).saturating_sub(1));
+        let header = std::mem::size_of::<Vec<u32>>() as u128;
+        16 * n + 2 * diagonals * (4 + header) + 2 * 4 * (2 * n + 4 * diagonals)
+    }
+
     fn n(&self) -> usize {
         self.values.len()
     }

@@ -15,7 +15,9 @@
 //!   typed [`RequestError`], never a panic, so services can turn them into
 //!   structured rejects;
 //! * **instance parameter `n`** — per-model semantics
-//!   ([`crate::ProblemInfo::size_unit`]);
+//!   ([`crate::ProblemInfo::size_unit`]), bounded by the model's
+//!   [`crate::ProblemInfo::size_range`] and checked before any model is built,
+//!   so an impossible size is a typed [`RequestError`], never an abort;
 //! * **budget** — the engine iteration budget (per walk, for fan-out callers);
 //! * **seed** — the master seed; the same request with the same seed replays
 //!   bit-for-bit (modulo wall-clock) through every path built on this module;
@@ -55,6 +57,17 @@ pub enum RequestError {
         /// The offending key, verbatim.
         key: String,
     },
+    /// The instance parameter is outside the model's
+    /// [`ProblemInfo::size_range`]: zero, or larger than the largest instance
+    /// whose model fits [`problems::MODEL_MEMORY_BUDGET`].
+    SizeOutOfRange {
+        /// Canonical registry key of the problem.
+        key: &'static str,
+        /// The requested instance parameter.
+        n: usize,
+        /// The model's [`ProblemInfo::max_n`].
+        max_n: usize,
+    },
     /// The warm-start permutation is unusable for this instance.
     InvalidWarmStart {
         /// What exactly is wrong (length mismatch, not a permutation, …).
@@ -68,6 +81,12 @@ impl std::fmt::Display for RequestError {
             RequestError::UnknownProblem { key } => {
                 write!(f, "unknown problem key {key:?}; see problems::registry()")
             }
+            RequestError::SizeOutOfRange { key, n, max_n } => write!(
+                f,
+                "n = {n} is outside 1..={max_n} for {key:?} (the largest instance \
+                 whose model fits {} MiB)",
+                problems::MODEL_MEMORY_BUDGET >> 20
+            ),
             RequestError::InvalidWarmStart { reason } => {
                 write!(f, "invalid warm start: {reason}")
             }
@@ -166,15 +185,31 @@ impl SolveRequest {
         })
     }
 
-    /// Validate the request without running it: the problem key must be
-    /// registered and the warm start (when present) must be a permutation of
-    /// `1..=size` for this instance.
-    ///
-    /// Building the instance is how `size` is determined (the parameter has
-    /// per-model semantics), so this costs one model construction; services
-    /// validate at admission time to guarantee workers never panic.
-    pub fn validate(&self) -> Result<(), RequestError> {
+    /// The registry entry, once `n` is known to lie in its
+    /// [`ProblemInfo::size_range`] — the check every path runs before it
+    /// builds a model.
+    fn sized_info(&self) -> Result<&'static ProblemInfo, RequestError> {
         let info = self.info()?;
+        if !info.size_range().contains(&self.n) {
+            return Err(RequestError::SizeOutOfRange {
+                key: info.key,
+                n: self.n,
+                max_n: info.max_n,
+            });
+        }
+        Ok(info)
+    }
+
+    /// Validate the request without running it: the problem key must be
+    /// registered, `n` must lie in the model's size range, and the warm start
+    /// (when present) must be a permutation of `1..=size` for this instance.
+    ///
+    /// The size range is checked first, before anything is allocated.
+    /// Building the instance is how `size` is determined (the parameter has
+    /// per-model semantics), so a warm start costs one model construction;
+    /// services validate at admission time to guarantee workers never panic.
+    pub fn validate(&self) -> Result<(), RequestError> {
+        let info = self.sized_info()?;
         if let Some(warm) = &self.warm_start {
             let size = (info.build)(self.n).size();
             check_permutation(warm, size)?;
@@ -212,7 +247,7 @@ impl SolveRequest {
         &self,
         cancel: Option<&CancelToken>,
     ) -> Result<SolveOutcome, RequestError> {
-        let info = self.info()?;
+        let info = self.sized_info()?;
         let config = self.engine_config()?;
         let mut engine = Engine::new((info.build)(self.n), config, self.seed);
         if let Some(warm) = &self.warm_start {
@@ -367,6 +402,37 @@ mod tests {
         assert!(request.validate().is_err());
         assert!(request.info().is_err());
         assert!(request.engine_config().is_err());
+    }
+
+    /// Every registry model admits its `max_n` and rejects `max_n + 1` and
+    /// zero, in `validate` and `run` alike, without building anything.
+    #[test]
+    fn sizes_outside_the_model_range_are_typed_errors() {
+        for info in problems::registry() {
+            assert!(
+                info.max_n > *info.test_sizes.last().unwrap(),
+                "{}",
+                info.key
+            );
+            assert!(info.max_n < u32::MAX as usize - 1, "{}", info.key);
+            SolveRequest::new(info.key, info.max_n, 1)
+                .validate()
+                .unwrap_or_else(|e| panic!("{} at max_n: {e}", info.key));
+            for n in [0, info.max_n + 1, usize::MAX] {
+                let request = SolveRequest::new(info.key, n, 1);
+                let expected = RequestError::SizeOutOfRange {
+                    key: info.key,
+                    n,
+                    max_n: info.max_n,
+                };
+                assert_eq!(request.validate(), Err(expected.clone()), "{}", info.key);
+                assert_eq!(request.run(), Err(expected), "{}", info.key);
+            }
+        }
+        let err = SolveRequest::new("costas", 2_000_000, 1)
+            .validate()
+            .expect_err("huge order");
+        assert!(err.to_string().contains("256 MiB"), "{err}");
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //!
 //! Output: a summary table on stdout and a standalone `solverd_load/v2`
 //! artefact (`BENCH_solverd_load.json`, destination overridable with
-//! `COSTAS_BENCH_JSON`).  The same section rides along in the committed
-//! `BENCH_dev.json` via the `coop_vs_independent` harness.
+//! `COSTAS_BENCH_JSON`), validated before it is written.
 
 use bench::loadgen::{self, LoadOptions};
 use bench::schema::validate_solverd_load;

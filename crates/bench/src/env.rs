@@ -22,8 +22,6 @@
 //! | `COSTAS_RUNS` | `runs_override` | repetition count override |
 //! | `COSTAS_SEED` | `master_seed` | master seed |
 //! | `COSTAS_BENCH_JSON` | `bench_json` | artefact destination override |
-//! | `COSTAS_THREADS` | `thread_counts` | scaling sweep thread counts (`"1,2,4"`) |
-//! | `COSTAS_SCALING_STEPS` | `scaling_steps` | per-walk budget of the scaling sweep |
 //! | `COSTAS_COOP_INTERVAL` | `coop_interval` | cooperative exchange interval |
 //! | `COSTAS_SOLVERD_ADDR` | `solverd_addr` | drive a remote solverd over TCP |
 //! | `COSTAS_LOAD_RPS` | `load_rps` | load_gen target request rate |
@@ -43,8 +41,6 @@
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use crate::scaling::parse_thread_counts;
-
 /// Default master seed (spells "2012 Costas").
 pub const DEFAULT_MASTER_SEED: u64 = 0x0020_12C0_57A5;
 
@@ -59,10 +55,6 @@ pub struct BenchConfig {
     pub master_seed: u64,
     /// `COSTAS_BENCH_JSON`: artefact destination override.
     pub bench_json: Option<PathBuf>,
-    /// `COSTAS_THREADS`: scaling-sweep thread counts (`None` = harness default).
-    pub thread_counts: Option<Vec<usize>>,
-    /// `COSTAS_SCALING_STEPS`: per-walk budget override for the scaling sweep.
-    pub scaling_steps: Option<u64>,
     /// `COSTAS_COOP_INTERVAL`: cooperative exchange interval.
     pub coop_interval: u64,
     /// `COSTAS_SOLVERD_ADDR`: when set, `load_gen` drives this TCP endpoint
@@ -113,8 +105,6 @@ impl Default for BenchConfig {
             runs_override: None,
             master_seed: DEFAULT_MASTER_SEED,
             bench_json: None,
-            thread_counts: None,
-            scaling_steps: None,
             coop_interval: 64,
             solverd_addr: None,
             load_rps: 20.0,
@@ -171,20 +161,6 @@ impl BenchConfig {
                     }
                 },
                 "COSTAS_BENCH_JSON" => config.bench_json = Some(PathBuf::from(value)),
-                "COSTAS_THREADS" => {
-                    // parse_thread_counts is forgiving by design (falls back to
-                    // [1]); surface that fallback instead of measuring nothing
-                    // silently.
-                    let counts = parse_thread_counts(&value);
-                    if counts == [1] && value.trim() != "1" {
-                        config.warn_parse(&name, &value, "falling back to thread count 1");
-                    }
-                    config.thread_counts = Some(counts);
-                }
-                "COSTAS_SCALING_STEPS" => match value.parse() {
-                    Ok(steps) => config.scaling_steps = Some(steps),
-                    Err(_) => config.warn_parse(&name, &value, "using the harness default"),
-                },
                 "COSTAS_COOP_INTERVAL" => match value.parse() {
                     Ok(interval) => config.coop_interval = interval,
                     Err(_) => {
@@ -274,10 +250,10 @@ impl BenchConfig {
                 },
                 _ => config.warnings.push(format!(
                     "unknown variable {name} (typo? this version knows: FULL, RUNS, SEED, \
-                     BENCH_JSON, THREADS, SCALING_STEPS, COOP_INTERVAL, SOLVERD_ADDR, \
-                     LOAD_RPS, LOAD_REQUESTS, LOAD_WORKERS, LOAD_QUEUE, LOAD_RETRIES, \
-                     LOAD_RETRY_BACKOFF_MS, FAULT_SEED, CAMPAIGN_N, CAMPAIGN_WALKERS, \
-                     CAMPAIGN_ROUNDS, CAMPAIGN_INTERVAL, CAMPAIGN_DIR, CAMPAIGN_HALT_AFTER)"
+                     BENCH_JSON, COOP_INTERVAL, SOLVERD_ADDR, LOAD_RPS, LOAD_REQUESTS, \
+                     LOAD_WORKERS, LOAD_QUEUE, LOAD_RETRIES, LOAD_RETRY_BACKOFF_MS, \
+                     FAULT_SEED, CAMPAIGN_N, CAMPAIGN_WALKERS, CAMPAIGN_ROUNDS, \
+                     CAMPAIGN_INTERVAL, CAMPAIGN_DIR, CAMPAIGN_HALT_AFTER)"
                 )),
             }
         }
@@ -319,8 +295,6 @@ mod tests {
             ("COSTAS_RUNS", "7"),
             ("COSTAS_SEED", "12345"),
             ("COSTAS_BENCH_JSON", "out.json"),
-            ("COSTAS_THREADS", "1,2,8"),
-            ("COSTAS_SCALING_STEPS", "9000"),
             ("COSTAS_COOP_INTERVAL", "128"),
             ("COSTAS_SOLVERD_ADDR", "127.0.0.1:7777"),
             ("COSTAS_LOAD_RPS", "12.5"),
@@ -342,8 +316,6 @@ mod tests {
         assert_eq!(config.runs_override, Some(7));
         assert_eq!(config.master_seed, 12345);
         assert_eq!(config.bench_json.as_deref(), Some(Path::new("out.json")));
-        assert_eq!(config.thread_counts.as_deref(), Some(&[1, 2, 8][..]));
-        assert_eq!(config.scaling_steps, Some(9000));
         assert_eq!(config.coop_interval, 128);
         assert_eq!(config.solverd_addr.as_deref(), Some("127.0.0.1:7777"));
         assert_eq!(config.load_rps, 12.5);
@@ -367,12 +339,22 @@ mod tests {
 
     #[test]
     fn unknown_costas_variables_warn() {
-        let config = BenchConfig::from_vars(vars(&[("COSTAS_THREAD", "8")]));
-        assert_eq!(config.warnings.len(), 1);
-        assert!(config.warnings[0].contains("COSTAS_THREAD"));
-        assert!(config.warnings[0].contains("unknown"));
+        // A typo, and the two knobs of the retired strong-scaling sweep.
+        let names = ["COSTAS_THREAD", "COSTAS_THREADS", "COSTAS_SCALING_STEPS"];
+        let config = BenchConfig::from_vars(vars(&[
+            (names[0], "8"),
+            (names[1], "1,2"),
+            (names[2], "5000"),
+        ]));
+        assert_eq!(config.warnings.len(), names.len(), "{:?}", config.warnings);
+        for (warning, name) in config.warnings.iter().zip(names) {
+            assert!(warning.contains(&format!("variable {name} ")), "{warning}");
+            assert!(warning.contains("unknown"), "{warning}");
+        }
         // ...and did not silently change any knob
-        assert_eq!(config.thread_counts, None);
+        let defaults = BenchConfig::default();
+        assert_eq!(config.runs_override, defaults.runs_override);
+        assert_eq!(config.master_seed, defaults.master_seed);
     }
 
     #[test]
@@ -382,7 +364,6 @@ mod tests {
             ("COSTAS_SEED", "0xNOPE"),
             ("COSTAS_LOAD_RPS", "-3"),
             ("COSTAS_LOAD_WORKERS", "0"),
-            ("COSTAS_THREADS", "zero,none"),
             ("COSTAS_LOAD_RETRIES", "many"),
             ("COSTAS_FAULT_SEED", "chaotic"),
             ("COSTAS_CAMPAIGN_WALKERS", "0"),
@@ -392,7 +373,6 @@ mod tests {
         assert_eq!(config.master_seed, DEFAULT_MASTER_SEED);
         assert_eq!(config.load_rps, BenchConfig::default().load_rps);
         assert_eq!(config.load_workers, BenchConfig::default().load_workers);
-        assert_eq!(config.thread_counts.as_deref(), Some(&[1][..]));
         assert_eq!(config.load_retries, BenchConfig::default().load_retries);
         assert_eq!(config.fault_seed, None, "a bad seed must not arm chaos");
         assert_eq!(
@@ -404,7 +384,7 @@ mod tests {
             config.campaign_interval,
             BenchConfig::default().campaign_interval
         );
-        assert_eq!(config.warnings.len(), 9, "{:?}", config.warnings);
+        assert_eq!(config.warnings.len(), 8, "{:?}", config.warnings);
         for warning in &config.warnings {
             assert!(warning.contains("could not parse"), "{warning}");
         }

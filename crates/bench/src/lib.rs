@@ -1,7 +1,8 @@
 //! Shared plumbing for the benchmark harness binaries.
 //!
-//! Every table/figure of the paper has its own binary under `src/bin/` (see DESIGN.md
-//! for the experiment index).  They all follow the same conventions, implemented here:
+//! Every table/figure of the paper has its own binary under `src/bin/` (the
+//! README's reproduction guide is the experiment index).  They all follow the
+//! same conventions, implemented here:
 //!
 //! * **Scale control** — by default each harness runs a *scaled-down* version of the
 //!   experiment (smaller instances and/or fewer repetitions) so the whole suite
@@ -10,19 +11,20 @@
 //!   `COSTAS_RUNS=<k>` overrides the repetition count, `COSTAS_SEED=<s>` the master
 //!   seed.
 //! * **Output** — each harness prints the paper-shaped table to stdout and writes a
-//!   CSV with the same rows under `target/experiments/` for plotting.  Harnesses
-//!   that feed the perf trajectory additionally emit a `BENCH_*.json` artefact
-//!   (destination overridable with `COSTAS_BENCH_JSON`; CI uploads it).
+//!   CSV with the same rows under `target/experiments/` for plotting.  The
+//!   `coop_vs_independent`, `load_gen` and `campaign` harnesses additionally
+//!   emit a schema-validated `BENCH_*.json` document (destination overridable
+//!   with `COSTAS_BENCH_JSON`; CI checks and uploads it).  Performance claims
+//!   are not read from these documents: the repository benchmark
+//!   (`perfbench/`, declared in `BENCHMARK.json`) is the one perf ledger.
 
 use std::path::{Path, PathBuf};
 
 pub mod env;
 pub mod loadgen;
 pub mod protocol;
-pub mod scaling;
 pub mod schema;
 pub mod tables;
-pub mod throughput;
 
 pub use env::BenchConfig;
 
@@ -95,9 +97,9 @@ pub fn write_csv(name: &str, contents: &str) -> PathBuf {
 
 /// Write a machine-readable benchmark artefact (`BENCH_*.json`).
 ///
-/// The destination is `COSTAS_BENCH_JSON` when set (CI points it at
-/// `BENCH_ci.json` so `actions/upload-artifact` accumulates the perf trajectory),
-/// otherwise `default_name` in the current directory.  Returns the path written.
+/// The destination is `COSTAS_BENCH_JSON` when set (CI points it at the files
+/// it checks and uploads), otherwise `default_name` in the current directory.
+/// Returns the path written.
 pub fn write_bench_json(default_name: &str, doc: &runtime_stats::Json) -> PathBuf {
     let path = BenchConfig::get()
         .bench_json

@@ -1,38 +1,29 @@
-//! Schema validation for the `BENCH_*.json` artefacts.
+//! Schema validation for the `BENCH_*.json` documents the harnesses emit.
 //!
-//! The perf trajectory of this repository lives in machine-readable benchmark
-//! artefacts (the committed `BENCH_dev.json`, the CI-uploaded `BENCH_ci.json`).
-//! Their consumers — trend scripts, the CI smoke check, future sessions reading
-//! the committed numbers — need the *section schemas* to stay what they claim:
-//! a file announcing `coop_vs_independent/v4` must actually have the v4 shape,
-//! and a stale artefact written by an older harness must be rejected loudly,
-//! not mis-read.
+//! Three harnesses write machine-readable documents: `coop_vs_independent`
+//! (the cooperative-vs-independent cells), `load_gen` (serving numbers) and
+//! `campaign` (a checkpoint/resume campaign report).  CI checks and uploads
+//! them.  Their consumers need each schema to stay what it claims: a file
+//! announcing `coop_vs_independent/v5` must have the v5 shape, and a stale
+//! document written by an older harness must be rejected loudly, not
+//! mis-read.  Speed is not read from these documents; the repository
+//! benchmark (`perfbench/`) is the perf ledger.
 //!
-//! This module is that contract, in code: one validator per current section
-//! schema ([`validate_coop_vs_independent`], [`validate_probe_throughput`],
-//! [`validate_scaling_curve`], [`validate_solverd_load`],
-//! [`validate_campaign`]) plus a dispatching
-//! [`validate_bench_doc`] that
-//! recognises a document by its `schema` field and rejects superseded versions
-//! (`coop_vs_independent/v2`/`v3`, `probe_throughput/v1`/`v2`/`v3`, …) with an
-//! error naming the expected one.  Validators are pure functions over parsed
-//! [`Json`]; the round-trip (`render` → [`Json::parse`] → validate) is what the
-//! tests and the CI smoke job exercise.
+//! This module is that contract, in code: one validator per current schema
+//! ([`validate_coop_vs_independent`], [`validate_solverd_load`],
+//! [`validate_campaign`]) plus a dispatching [`validate_bench_doc`] that
+//! recognises a document by its `schema` field and rejects superseded
+//! versions (`coop_vs_independent/v4`, `solverd_load/v1`, …) with an error
+//! naming the expected one.  Validators are pure functions over parsed
+//! [`Json`]; the round-trip (`render` → [`Json::parse`] → validate) is what
+//! the tests exercise.
 
 use runtime_stats::Json;
 
-/// Current schema tag of the cooperative-vs-independent document.
-pub const COOP_VS_INDEPENDENT_SCHEMA: &str = "coop_vs_independent/v4";
-/// Current schema tag of the probe-throughput document.  v4 adds the
-/// `accelerated` flag to every entry and the `large_n` section: kernel-vs-
-/// generic-baseline cell pairs past the single-word mask boundary (Costas
-/// n = 34 and 40), so the multi-word speedup is readable from one artefact.
-/// Each large-n cell also carries `probe_ns` — the raw batched-probe latency
-/// on an equilibrium state — because engine steps/sec is Amdahl-diluted by
-/// selection and apply; the kernel speedup target is checked on that pair.
-pub const PROBE_THROUGHPUT_SCHEMA: &str = "probe_throughput/v4";
-/// Current schema tag of the strong-scaling section.
-pub const SCALING_CURVE_SCHEMA: &str = "scaling_curve/v1";
+/// Current schema tag of the cooperative-vs-independent document.  v5 holds
+/// only the per-core-count cells; v4 also carried probe-throughput,
+/// strong-scaling, serving and campaign riders, and is rejected as stale.
+pub const COOP_VS_INDEPENDENT_SCHEMA: &str = "coop_vs_independent/v5";
 /// Current schema tag of the solverd load-generation section.  v2 adds the
 /// fault-tolerance columns — `retries` (queue-full re-offers with backoff,
 /// *not* folded into `rejected_overflow`), `worker_panicked` (typed
@@ -107,21 +98,34 @@ fn require_object(value: &Json, context: &str) -> Result<(), String> {
     }
 }
 
-/// Validate a `coop_vs_independent/v4` document (the shape `BENCH_dev.json`
-/// commits), including its `probe_throughput` rider and — when present — the
-/// `scaling_curve` rider section.
+/// Validate a `coop_vs_independent/v5` document: one cell per entry of
+/// `core_counts`, in that order, each with its independent and cooperative
+/// sides.
 pub fn validate_coop_vs_independent(doc: &Json) -> Result<(), String> {
     require_schema(doc, COOP_VS_INDEPENDENT_SCHEMA)?;
     require_u64(doc, "n", "coop_vs_independent")?;
     require_u64(doc, "runs", "coop_vs_independent")?;
     require_u64(doc, "master_seed", "coop_vs_independent")?;
+    let core_counts = require_array(doc, "core_counts", "coop_vs_independent")?;
     let cells = require_array(doc, "cells", "coop_vs_independent")?;
     if cells.is_empty() {
         return Err("coop_vs_independent: empty \"cells\"".into());
     }
-    for (i, cell) in cells.iter().enumerate() {
+    if cells.len() != core_counts.len() {
+        return Err(format!(
+            "coop_vs_independent: {} cells for {} core counts",
+            cells.len(),
+            core_counts.len()
+        ));
+    }
+    for (i, (cell, expected)) in cells.iter().zip(core_counts).enumerate() {
         let context = format!("coop_vs_independent cell {i}");
-        require_u64(cell, "cores", &context)?;
+        let cores = require_u64(cell, "cores", &context)?;
+        if Some(cores) != expected.as_u64() {
+            return Err(format!(
+                "{context}: cores {cores} does not match core_counts[{i}]"
+            ));
+        }
         require_number(cell, "speedup_iterations", &context)?;
         for side in ["independent", "cooperative"] {
             let inner = cell
@@ -136,25 +140,6 @@ pub fn validate_coop_vs_independent(doc: &Json) -> Result<(), String> {
             "coordinated_restarts",
             &context,
         )?;
-    }
-    let throughput = require_array(doc, "probe_throughput", "coop_vs_independent")?;
-    // The rider predates the `accelerated` flag; committed v4 artefacts from
-    // older harnesses stay valid (v4 is additive), so the flag is optional here.
-    validate_throughput_entries(throughput, false)?;
-    if let Some(large_n) = doc.get("probe_throughput_large_n") {
-        let entries = large_n.as_array().ok_or_else(|| {
-            "coop_vs_independent: \"probe_throughput_large_n\" must be an array".to_string()
-        })?;
-        validate_large_n_entries(entries)?;
-    }
-    if let Some(scaling) = doc.get("scaling_curve") {
-        validate_scaling_curve(scaling)?;
-    }
-    if let Some(load) = doc.get("solverd_load") {
-        validate_solverd_load(load)?;
-    }
-    if let Some(campaign) = doc.get("campaign") {
-        validate_campaign(campaign)?;
     }
     Ok(())
 }
@@ -299,164 +284,12 @@ pub fn validate_solverd_load(section: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Validate a standalone `probe_throughput/v4` document: the standard per-model
-/// entries (each carrying the `accelerated` flag) plus the `large_n` section of
-/// kernel/baseline cell pairs.
-pub fn validate_probe_throughput(doc: &Json) -> Result<(), String> {
-    require_schema(doc, PROBE_THROUGHPUT_SCHEMA)?;
-    require_u64(doc, "steps", "probe_throughput")?;
-    require_u64(doc, "master_seed", "probe_throughput")?;
-    validate_throughput_entries(require_array(doc, "models", "probe_throughput")?, true)?;
-    validate_large_n_entries(require_array(doc, "large_n", "probe_throughput")?)
-}
-
-/// The per-model entry shape shared by `probe_throughput/v4` and the
-/// `coop_vs_independent/v4` rider.  `require_accelerated` enforces the boolean
-/// `accelerated` flag, mandatory in v4 documents but optional in the rider
-/// (which must keep validating artefacts written before the flag existed).
-fn validate_throughput_entries(entries: &[Json], require_accelerated: bool) -> Result<(), String> {
-    if entries.is_empty() {
-        return Err("probe_throughput: empty model list".into());
-    }
-    for (i, entry) in entries.iter().enumerate() {
-        let context = format!("probe_throughput entry {i}");
-        entry
-            .get("model")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{context}: missing string \"model\""))?;
-        require_u64(entry, "size", &context)?;
-        require_u64(entry, "steps", &context)?;
-        require_number(entry, "steps_per_sec", &context)?;
-        match entry.get("accelerated") {
-            Some(v) if v.as_bool().is_some() => {}
-            Some(_) => return Err(format!("{context}: \"accelerated\" must be a boolean")),
-            None if require_accelerated => {
-                return Err(format!("{context}: missing boolean \"accelerated\""));
-            }
-            None => {}
-        }
-    }
-    Ok(())
-}
-
-/// Validate the large-n section: every entry has the standard shape *and* the
-/// `accelerated` flag, and every `(model, size)` cell appears as a complete
-/// kernel/baseline pair — the speedup must be computable from the document
-/// alone, never against a different machine's artefact.
-fn validate_large_n_entries(entries: &[Json]) -> Result<(), String> {
-    if entries.is_empty() {
-        return Err("probe_throughput: empty \"large_n\" section".into());
-    }
-    validate_throughput_entries(entries, true)?;
-    let mut cells: Vec<(String, u64, [bool; 2])> = Vec::new();
-    for entry in entries {
-        let model = entry
-            .get("model")
-            .and_then(Json::as_str)
-            .expect("checked above")
-            .to_string();
-        let size = entry
-            .get("size")
-            .and_then(Json::as_u64)
-            .expect("checked above");
-        let accelerated = entry
-            .get("accelerated")
-            .and_then(Json::as_bool)
-            .expect("checked above");
-        if !entry
-            .get("probe_ns")
-            .and_then(Json::as_f64)
-            .is_some_and(|ns| ns > 0.0)
-        {
-            return Err(format!(
-                "probe_throughput large_n: {model:?} n={size} accelerated={accelerated} \
-                 needs a positive \"probe_ns\" (v4 cells carry the raw probe latency; \
-                 engine steps/sec alone is Amdahl-diluted)"
-            ));
-        }
-        match cells.iter_mut().find(|(m, s, _)| *m == model && *s == size) {
-            Some((_, _, seen)) => seen[usize::from(accelerated)] = true,
-            None => {
-                let mut seen = [false, false];
-                seen[usize::from(accelerated)] = true;
-                cells.push((model, size, seen));
-            }
-        }
-    }
-    for (model, size, seen) in &cells {
-        if !(seen[0] && seen[1]) {
-            return Err(format!(
-                "probe_throughput large_n: {model:?} n={size} needs both a kernel \
-                 (accelerated=true) and a generic-baseline (accelerated=false) cell"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Validate a `scaling_curve/v1` section (standalone document or rider).
-pub fn validate_scaling_curve(section: &Json) -> Result<(), String> {
-    require_schema(section, SCALING_CURVE_SCHEMA)?;
-    let hardware = require_u64(section, "hardware_threads", "scaling_curve")?;
-    if hardware == 0 {
-        return Err("scaling_curve: hardware_threads must be >= 1".into());
-    }
-    require_u64(section, "master_seed", "scaling_curve")?;
-    require_u64(section, "steps_per_walk", "scaling_curve")?;
-    require_u64(section, "ttt_runs", "scaling_curve")?;
-    let thread_counts = require_array(section, "thread_counts", "scaling_curve")?;
-    if thread_counts.is_empty() {
-        return Err("scaling_curve: empty \"thread_counts\"".into());
-    }
-    let models = require_array(section, "models", "scaling_curve")?;
-    if models.is_empty() {
-        return Err("scaling_curve: empty \"models\"".into());
-    }
-    for model in models {
-        let name = model
-            .get("model")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "scaling_curve model: missing string \"model\"".to_string())?;
-        let context = format!("scaling_curve model {name:?}");
-        require_u64(model, "bench_size", &context)?;
-        require_u64(model, "target_size", &context)?;
-        let cells = require_array(model, "cells", &context)?;
-        if cells.len() != thread_counts.len() {
-            return Err(format!(
-                "{context}: {} cells for {} thread counts",
-                cells.len(),
-                thread_counts.len()
-            ));
-        }
-        for cell in cells {
-            let threads = require_u64(cell, "threads", &context)?;
-            let cell_context = format!("{context}, {threads} threads");
-            require_u64(cell, "total_steps", &cell_context)?;
-            require_number(cell, "seconds", &cell_context)?;
-            require_number(cell, "steps_per_sec", &cell_context)?;
-            require_number(cell, "speedup", &cell_context)?;
-            let runs = require_u64(cell, "ttt_runs", &cell_context)?;
-            let solved = require_u64(cell, "ttt_solved", &cell_context)?;
-            if solved > runs {
-                return Err(format!(
-                    "{cell_context}: ttt_solved {solved} > ttt_runs {runs}"
-                ));
-            }
-            require_nullable_number(cell, "ttt_p50_s", &cell_context)?;
-            require_nullable_number(cell, "ttt_p90_s", &cell_context)?;
-        }
-    }
-    Ok(())
-}
-
 /// Dispatch on the document's `schema` field: current versions validate, stale
 /// or unknown ones are rejected with an explanatory error.
 pub fn validate_bench_doc(doc: &Json) -> Result<(), String> {
     let schema = schema_of(doc)?.to_string();
     match schema.split('/').next() {
         Some("coop_vs_independent") => validate_coop_vs_independent(doc),
-        Some("probe_throughput") => validate_probe_throughput(doc),
-        Some("scaling_curve") => validate_scaling_curve(doc),
         Some("solverd_load") => validate_solverd_load(doc),
         Some("campaign") => validate_campaign(doc),
         _ => Err(format!("unknown benchmark schema {schema:?}")),
@@ -466,67 +299,6 @@ pub fn validate_bench_doc(doc: &Json) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scaling::{ModelCurve, ScalingCell, ScalingOptions};
-    use crate::throughput::ThroughputSample;
-
-    fn sample_throughput_entry() -> Json {
-        ThroughputSample {
-            model: "costas",
-            size: 18,
-            accelerated: true,
-            steps: 1000,
-            seconds: 0.005,
-            steps_per_sec: 200_000.0,
-            solves: 0,
-            probe_ns: None,
-        }
-        .to_json()
-    }
-
-    /// A kernel/baseline large-n cell pair at one order.
-    fn sample_large_n_pair(size: usize) -> Vec<Json> {
-        [true, false]
-            .into_iter()
-            .map(|accelerated| {
-                ThroughputSample {
-                    model: "costas",
-                    size,
-                    accelerated,
-                    steps: 1000,
-                    seconds: 0.01,
-                    steps_per_sec: if accelerated { 90_000.0 } else { 25_000.0 },
-                    solves: 0,
-                    probe_ns: Some(if accelerated { 2_500.0 } else { 7_500.0 }),
-                }
-                .to_json()
-            })
-            .collect()
-    }
-
-    fn sample_scaling_section() -> Json {
-        let cell = |threads: usize| ScalingCell {
-            threads,
-            total_steps: 20_000 * threads as u64,
-            seconds: 0.1,
-            steps_per_sec: 200_000.0 * threads as f64,
-            ttt_runs: 5,
-            ttt_solved: if threads == 4 { 0 } else { 5 },
-            ttt_p50_s: if threads == 4 { f64::NAN } else { 0.02 },
-            ttt_p90_s: if threads == 4 { f64::NAN } else { 0.05 },
-        };
-        let curve = ModelCurve {
-            model: "costas",
-            bench_size: 18,
-            target_size: 12,
-            cells: vec![cell(1), cell(2), cell(4)],
-        };
-        let opts = ScalingOptions {
-            thread_counts: vec![1, 2, 4],
-            steps_per_walk: 20_000,
-            ttt_runs: 5,
-        };
-        crate::scaling::scaling_section(&[curve], &opts, 7)
-    }
 
     fn sample_load_section() -> Json {
         crate::loadgen::LoadReport {
@@ -587,6 +359,14 @@ mod tests {
             }
             _ => unreachable!(),
         };
+        let cell = |cores: usize| {
+            Json::object(vec![
+                ("cores", Json::from(cores)),
+                ("independent", side.clone()),
+                ("cooperative", coop_side.clone()),
+                ("speedup_iterations", Json::from(0.98)),
+            ])
+        };
         Json::object(vec![
             ("schema", Json::from(COOP_VS_INDEPENDENT_SCHEMA)),
             ("n", Json::from(14usize)),
@@ -594,56 +374,22 @@ mod tests {
             ("master_seed", Json::from(7u64)),
             ("exchange_interval", Json::from(64u64)),
             ("core_counts", Json::from(vec![4u64, 16, 64])),
-            (
-                "cells",
-                Json::Array(vec![Json::object(vec![
-                    ("cores", Json::from(4usize)),
-                    ("independent", side),
-                    ("cooperative", coop_side),
-                    ("speedup_iterations", Json::from(0.98)),
-                ])]),
-            ),
-            ("probe_throughput_steps", Json::from(20_000u64)),
-            (
-                "probe_throughput",
-                Json::Array(vec![sample_throughput_entry()]),
-            ),
-            ("scaling_curve", sample_scaling_section()),
-            ("solverd_load", sample_load_section()),
-            ("campaign", sample_campaign_section()),
+            ("cells", Json::Array(vec![cell(4), cell(16), cell(64)])),
         ])
     }
 
-    /// Round-trip property for all three current schemas: what the emitters
+    /// Round-trip property for every current schema: what the emitters
     /// render parses back and validates.
     #[test]
     fn current_schemas_round_trip_through_parse_and_validate() {
-        let coop = sample_coop_doc();
-        let parsed = Json::parse(&coop.render()).expect("coop doc parses");
-        validate_bench_doc(&parsed).expect("coop_vs_independent/v4 validates");
-
-        let large_n: Vec<Json> = [34, 40].into_iter().flat_map(sample_large_n_pair).collect();
-        let probe = Json::object(vec![
-            ("schema", Json::from(PROBE_THROUGHPUT_SCHEMA)),
-            ("steps", Json::from(50_000u64)),
-            ("master_seed", Json::from(7u64)),
-            ("models", Json::Array(vec![sample_throughput_entry()])),
-            ("large_n", Json::Array(large_n)),
-        ]);
-        let parsed = Json::parse(&probe.render()).expect("probe doc parses");
-        validate_bench_doc(&parsed).expect("probe_throughput/v4 validates");
-
-        let scaling = sample_scaling_section();
-        let parsed = Json::parse(&scaling.render()).expect("scaling section parses");
-        validate_bench_doc(&parsed).expect("scaling_curve/v1 validates");
-
-        let load = sample_load_section();
-        let parsed = Json::parse(&load.render()).expect("load section parses");
-        validate_bench_doc(&parsed).expect("solverd_load/v2 validates");
-
-        let campaign = sample_campaign_section();
-        let parsed = Json::parse(&campaign.render()).expect("campaign section parses");
-        validate_bench_doc(&parsed).expect("campaign/v1 validates");
+        for (doc, schema) in [
+            (sample_coop_doc(), COOP_VS_INDEPENDENT_SCHEMA),
+            (sample_load_section(), SOLVERD_LOAD_SCHEMA),
+            (sample_campaign_section(), CAMPAIGN_SCHEMA),
+        ] {
+            let parsed = Json::parse(&doc.render()).expect(schema);
+            validate_bench_doc(&parsed).expect(schema);
+        }
     }
 
     /// The campaign validator enforces the dedup accounting, not just shape.
@@ -742,15 +488,13 @@ mod tests {
     }
 
     /// Stale versions of a known family are rejected with an error naming the
-    /// current schema — the "reject stale schemas" half of the contract.
+    /// current schema — the "reject stale schemas" half of the contract.  The
+    /// retired single-run families are unknown, not stale.
     #[test]
     fn stale_schemas_are_rejected_by_name() {
         for (stale, current) in [
-            ("coop_vs_independent/v2", COOP_VS_INDEPENDENT_SCHEMA),
             ("coop_vs_independent/v3", COOP_VS_INDEPENDENT_SCHEMA),
-            ("probe_throughput/v2", PROBE_THROUGHPUT_SCHEMA),
-            ("probe_throughput/v3", PROBE_THROUGHPUT_SCHEMA),
-            ("scaling_curve/v0", SCALING_CURVE_SCHEMA),
+            ("coop_vs_independent/v4", COOP_VS_INDEPENDENT_SCHEMA),
             ("solverd_load/v0", SOLVERD_LOAD_SCHEMA),
             ("solverd_load/v1", SOLVERD_LOAD_SCHEMA),
             ("campaign/v0", CAMPAIGN_SCHEMA),
@@ -760,180 +504,53 @@ mod tests {
             assert!(err.contains("stale"), "{stale}: {err}");
             assert!(err.contains(current), "{stale}: {err}");
         }
-        let unknown = Json::object(vec![("schema", Json::from("mystery/v1"))]);
-        assert!(validate_bench_doc(&unknown)
-            .expect_err("unknown family")
-            .contains("unknown benchmark schema"));
+        for unknown in ["mystery/v1", "probe_throughput/v4", "scaling_curve/v1"] {
+            let doc = Json::object(vec![("schema", Json::from(unknown))]);
+            assert!(validate_bench_doc(&doc)
+                .expect_err(unknown)
+                .contains("unknown benchmark schema"));
+        }
         let missing = Json::object(vec![("n", Json::from(1u64))]);
         assert!(validate_bench_doc(&missing).is_err());
     }
 
     #[test]
     fn structural_violations_are_caught() {
-        // a cell count that disagrees with the thread-count list
-        let mut section = sample_scaling_section();
-        if let Json::Object(map) = &mut section {
-            map.insert("thread_counts".into(), Json::from(vec![1u64, 2]));
-        }
-        assert!(validate_scaling_curve(&section)
-            .expect_err("mismatched cells")
-            .contains("cells"));
-
-        // ttt_solved exceeding ttt_runs
-        let mut doc = sample_scaling_section();
-        if let Json::Object(map) = &mut doc {
-            if let Some(Json::Array(models)) = map.get_mut("models") {
-                if let Some(Json::Object(model)) = models.get_mut(0) {
-                    if let Some(Json::Array(cells)) = model.get_mut("cells") {
-                        if let Some(Json::Object(cell)) = cells.get_mut(0) {
-                            cell.insert("ttt_solved".into(), Json::from(99u64));
-                        }
+        let poke = |edit: &dyn Fn(&mut std::collections::BTreeMap<String, Json>)| {
+            let mut doc = sample_coop_doc();
+            if let Json::Object(map) = &mut doc {
+                edit(map);
+            }
+            validate_coop_vs_independent(&doc)
+        };
+        assert!(poke(&|map| {
+            map.insert("cells".into(), Json::Array(Vec::new()));
+        })
+        .expect_err("empty cells")
+        .contains("empty"));
+        // a cell count that disagrees with the core-count list
+        assert!(poke(&|map| {
+            map.insert("core_counts".into(), Json::from(vec![4u64, 16]));
+        })
+        .expect_err("mismatched cells")
+        .contains("core counts"));
+        // cells out of step with the core-count order
+        assert!(poke(&|map| {
+            map.insert("core_counts".into(), Json::from(vec![4u64, 64, 16]));
+        })
+        .expect_err("reordered cells")
+        .contains("core_counts[1]"));
+        // a cooperative side without its restart count
+        assert!(poke(&|map| {
+            if let Some(Json::Array(cells)) = map.get_mut("cells") {
+                if let Some(Json::Object(cell)) = cells.get_mut(0) {
+                    if let Some(Json::Object(side)) = cell.get_mut("cooperative") {
+                        side.remove("coordinated_restarts");
                     }
                 }
             }
-        }
-        assert!(validate_scaling_curve(&doc)
-            .expect_err("solved > runs")
-            .contains("ttt_solved"));
-
-        // a coop doc with its throughput rider dropped
-        let mut coop = sample_coop_doc();
-        if let Json::Object(map) = &mut coop {
-            map.remove("probe_throughput");
-        }
-        assert!(validate_coop_vs_independent(&coop).is_err());
-
-        // a large_n section whose baseline half is missing: the pair invariant
-        // is what makes the kernel speedup readable from one artefact
-        let orphan = sample_large_n_pair(34).swap_remove(0);
-        let err = validate_large_n_entries(&[orphan]).expect_err("orphan kernel cell");
-        assert!(err.contains("both a kernel"), "{err}");
-
-        // a v4 entry without the accelerated flag
-        let mut entry = sample_throughput_entry();
-        if let Json::Object(map) = &mut entry {
-            map.remove("accelerated");
-        }
-        assert!(validate_throughput_entries(&[entry.clone()], true)
-            .expect_err("v4 requires the flag")
-            .contains("accelerated"));
-        validate_throughput_entries(&[entry], false)
-            .expect("the rider tolerates pre-flag artefacts");
-    }
-
-    /// The committed artefact keeps its promises: `BENCH_dev.json` parses,
-    /// validates against the current schemas, and carries a real-hardware
-    /// scaling section with at least three thread counts.
-    #[test]
-    fn committed_bench_dev_artifact_validates() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dev.json");
-        let raw = std::fs::read_to_string(path).expect("BENCH_dev.json is committed");
-        let doc = Json::parse(&raw).expect("BENCH_dev.json parses");
-        validate_bench_doc(&doc).expect("BENCH_dev.json validates");
-        let scaling = doc
-            .get("scaling_curve")
-            .expect("BENCH_dev.json carries a scaling_curve section");
-        assert_eq!(
-            scaling.get("schema").and_then(Json::as_str),
-            Some(SCALING_CURVE_SCHEMA)
-        );
-        let counts = scaling
-            .get("thread_counts")
-            .and_then(Json::as_array)
-            .expect("thread_counts");
-        assert!(
-            counts.len() >= 3,
-            "scaling curve must cover at least three thread counts, got {}",
-            counts.len()
-        );
-        let load = doc
-            .get("solverd_load")
-            .expect("BENCH_dev.json carries a solverd_load section");
-        assert_eq!(
-            load.get("schema").and_then(Json::as_str),
-            Some(SOLVERD_LOAD_SCHEMA)
-        );
-        assert!(
-            load.get("solved").and_then(Json::as_u64).unwrap_or(0) > 0,
-            "the committed load run must have solved something"
-        );
-        // The campaign rider: the committed artefact carries a checkpoint/
-        // resume campaign cell, deduped down to symmetry classes.  The
-        // committed run must have found solutions (the rider's order is small
-        // enough that a dry campaign means the search engine broke), and an
-        // uninterrupted generation run survives zero resumes by definition.
-        let campaign = doc
-            .get("campaign")
-            .expect("BENCH_dev.json carries a campaign section");
-        assert_eq!(
-            campaign.get("schema").and_then(Json::as_str),
-            Some(CAMPAIGN_SCHEMA)
-        );
-        let classes = campaign
-            .get("distinct_classes")
-            .and_then(Json::as_u64)
-            .expect("distinct_classes");
-        assert!(
-            classes >= 1,
-            "the committed campaign must have logged at least one class"
-        );
-        assert_eq!(
-            campaign.get("resumes_survived").and_then(Json::as_u64),
-            Some(0),
-            "the committed cell comes from an uninterrupted generation run"
-        );
-        // The multi-word kernel cells: every large-n order carries its
-        // kernel/baseline pair.  The issue-8 speedup target (probe throughput
-        // ≥ 3× the same-machine generic path) is checked on the `probe_ns`
-        // pair — engine steps/sec is Amdahl-diluted (the probe is roughly a
-        // third of a step; selection and apply_swap make up the rest), so the
-        // end-to-end ratio tops out around 1.3× no matter how fast the probe
-        // gets.  The committed floor is 2.5× rather than 3.0×: on the dev box
-        // the AVX-512 kernel measures 2.6–3.4× across n = 34–64 (n = 40 and
-        // n = 64 reach 3× on quiet runs; n = 34 sits near 2.7× because 34
-        // candidates occupy five 8-lane blocks with the fifth only a quarter
-        // full), and the floor is set to catch real regressions without
-        // encoding single-run noise on a shared vCPU (back-to-back quick-mode
-        // regenerations swing the per-cell ratio by ±15%).
-        let large_n = doc
-            .get("probe_throughput_large_n")
-            .and_then(Json::as_array)
-            .expect("BENCH_dev.json carries a probe_throughput_large_n section");
-        validate_large_n_entries(large_n).expect("large-n cells validate");
-        for &size in [34u64, 40].iter() {
-            let cell = |accelerated: bool| {
-                large_n
-                    .iter()
-                    .find(|e| {
-                        e.get("size").and_then(Json::as_u64) == Some(size)
-                            && e.get("accelerated").and_then(Json::as_bool) == Some(accelerated)
-                    })
-                    .unwrap_or_else(|| panic!("n={size} accelerated={accelerated} cell"))
-            };
-            let field = |entry: &Json, name: &str| {
-                entry
-                    .get(name)
-                    .and_then(Json::as_f64)
-                    .unwrap_or_else(|| panic!("n={size} cell field {name}"))
-            };
-            let (kernel, generic) = (cell(true), cell(false));
-            let (kernel_steps, generic_steps) = (
-                field(kernel, "steps_per_sec"),
-                field(generic, "steps_per_sec"),
-            );
-            // End-to-end the kernel cell must at least not lose (measured
-            // ≈ 1.05–1.3×; Amdahl-limited, see above).
-            assert!(
-                kernel_steps >= generic_steps,
-                "committed n={size} kernel cell {kernel_steps:.0} steps/s loses \
-                 end-to-end to the generic baseline {generic_steps:.0}"
-            );
-            let (kernel_ns, generic_ns) = (field(kernel, "probe_ns"), field(generic, "probe_ns"));
-            assert!(
-                generic_ns >= 2.4 * kernel_ns,
-                "committed n={size} probe latency {kernel_ns:.0} ns is less than \
-                 2.4x faster than the generic path's {generic_ns:.0} ns"
-            );
-        }
+        })
+        .expect_err("missing coordinated_restarts")
+        .contains("coordinated_restarts"));
     }
 }

@@ -56,7 +56,7 @@ pub enum RowSpan {
 impl RowSpan {
     /// The largest distance scored for order `n`.
     #[inline]
-    pub fn max_distance(self, n: usize) -> usize {
+    pub const fn max_distance(self, n: usize) -> usize {
         match self {
             RowSpan::Full => n.saturating_sub(1),
             RowSpan::ChangHalf => {
@@ -65,7 +65,12 @@ impl RowSpan {
                 } else {
                     // Chang's bound: d ≤ ⌊(n−1)/2⌋, but never below 1 for n ≥ 2 so the
                     // cost function still distinguishes configurations at tiny orders.
-                    ((n - 1) / 2).max(1)
+                    let d = (n - 1) / 2;
+                    if d == 0 {
+                        1
+                    } else {
+                        d
+                    }
                 }
             }
         }
@@ -83,7 +88,7 @@ pub struct CostModel {
 
 impl CostModel {
     /// The paper's optimised model: quadratic weights over the Chang half-triangle.
-    pub fn optimized() -> Self {
+    pub const fn optimized() -> Self {
         Self {
             weight: ErrWeight::Quadratic,
             span: RowSpan::ChangHalf,
@@ -91,7 +96,7 @@ impl CostModel {
     }
 
     /// The paper's basic model: unit weights over the full triangle.
-    pub fn basic() -> Self {
+    pub const fn basic() -> Self {
         Self {
             weight: ErrWeight::Unit,
             span: RowSpan::Full,
@@ -99,7 +104,7 @@ impl CostModel {
     }
 
     /// Largest scored distance for order `n`.
-    pub fn max_distance(&self, n: usize) -> usize {
+    pub const fn max_distance(&self, n: usize) -> usize {
         self.span.max_distance(n)
     }
 
@@ -343,8 +348,7 @@ pub struct ConflictTable {
     /// set iff the bucket holds ≥ 1 pair, of `multi_mask` iff ≥ 2.  The batched
     /// probe kernel ([`crate::kernel`]) reads each candidate's cost delta out of
     /// these words instead of six histogram loads.  Maintained at every order
-    /// (length `dmax · mask_words`); empty only when explicitly disabled via
-    /// [`ConflictTable::disable_probe_kernel`].
+    /// (length `dmax · mask_words`, so empty only at n = 1, which has no rows).
     pub(crate) occ_mask: Vec<u64>,
     pub(crate) multi_mask: Vec<u64>,
     /// Reusable scratch for the arbitrary-width (`mask_words ≥ 3`) probe
@@ -397,22 +401,24 @@ impl ConflictTable {
         table
     }
 
-    /// Are the per-row occupancy bitmasks maintained?  True for every order
-    /// n ≥ 2 unless [`ConflictTable::disable_probe_kernel`] was called.
-    #[inline]
-    fn masks_enabled(&self) -> bool {
-        !self.occ_mask.is_empty()
-    }
-
-    /// Drop the occupancy bitmasks and fall back to the generic histogram
-    /// probe ([`ConflictTable::probe_partners_reference`]'s body) for the rest
-    /// of this table's life — `apply_swap`/`reset_to`/`rebuild` stop paying
-    /// the mask maintenance and [`ConflictTable::has_probe_kernel`] turns
-    /// false.  This exists so benchmarks can measure the pre-kernel generic
-    /// path on the same build; solvers have no reason to call it.
-    pub fn disable_probe_kernel(&mut self) {
-        self.occ_mask = Vec::new();
-        self.multi_mask = Vec::new();
+    /// Heap bytes a table of order `n` under `model` holds once its probe
+    /// scratch has grown: the buffers [`ConflictTable::new`] allocates plus
+    /// the slice-held kernel's scratch rows.  About `10 n²` bytes under the
+    /// optimised model; sizing guards derive the largest admissible order
+    /// from it.
+    pub const fn heap_bytes(n: usize, model: CostModel) -> u128 {
+        let dmax = model.max_distance(n);
+        let width = if n >= 2 { 2 * n - 1 } else { 1 };
+        let words = width.div_ceil(64);
+        let (n, dmax, width, words) = (n as u128, dmax as u128, width as u128, words as u128);
+        // pairs (d, i) for d ≤ dmax: Σ (n − d)
+        let pairs = dmax * n - dmax * (dmax + 1) / 2;
+        16 * n // values, errors
+            + 8 * dmax * width // counts, bucket_head (u32)
+            + 4 * pairs // pair_next
+            + 12 * (dmax + 1) // row_offset (u32), weights (u64)
+            + 16 * dmax * words // occ_mask, multi_mask
+            + crate::kernel::DynScratch::heap_bytes(dmax, words)
     }
 
     /// Precomputed `ERR(d)`.
@@ -433,11 +439,8 @@ impl ConflictTable {
         self.bucket_head.iter_mut().for_each(|h| *h = NO_PAIR);
         self.errors.iter_mut().for_each(|e| *e = 0);
         self.cost = 0;
-        let masks_on = self.masks_enabled();
-        if masks_on {
-            self.occ_mask.iter_mut().for_each(|w| *w = 0);
-            self.multi_mask.iter_mut().for_each(|w| *w = 0);
-        }
+        self.occ_mask.iter_mut().for_each(|w| *w = 0);
+        self.multi_mask.iter_mut().for_each(|w| *w = 0);
         for d in 1..=self.dmax {
             let base = self.row_offset[d];
             let row = (d - 1) * self.width;
@@ -460,13 +463,11 @@ impl ConflictTable {
                     self.errors[i] += w;
                     self.errors[i + d] += w;
                 }
-                if masks_on {
-                    let b = idx - row;
-                    let word = mask_row + (b >> 6);
-                    let bit = 1u64 << (b & 63);
-                    self.multi_mask[word] |= self.occ_mask[word] & bit;
-                    self.occ_mask[word] |= bit;
-                }
+                let b = idx - row;
+                let word = mask_row + (b >> 6);
+                let bit = 1u64 << (b & 63);
+                self.multi_mask[word] |= self.occ_mask[word] & bit;
+                self.occ_mask[word] |= bit;
             }
         }
     }
@@ -550,7 +551,7 @@ impl ConflictTable {
         if c_after > 0 {
             self.cost -= w;
         }
-        if self.masks_enabled() && c_after <= 1 {
+        if c_after <= 1 {
             let b = idx - (d - 1) * self.width;
             let word = (d - 1) * self.mask_words + (b >> 6);
             let bit = 1u64 << (b & 63);
@@ -596,7 +597,7 @@ impl ConflictTable {
         }
         *c += 1;
         let c_after = *c;
-        if self.masks_enabled() && c_after <= 2 {
+        if c_after <= 2 {
             let b = idx - (d - 1) * self.width;
             let word = (d - 1) * self.mask_words + (b >> 6);
             let bit = 1u64 << (b & 63);
@@ -776,19 +777,6 @@ impl ConflictTable {
         self.probe_partners_range(culprit, culprit + 1, out);
     }
 
-    /// Does [`ConflictTable::probe_partners`] dispatch to the bitmask probe
-    /// kernel ([`crate::kernel`])?
-    ///
-    /// True exactly when the per-row occupancy bitmasks are maintained — every
-    /// order n ≥ 2, at any width, unless
-    /// [`ConflictTable::disable_probe_kernel`] was called (n = 1 has no scored
-    /// rows, so there is nothing to accelerate).  When false the probe takes
-    /// the plain histogram path and *is* the reference implementation.
-    #[inline]
-    pub fn has_probe_kernel(&self) -> bool {
-        self.masks_enabled()
-    }
-
     /// Scalar **reference implementation** of [`ConflictTable::probe_partners`]:
     /// same contract, bit-for-bit the same results, but always scoring candidates
     /// one at a time against the flat difference histogram — never a mask-based
@@ -816,11 +804,10 @@ impl ConflictTable {
     }
 
     /// Dispatched implementation: fill `out[j]` for `j in lo..n`, `j != m` —
-    /// the bitmask kernel ([`crate::kernel`]) when the occupancy masks are
-    /// maintained (monomorphized for the one- and two-word row widths covering
-    /// n ≤ 64, slice-walking beyond; each picks its AVX-512 body at runtime
-    /// where the CPU has F + DQ and n ≤ 128), the generic histogram body
-    /// otherwise.
+    /// the bitmask kernel ([`crate::kernel`]), monomorphized for the one- and
+    /// two-word row widths covering n ≤ 64 and slice-walking beyond; each
+    /// picks its AVX-512 body at runtime where the CPU has F + DQ and
+    /// n ≤ 128.
     /// Both `debug_assert!`s pin the dispatched path to an independent
     /// implementation on every call: the flat-histogram reference and the
     /// per-pair `delta_for_swap` oracle.
@@ -832,17 +819,13 @@ impl ConflictTable {
         if n < 2 || lo_bound >= n {
             return;
         }
-        if self.masks_enabled() {
-            match self.mask_words {
-                // dmax ≤ n − 1, and the row capacity R only needs to cover the
-                // largest order of each width class: n ≤ 32 for one word per
-                // row (u64), n ≤ 64 for two (packed into one u128).
-                1 => self.probe_range_masked::<u64, 32>(m, lo_bound, out),
-                2 => self.probe_range_masked::<u128, 64>(m, lo_bound, out),
-                _ => self.probe_range_masked_dyn(m, lo_bound, out),
-            }
-        } else {
-            self.probe_range_generic(m, lo_bound, out);
+        match self.mask_words {
+            // dmax ≤ n − 1, and the row capacity R only needs to cover the
+            // largest order of each width class: n ≤ 32 for one word per row
+            // (u64), n ≤ 64 for two (packed into one u128).
+            1 => self.probe_range_masked::<u64, 32>(m, lo_bound, out),
+            2 => self.probe_range_masked::<u128, 64>(m, lo_bound, out),
+            _ => self.probe_range_masked_dyn(m, lo_bound, out),
         }
         debug_assert!(
             {
@@ -865,8 +848,9 @@ impl ConflictTable {
         );
     }
 
-    /// Generic probe body (any order): baseline counts are read from the flat
-    /// histogram with the culprit-vacated buckets patched via two scalars.
+    /// Generic probe body (any order), the body of the `_reference` probes:
+    /// baseline counts are read from the flat histogram with the
+    /// culprit-vacated buckets patched via two scalars.
     fn probe_range_generic(&self, m: usize, lo_bound: usize, out: &mut [u64]) {
         let n = self.n;
         let vm = self.values[m] as i64;
@@ -1314,35 +1298,36 @@ mod tests {
 
     #[test]
     fn probe_agrees_with_apply_for_large_orders() {
-        // Orders with 2n − 1 > 63 take the multi-word kernel; with the kernel
-        // explicitly disabled the same probes cover the generic histogram body
-        // (and, via the debug_assert in the probe dispatcher, its agreement
-        // with the per-pair delta path).  Both variants are checked against
+        // Orders with 2n − 1 > 63 take the multi-word kernel; the reference
+        // probe covers the generic histogram body.  Both are checked against
         // the mutating apply path here.
+        type Probe = fn(&ConflictTable, usize, &mut Vec<u64>);
+        let probes: [(&str, Probe); 2] = [
+            ("kernel", ConflictTable::probe_partners),
+            ("generic", ConflictTable::probe_partners_reference),
+        ];
         let mut rng = default_rng(103);
         let mut out = Vec::new();
         for n in [33usize, 40] {
             for model in [CostModel::basic(), CostModel::optimized()] {
                 let p = one_based(random_permutation(n, &mut rng));
-                let mut generic = ConflictTable::new(&p, model);
-                generic.disable_probe_kernel();
-                assert!(!generic.has_probe_kernel());
-                for table in [ConflictTable::new(&p, model), generic] {
+                let table = ConflictTable::new(&p, model);
+                for (name, probe) in probes {
                     for culprit in 0..n {
-                        table.probe_partners(culprit, &mut out);
+                        probe(&table, culprit, &mut out);
                         for (j, &probed) in out.iter().enumerate() {
                             let mut copy = table.clone();
                             copy.apply_swap(culprit, j);
                             assert_eq!(
                                 probed,
                                 copy.cost(),
-                                "n={n} model={model:?} ({culprit}, {j})"
+                                "{name} n={n} model={model:?} ({culprit}, {j})"
                             );
                         }
                     }
-                    assert_eq!(table.values(), &p[..], "probe must not mutate");
-                    assert!(table.errors_consistency_check());
                 }
+                assert_eq!(table.values(), &p[..], "probe must not mutate");
+                assert!(table.errors_consistency_check());
             }
         }
     }

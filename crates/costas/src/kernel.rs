@@ -234,6 +234,11 @@ pub(crate) struct DynRows<'a> {
 }
 
 impl DynScratch {
+    /// Heap bytes of a grown scratch for `rows` rows of `words` words.
+    pub(crate) const fn heap_bytes(rows: u128, words: u128) -> u128 {
+        rows * (std::mem::size_of::<RowMeta>() as u128 + 16 * words)
+    }
+
     /// The patched rows as a [`DynRows`] source of `words` words per row.
     fn rows(&self, words: usize) -> DynRows<'_> {
         DynRows {
@@ -761,8 +766,7 @@ mod tests {
     /// The scalar tier called directly, bypassing the dispatcher, so it runs
     /// on AVX-512 hosts too: `probe_body_sim` over `u64` rows for n ≤ 32 and
     /// `u128` rows for n ≤ 64, `probe_body` over slice-held rows beyond.
-    /// `None` for disabled masks, which have no kernel tier.
-    fn probe_scalar_tier(table: &ConflictTable, m: usize, lo_bound: usize) -> Option<Vec<u64>> {
+    fn probe_scalar_tier(table: &ConflictTable, m: usize, lo_bound: usize) -> Vec<u64> {
         fn run<Wd: MaskWord, const R: usize>(
             table: &ConflictTable,
             m: usize,
@@ -782,10 +786,7 @@ mod tests {
             table.probe_body_sim(&rows[..table.dmax], m, lo_bound, removal_total, &mut out);
             out
         }
-        if !table.has_probe_kernel() {
-            return None;
-        }
-        Some(match table.mask_words {
+        match table.mask_words {
             1 => run::<u64, 32>(table, m, lo_bound),
             2 => run::<u128, 64>(table, m, lo_bound),
             _ => {
@@ -796,7 +797,7 @@ mod tests {
                 table.probe_body(&src, m, lo_bound, removal_total, &mut out);
                 out
             }
-        })
+        }
     }
 
     /// Pin the dispatched probe and the directly called scalar tier to the
@@ -811,24 +812,19 @@ mod tests {
             table.probe_partners(m, &mut fast);
             table.probe_partners_reference(m, &mut reference);
             assert_eq!(fast, reference, "probe_partners culprit {m} ({context})");
-            if let Some(scalar) = probe_scalar_tier(table, m, 0) {
-                assert_eq!(scalar, reference, "scalar tier culprit {m} ({context})");
-            }
+            let scalar = probe_scalar_tier(table, m, 0);
+            assert_eq!(scalar, reference, "scalar tier culprit {m} ({context})");
             table.probe_partners_above(m, &mut fast);
             table.probe_partners_above_reference(m, &mut reference);
             assert_eq!(
                 fast, reference,
                 "probe_partners_above culprit {m} ({context})"
             );
-            if let Some(scalar) = probe_scalar_tier(table, m, m + 1) {
-                assert_eq!(
-                    scalar, reference,
-                    "scalar tier above culprit {m} ({context})"
-                );
-            }
-        }
-        if !table.has_probe_kernel() {
-            return Vec::new();
+            let scalar = probe_scalar_tier(table, m, m + 1);
+            assert_eq!(
+                scalar, reference,
+                "scalar tier above culprit {m} ({context})"
+            );
         }
         // The scalar tier has register-width bodies at one and two words per
         // row and one slice-held body beyond.
@@ -856,7 +852,6 @@ mod tests {
                 let mut rng = default_rng(0x005E_EDC0_57A5 ^ n as u64);
                 let p = one_based(random_permutation(n, &mut rng));
                 let table = ConflictTable::new(&p, model);
-                assert!(table.has_probe_kernel(), "masks must be on for n = {n}");
                 assert_eq!(table.mask_words, 1, "n ≤ 32 is the single-word layout");
                 assert_probe_matches_reference(&table, &format!("n={n}, {model:?}"));
             }
@@ -892,7 +887,6 @@ mod tests {
                 let mut rng = default_rng(0x00B1_657E_57A5 ^ n as u64);
                 let p = one_based(random_permutation(n, &mut rng));
                 let table = ConflictTable::new(&p, model);
-                assert!(table.has_probe_kernel(), "masks must be on for n = {n}");
                 assert_eq!(table.mask_words, words, "mask layout for n = {n}");
                 ran.extend(assert_probe_matches_reference(
                     &table,
@@ -959,30 +953,6 @@ mod tests {
                 table.apply_swap(i, j);
                 assert_probe_matches_reference(&table, &format!("n={n}, step {step}"));
             }
-        }
-    }
-
-    /// With the kernel explicitly disabled the dispatched probe *is* the
-    /// histogram reference path — still equal to the reference by
-    /// construction, pinned here so the disable switch never drifts.
-    #[test]
-    fn disabled_kernel_falls_back_to_the_reference_path() {
-        for n in [18usize, 33, 40, 65] {
-            let mut rng = default_rng(7 + n as u64);
-            let p = one_based(random_permutation(n, &mut rng));
-            let mut table = ConflictTable::new(&p, CostModel::optimized());
-            assert!(table.has_probe_kernel(), "masks default on for n = {n}");
-            table.disable_probe_kernel();
-            assert!(!table.has_probe_kernel(), "disable switch must stick");
-            assert_probe_matches_reference(&table, &format!("n={n}, generic path"));
-            // ... and stays off across mutation, matching the reference still.
-            for _ in 0..10 {
-                let i = (rng.next_u64() as usize) % n;
-                let j = (rng.next_u64() as usize) % n;
-                table.apply_swap(i, j);
-            }
-            assert!(!table.has_probe_kernel());
-            assert_probe_matches_reference(&table, &format!("n={n}, generic after swaps"));
         }
     }
 

@@ -253,7 +253,8 @@ pub enum CampaignError {
         /// The unknown registry key.
         key: String,
     },
-    /// The spec is internally invalid (zero walkers, zero interval, …).
+    /// The spec is internally invalid (zero walkers, zero interval, an order
+    /// outside the model's size range, …).
     BadSpec {
         /// What was wrong.
         message: String,
@@ -375,6 +376,16 @@ impl CampaignSpec {
         }
         if self.checkpoint_every == 0 {
             return bad("checkpoint_every must be >= 1");
+        }
+        // An unknown key is reported by `walk_spec`; a known one bounds `n`
+        // before any walker allocates its model.
+        if let Some(info) = problems::find(&self.problem) {
+            if !info.size_range().contains(&self.n) {
+                return bad(&format!(
+                    "n = {} is outside 1..={} for {:?}",
+                    self.n, info.max_n, info.key
+                ));
+            }
         }
         Ok(())
     }
@@ -1292,6 +1303,21 @@ mod tests {
         let err = parse_records(&bytes).expect_err("hash must catch the flip");
         assert_eq!(err.index, 0);
         assert!(err.message.contains("hash mismatch"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_orders_are_bad_specs() {
+        let max_n = problems::find("costas").unwrap().max_n;
+        for n in [0, max_n + 1] {
+            let dir = std::env::temp_dir().join("campaign-never-created");
+            let err =
+                Campaign::open(CampaignSpec::costas(n, &dir)).expect_err("order out of range");
+            assert!(
+                matches!(&err, CampaignError::BadSpec { message } if message.contains("outside")),
+                "n = {n}: {err}"
+            );
+            assert!(!dir.exists(), "a bad spec must not touch the disk");
+        }
     }
 
     #[test]

@@ -202,14 +202,10 @@ impl ThreadRunner {
     /// Unlike [`ThreadRunner::run`], whose winner record depends on which thread
     /// reaches the mutex first (OS scheduling), everything here except `elapsed`
     /// is a pure function of `(spec, master_seed, workers)`: the winning rank, the
-    /// winning permutation and every per-walk statistic replay bit-for-bit.  Two
-    /// users:
-    ///
-    /// * the strong-scaling harness (`bench::scaling`), whose throughput leg needs
-    ///   every thread busy for the whole measurement window and whose results must
-    ///   be reproducible across hosts up to wall-clock;
-    /// * determinism regression tests, which pin `run` semantics being racy to
-    ///   this method being the reproducible alternative.
+    /// winning permutation and every per-walk statistic replay bit-for-bit.  That
+    /// makes it the way to measure min-of-k speed-up in iterations on real
+    /// threads, free of scheduling noise; the determinism regression tests pin
+    /// it as the reproducible alternative to the racy `run`.
     ///
     /// The iteration-count winner criterion is exactly the virtual cluster's
     /// machine-independent clock, so a deterministic thread job agrees with the

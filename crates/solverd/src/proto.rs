@@ -88,7 +88,8 @@ pub enum RejectReason {
     /// The problem key is not in the workload registry.
     UnknownProblem,
     /// The request was well-formed JSON but semantically unusable
-    /// (missing/ill-typed field, invalid warm start, `walks` out of range…).
+    /// (missing/ill-typed field, `n` outside the model's size range, invalid
+    /// warm start, `walks` out of range…).
     InvalidRequest,
     /// The line exceeded the connection's byte cap before its newline.
     Oversized,
@@ -160,7 +161,9 @@ impl From<(String, RequestError)> for Reject {
     fn from((id, err): (String, RequestError)) -> Self {
         let reason = match &err {
             RequestError::UnknownProblem { .. } => RejectReason::UnknownProblem,
-            RequestError::InvalidWarmStart { .. } => RejectReason::InvalidRequest,
+            RequestError::SizeOutOfRange { .. } | RequestError::InvalidWarmStart { .. } => {
+                RejectReason::InvalidRequest
+            }
         };
         Reject::new(id, reason, err.to_string())
     }
@@ -512,6 +515,16 @@ mod tests {
             "b".to_string(),
             RequestError::InvalidWarmStart {
                 reason: "nope".into(),
+            },
+        )
+            .into();
+        assert_eq!(r.reason, RejectReason::InvalidRequest);
+        let r: Reject = (
+            "c".to_string(),
+            RequestError::SizeOutOfRange {
+                key: "costas",
+                n: 0,
+                max_n: 9,
             },
         )
             .into();

@@ -361,9 +361,10 @@ fn tcp_mode_round_trips_requests() {
     assert_eq!(field(rejected, "reason"), "unknown-problem");
 }
 
-/// A deeply nested line is an ordinary parse reject, not a stack overflow:
-/// the real binary answers it, answers the request behind it, and exits
-/// cleanly at EOF.
+/// A deeply nested line is an ordinary parse reject, not a stack overflow,
+/// and a line whose order would need terabytes, or is zero, is a typed
+/// `invalid-request` reject with nothing allocated: the real binary answers
+/// each of them, answers the request behind each, and exits cleanly at EOF.
 #[test]
 fn deeply_nested_line_is_rejected_and_the_next_request_answered() {
     use std::io::Write;
@@ -378,17 +379,21 @@ fn deeply_nested_line_is_rejected_and_the_next_request_answered() {
     let mut stdin = child.stdin.take().expect("stdin");
     // 100 KB of `[`, under the 256 KiB line cap.
     writeln!(stdin, "{}", "[".repeat(100_000)).expect("send deep line");
-    writeln!(
-        stdin,
-        r#"{{"id":"after","problem":"costas","n":8,"seed":1}}"#
-    )
-    .expect("send");
+    for line in [
+        r#"{"id":"after","problem":"costas","n":8,"seed":1}"#,
+        r#"{"id":"big","problem":"costas","n":2000000,"budget":10,"seed":1}"#,
+        r#"{"id":"after-big","problem":"costas","n":8,"seed":2}"#,
+        r#"{"id":"zero","problem":"costas","n":0,"budget":10,"seed":1}"#,
+        r#"{"id":"after-zero","problem":"costas","n":8,"seed":3}"#,
+    ] {
+        writeln!(stdin, "{line}").expect("send");
+    }
     drop(stdin);
     let output = child.wait_with_output().expect("solverd exits");
     assert!(output.status.success(), "solverd died: {:?}", output.status);
 
     let responses = parse_lines(&output.stdout);
-    assert_eq!(responses.len(), 2, "{responses:?}");
+    assert_eq!(responses.len(), 6, "{responses:?}");
     let reject = by_id(&responses, "");
     assert_eq!(field(reject, "status"), "error");
     assert_eq!(field(reject, "reason"), "parse");
@@ -396,7 +401,18 @@ fn deeply_nested_line_is_rejected_and_the_next_request_answered() {
         field(reject, "detail").contains("nesting deeper"),
         "{reject:?}"
     );
-    let ok = by_id(&responses, "after");
-    assert_eq!(field(ok, "status"), "ok");
-    assert_eq!(field(ok, "termination"), "solved");
+    for id in ["big", "zero"] {
+        let reject = by_id(&responses, id);
+        assert_eq!(field(reject, "status"), "rejected", "{reject:?}");
+        assert_eq!(field(reject, "reason"), "invalid-request", "{reject:?}");
+        assert!(
+            field(reject, "detail").contains("outside 1..="),
+            "{reject:?}"
+        );
+    }
+    for id in ["after", "after-big", "after-zero"] {
+        let ok = by_id(&responses, id);
+        assert_eq!(field(ok, "status"), "ok", "{ok:?}");
+        assert_eq!(field(ok, "termination"), "solved", "{ok:?}");
+    }
 }

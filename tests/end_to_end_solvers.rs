@@ -122,11 +122,10 @@ fn registry_workloads_solve_their_known_solvable_instances() {
 
 /// Determinism regression for the thread-backed multi-walk runner: the same
 /// master seed and thread count reproduce the identical winning permutation and
-/// identical per-walk statistics, run after run.  This is the property the
-/// strong-scaling harness (`bench::scaling`) leans on — its cells are labelled
-/// by `(model, threads, seed)` and must mean the same walks on every host —
-/// and it only holds for `run_deterministic`: the racy `run` path elects
-/// whichever solver reaches the winner mutex first.
+/// identical per-walk statistics, run after run, so a `(threads, seed)` cell
+/// means the same walks on every host.  It only holds for
+/// `run_deterministic`: the racy `run` path elects whichever solver reaches
+/// the winner mutex first.
 #[test]
 fn thread_runner_is_deterministic_for_fixed_seed_and_thread_count() {
     use multiwalk::{ThreadRunner, WalkSpec};
