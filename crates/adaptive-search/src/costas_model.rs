@@ -288,7 +288,7 @@ impl CostasProblem {
         best_cost: &mut u64,
         rng: &mut dyn Rng64,
     ) -> bool {
-        // the maintained per-position error vector — no recompute, no sweep
+        // the table's per-position error vector, current after every change
         let mut erroneous = std::mem::take(&mut self.erroneous);
         erroneous.clear();
         erroneous.extend(

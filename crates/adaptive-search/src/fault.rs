@@ -285,6 +285,7 @@ pub fn ensure_chaos_registered() {
         is_optimum: costas::is_costas_permutation,
         bench_size: usize::MAX,
         max_n: problems::find("costas").expect("static entry").max_n,
+        size_step: 1,
         test_sizes: &[8, 12],
         solvable_sizes: &[],
     });

@@ -23,13 +23,15 @@
 //!   is ever applied.
 //! * **Error maintenance** — [`PermutationProblem::cached_errors`] exposes the
 //!   per-variable error vector the culprit selection reads each iteration.
-//!   Implementations that maintain it incrementally (all six shipped models do)
-//!   make selection a cheap read; the default (`None`) keeps third-party
-//!   implementations source-compatible, with the engine falling back to the
-//!   recomputing [`PermutationProblem::variable_errors`].
+//!   Implementations that keep it current through every mutation (all six
+//!   shipped models do: five update it incrementally, Costas recomputes it in
+//!   one pass after each change) make selection a cheap read; the default
+//!   (`None`) keeps third-party implementations source-compatible, with the
+//!   engine falling back to the recomputing
+//!   [`PermutationProblem::variable_errors`].
 //! * **Mutation** — [`PermutationProblem::apply_swap`] and
-//!   [`PermutationProblem::set_configuration`] commit a move and update the
-//!   incremental tables, including the maintained error vector.
+//!   [`PermutationProblem::set_configuration`] commit a move and bring the
+//!   model's tables, including the cached error vector, up to date.
 //!
 //! Keeping the probe layer strictly `&self` both documents the purity contract in
 //! the type system and lets implementations skip the "apply + un-apply" double
@@ -58,12 +60,15 @@ pub trait PermutationProblem {
     /// culprit to repair (paper §III-A).
     ///
     /// This is the *recomputing* entry point and the reference for the maintenance
-    /// contract below; implementations that maintain the vector incrementally may
-    /// simply copy their cache here.
+    /// contract below; implementations that cache the vector may simply copy
+    /// their cache here.
     fn variable_errors(&self, out: &mut Vec<u64>);
 
-    /// Borrowed view of an **incrementally maintained** per-variable error vector,
-    /// or `None` when the implementation does not maintain one.
+    /// Borrowed view of a **cached** per-variable error vector, kept current
+    /// through every mutation, or `None` when the implementation keeps none.
+    /// How it is kept current is the implementation's choice: the shipped
+    /// models update it incrementally, except Costas, whose conflict table
+    /// recomputes it in one pass after each change.
     ///
     /// **Maintenance contract:** when `Some`, the returned slice must have length
     /// [`PermutationProblem::size`] and be *exactly* equal — after any sequence of

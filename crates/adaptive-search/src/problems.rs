@@ -17,11 +17,12 @@
 //! * a **known-optimum predicate** deciding whether a configuration is a genuine
 //!   solution via a from-scratch rebuild (for the Costas key, the domain crate's
 //!   independent oracle),
-//! * the **admissible instance parameters** `1..=max_n`
-//!   ([`ProblemInfo::size_range`]): the upper bound is the largest parameter
-//!   whose model fits [`MODEL_MEMORY_BUDGET`] under the model's own allocation
-//!   formula, so request layers can refuse an impossible size before anything
-//!   is allocated,
+//! * the **admissible instance parameters**, the multiples of
+//!   [`ProblemInfo::size_step`] in `1..=max_n` ([`ProblemInfo::admits`]): the
+//!   upper bound is the largest parameter whose model fits
+//!   [`MODEL_MEMORY_BUDGET`] under the model's own allocation formula, so
+//!   request layers can refuse an impossible size before anything is
+//!   allocated,
 //! * the size from which `solverd` fans a request out over several walks
 //!   ([`ProblemInfo::bench_size`]), plus small parameter lists for conformance
 //!   property tests ([`ProblemInfo::test_sizes`]) and for end-to-end
@@ -102,6 +103,11 @@ pub struct ProblemInfo {
     /// [`MODEL_MEMORY_BUDGET`] under its own allocation formula.  A constant of
     /// the model, not a setting.
     pub max_n: usize,
+    /// Admissible instance parameters are the multiples of this in
+    /// `1..=max_n`: 2 for number partitioning, whose ground set splits into
+    /// equal halves, 1 for every other model.  A constant of the model, not
+    /// a setting.
+    pub size_step: usize,
     /// Small valid instance parameters for conformance property tests.
     pub test_sizes: &'static [usize],
     /// Small instance parameters with known optima, solvable by the default
@@ -115,6 +121,13 @@ impl ProblemInfo {
     /// allocating more than [`MODEL_MEMORY_BUDGET`].
     pub fn size_range(&self) -> RangeInclusive<usize> {
         1..=self.max_n
+    }
+
+    /// Does this model accept instance parameter `n`: in
+    /// [`ProblemInfo::size_range`] and a multiple of
+    /// [`ProblemInfo::size_step`]?
+    pub fn admits(&self, n: usize) -> bool {
+        self.size_range().contains(&n) && n.is_multiple_of(self.size_step)
     }
 }
 
@@ -163,6 +176,7 @@ static REGISTRY: [ProblemInfo; 6] = [
         is_optimum: is_costas_permutation,
         bench_size: 18,
         max_n: max_n_within_budget!(|n| CostasProblem::heap_bytes(n, CostModel::optimized())),
+        size_step: 1,
         test_sizes: &[2, 3, 5, 8, 12, 16, 33, 40],
         solvable_sizes: &[8, 10, 12],
     },
@@ -175,6 +189,7 @@ static REGISTRY: [ProblemInfo; 6] = [
         is_optimum: |values| zero_cost(QueensProblem::new(values.len().max(1)), values),
         bench_size: 100,
         max_n: max_n_within_budget!(|n| QueensProblem::heap_bytes(n)),
+        size_step: 1,
         test_sizes: &[2, 4, 7, 11, 16, 24],
         solvable_sizes: &[8, 16, 30],
     },
@@ -187,6 +202,7 @@ static REGISTRY: [ProblemInfo; 6] = [
         is_optimum: |values| zero_cost(AllIntervalProblem::new(values.len().max(1)), values),
         bench_size: 50,
         max_n: max_n_within_budget!(|n| AllIntervalProblem::heap_bytes(n)),
+        size_step: 1,
         test_sizes: &[2, 3, 6, 10, 16, 24],
         solvable_sizes: &[8, 10, 12],
     },
@@ -211,6 +227,7 @@ static REGISTRY: [ProblemInfo; 6] = [
         },
         bench_size: 10,
         max_n: max_n_within_budget!(|side| MagicSquareProblem::heap_bytes(side)),
+        size_step: 1,
         test_sizes: &[2, 3, 4, 5],
         solvable_sizes: &[3, 4, 5],
     },
@@ -227,6 +244,7 @@ static REGISTRY: [ProblemInfo; 6] = [
         },
         bench_size: 32,
         max_n: max_n_within_budget!(|pairs| LangfordProblem::heap_bytes(pairs)),
+        size_step: 1,
         test_sizes: &[1, 2, 3, 5, 8, 12],
         solvable_sizes: &[3, 4, 7, 8],
     },
@@ -244,6 +262,7 @@ static REGISTRY: [ProblemInfo; 6] = [
         bench_size: 64,
         // The ground set must split into equal halves.
         max_n: max_n_within_budget!(|n| PartitionProblem::heap_bytes(n)) & !1,
+        size_step: 2,
         test_sizes: &[2, 4, 6, 10, 16, 24],
         solvable_sizes: &[8, 12, 16],
     },
@@ -423,6 +442,7 @@ mod tests {
             is_optimum: is_costas_permutation,
             bench_size: usize::MAX,
             max_n: 64,
+            size_step: 1,
             test_sizes: &[4],
             solvable_sizes: &[],
         };

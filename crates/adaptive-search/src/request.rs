@@ -16,8 +16,9 @@
 //!   structured rejects;
 //! * **instance parameter `n`** — per-model semantics
 //!   ([`crate::ProblemInfo::size_unit`]), bounded by the model's
-//!   [`crate::ProblemInfo::size_range`] and checked before any model is built,
-//!   so an impossible size is a typed [`RequestError`], never an abort;
+//!   [`crate::ProblemInfo::size_range`] and [`crate::ProblemInfo::size_step`]
+//!   and checked before any model is built, so an impossible size is a typed
+//!   [`RequestError`], never an abort or a panic;
 //! * **budget** — the engine iteration budget (per walk, for fan-out callers);
 //! * **seed** — the master seed; the same request with the same seed replays
 //!   bit-for-bit (modulo wall-clock) through every path built on this module;
@@ -68,6 +69,16 @@ pub enum RequestError {
         /// The model's [`ProblemInfo::max_n`].
         max_n: usize,
     },
+    /// The instance parameter is in range but not a multiple of the model's
+    /// [`ProblemInfo::size_step`] (an odd number-partitioning order).
+    SizeNotMultiple {
+        /// Canonical registry key of the problem.
+        key: &'static str,
+        /// The requested instance parameter.
+        n: usize,
+        /// The model's [`ProblemInfo::size_step`].
+        step: usize,
+    },
     /// The warm-start permutation is unusable for this instance.
     InvalidWarmStart {
         /// What exactly is wrong (length mismatch, not a permutation, …).
@@ -87,6 +98,9 @@ impl std::fmt::Display for RequestError {
                  whose model fits {} MiB)",
                 problems::MODEL_MEMORY_BUDGET >> 20
             ),
+            RequestError::SizeNotMultiple { key, n, step } => {
+                write!(f, "n = {n} is not a multiple of {step} for {key:?}")
+            }
             RequestError::InvalidWarmStart { reason } => {
                 write!(f, "invalid warm start: {reason}")
             }
@@ -185,8 +199,9 @@ impl SolveRequest {
         })
     }
 
-    /// The registry entry, once `n` is known to lie in its
-    /// [`ProblemInfo::size_range`] — the check every path runs before it
+    /// The registry entry, once the model is known to admit `n` (in its
+    /// [`ProblemInfo::size_range`], a multiple of its
+    /// [`ProblemInfo::size_step`]) — the check every path runs before it
     /// builds a model.
     fn sized_info(&self) -> Result<&'static ProblemInfo, RequestError> {
         let info = self.info()?;
@@ -197,14 +212,21 @@ impl SolveRequest {
                 max_n: info.max_n,
             });
         }
+        if !info.admits(self.n) {
+            return Err(RequestError::SizeNotMultiple {
+                key: info.key,
+                n: self.n,
+                step: info.size_step,
+            });
+        }
         Ok(info)
     }
 
     /// Validate the request without running it: the problem key must be
-    /// registered, `n` must lie in the model's size range, and the warm start
+    /// registered, the model must admit `n`, and the warm start
     /// (when present) must be a permutation of `1..=size` for this instance.
     ///
-    /// The size range is checked first, before anything is allocated.
+    /// The size is checked first, before anything is allocated.
     /// Building the instance is how `size` is determined (the parameter has
     /// per-model semantics), so a warm start costs one model construction;
     /// services validate at admission time to guarantee workers never panic.
@@ -405,10 +427,26 @@ mod tests {
     }
 
     /// Every registry model admits its `max_n` and rejects `max_n + 1` and
-    /// zero, in `validate` and `run` alike, without building anything.
+    /// zero, in `validate` and `run` alike, without building anything; an
+    /// odd order is admitted by every model but number partitioning, which
+    /// rejects it with a typed error instead of reaching its constructor's
+    /// evenness assert.
     #[test]
     fn sizes_outside_the_model_range_are_typed_errors() {
         for info in problems::registry() {
+            let odd = SolveRequest::new(info.key, 7, 1).with_budget(10);
+            if info.size_step == 1 {
+                odd.validate()
+                    .unwrap_or_else(|e| panic!("{} at n = 7: {e}", info.key));
+            } else {
+                let expected = RequestError::SizeNotMultiple {
+                    key: info.key,
+                    n: 7,
+                    step: info.size_step,
+                };
+                assert_eq!(odd.validate(), Err(expected.clone()), "{}", info.key);
+                assert_eq!(odd.run(), Err(expected), "{}", info.key);
+            }
             assert!(
                 info.max_n > *info.test_sizes.last().unwrap(),
                 "{}",

@@ -16,7 +16,7 @@
 //! The cost function is the same conflict count used by every solver in the workspace
 //! (unit weights over the full difference triangle), so the comparison with AS in the
 //! Table II bench measures search strategy, not scoring tricks.  Like all
-//! [`ConflictTable`] users, DS runs on the incrementally maintained cost *and*
+//! [`ConflictTable`] users, DS runs on the table's cached cost *and*
 //! per-position error vector; its synthesis step steers by distance to the
 //! antithesis rather than by projected error, so only the cost side is read here.
 

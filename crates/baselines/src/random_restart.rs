@@ -83,7 +83,7 @@ impl CostasSolver for RandomRestartHillClimbing {
                 }
                 // pick a random conflicted variable and its best swap partner;
                 // the per-variable errors are read straight from the conflict
-                // table's incrementally maintained vector (no recompute sweep)
+                // table's cached vector (no recompute sweep)
                 conflicted.clear();
                 conflicted.extend(
                     table

@@ -9,7 +9,7 @@
 //! Search's culprit-directed neighbourhood, which is one of the reasons AS wins.
 //! The quadratic sweep is error-blind by design (every pair is probed regardless of
 //! projected error), so unlike AS and the hill climber it reads only the cost side
-//! of the maintained [`ConflictTable`].
+//! of the [`ConflictTable`].
 
 use std::time::Instant;
 

@@ -1,6 +1,10 @@
-//! Micro-benchmarks of the incremental conflict table — the data structure every
-//! solver's inner loop stands on.  Compares the O(d_max) incremental swap evaluation
-//! against the O(n·d_max) from-scratch evaluation it replaces.
+//! Micro-benchmarks of the conflict table — the data structure every solver's
+//! inner loop stands on.  The table moves its difference histogram by ±1 per
+//! touched pair on a swap and recomputes the cost, the per-position errors and
+//! the probe's occupancy masks in one refresh pass after every change; the rows
+//! below time the read-only swap evaluations and probes against the from-scratch
+//! evaluations they replace, and the two mutating entry points, `apply_swap` and
+//! `reset_to`, at the orders the repository benchmark runs (16, 40 and 80).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -91,8 +95,8 @@ fn bench_conflict_table(c: &mut Criterion) {
             b.iter(|| black_box(model.global_cost(&perm)));
         });
 
-        // The selection input, as the engine now reads it: a copy of the
-        // incrementally maintained per-position error vector.
+        // The selection input, as the engine reads it: a copy of the error
+        // vector the last refresh pass computed.
         group.bench_with_input(BenchmarkId::new("variable_errors_cached", n), &n, |b, _| {
             let table = ConflictTable::new(&perm, model);
             let mut out = Vec::new();
@@ -117,25 +121,6 @@ fn bench_conflict_table(c: &mut Criterion) {
                 });
             },
         );
-
-        // The apply path, which now also maintains the error vector; tracks the
-        // maintenance overhead against the probe-side savings.
-        group.bench_with_input(BenchmarkId::new("apply_swap", n), &n, |b, _| {
-            let mut table = ConflictTable::new(&perm, model);
-            let mut rng = default_rng(11);
-            b.iter(|| {
-                table.apply_swap(rng.index(n), rng.index(n));
-                black_box(table.cost())
-            });
-        });
-
-        group.bench_with_input(BenchmarkId::new("rebuild", n), &n, |b, _| {
-            let mut table = ConflictTable::new(&perm, model);
-            b.iter(|| {
-                table.rebuild();
-                black_box(table.cost())
-            });
-        });
     }
 
     // Past the single-word mask boundary: the width-generic multi-word kernel
@@ -172,14 +157,37 @@ fn bench_conflict_table(c: &mut Criterion) {
                 });
             },
         );
+    }
 
-        // Mask maintenance rides the apply path at every width now; this row
-        // tracks its cost at the multi-word orders.
+    // The two mutating entry points, each ending in the refresh pass: a swap
+    // (±1 on the touched pairs' counts first) and the reset's adoption of a
+    // new permutation (a full histogram refill first).
+    for &n in &[16usize, 40, 80] {
+        let mut rng = default_rng(7);
+        let pool: Vec<Vec<usize>> = (0..16)
+            .map(|_| {
+                let mut perm = random_permutation(n, &mut rng);
+                perm.iter_mut().for_each(|v| *v += 1);
+                perm
+            })
+            .collect();
+        let model = CostModel::optimized();
+
         group.bench_with_input(BenchmarkId::new("apply_swap", n), &n, |b, _| {
-            let mut table = ConflictTable::new(&perm, model);
+            let mut table = ConflictTable::new(&pool[0], model);
             let mut rng = default_rng(11);
             b.iter(|| {
                 table.apply_swap(rng.index(n), rng.index(n));
+                black_box(table.cost())
+            });
+        });
+
+        group.bench_with_input(BenchmarkId::new("reset_to", n), &n, |b, _| {
+            let mut table = ConflictTable::new(&pool[0], model);
+            let mut k = 0;
+            b.iter(|| {
+                k = (k + 1) % pool.len();
+                table.reset_to(&pool[k]);
                 black_box(table.cost())
             });
         });

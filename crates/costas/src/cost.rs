@@ -13,10 +13,11 @@
 //! Both optimisations are configurable through [`CostModel`], so the ablation benches
 //! can turn each off independently.
 //!
-//! [`ConflictTable`] maintains, for the current permutation, a per-row histogram of
-//! difference values.  From the histogram the weighted global cost is updated in
-//! O(rows-to-check) per swap instead of O(n²) — this is the data structure that makes
-//! the inner loop of every local-search solver in this workspace fast.
+//! [`ConflictTable`] keeps, for the current permutation, a per-row histogram of
+//! difference values, moved in O(rows-to-check) per swap, and recomputes the cost,
+//! the per-variable errors and the probe's occupancy masks from it in one pass after
+//! every change — this is the data structure the inner loop of every local-search
+//! solver in this workspace stands on.
 
 use crate::array::Permutation;
 use crate::merge::BucketMerge;
@@ -248,8 +249,8 @@ impl CostModel {
     ///
     /// Convenience wrapper over [`CostModel::variable_errors_with`] that allocates
     /// a fresh scratch histogram per call.  This is the *reference* path: the
-    /// solvers read [`ConflictTable::errors`], which maintains the same vector
-    /// incrementally across swaps.
+    /// solvers read [`ConflictTable::errors`], which the table's refresh pass
+    /// recomputes after every change.
     pub fn variable_errors(&self, values: &[usize], out: &mut Vec<u64>) {
         self.variable_errors_with(values, out, &mut Vec::new());
     }
@@ -290,33 +291,42 @@ impl CostModel {
     }
 }
 
-/// Incrementally maintained conflict histogram for one permutation under one
-/// [`CostModel`].
+/// Conflict histogram of one permutation under one [`CostModel`], with the
+/// cost, the per-position errors and the probe's occupancy masks derived from
+/// it.
 ///
-/// Internally, `counts[(d−1) * width + diff_index]` stores how many pairs at distance
-/// `d` currently have each difference value.  A row with histogram counts `c₁,…,c_k`
-/// contributes `ERR(d) · Σ max(cᵢ − 1, 0)` to the global cost, which is exactly the
-/// paper's "already encountered" counting.  Swapping two positions only changes the
-/// O(d_max) pairs that touch those positions, so the cost delta is cheap to compute.
+/// `counts[(d−1) * width + diff_index]` stores how many pairs at distance `d`
+/// currently have each difference value.  A row with histogram counts
+/// `c₁,…,c_k` contributes `ERR(d) · Σ max(cᵢ − 1, 0)` to the global cost,
+/// which is exactly the paper's "already encountered" counting.
 ///
-/// # Error maintenance
+/// # Recompute, don't maintain
 ///
-/// Alongside the cost, the table keeps the **per-position error vector** up to date
-/// incrementally (the culprit-selection input of Adaptive Search).  The paper's
-/// attribution rule — scanning a row left to right, a pair whose difference was
-/// "already encountered" charges `ERR(d)` to both endpoints — is equivalent to the
-/// order-free statement *every pair of a bucket except the leftmost one is charged*.
-/// Each bucket therefore tracks its member pairs (by left index): a swap moves
-/// O(d_max) pairs between buckets, and each move touches the charge of at most one
-/// other pair (the bucket's leftmost, when the exemption changes hands).  Moving a
-/// pair walks its bucket's sorted member list, so the per-swap cost is O(d_max)
-/// expected for the scattered buckets of search-relevant configurations, degrading
-/// towards O(n·d_max) only when rows collapse into a single bucket (e.g. the
-/// identity permutation, where every row shares one difference).  The
-/// maintenance contract — [`ConflictTable::errors`] equals a from-scratch
-/// [`CostModel::variable_errors`] recompute after *any* `apply_swap` / `reset_to` /
-/// `rebuild` sequence — is enforced by `debug_assert!` in the apply path and by the
-/// property suites.
+/// The counts are the table's only incremental state: a swap moves the counts
+/// of the ≤ 4·d_max pairs touching the two positions by ±1.  Everything else
+/// is recomputed from the values after every change ([`ConflictTable::apply_swap`],
+/// [`ConflictTable::reset_to`], [`ConflictTable::rebuild`]) by one *refresh
+/// pass*: the occupancy masks the probe reads, the cost, and the per-position
+/// errors under the paper's attribution rule (scanning a row left to right, a
+/// pair whose difference was already encountered charges `ERR(d)` to both
+/// endpoints).  The pass has two tiers, chosen by CPU feature and order only:
+///
+/// * **AVX-512 row lanes** (x86-64 with AVX-512 F + DQ, n ≤ 128): the reset
+///   evaluator's lane loop ([`CostModel::global_cost_bounded`]) over the
+///   values, one row per lane, with a second bitset for buckets seen twice
+///   and a per-lane "already seen" test whose charged pairs feed the errors
+///   (see `kernel::simd`).
+/// * **Scalar** (every other host, n > 128): one scan of each row's pairs
+///   sets the masks from the counts the pairs land in and charges the errors;
+///   the cost is each row's pairs beyond its distinct buckets.  It is the
+///   reference the vector tier is pinned to by a `debug_assert!` on every
+///   refresh and by the kernel suite.
+///
+/// The contract — [`ConflictTable::errors`] equals a from-scratch
+/// [`CostModel::variable_errors`], and [`ConflictTable::cost`] a from-scratch
+/// [`CostModel::global_cost`], after *any* `apply_swap` / `reset_to` /
+/// `rebuild` sequence — is enforced by `debug_assert!`s in the apply path and
+/// by the property suites.
 #[derive(Debug, Clone)]
 pub struct ConflictTable {
     model: CostModel,
@@ -325,19 +335,11 @@ pub struct ConflictTable {
     pub(crate) dmax: usize,
     pub(crate) values: Vec<usize>,
     pub(crate) counts: Vec<u32>,
-    cost: u64,
-    /// Maintained per-position errors (paper attribution rule).
-    errors: Vec<u64>,
-    /// Intrusive per-bucket member lists over flat arrays, kept **sorted by left
-    /// index** so the bucket's exempt (leftmost) pair is always the head:
-    /// `bucket_head[b]` is the first pair id of bucket `b` (or [`NO_PAIR`]) and
-    /// `pair_next[p]` the next pair of the same bucket.  A pair `(d, i)` has id
-    /// `row_offset[d] + i`.  Only the apply path touches these; the read-only
-    /// probes keep using the flat `counts` for cache locality, and a rebuild is
-    /// one contiguous fill instead of thousands of per-bucket clears.
-    bucket_head: Vec<u32>,
-    pair_next: Vec<u32>,
-    row_offset: Vec<u32>,
+    /// Derived by the refresh pass: the weighted global cost.
+    pub(crate) cost: u64,
+    /// Derived by the refresh pass: the per-position errors (paper
+    /// attribution rule).
+    pub(crate) errors: Vec<u64>,
     /// Words per row of the occupancy bitmasks: `⌈width / 64⌉`.  `1` for n ≤ 32
     /// (the historical single-word layout, bit for bit), `2` for 33 ≤ n ≤ 64,
     /// and so on without bound.
@@ -347,8 +349,9 @@ pub struct ConflictTable {
     /// `(d − 1) · mask_words + (b >> 6)`, bit `b & 63`.  A bit of `occ_mask` is
     /// set iff the bucket holds ≥ 1 pair, of `multi_mask` iff ≥ 2.  The batched
     /// probe kernel ([`crate::kernel`]) reads each candidate's cost delta out of
-    /// these words instead of six histogram loads.  Maintained at every order
-    /// (length `dmax · mask_words`, so empty only at n = 1, which has no rows).
+    /// these words instead of six histogram loads.  Derived by the refresh
+    /// pass at every order (length `dmax · mask_words`, so empty only at n = 1,
+    /// which has no rows).
     pub(crate) occ_mask: Vec<u64>,
     pub(crate) multi_mask: Vec<u64>,
     /// Reusable scratch for the arbitrary-width (`mask_words ≥ 3`) probe
@@ -360,9 +363,6 @@ pub struct ConflictTable {
     weights: Vec<u64>,
 }
 
-/// Sentinel for "no pair" in the intrusive bucket member lists.
-const NO_PAIR: u32 = u32::MAX;
-
 impl ConflictTable {
     /// Build the table for a permutation.
     pub fn new(values: &[usize], model: CostModel) -> Self {
@@ -370,14 +370,6 @@ impl ConflictTable {
         assert!(n >= 1, "conflict table needs a non-empty permutation");
         let width = if n >= 2 { 2 * n - 1 } else { 1 };
         let dmax = model.max_distance(n);
-        // row_offset[d] = id of pair (d, 0); row d holds the n − d pairs
-        // (d, 0) … (d, n − d − 1).
-        let mut row_offset = vec![0u32; dmax + 1];
-        let mut total_pairs = 0u32;
-        for (d, offset) in row_offset.iter_mut().enumerate().skip(1) {
-            *offset = total_pairs;
-            total_pairs += (n - d) as u32;
-        }
         let mask_words = width.div_ceil(64);
         let mut table = Self {
             model,
@@ -388,9 +380,6 @@ impl ConflictTable {
             counts: vec![0; dmax * width],
             cost: 0,
             errors: vec![0; n],
-            bucket_head: vec![NO_PAIR; dmax * width],
-            pair_next: vec![NO_PAIR; total_pairs as usize],
-            row_offset,
             mask_words,
             occ_mask: vec![0; dmax * mask_words],
             multi_mask: vec![0; dmax * mask_words],
@@ -403,20 +392,17 @@ impl ConflictTable {
 
     /// Heap bytes a table of order `n` under `model` holds once its probe
     /// scratch has grown: the buffers [`ConflictTable::new`] allocates plus
-    /// the slice-held kernel's scratch rows.  About `10 n²` bytes under the
-    /// optimised model; sizing guards derive the largest admissible order
-    /// from it.
+    /// the slice-held kernel's scratch rows.  About `4.5 n²` bytes under the
+    /// optimised model, nearly all of it the counts; sizing guards derive the
+    /// largest admissible order from it.
     pub const fn heap_bytes(n: usize, model: CostModel) -> u128 {
         let dmax = model.max_distance(n);
         let width = if n >= 2 { 2 * n - 1 } else { 1 };
         let words = width.div_ceil(64);
         let (n, dmax, width, words) = (n as u128, dmax as u128, width as u128, words as u128);
-        // pairs (d, i) for d ≤ dmax: Σ (n − d)
-        let pairs = dmax * n - dmax * (dmax + 1) / 2;
         16 * n // values, errors
-            + 8 * dmax * width // counts, bucket_head (u32)
-            + 4 * pairs // pair_next
-            + 12 * (dmax + 1) // row_offset (u32), weights (u64)
+            + 4 * dmax * width // counts (u32)
+            + 8 * (dmax + 1) // weights
             + 16 * dmax * words // occ_mask, multi_mask
             + crate::kernel::DynScratch::heap_bytes(dmax, words)
     }
@@ -432,43 +418,76 @@ impl ConflictTable {
         Self::new(perm.values(), model)
     }
 
-    /// Recompute histogram, cost and the per-position error vector from the stored
-    /// permutation (O(n·d_max)).
+    /// Refill the histogram from the stored permutation and refresh the
+    /// masks, the cost and the per-position errors (O(n·d_max)).
     pub fn rebuild(&mut self) {
         self.counts.iter_mut().for_each(|c| *c = 0);
-        self.bucket_head.iter_mut().for_each(|h| *h = NO_PAIR);
-        self.errors.iter_mut().for_each(|e| *e = 0);
-        self.cost = 0;
-        self.occ_mask.iter_mut().for_each(|w| *w = 0);
-        self.multi_mask.iter_mut().for_each(|w| *w = 0);
         for d in 1..=self.dmax {
-            let base = self.row_offset[d];
-            let row = (d - 1) * self.width;
-            let mask_row = (d - 1) * self.mask_words;
-            // Insert right to left so every insertion is a head insertion and the
-            // lists come out sorted by left index (head = leftmost = exempt pair).
-            for i in (0..(self.n - d)).rev() {
-                let idx = self.index(d, i);
-                self.counts[idx] += 1;
-                let p = base + i as u32;
-                self.pair_next[p as usize] = self.bucket_head[idx];
-                self.bucket_head[idx] = p;
-            }
-            let w = self.weight(d);
             for i in 0..(self.n - d) {
                 let idx = self.index(d, i);
-                // charged iff not the bucket's leftmost pair (paper scan rule)
-                if self.bucket_head[idx] != base + i as u32 {
-                    self.cost += w;
-                    self.errors[i] += w;
-                    self.errors[i + d] += w;
-                }
-                let b = idx - row;
-                let word = mask_row + (b >> 6);
-                let bit = 1u64 << (b & 63);
-                self.multi_mask[word] |= self.occ_mask[word] & bit;
-                self.occ_mask[word] |= bit;
+                self.counts[idx] += 1;
             }
+        }
+        self.refresh();
+    }
+
+    /// Recompute the masks, the cost and the per-position errors from the
+    /// values (and, in the scalar tier, the counts): the refresh pass every
+    /// change ends in.  See the type-level docs for the two tiers.
+    fn refresh(&mut self) {
+        #[cfg(target_arch = "x86_64")]
+        if self.vector_probe() {
+            // SAFETY: gated on runtime detection of the exact features the
+            // row-lane body is compiled for (AVX-512 F + DQ), and n ≤ 128
+            // fits its four occupancy words per lane.
+            unsafe { self.refresh_avx512() };
+            debug_assert!(
+                {
+                    let mut reference = self.clone();
+                    reference.refresh_scalar();
+                    (
+                        &reference.occ_mask,
+                        &reference.multi_mask,
+                        reference.cost,
+                        &reference.errors,
+                    ) == (&self.occ_mask, &self.multi_mask, self.cost, &self.errors)
+                },
+                "row-lane refresh diverged from the scalar tier"
+            );
+            return;
+        }
+        self.refresh_scalar();
+    }
+
+    /// Scalar tier of the refresh pass: the portable tier, the n > 128
+    /// fallback and the vector tier's reference.  One left-to-right scan of
+    /// each row's pairs: a pair sets its bucket's `occ` bit, copies the
+    /// bucket's `count ≥ 2` into `multi`, and is charged when its `occ` bit
+    /// was already set; the row's cost is its pairs beyond the distinct
+    /// buckets.
+    pub(crate) fn refresh_scalar(&mut self) {
+        let (n, width, words) = (self.n, self.width, self.mask_words);
+        self.cost = 0;
+        self.errors.iter_mut().for_each(|e| *e = 0);
+        for d in 1..=self.dmax {
+            let w = self.weights[d];
+            let counts = &self.counts[(d - 1) * width..d * width];
+            let occ = &mut self.occ_mask[(d - 1) * words..d * words];
+            let multi = &mut self.multi_mask[(d - 1) * words..d * words];
+            occ.iter_mut().for_each(|o| *o = 0);
+            multi.iter_mut().for_each(|m| *m = 0);
+            for i in 0..(n - d) {
+                let b = self.values[i + d] + (n - 1) - self.values[i];
+                let (word, bit) = (b >> 6, b & 63);
+                let charge = w * ((occ[word] >> bit) & 1);
+                occ[word] |= 1 << bit;
+                multi[word] |= u64::from(counts[b] >= 2) << bit;
+                self.errors[i] += charge;
+                self.errors[i + d] += charge;
+            }
+            // Row d has n − d pairs; each beyond its bucket's first repeats.
+            let distinct: u32 = occ.iter().map(|o| o.count_ones()).sum();
+            self.cost += w * ((n - d) as u64 - u64::from(distinct));
         }
     }
 
@@ -521,166 +540,67 @@ impl ConflictTable {
 
     /// Per-variable errors of the current configuration (paper attribution rule).
     ///
-    /// A copy of the incrementally maintained vector — O(n), no histogram sweep,
-    /// no allocation beyond the caller's buffer.  Prefer [`ConflictTable::errors`]
-    /// when a borrowed view is enough.
+    /// A copy of the vector the last refresh pass computed — O(n), no
+    /// histogram sweep, no allocation beyond the caller's buffer.  Prefer
+    /// [`ConflictTable::errors`] when a borrowed view is enough.
     pub fn variable_errors(&self, out: &mut Vec<u64>) {
         out.clear();
         out.extend_from_slice(&self.errors);
     }
 
-    /// Borrowed view of the incrementally maintained per-position errors.
+    /// Borrowed view of the per-position errors, recomputed by the refresh
+    /// pass after every change.
     ///
-    /// Maintenance contract: after any sequence of [`ConflictTable::apply_swap`] /
+    /// Contract: after any sequence of [`ConflictTable::apply_swap`] /
     /// [`ConflictTable::reset_to`] / [`ConflictTable::rebuild`], this equals
     /// exactly what [`CostModel::variable_errors`] recomputes from scratch.
     pub fn errors(&self) -> &[u64] {
         &self.errors
     }
 
-    /// Remove a pair's difference from the histogram, updating cost and the error
-    /// vector.
+    /// Move the counts of every pair touching position `i` or `j` (`i < j`)
+    /// by `delta` (`1`, or `u32::MAX` for −1), each pair once: the set depends
+    /// only on `i`, `j`, the order and the scored span, not on the values, so
+    /// [`ConflictTable::apply_swap`] walks it once before and once after the
+    /// swap.  A pair touching both positions (`j − i ≤ d_max`) is visited
+    /// once thanks to the `j − d != i` guard.
     #[inline]
-    fn remove_pair(&mut self, d: usize, i: usize) {
-        let w = self.weight(d);
-        let idx = self.index(d, i);
-        let c = &mut self.counts[idx];
-        debug_assert!(*c > 0);
-        *c -= 1;
-        let c_after = *c;
-        if c_after > 0 {
-            self.cost -= w;
-        }
-        if c_after <= 1 {
-            let b = idx - (d - 1) * self.width;
-            let word = (d - 1) * self.mask_words + (b >> 6);
-            let bit = 1u64 << (b & 63);
-            if c_after == 0 {
-                self.occ_mask[word] &= !bit;
-            } else {
-                self.multi_mask[word] &= !bit;
-            }
-        }
-        let p = self.row_offset[d] + i as u32;
-        let head = self.bucket_head[idx];
-        if head == p {
-            // the bucket's leftmost (exempt) pair leaves: the exemption passes to
-            // the new leftmost, which stops being charged
-            let next = self.pair_next[p as usize];
-            self.bucket_head[idx] = next;
-            if next != NO_PAIR {
-                let m1 = (next - self.row_offset[d]) as usize;
-                self.errors[m1] -= w;
-                self.errors[m1 + d] -= w;
-            }
-        } else {
-            // a charged pair leaves; unlink it from the sorted list
-            self.errors[i] -= w;
-            self.errors[i + d] -= w;
-            let mut prev = head;
-            while self.pair_next[prev as usize] != p {
-                prev = self.pair_next[prev as usize];
-            }
-            self.pair_next[prev as usize] = self.pair_next[p as usize];
-        }
-    }
-
-    /// Add a pair's difference to the histogram, updating cost and the error
-    /// vector.
-    #[inline]
-    fn add_pair(&mut self, d: usize, i: usize) {
-        let w = self.weight(d);
-        let idx = self.index(d, i);
-        let c = &mut self.counts[idx];
-        if *c > 0 {
-            self.cost += w;
-        }
-        *c += 1;
-        let c_after = *c;
-        if c_after <= 2 {
-            let b = idx - (d - 1) * self.width;
-            let word = (d - 1) * self.mask_words + (b >> 6);
-            let bit = 1u64 << (b & 63);
-            if c_after == 1 {
-                self.occ_mask[word] |= bit;
-            } else {
-                self.multi_mask[word] |= bit;
-            }
-        }
-        let base = self.row_offset[d];
-        let p = base + i as u32;
-        let head = self.bucket_head[idx];
-        if head == NO_PAIR || p < head {
-            // new leftmost: exempt; a previous leftmost (if any) becomes charged
-            if head != NO_PAIR {
-                let m0 = (head - base) as usize;
-                self.errors[m0] += w;
-                self.errors[m0 + d] += w;
-            }
-            self.pair_next[p as usize] = head;
-            self.bucket_head[idx] = p;
-        } else {
-            // charged; insert at its sorted position
-            self.errors[i] += w;
-            self.errors[i + d] += w;
-            let mut prev = head;
-            loop {
-                let next = self.pair_next[prev as usize];
-                if next == NO_PAIR || next > p {
-                    self.pair_next[p as usize] = next;
-                    self.pair_next[prev as usize] = p;
-                    break;
-                }
-                prev = next;
+    fn shift_touched_counts(&mut self, i: usize, j: usize, delta: u32) {
+        let n = self.n;
+        for d in 1..=self.dmax {
+            let lefts = [
+                (i >= d).then(|| i - d),
+                (i + d < n).then_some(i),
+                (j >= d && j - d != i).then(|| j - d),
+                (j + d < n).then_some(j),
+            ];
+            for l in lefts.into_iter().flatten() {
+                let idx = self.index(d, l);
+                self.counts[idx] = self.counts[idx].wrapping_add(delta);
             }
         }
     }
 
-    /// Apply a swap of positions `i` and `j`, updating the histogram, the cost and
-    /// the per-position error vector, allocation-free.  O(d_max) expected time —
-    /// plus the bucket member-list walks, which only exceed O(1) each in
-    /// degenerate many-pairs-per-bucket configurations (see the type-level docs).
-    /// No-op when `i == j`.
-    ///
-    /// The set of affected (distance, left-index) pairs depends only on `i`, `j`, the
-    /// order and the scored span — not on the values — so the same index arithmetic is
-    /// walked twice: once to remove the old differences, once (after swapping) to add
-    /// the new ones.  A pair touching *both* positions (`j − i ≤ d_max`) is visited
-    /// exactly once thanks to the `j − d != i` guard.
+    /// Apply a swap of positions `i` and `j`, allocation-free: the counts of
+    /// the ≤ 4·d_max touched pairs move by ±1, then one refresh pass
+    /// recomputes the masks, the cost and the per-position errors (see the
+    /// type-level docs).  No-op when `i == j`.
     pub fn apply_swap(&mut self, i: usize, j: usize) {
         if i == j {
             return;
         }
         let (i, j) = if i < j { (i, j) } else { (j, i) };
-        macro_rules! walk_affected {
-            ($self:ident, $op:ident) => {
-                for d in 1..=$self.dmax {
-                    // pairs with position i as right endpoint
-                    if i >= d {
-                        $self.$op(d, i - d);
-                    }
-                    // pairs with position i as left endpoint
-                    if i + d < $self.n {
-                        $self.$op(d, i);
-                    }
-                    // pairs with position j as right endpoint, except the one whose
-                    // left endpoint is i (already visited above)
-                    if j >= d && j - d != i {
-                        $self.$op(d, j - d);
-                    }
-                    // pairs with position j as left endpoint
-                    if j + d < $self.n {
-                        $self.$op(d, j);
-                    }
-                }
-            };
-        }
-        walk_affected!(self, remove_pair);
+        self.shift_touched_counts(i, j, u32::MAX);
         self.values.swap(i, j);
-        walk_affected!(self, add_pair);
+        self.shift_touched_counts(i, j, 1);
+        self.refresh();
+        debug_assert!(
+            self.consistency_check(),
+            "refreshed cost diverged from the from-scratch cost after swap ({i}, {j})"
+        );
         debug_assert!(
             self.errors_consistency_check(),
-            "maintained error vector diverged from the from-scratch recompute \
+            "refreshed error vector diverged from the from-scratch recompute \
              after swap ({i}, {j})"
         );
     }
@@ -1044,7 +964,7 @@ impl ConflictTable {
     }
 
     /// Debug helper: recompute the per-position errors from scratch and compare
-    /// with the maintained vector.  Used by tests and the `debug_assert!` in
+    /// with the refreshed vector.  Used by tests and the `debug_assert!` in
     /// [`ConflictTable::apply_swap`].
     pub fn errors_consistency_check(&self) -> bool {
         let mut expected = Vec::new();

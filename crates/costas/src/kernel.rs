@@ -1,8 +1,9 @@
 //! Batched probe kernels for the Costas conflict table.
 //!
-//! [`ConflictTable`] maintains, for every row `d` of the difference-triangle
+//! [`ConflictTable`] keeps, for every row `d` of the difference-triangle
 //! histogram, two occupancy bitsets over the row's `2n − 1` buckets: `occ`
-//! (bucket holds ≥ 1 pair) and `multi` (≥ 2).  A row spans
+//! (bucket holds ≥ 1 pair) and `multi` (≥ 2), recomputed by its refresh pass
+//! after every change.  A row spans
 //! `W = ⌈(2n − 1) / 64⌉` `u64` words — one word for n ≤ 32 (the historical
 //! layout, bit for bit), two for n ≤ 64, unbounded beyond — and the kernels in
 //! this module are generic over `W`, so no order falls back to the slow
@@ -48,13 +49,16 @@
 //!   (see [`simd`]).  Wider rows, and hosts without AVX-512, keep the
 //!   scalar body.
 //!
-//! The `simd` module also holds the vector tier of the reset evaluator,
-//! [`CostModel::global_cost_bounded`](crate::CostModel::global_cost_bounded):
-//! one difference-triangle row per 64-bit lane, for n ≤ 128.  Its scalar
-//! histogram tier stays in `cost.rs`.  The `reset_evaluator_*` tests below
-//! call both tiers directly, so the scalar tier runs on AVX-512 hosts too,
-//! and a `debug_assert!` in the dispatcher pins the vector result to the
-//! scalar one on every call.
+//! The `simd` module also holds the row-lane sweep, one difference-triangle
+//! row per 64-bit lane for n ≤ 128, behind two callers: the vector tier of
+//! the reset evaluator,
+//! [`CostModel::global_cost_bounded`](crate::CostModel::global_cost_bounded),
+//! and the vector tier of the table's refresh pass, which recomputes the
+//! masks, the cost and the per-position errors after every change.  Their
+//! scalar tiers stay in `cost.rs`.  The `reset_evaluator_*` and
+//! `refresh_pass_*` tests below call both tiers directly, so the scalar
+//! tiers run on AVX-512 hosts too, and a `debug_assert!` in each dispatcher
+//! pins the vector result to the scalar one on every call.
 //!
 //! Equivalence with the histogram reference is enforced three ways: the
 //! `debug_assert!` in the probe dispatcher (every call, bit for bit), the unit
@@ -666,7 +670,7 @@ impl ConflictTable {
     /// on x86-64 with AVX-512 F + DQ ([`simd::probe_kernel_available`]) when a
     /// row holds at most four mask words (n ≤ 128); both kernel entry points
     /// branch on it.
-    fn vector_probe(&self) -> bool {
+    pub(crate) fn vector_probe(&self) -> bool {
         #[cfg(target_arch = "x86_64")]
         let vector = self.n <= simd::ROW_LANES_MAX_ORDER && simd::probe_kernel_available();
         #[cfg(not(target_arch = "x86_64"))]
@@ -1072,6 +1076,121 @@ mod tests {
                     let limit = rng.next_u64() % (2 * cost + 2);
                     let expected = (cost <= limit).then_some(cost);
                     assert_bounded_tiers(model, &p, limit, expected, &format!("n={n}, {model:?}"));
+                }
+            }
+        }
+    }
+
+    /// The table's state built from scratch, independently of both refresh
+    /// tiers: the histogram, the masks read off it, the cost and the
+    /// per-position errors from the reference sweeps.
+    struct Scratch {
+        counts: Vec<u32>,
+        occ: Vec<u64>,
+        multi: Vec<u64>,
+        cost: u64,
+        errors: Vec<u64>,
+    }
+
+    fn from_scratch(values: &[usize], model: CostModel) -> Scratch {
+        let n = values.len();
+        let (width, dmax) = ((2 * n - 1).max(1), model.max_distance(n));
+        let words = width.div_ceil(64);
+        let mut counts = vec![0u32; dmax * width];
+        for d in 1..=dmax {
+            for i in 0..n - d {
+                counts[(d - 1) * width + values[i + d] + n - 1 - values[i]] += 1;
+            }
+        }
+        let (mut occ, mut multi) = (vec![0u64; dmax * words], vec![0u64; dmax * words]);
+        for d in 1..=dmax {
+            for b in 0..width {
+                let c = counts[(d - 1) * width + b];
+                let word = (d - 1) * words + b / 64;
+                occ[word] |= u64::from(c >= 1) << (b % 64);
+                multi[word] |= u64::from(c >= 2) << (b % 64);
+            }
+        }
+        let mut errors = Vec::new();
+        model.variable_errors(values, &mut errors);
+        Scratch {
+            counts,
+            occ,
+            multi,
+            cost: model.global_cost(values),
+            errors,
+        }
+    }
+
+    /// Run each refresh tier directly on a copy of `table` whose derived
+    /// state has been clobbered, and check masks, cost, errors and counts
+    /// against a from-scratch build.  Returns whether the vector tier ran.
+    fn assert_refresh_tiers(table: &ConflictTable, context: &str) -> bool {
+        let expected = from_scratch(table.values(), *table.model());
+        type Tier = fn(&mut ConflictTable);
+        let mut tiers: Vec<(&str, Tier)> = vec![("scalar", ConflictTable::refresh_scalar)];
+        #[cfg(target_arch = "x86_64")]
+        if table.vector_probe() {
+            // SAFETY: `vector_probe` checked the CPU features and the order.
+            tiers.push(("AVX-512", |t| unsafe { t.refresh_avx512() }));
+        }
+        for &(name, refresh) in &tiers {
+            let mut t = table.clone();
+            t.occ_mask.iter_mut().for_each(|w| *w = !0);
+            t.multi_mask.iter_mut().for_each(|w| *w = !0);
+            t.errors.iter_mut().for_each(|e| *e = 0xdead);
+            t.cost = 0xdead;
+            refresh(&mut t);
+            assert_eq!(t.counts, expected.counts, "{name} counts ({context})");
+            assert_eq!(t.occ_mask, expected.occ, "{name} occ ({context})");
+            assert_eq!(t.multi_mask, expected.multi, "{name} multi ({context})");
+            assert_eq!(t.cost, expected.cost, "{name} cost ({context})");
+            assert_eq!(t.errors, expected.errors, "{name} errors ({context})");
+        }
+        tiers.len() == 2
+    }
+
+    /// Both refresh tiers equal a from-scratch build along seeded random
+    /// walks of swaps and `reset_to`s, under both cost models: orders 2–32
+    /// and every width edge up to the row-lane cap (both tiers), and 129 and
+    /// 160 past it (the scalar tier alone serves there).
+    #[test]
+    fn refresh_pass_tiers_match_a_from_scratch_build() {
+        let mut rng = default_rng(0x00DE_F7E5_4A11);
+        let (mut orders, mut vector_orders) = (0, 0);
+        for n in (2..=32usize).chain([33, 40, 64, 65, 80, 96, 97, 128, 129, 160]) {
+            let mut vector_ran = false;
+            for model in [CostModel::optimized(), CostModel::basic()] {
+                let p = one_based(random_permutation(n, &mut rng));
+                let mut table = ConflictTable::new(&p, model);
+                let steps = if n <= 64 { 24 } else { 8 };
+                for step in 0..steps {
+                    if step % 6 == 5 {
+                        table.reset_to(&one_based(random_permutation(n, &mut rng)));
+                    } else {
+                        let i = (rng.next_u64() as usize) % n;
+                        let j = (rng.next_u64() as usize) % n;
+                        table.apply_swap(i, j);
+                    }
+                    let context = format!("n={n}, {model:?}, step {step}");
+                    vector_ran |= assert_refresh_tiers(&table, &context);
+                }
+            }
+            orders += 1;
+            vector_orders += usize::from(vector_ran);
+        }
+        println!("refresh tiers: scalar {orders} orders, AVX-512 row lanes {vector_orders}");
+    }
+
+    /// Collision-heavy inputs for the refresh pass: the identity and the
+    /// reversed permutation put every pair of a row into one bucket.
+    #[test]
+    fn refresh_pass_tiers_handle_single_bucket_rows() {
+        for n in [2usize, 9, 16, 33, 65, 97, 128, 129] {
+            for model in [CostModel::optimized(), CostModel::basic()] {
+                for p in [(1..=n).collect::<Vec<_>>(), (1..=n).rev().collect()] {
+                    let table = ConflictTable::new(&p, model);
+                    assert_refresh_tiers(&table, &format!("n={n}, {model:?}, {:?}", &p[..2]));
                 }
             }
         }

@@ -1,5 +1,6 @@
 //! AVX-512 lane-parallel bodies: the probe for rows of up to four mask
-//! words and the reset evaluator's bounded from-scratch cost, both for
+//! words, and the row-lane sweep behind the reset evaluator's bounded
+//! from-scratch cost and the conflict table's refresh pass, all for
 //! n ≤ 128 ([`ROW_LANES_MAX_ORDER`]).
 //!
 //! # Probe body
@@ -57,7 +58,7 @@
 //! (`o1 = o2`, detected as a k-register compare).  Those lanes are scored by
 //! the exact per-bucket merge instead, added straight onto `out`.
 //!
-//! # Reset evaluator body
+//! # Row-lane sweep: reset evaluator and refresh pass
 //!
 //! The Costas reset scores ≈ 2n candidate permutations from scratch
 //! ([`CostModel::global_cost_bounded`]).  The scalar body sweeps one row of
@@ -71,13 +72,31 @@
 //! the lanes whose `δ` lies in its 64-wide window (signed compares against
 //! the window ends; one word needs none).  A row's repeats are its pair
 //! count minus its distinct buckets, so no per-pair hit test or counter is
-//! needed: after the group, a SWAR popcount of the bitsets gives each
-//! row's distinct count, the eight rows' repeats are weighted by `ERR(d)`
-//! and summed, and the sweep returns `None` as soon as the partial cost
-//! exceeds the limit.  At one word per row the inner step is
-//! three vector instructions (subtract with a broadcast operand, rotate,
-//! masked OR) for eight pairs; a shift by `δ + n − 1` per word, the
-//! obvious alternative, compiled to about twice the instructions.
+//! needed: after the group, a SWAR popcount of the bitsets gives each row's
+//! distinct count, the eight rows' repeats are weighted by `ERR(d)` and
+//! summed, and the sweep returns `None` as soon as the partial cost exceeds
+//! the limit.  At one word per row the inner step is three vector
+//! instructions (subtract with a broadcast operand, rotate, masked OR) for
+//! eight pairs.  A shift by `δ + n − 1` per word, the obvious alternative,
+//! compiled to about twice the instructions; subtracting `values[i] − (n − 1)`
+//! to get bucket indices directly loses the memory-operand broadcast and
+//! measured 5–17 % slower at n = 16–80 on a 2-vCPU AVX-512 Xeon.
+//!
+//! The conflict table's refresh pass ([`ConflictTable::refresh_avx512`]) is
+//! the same loop with `TRACK` on and no limit.  Per step it also tests each
+//! lane's bit against the bitset before setting it (`vptestmq`): a hit is a
+//! pair whose difference was already encountered in its row, so its bit
+//! goes into a second bitset (`multi`, buckets holding two or more pairs)
+//! and the pair is charged `ERR(d)` at both endpoints.  The left endpoint
+//! `i` takes the sum over the hit lanes; the right endpoints
+//! `i + d0 + l` accumulate in one register whose lane `l` stands for
+//! position `i + d0 + l` and which slides down one lane per step, so lane 0
+//! is final when it leaves.  After each group the bitsets are copied into
+//! the table's row-major masks, each word rotated left by `(n − 1) mod 64`:
+//! word `w`'s window holds exactly the histogram buckets `[64w, 64(w + 1))`
+//! of `b = δ + n − 1`, with `δ` at bit `δ mod 64`, and the probe reads
+//! bucket `b` at bit `b mod 64`.  The cost needs only distinctness, so the
+//! reset evaluator skips the rotation.
 //!
 //! Dispatch is by runtime feature detection ([`probe_kernel_available`]):
 //! AVX-512 F (shifts, rotates, compares, mask ops, `vpmuldq`) and DQ.
@@ -91,7 +110,8 @@ use crate::cost::{ConflictTable, CostModel};
 use crate::merge::BucketMerge;
 
 /// Largest order the row-word vector bodies serve — the reset evaluator
-/// ([`CostModel::global_cost_bounded_avx512`]) and the permute probe body
+/// ([`CostModel::global_cost_bounded_avx512`]), the refresh pass
+/// ([`ConflictTable::refresh_avx512`]) and the permute probe body
 /// ([`ConflictTable::probe_body_avx512_wide`]): a row's `2n − 1` buckets fit
 /// in at most four 64-bit words.
 pub(crate) const ROW_LANES_MAX_ORDER: usize = 128;
@@ -596,38 +616,73 @@ fn low_lanes(k: usize) -> __mmask8 {
     }
 }
 
-/// OR the buckets of the pairs `(i, i + d0 + l)` into lane `l`'s bitset,
-/// for the `live` lanes, where `left` points at `values[i]`.  A difference
-/// `δ` lands in the first word whose end exceeds it, at bit `δ mod 64`
-/// (`vprolvq` rotates by the count's low six bits, negative counts
-/// included); the words span 64 consecutive differences each, so distinct
-/// differences get distinct bits.
-///
-/// # Safety
-///
-/// Requires AVX-512 F and DQ at runtime.  `left` and `left + d0 + l` must
-/// point into one slice for every live lane `l`.
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn mark_pairs<const W: usize>(
-    seen: &mut [__m512i; W],
-    left: *const i64,
-    d0: usize,
-    live: __mmask8,
-    word_ends: &[__m512i; W],
-) {
-    let right = _mm512_maskz_loadu_epi64(live, left.add(d0));
-    let diff = _mm512_sub_epi64(right, _mm512_set1_epi64(*left));
-    let bit = _mm512_rolv_epi64(_mm512_set1_epi64(1), diff);
-    let mut rest = live;
-    for (w, s) in seen.iter_mut().enumerate() {
-        let k = if w + 1 == W {
-            rest
-        } else {
-            _mm512_mask_cmplt_epi64_mask(rest, diff, word_ends[w])
-        };
-        *s = _mm512_mask_or_epi64(*s, k, *s, bit);
-        rest &= !k;
+/// One group of up to eight rows of the row-lane sweep, lane `l` holding
+/// row `d0 + l`: its bitsets of occupied buckets (`seen`) and, when the
+/// sweep tracks them, of buckets holding two or more pairs (`twice`), plus
+/// the tracked charges still owed to right endpoints (`right`) and the
+/// rows' weights `ERR(d0 + l)` (`weights`).
+struct RowGroup<const W: usize> {
+    seen: [__m512i; W],
+    twice: [__m512i; W],
+    right: __m512i,
+    weights: __m512i,
+}
+
+impl<const W: usize> RowGroup<W> {
+    /// OR the buckets of the pairs `(i, i + d0 + l)` into lane `l`'s bitset,
+    /// for the `live` lanes, where `base` points at `values`.  A difference
+    /// `δ` lands in the first word whose end exceeds it, at bit `δ mod 64`
+    /// (`vprolvq` rotates by the count's low six bits, negative counts
+    /// included); the words span 64 consecutive differences each, so
+    /// distinct differences get distinct bits.  With `TRACK`, a lane whose
+    /// bit was already set is a charged pair: the bit also goes into
+    /// `twice`, and `ERR(d)` is added to `errors` at both endpoints.  The
+    /// left endpoint `i` takes the sum over the charged lanes; lane `l` of
+    /// `right` gathers the charges of position `i + d0 + l` and slides down
+    /// one lane per step, so lane 0 is final when it leaves.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and DQ at runtime.  `base + i` and
+    /// `base + i + d0 + l` must point into `values` for every live lane `l`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn mark<const TRACK: bool>(
+        &mut self,
+        base: *const i64,
+        i: usize,
+        d0: usize,
+        live: __mmask8,
+        word_ends: &[__m512i; W],
+        errors: &mut [u64],
+    ) {
+        let left = base.add(i);
+        let right = _mm512_maskz_loadu_epi64(live, left.add(d0));
+        let diff = _mm512_sub_epi64(right, _mm512_set1_epi64(*left));
+        let bit = _mm512_rolv_epi64(_mm512_set1_epi64(1), diff);
+        let mut rest = live;
+        let mut hit = 0;
+        for (w, s) in self.seen.iter_mut().enumerate() {
+            let k = if w + 1 == W {
+                rest
+            } else {
+                _mm512_mask_cmplt_epi64_mask(rest, diff, word_ends[w])
+            };
+            if TRACK {
+                let h = _mm512_mask_test_epi64_mask(k, *s, bit);
+                self.twice[w] = _mm512_mask_or_epi64(self.twice[w], h, self.twice[w], bit);
+                hit |= h;
+            }
+            *s = _mm512_mask_or_epi64(*s, k, *s, bit);
+            rest &= !k;
+        }
+        if TRACK {
+            let charge = _mm512_maskz_mov_epi64(hit, self.weights);
+            self.right = _mm512_add_epi64(self.right, charge);
+            errors[i] += _mm512_reduce_add_epi64(charge) as u64;
+            errors[i + d0] += _mm_cvtsi128_si64(_mm512_castsi512_si128(self.right)) as u64;
+            self.right = _mm512_alignr_epi64::<1>(_mm512_setzero_si512(), self.right);
+        }
     }
 }
 
@@ -654,32 +709,46 @@ impl CostModel {
             return Some(0);
         }
         match (2 * n - 1).div_ceil(64) {
-            1 => self.row_lanes::<1>(values, limit),
-            2 => self.row_lanes::<2>(values, limit),
-            3 => self.row_lanes::<3>(values, limit),
-            4 => self.row_lanes::<4>(values, limit),
+            1 => self.row_lanes::<1, false>(values, limit, [&mut [], &mut [], &mut []]),
+            2 => self.row_lanes::<2, false>(values, limit, [&mut [], &mut [], &mut []]),
+            3 => self.row_lanes::<3, false>(values, limit, [&mut [], &mut [], &mut []]),
+            4 => self.row_lanes::<4, false>(values, limit, [&mut [], &mut [], &mut []]),
             _ => panic!("the row-lane evaluator covers n ≤ {ROW_LANES_MAX_ORDER}, got n = {n}"),
         }
     }
 
-    /// The row-lane sweep at `W = ⌈(2n − 1) / 64⌉` occupancy words per lane.
+    /// The row-lane sweep at `W = ⌈(2n − 1) / 64⌉` occupancy words per lane,
+    /// for `2 ≤ n ≤ 128`: `Some(cost)` iff the cost is `≤ limit`, checked
+    /// after every group of eight rows.  With `TRACK`, `[errors, occ, multi]`
+    /// (the table's per-position errors, zeroed by the caller, and its
+    /// row-major masks) receive every charged pair's `ERR(d)` at both
+    /// endpoints and every row's bitsets; the reset evaluator leaves it off
+    /// and passes empty slices.
     ///
     /// # Safety
     ///
     /// Requires AVX-512 F and DQ at runtime.
     #[inline]
     #[target_feature(enable = "avx512f,avx512dq")]
-    unsafe fn row_lanes<const W: usize>(&self, values: &[usize], limit: u64) -> Option<u64> {
+    unsafe fn row_lanes<const W: usize, const TRACK: bool>(
+        &self,
+        values: &[usize],
+        limit: u64,
+        [errors, occ, multi]: [&mut [u64]; 3],
+    ) -> Option<u64> {
         let n = values.len();
         let dmax = self.max_distance(n);
         // `usize` is 64-bit on this arch; masked-out lanes are not read.
         let base = values.as_ptr().cast::<i64>();
         // Word w of a lane holds the differences in
-        // [64w − (n − 1), 64(w + 1) − (n − 1)).
+        // [64w − (n − 1), 64(w + 1) − (n − 1)), the histogram's buckets
+        // [64w, 64(w + 1)), with difference δ at bit δ mod 64: rotating a
+        // word left by (n − 1) mod 64 puts bucket b at bit b mod 64.
         let mut word_ends = [_mm512_setzero_si512(); W];
         for (w, end) in word_ends.iter_mut().enumerate() {
             *end = _mm512_set1_epi64(64 * (w as i64 + 1) - (n as i64 - 1));
         }
+        let to_buckets = ((n - 1) % 64) as u32;
         let (m1, m2, m4) = (
             _mm512_set1_epi64(0x5555_5555_5555_5555),
             _mm512_set1_epi64(0x3333_3333_3333_3333),
@@ -687,8 +756,21 @@ impl CostModel {
         );
         let mut cost = 0u64;
         for d0 in (1..=dmax).step_by(8) {
-            let rows = low_lanes(dmax - d0 + 1);
-            let mut seen = [_mm512_setzero_si512(); W];
+            let rows = (dmax + 1 - d0).min(8);
+            let live = low_lanes(rows);
+            let mut group = RowGroup {
+                seen: [_mm512_setzero_si512(); W],
+                twice: [_mm512_setzero_si512(); W],
+                right: _mm512_setzero_si512(),
+                weights: _mm512_setzero_si512(),
+            };
+            if TRACK {
+                let mut weights = [0u64; 8];
+                for (l, w) in weights.iter_mut().enumerate().take(rows) {
+                    *w = self.weight_at(n, d0 + l);
+                }
+                group.weights = _mm512_loadu_epi64(weights.as_ptr().cast());
+            }
             // Lane l scores row d0 + l, whose pairs (i, i + d0 + l) exist
             // for i < n − d0 − l: every live row has a pair at i below
             // `full`, and the tail loses one lane per step.
@@ -696,21 +778,16 @@ impl CostModel {
             // SAFETY: lane l is live only while i + d0 + l < n, so every
             // pointer handed over stays inside `values`.
             for i in 0..full {
-                mark_pairs(&mut seen, base.add(i), d0, rows, &word_ends);
+                group.mark::<TRACK>(base, i, d0, live, &word_ends, errors);
             }
             for i in full..n - d0 {
-                mark_pairs(
-                    &mut seen,
-                    base.add(i),
-                    d0,
-                    rows & low_lanes(n - d0 - i),
-                    &word_ends,
-                );
+                let lanes = live & low_lanes(n - d0 - i);
+                group.mark::<TRACK>(base, i, d0, lanes, &word_ends, errors);
             }
             // Distinct buckets per lane: SWAR byte counts summed over the
             // words (≤ 32 per byte), then across the bytes.
             let mut bytes = _mm512_setzero_si512();
-            for s in seen {
+            for s in group.seen {
                 let x = _mm512_sub_epi64(s, _mm512_and_si512(_mm512_srli_epi64::<1>(s), m1));
                 let x = _mm512_add_epi64(
                     _mm512_and_si512(x, m2),
@@ -730,14 +807,63 @@ impl CostModel {
                 _mm512_and_si512(bytes, _mm512_set1_epi64(0xff)),
             );
             // Row d has n − d pairs; each beyond its bucket's first repeats.
-            for (l, &k) in distinct.iter().enumerate().take(dmax + 1 - d0) {
+            for (l, &k) in distinct.iter().enumerate().take(rows) {
                 let d = d0 + l;
                 cost += ((n - d) as u64 - k) * self.weight_at(n, d);
+            }
+            if TRACK {
+                let mut lanes = [0u64; 8];
+                for (w, (s, t)) in group.seen.iter().zip(&group.twice).enumerate() {
+                    for (masks, bits) in [(&mut *occ, s), (&mut *multi, t)] {
+                        _mm512_storeu_epi64(lanes.as_mut_ptr().cast(), *bits);
+                        for (l, &word) in lanes.iter().enumerate().take(rows) {
+                            masks[(d0 + l - 1) * W + w] = word.rotate_left(to_buckets);
+                        }
+                    }
+                }
             }
             if cost > limit {
                 return None;
             }
         }
         Some(cost)
+    }
+}
+
+impl ConflictTable {
+    /// Row-lane AVX-512 tier of the table's refresh pass: the reset
+    /// evaluator's sweep over the current values, tracking buckets seen twice
+    /// and charged pairs, recomputes the masks, the cost and the errors.
+    /// Same result as `refresh_scalar`, which the dispatcher pins it to.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and DQ at runtime (see [`probe_kernel_available`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the order exceeds [`ROW_LANES_MAX_ORDER`].
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(crate) unsafe fn refresh_avx512(&mut self) {
+        self.errors.iter_mut().for_each(|e| *e = 0);
+        let model = *self.model();
+        let (values, limit) = (&self.values[..], u64::MAX);
+        let out = [
+            &mut self.errors[..],
+            &mut self.occ_mask,
+            &mut self.multi_mask,
+        ];
+        let swept = match self.mask_words {
+            _ if self.n < 2 => Some(0),
+            1 => model.row_lanes::<1, true>(values, limit, out),
+            2 => model.row_lanes::<2, true>(values, limit, out),
+            3 => model.row_lanes::<3, true>(values, limit, out),
+            4 => model.row_lanes::<4, true>(values, limit, out),
+            _ => panic!(
+                "the row-lane refresh covers n ≤ {ROW_LANES_MAX_ORDER}, got n = {}",
+                self.n
+            ),
+        };
+        self.cost = swept.expect("no cost exceeds u64::MAX");
     }
 }

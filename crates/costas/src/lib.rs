@@ -12,8 +12,8 @@
 //! * [`CostasArray`] / [`Permutation`] — validated permutation types ([`array`]).
 //! * [`DifferenceTriangle`] — the full triangle, row by row ([`triangle`]).
 //! * [`cost`] — the paper's error model (`ERR(d)`), Chang's half-triangle optimisation
-//!   and an incrementally-updatable [`cost::ConflictTable`] giving O(⌊n/2⌋) swap
-//!   evaluation, which is what makes local search on the CAP fast.
+//!   and the [`cost::ConflictTable`] giving O(⌊n/2⌋) swap evaluation, which is
+//!   what makes local search on the CAP fast.
 //! * [`check`] — standalone validity predicates.
 //! * [`symmetry`] — the dihedral symmetry group acting on Costas arrays (rotations /
 //!   reflections / transposition), orbit generation and canonical forms.

@@ -386,6 +386,12 @@ impl CampaignSpec {
                     self.n, info.max_n, info.key
                 ));
             }
+            if !info.admits(self.n) {
+                return bad(&format!(
+                    "n = {} is not a multiple of {} for {:?}",
+                    self.n, info.size_step, info.key
+                ));
+            }
         }
         Ok(())
     }
@@ -1318,6 +1324,17 @@ mod tests {
             );
             assert!(!dir.exists(), "a bad spec must not touch the disk");
         }
+        let dir = std::env::temp_dir().join("campaign-never-created-odd");
+        let spec = CampaignSpec {
+            problem: "number-partitioning".to_string(),
+            ..CampaignSpec::costas(7, &dir)
+        };
+        let err = Campaign::open(spec).expect_err("odd partition order");
+        assert!(
+            matches!(&err, CampaignError::BadSpec { message } if message.contains("multiple of 2")),
+            "{err}"
+        );
+        assert!(!dir.exists(), "a bad spec must not touch the disk");
     }
 
     #[test]

@@ -161,9 +161,9 @@ impl From<(String, RequestError)> for Reject {
     fn from((id, err): (String, RequestError)) -> Self {
         let reason = match &err {
             RequestError::UnknownProblem { .. } => RejectReason::UnknownProblem,
-            RequestError::SizeOutOfRange { .. } | RequestError::InvalidWarmStart { .. } => {
-                RejectReason::InvalidRequest
-            }
+            RequestError::SizeOutOfRange { .. }
+            | RequestError::SizeNotMultiple { .. }
+            | RequestError::InvalidWarmStart { .. } => RejectReason::InvalidRequest,
         };
         Reject::new(id, reason, err.to_string())
     }
@@ -529,6 +529,17 @@ mod tests {
         )
             .into();
         assert_eq!(r.reason, RejectReason::InvalidRequest);
+        let r: Reject = (
+            "d".to_string(),
+            RequestError::SizeNotMultiple {
+                key: "number-partitioning",
+                n: 7,
+                step: 2,
+            },
+        )
+            .into();
+        assert_eq!(r.reason, RejectReason::InvalidRequest);
+        assert!(r.detail.contains("not a multiple of 2"), "{}", r.detail);
     }
 
     #[test]

@@ -362,9 +362,10 @@ fn tcp_mode_round_trips_requests() {
 }
 
 /// A deeply nested line is an ordinary parse reject, not a stack overflow,
-/// and a line whose order would need terabytes, or is zero, is a typed
-/// `invalid-request` reject with nothing allocated: the real binary answers
-/// each of them, answers the request behind each, and exits cleanly at EOF.
+/// and a line whose order would need terabytes, or is zero, or is an odd
+/// number-partitioning order, is a typed `invalid-request` reject with
+/// nothing allocated: the real binary answers each of them, answers the
+/// request behind each, and exits cleanly at EOF.
 #[test]
 fn deeply_nested_line_is_rejected_and_the_next_request_answered() {
     use std::io::Write;
@@ -385,6 +386,8 @@ fn deeply_nested_line_is_rejected_and_the_next_request_answered() {
         r#"{"id":"after-big","problem":"costas","n":8,"seed":2}"#,
         r#"{"id":"zero","problem":"costas","n":0,"budget":10,"seed":1}"#,
         r#"{"id":"after-zero","problem":"costas","n":8,"seed":3}"#,
+        r#"{"id":"odd","problem":"number-partitioning","n":7,"budget":10,"seed":1}"#,
+        r#"{"id":"after-odd","problem":"costas","n":8,"seed":4}"#,
     ] {
         writeln!(stdin, "{line}").expect("send");
     }
@@ -393,7 +396,7 @@ fn deeply_nested_line_is_rejected_and_the_next_request_answered() {
     assert!(output.status.success(), "solverd died: {:?}", output.status);
 
     let responses = parse_lines(&output.stdout);
-    assert_eq!(responses.len(), 6, "{responses:?}");
+    assert_eq!(responses.len(), 8, "{responses:?}");
     let reject = by_id(&responses, "");
     assert_eq!(field(reject, "status"), "error");
     assert_eq!(field(reject, "reason"), "parse");
@@ -401,16 +404,17 @@ fn deeply_nested_line_is_rejected_and_the_next_request_answered() {
         field(reject, "detail").contains("nesting deeper"),
         "{reject:?}"
     );
-    for id in ["big", "zero"] {
+    for (id, detail) in [
+        ("big", "outside 1..="),
+        ("zero", "outside 1..="),
+        ("odd", "not a multiple of 2"),
+    ] {
         let reject = by_id(&responses, id);
         assert_eq!(field(reject, "status"), "rejected", "{reject:?}");
         assert_eq!(field(reject, "reason"), "invalid-request", "{reject:?}");
-        assert!(
-            field(reject, "detail").contains("outside 1..="),
-            "{reject:?}"
-        );
+        assert!(field(reject, "detail").contains(detail), "{reject:?}");
     }
-    for id in ["after", "after-big", "after-zero"] {
+    for id in ["after", "after-big", "after-zero", "after-odd"] {
         let ok = by_id(&responses, id);
         assert_eq!(field(ok, "status"), "ok", "{ok:?}");
         assert_eq!(field(ok, "termination"), "solved", "{ok:?}");
