@@ -129,18 +129,9 @@ impl CostasProblem {
         self.table.order()
     }
 
-    /// Evaluate one candidate: adopt it immediately if strictly better than
-    /// `entry_cost`, otherwise remember it if it beats (or, with a coin flip, ties)
-    /// the best candidate so far.  Returns `true` when the candidate was adopted
-    /// (early escape).
-    ///
-    /// The evaluation is *bounded*: a candidate only matters below `entry_cost`
-    /// (immediate adoption) or at/below `best_cost` (best-so-far tracking, ties
-    /// included), so the sweep aborts — through the reusable histogram scratch,
-    /// allocation-free — as soon as its partial cost provably exceeds both
-    /// thresholds.  An aborted candidate takes none of the branches below
-    /// (including the tie coin flip), so the observable behaviour, random stream
-    /// included, is identical to a full evaluation.
+    /// Evaluate one candidate: [`Self::score_candidate`], then
+    /// [`Self::decide_candidate`].  Returns `true` when the candidate was
+    /// adopted (early escape).
     fn consider_candidate(
         &mut self,
         candidate: &[usize],
@@ -148,11 +139,43 @@ impl CostasProblem {
         best_cost: &mut u64,
         rng: &mut dyn Rng64,
     ) -> bool {
+        let cost = self.score_candidate(candidate, entry_cost, *best_cost);
+        self.decide_candidate(candidate, cost, entry_cost, best_cost, rng)
+    }
+
+    /// Score one candidate, *bounded*: a candidate only matters below
+    /// `entry_cost` (immediate adoption) or at/below `best_cost` (best-so-far
+    /// tracking, ties included), so the sweep aborts — through the reusable
+    /// histogram scratch, allocation-free — as soon as its partial cost
+    /// provably exceeds both thresholds, and returns `None`.
+    fn score_candidate(
+        &mut self,
+        candidate: &[usize],
+        entry_cost: u64,
+        best_cost: u64,
+    ) -> Option<u64> {
         let model = *self.table.model();
-        let limit = entry_cost.saturating_sub(1).max(*best_cost);
-        let cost = match model.global_cost_bounded(candidate, limit, &mut self.cost_scratch) {
-            Some(cost) => cost,
-            None => return false, // provably > limit: neither adopted nor best
+        let limit = entry_cost.saturating_sub(1).max(best_cost);
+        model.global_cost_bounded(candidate, limit, &mut self.cost_scratch)
+    }
+
+    /// Act on a candidate's [`Self::score_candidate`] result: adopt it
+    /// immediately if strictly better than `entry_cost`, otherwise remember
+    /// it if it beats (or, with a coin flip, ties) the best candidate so far.
+    /// Returns `true` when the candidate was adopted (early escape).  An
+    /// aborted score (`None`) takes none of the branches (including the tie
+    /// coin flip), so the observable behaviour, random stream included, is
+    /// identical to a full evaluation.
+    fn decide_candidate(
+        &mut self,
+        candidate: &[usize],
+        cost: Option<u64>,
+        entry_cost: u64,
+        best_cost: &mut u64,
+        rng: &mut dyn Rng64,
+    ) -> bool {
+        let Some(cost) = cost else {
+            return false; // provably > limit: neither adopted nor best
         };
         if cost < entry_cost {
             self.table.reset_to(candidate);
@@ -166,6 +189,41 @@ impl CostasProblem {
             self.best_candidate.copy_from_slice(candidate);
         }
         false
+    }
+
+    /// Evaluate the left- and right-rotation candidates of one anchored
+    /// range, in that order.  `same` says the two chains hold one
+    /// permutation (a two-cell range, whose two rotations are one swap): the
+    /// right copy then takes the left copy's score instead of being scored
+    /// again, and is still decided, so it still takes its tie coin flip and
+    /// the random stream is unchanged.  Reusing the score is exact: the left
+    /// copy's decision can only lower the bound to that very score, so a
+    /// second bounded scoring would return the same result.  Returns `true`
+    /// on early escape.
+    fn consider_rotation_pair(
+        &mut self,
+        left: &[usize],
+        right: &[usize],
+        same: bool,
+        entry_cost: u64,
+        best_cost: &mut u64,
+        rng: &mut dyn Rng64,
+    ) -> bool {
+        debug_assert_eq!(
+            same,
+            left == right,
+            "`same` must say whether the chains coincide"
+        );
+        let left_cost = self.score_candidate(left, entry_cost, *best_cost);
+        if self.decide_candidate(left, left_cost, entry_cost, best_cost, rng) {
+            return true;
+        }
+        let right_cost = if same {
+            left_cost
+        } else {
+            self.score_candidate(right, entry_cost, *best_cost)
+        };
+        self.decide_candidate(right, right_cost, entry_cost, best_cost, rng)
     }
 
     /// Perturbation family 1: circular shifts of sub-arrays anchored at `m`.
@@ -205,9 +263,14 @@ impl CostasProblem {
                     left_chain.swap(hi - 1, hi);
                     right_chain.swap(m, hi);
                 }
-                if self.consider_candidate(&left_chain, entry_cost, best_cost, rng)
-                    || self.consider_candidate(&right_chain, entry_cost, best_cost, rng)
-                {
+                if self.consider_rotation_pair(
+                    &left_chain,
+                    &right_chain,
+                    hi == m + 1,
+                    entry_cost,
+                    best_cost,
+                    rng,
+                ) {
                     escaped = true;
                     break 'outer;
                 }
@@ -223,9 +286,14 @@ impl CostasProblem {
                         left_chain.swap(lo - 1, m);
                         right_chain.swap(lo - 1, lo);
                     }
-                    if self.consider_candidate(&left_chain, entry_cost, best_cost, rng)
-                        || self.consider_candidate(&right_chain, entry_cost, best_cost, rng)
-                    {
+                    if self.consider_rotation_pair(
+                        &left_chain,
+                        &right_chain,
+                        lo + 1 == m,
+                        entry_cost,
+                        best_cost,
+                        rng,
+                    ) {
                         escaped = true;
                         break 'outer;
                     }
@@ -525,6 +593,9 @@ mod tests {
                     let mut expect = base.clone();
                     expect[m..=hi].rotate_right(1);
                     assert_eq!(right, expect, "rotr [{m}..={hi}] of order {n}");
+                    // The reset scores the right chain again only where the
+                    // two chains differ: everywhere but the two-cell range.
+                    assert_eq!(left == right, hi == m + 1, "[{m}..={hi}] of order {n}");
                 }
                 if m >= 1 {
                     let mut left = base.clone();
@@ -542,6 +613,7 @@ mod tests {
                         let mut expect = base.clone();
                         expect[lo..=m].rotate_right(1);
                         assert_eq!(right, expect, "rotr [{lo}..={m}] of order {n}");
+                        assert_eq!(left == right, lo + 1 == m, "[{lo}..={m}] of order {n}");
                     }
                 }
             }

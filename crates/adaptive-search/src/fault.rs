@@ -284,6 +284,7 @@ pub fn ensure_chaos_registered() {
         default_config: AsConfig::costas_defaults,
         is_optimum: costas::is_costas_permutation,
         bench_size: usize::MAX,
+        heap_bytes: problems::find("costas").expect("static entry").heap_bytes,
         max_n: problems::find("costas").expect("static entry").max_n,
         size_step: 1,
         test_sizes: &[8, 12],

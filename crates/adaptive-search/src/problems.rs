@@ -56,18 +56,20 @@ pub type DynProblem = Box<dyn PermutationProblem + Send>;
 /// engine's own buffers, a few words per variable, come on top.
 pub const MODEL_MEMORY_BUDGET: u128 = 256 << 20;
 
-/// The largest `n ≥ 1` with `bytes ≤ MODEL_MEMORY_BUDGET`, by bisection over
-/// `1..u32::MAX` (every model's `bytes` grows monotonically in `n` and exceeds
-/// the budget well before `u32::MAX`).  Evaluated at compile time.
+/// The largest `n ≥ 1` with `heap_bytes(n) ≤ MODEL_MEMORY_BUDGET`, by
+/// bisection over `1..u32::MAX` (every model's formula grows monotonically in
+/// `n` and exceeds the budget well before `u32::MAX`).  Evaluated at compile
+/// time, so `heap_bytes` names a `const fn` — the same one the entry stores
+/// as [`ProblemInfo::heap_bytes`].
 macro_rules! max_n_within_budget {
-    (|$n:ident| $bytes:expr) => {{
+    ($heap_bytes:path) => {{
         let (mut fits, mut exceeds) = (1usize, u32::MAX as usize);
         while exceeds - fits > 1 {
-            let $n = fits + (exceeds - fits) / 2;
-            if $bytes <= MODEL_MEMORY_BUDGET {
-                fits = $n;
+            let n = fits + (exceeds - fits) / 2;
+            if $heap_bytes(n) <= MODEL_MEMORY_BUDGET {
+                fits = n;
             } else {
-                exceeds = $n;
+                exceeds = n;
             }
         }
         fits
@@ -99,6 +101,10 @@ pub struct ProblemInfo {
     /// walks instead of one engine (a size where a walk keeps probing rather
     /// than solving instantly).
     pub bench_size: usize,
+    /// Heap bytes one model instance allocates at an instance parameter: the
+    /// formula [`ProblemInfo::max_n`] is derived from, and what each walk of
+    /// a fan-out holds ([`ProblemInfo::walks_within_budget`]).
+    pub heap_bytes: fn(usize) -> u128,
     /// Largest admissible instance parameter: the largest `n` whose model fits
     /// [`MODEL_MEMORY_BUDGET`] under its own allocation formula.  A constant of
     /// the model, not a setting.
@@ -128,6 +134,14 @@ impl ProblemInfo {
     /// [`ProblemInfo::size_step`]?
     pub fn admits(&self, n: usize) -> bool {
         self.size_range().contains(&n) && n.is_multiple_of(self.size_step)
+    }
+
+    /// How many instances at parameter `n` fit [`MODEL_MEMORY_BUDGET`]
+    /// together — the widest fan-out a request may race.  At least 1, since
+    /// an admissible `n` is one whose single instance fits.
+    pub fn walks_within_budget(&self, n: usize) -> usize {
+        // The quotient is at most the budget, 2²⁸, so it fits a `usize`.
+        (MODEL_MEMORY_BUDGET / (self.heap_bytes)(n)).max(1) as usize
     }
 }
 
@@ -166,6 +180,12 @@ fn isqrt(n: usize) -> usize {
     s
 }
 
+/// The Costas entry's instance bytes, under the optimised cost model its
+/// default configuration runs.
+const fn costas_heap_bytes(n: usize) -> u128 {
+    CostasProblem::heap_bytes(n, CostModel::optimized())
+}
+
 static REGISTRY: [ProblemInfo; 6] = [
     ProblemInfo {
         key: "costas",
@@ -175,7 +195,8 @@ static REGISTRY: [ProblemInfo; 6] = [
         default_config: AsConfig::costas_defaults,
         is_optimum: is_costas_permutation,
         bench_size: 18,
-        max_n: max_n_within_budget!(|n| CostasProblem::heap_bytes(n, CostModel::optimized())),
+        heap_bytes: costas_heap_bytes,
+        max_n: max_n_within_budget!(costas_heap_bytes),
         size_step: 1,
         test_sizes: &[2, 3, 5, 8, 12, 16, 33, 40],
         solvable_sizes: &[8, 10, 12],
@@ -188,7 +209,8 @@ static REGISTRY: [ProblemInfo; 6] = [
         default_config: generic_config,
         is_optimum: |values| zero_cost(QueensProblem::new(values.len().max(1)), values),
         bench_size: 100,
-        max_n: max_n_within_budget!(|n| QueensProblem::heap_bytes(n)),
+        heap_bytes: QueensProblem::heap_bytes,
+        max_n: max_n_within_budget!(QueensProblem::heap_bytes),
         size_step: 1,
         test_sizes: &[2, 4, 7, 11, 16, 24],
         solvable_sizes: &[8, 16, 30],
@@ -201,7 +223,8 @@ static REGISTRY: [ProblemInfo; 6] = [
         default_config: generic_config,
         is_optimum: |values| zero_cost(AllIntervalProblem::new(values.len().max(1)), values),
         bench_size: 50,
-        max_n: max_n_within_budget!(|n| AllIntervalProblem::heap_bytes(n)),
+        heap_bytes: AllIntervalProblem::heap_bytes,
+        max_n: max_n_within_budget!(AllIntervalProblem::heap_bytes),
         size_step: 1,
         test_sizes: &[2, 3, 6, 10, 16, 24],
         solvable_sizes: &[8, 10, 12],
@@ -226,7 +249,8 @@ static REGISTRY: [ProblemInfo; 6] = [
                 && zero_cost(MagicSquareProblem::new(side), values)
         },
         bench_size: 10,
-        max_n: max_n_within_budget!(|side| MagicSquareProblem::heap_bytes(side)),
+        heap_bytes: MagicSquareProblem::heap_bytes,
+        max_n: max_n_within_budget!(MagicSquareProblem::heap_bytes),
         size_step: 1,
         test_sizes: &[2, 3, 4, 5],
         solvable_sizes: &[3, 4, 5],
@@ -243,7 +267,8 @@ static REGISTRY: [ProblemInfo; 6] = [
                 && zero_cost(LangfordProblem::new(values.len() / 2), values)
         },
         bench_size: 32,
-        max_n: max_n_within_budget!(|pairs| LangfordProblem::heap_bytes(pairs)),
+        heap_bytes: LangfordProblem::heap_bytes,
+        max_n: max_n_within_budget!(LangfordProblem::heap_bytes),
         size_step: 1,
         test_sizes: &[1, 2, 3, 5, 8, 12],
         solvable_sizes: &[3, 4, 7, 8],
@@ -261,7 +286,8 @@ static REGISTRY: [ProblemInfo; 6] = [
         },
         bench_size: 64,
         // The ground set must split into equal halves.
-        max_n: max_n_within_budget!(|n| PartitionProblem::heap_bytes(n)) & !1,
+        heap_bytes: PartitionProblem::heap_bytes,
+        max_n: max_n_within_budget!(PartitionProblem::heap_bytes) & !1,
         size_step: 2,
         test_sizes: &[2, 4, 6, 10, 16, 24],
         solvable_sizes: &[8, 12, 16],
@@ -441,6 +467,7 @@ mod tests {
             default_config: AsConfig::costas_defaults,
             is_optimum: is_costas_permutation,
             bench_size: usize::MAX,
+            heap_bytes: costas_heap_bytes,
             max_n: 64,
             size_step: 1,
             test_sizes: &[4],

@@ -79,6 +79,19 @@ pub enum RequestError {
         /// The model's [`ProblemInfo::size_step`].
         step: usize,
     },
+    /// An explicit fan-out races more walks than fit
+    /// [`problems::MODEL_MEMORY_BUDGET`] together at this instance parameter
+    /// ([`ProblemInfo::walks_within_budget`]).
+    WalksOverBudget {
+        /// Canonical registry key of the problem.
+        key: &'static str,
+        /// The requested instance parameter.
+        n: usize,
+        /// The requested walk count.
+        walks: usize,
+        /// The most walks that fit the budget at `n`.
+        max_walks: usize,
+    },
     /// The warm-start permutation is unusable for this instance.
     InvalidWarmStart {
         /// What exactly is wrong (length mismatch, not a permutation, …).
@@ -101,6 +114,16 @@ impl std::fmt::Display for RequestError {
             RequestError::SizeNotMultiple { key, n, step } => {
                 write!(f, "n = {n} is not a multiple of {step} for {key:?}")
             }
+            RequestError::WalksOverBudget {
+                key,
+                n,
+                walks,
+                max_walks,
+            } => write!(
+                f,
+                "{walks} walks of {key:?} at n = {n} exceed {} MiB; at most {max_walks} fit",
+                problems::MODEL_MEMORY_BUDGET >> 20
+            ),
             RequestError::InvalidWarmStart { reason } => {
                 write!(f, "invalid warm start: {reason}")
             }

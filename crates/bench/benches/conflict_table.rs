@@ -123,12 +123,14 @@ fn bench_conflict_table(c: &mut Criterion) {
         );
     }
 
-    // Past the single-word mask boundary: the width-generic multi-word kernel
-    // (two words per row at n = 34/40; three slice-held words at n = 65/80
-    // and four at n = 128, scored by the AVX-512 permute body where the CPU
-    // has it and by the scalar slice body otherwise) against the histogram
-    // reference it is pinned to.
-    for &n in &[34usize, 40, 65, 80, 128] {
+    // Either side of the single-word mask boundary and past it, against the
+    // histogram reference every tier is pinned to.  Where the CPU has
+    // AVX-512 F + DQ, n = 32 is the last order of the from-scratch body (one
+    // word per row), and every multi-word row from n = 33 to 128 (two words
+    // at 33/34/40, three at 65/80, four at 128) takes the permute body.
+    // Elsewhere the scalar bodies serve: the monomorphized replay up to
+    // n = 64, the slice body beyond.
+    for &n in &[32usize, 33, 34, 40, 65, 80, 128] {
         let mut rng = default_rng(7);
         let mut perm = random_permutation(n, &mut rng);
         perm.iter_mut().for_each(|v| *v += 1);

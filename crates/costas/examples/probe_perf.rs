@@ -31,7 +31,9 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(50_000);
-    for &n in &[18usize, 24, 32, 34, 40, 50, 64, 65, 80, 96, 128, 129] {
+    for &n in &[
+        16usize, 18, 24, 32, 33, 34, 40, 50, 64, 65, 80, 96, 128, 129,
+    ] {
         let mut rng = default_rng(7);
         let mut perm = random_permutation(n, &mut rng);
         perm.iter_mut().for_each(|v| *v += 1);

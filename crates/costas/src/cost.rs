@@ -673,16 +673,20 @@ impl ConflictTable {
     /// and the per-candidate pass only scores the re-added culprit differences plus
     /// the candidate's own pairs against that precomputed baseline.
     ///
-    /// Candidates are scored by the width-generic bitmask probe kernel
-    /// ([`crate::kernel`]), monomorphized per row width (one mask word per row
-    /// for n ≤ 32 — today's single-word layout bit for bit — two words for
-    /// n ≤ 64, a slice-walking variant beyond).  On x86-64 with AVX-512 F + DQ
-    /// an 8-candidate vector body serves every order up to n = 128 (shifted
-    /// windows for n ≤ 64, word permutes for 65 ≤ n ≤ 128); larger orders
-    /// and other CPUs take the scalar bodies.  The plain histogram path is
-    /// retained as the reference implementation behind
-    /// [`ConflictTable::probe_partners_reference`], and `debug_assert!` pins the
-    /// kernel to it on every call.
+    /// Candidates are scored by the probe kernels in [`crate::kernel`], in
+    /// three tiers chosen by CPU feature and row width (one mask word per row
+    /// for n ≤ 32, two for n ≤ 64, and so on):
+    ///
+    /// * on x86-64 with AVX-512 F + DQ, n ≤ 32: a from-scratch body that
+    ///   scores eight swapped permutations per pass;
+    /// * on x86-64 with AVX-512 F + DQ, 33 ≤ n ≤ 128: an 8-candidate event
+    ///   algebra body reading the occupancy masks by word permutes;
+    /// * elsewhere (other CPUs, n > 128): the scalar event-algebra bodies,
+    ///   monomorphized per row width for n ≤ 64 and slice-walking beyond.
+    ///
+    /// The plain histogram path is retained as the reference implementation
+    /// behind [`ConflictTable::probe_partners_reference`], and `debug_assert!`
+    /// pins the kernels to it on every call.
     pub fn probe_partners(&self, culprit: usize, out: &mut Vec<u64>) {
         self.probe_partners_range(culprit, 0, out);
     }
@@ -723,11 +727,9 @@ impl ConflictTable {
         self.probe_range_generic(m, lo_bound, out);
     }
 
-    /// Dispatched implementation: fill `out[j]` for `j in lo..n`, `j != m` —
-    /// the bitmask kernel ([`crate::kernel`]), monomorphized for the one- and
-    /// two-word row widths covering n ≤ 64 and slice-walking beyond; each
-    /// picks its AVX-512 body at runtime where the CPU has F + DQ and
-    /// n ≤ 128.
+    /// Dispatched implementation: fill `out[j]` for `j in lo..n`, `j != m`,
+    /// by the tiers listed on [`ConflictTable::probe_partners`].  The row
+    /// width is a property of the order, so the choice needs no setting.
     /// Both `debug_assert!`s pin the dispatched path to an independent
     /// implementation on every call: the flat-histogram reference and the
     /// per-pair `delta_for_swap` oracle.
@@ -739,12 +741,17 @@ impl ConflictTable {
         if n < 2 || lo_bound >= n {
             return;
         }
+        let vector = self.vector_probe();
         match self.mask_words {
+            // SAFETY: `vector_probe` detected the exact features the body is
+            // compiled for (AVX-512 F + DQ), and the rows hold one word.
+            #[cfg(target_arch = "x86_64")]
+            1 if vector => unsafe { self.probe_body_avx512_scratch(m, lo_bound, out) },
             // dmax ≤ n − 1, and the row capacity R only needs to cover the
             // largest order of each width class: n ≤ 32 for one word per row
             // (u64), n ≤ 64 for two (packed into one u128).
             1 => self.probe_range_masked::<u64, 32>(m, lo_bound, out),
-            2 => self.probe_range_masked::<u128, 64>(m, lo_bound, out),
+            2 if !vector => self.probe_range_masked::<u128, 64>(m, lo_bound, out),
             _ => self.probe_range_masked_dyn(m, lo_bound, out),
         }
         debug_assert!(

@@ -3,51 +3,50 @@
 //! [`ConflictTable`] keeps, for every row `d` of the difference-triangle
 //! histogram, two occupancy bitsets over the row's `2n − 1` buckets: `occ`
 //! (bucket holds ≥ 1 pair) and `multi` (≥ 2), recomputed by its refresh pass
-//! after every change.  A row spans
-//! `W = ⌈(2n − 1) / 64⌉` `u64` words — one word for n ≤ 32 (the historical
-//! layout, bit for bit), two for n ≤ 64, unbounded beyond — and the kernels in
-//! this module are generic over `W`, so no order falls back to the slow
-//! histogram path.  All of them are pinned bit for bit to the plain histogram
-//! reference (`ConflictTable::probe_partners_reference`):
+//! after every change.  A row spans `W = ⌈(2n − 1) / 64⌉` `u64` words — one
+//! word for n ≤ 32, two for n ≤ 64, unbounded beyond — and every order has a
+//! kernel, so none falls back to the slow histogram path.  All of them are
+//! pinned bit for bit to the plain histogram reference
+//! (`ConflictTable::probe_partners_reference`).  The dispatcher in `cost.rs`
+//! picks the tier by CPU feature and row width only:
 //!
-//! * [`ConflictTable::probe_range_masked`] — the **production kernel** behind
-//!   the dispatched `probe_partners`, monomorphized per row-mask word type
-//!   ([`MaskWord`]: one `u64` for n ≤ 32 — the historical single-word layout
-//!   bit for bit — one `u128` holding both words for n ≤ 64).  Candidate-major
-//!   and *collision-free by construction*: per (candidate, row) cell the ≤ 6
-//!   bucket events are replayed **in sequence** on register copies of the
-//!   row's patched masks.  Each `+1` scores its current `occ` bit and then
-//!   maintains both bits exactly (after a `+1`, a bucket's `multi` bit is its
-//!   `occ` bit from before, and its `occ` bit is set); each `−1` scores the
-//!   maintained `multi` bit.  Because the per-event deltas telescope, the sum
-//!   is exact even when events share a bucket — no per-cell collision
-//!   detection, no count reads.  Only two cases leave this path: the
-//!   culprit-neighbour cells (`j = m ± d`, where a culprit pair *is* a
-//!   candidate pair) and both candidate pairs vacating one shared bucket
-//!   (the second `−1` needs "count ≥ 3", which two bits cannot answer); both
-//!   fall back to the exact per-bucket merge on the flat counts.  The per-row
-//!   mask patches for the culprit-vacated buckets are built once per probe
-//!   call ([`SimRow`]), and the culprit-removal delta — identical for every
-//!   candidate — is summed across rows once and added once per candidate
-//!   instead of once per (row, candidate).  On x86-64 with AVX-512 F + DQ the
-//!   dispatcher swaps the replay loop for the vector body in [`simd`]: the
-//!   same cell algebra scored 8 candidates per instruction, with the
-//!   sequential replay replaced by branchless bucket-equality corrections and
-//!   the `j = m ± d` cells folded into the lanes by a partner-value override,
-//!   so only the shared-bucket double-vacate still reaches the exact merge.
-//!   The scalar replay body is the portable fallback and the vector body's
-//!   pinned sibling.
-//! * [`ConflictTable::probe_range_masked_dyn`] — the same candidate-major body
-//!   over slice-held mask copies for arbitrary width (`W ≥ 3`, n ≥ 65), with
-//!   the patched masks kept in a table-owned scratch so the read-only probe
-//!   contract stays allocation-free.  The scalar body here detects bucket
-//!   collisions per cell and sends them to the exact merge.  On AVX-512
-//!   F + DQ hosts, rows of three or four words (n ≤ 128) take the vector
-//!   body instead: the same lane algebra as the register-width one, with
-//!   every bucket bit read from the row's words in one register by a lane
-//!   permute, since the 64-bit shifted windows cannot hold n > 64 values
-//!   (see [`simd`]).  Wider rows, and hosts without AVX-512, keep the
-//!   scalar body.
+//! * **AVX-512 F + DQ, one-word rows (n ≤ 32):** the from-scratch body
+//!   (`ConflictTable::probe_body_avx512_scratch` in `simd`).  Each lane
+//!   scores one candidate's whole swapped permutation, eight per pass, by
+//!   the row-lane sweep's "pairs minus distinct buckets" identity; it reads
+//!   neither the counts nor the masks.
+//! * **AVX-512 F + DQ, two to four words (33 ≤ n ≤ 128):**
+//!   `ConflictTable::probe_range_masked_dyn` with the permute body
+//!   (`ConflictTable::probe_body_avx512_wide` in `simd`): the event
+//!   algebra below, eight candidates per instruction, every bucket bit read
+//!   from the row's words in one register by a lane permute.
+//! * **Everywhere else — the portable tier and the reference for both:**
+//!   the scalar event-algebra bodies.  `ConflictTable::probe_range_masked`
+//!   is monomorphized per row-mask word type (`MaskWord`: one `u64` for
+//!   n ≤ 32, one `u128` holding both words for n ≤ 64) and runs
+//!   `probe_body_sim`; `ConflictTable::probe_range_masked_dyn` runs
+//!   `probe_body` over slice-held mask copies for every wider row, with the
+//!   patched masks kept in a table-owned scratch so the read-only probe
+//!   contract stays allocation-free.
+//!
+//! The event algebra is candidate-major: per (candidate, row) cell the ≤ 6
+//! bucket events of the swap are scored against the row's masks, patched
+//! once per probe call for the culprit-vacated buckets (`SimRow`,
+//! `DynScratch`), and the culprit-removal delta — identical for every
+//! candidate — is summed across rows once and added once per candidate
+//! instead of once per (row, candidate).  `probe_body_sim` is
+//! *collision-free by construction*: it replays the events **in sequence**
+//! on register copies of the masks.  Each `+1` scores its current `occ` bit
+//! and then maintains both bits exactly (after a `+1`, a bucket's `multi`
+//! bit is its `occ` bit from before, and its `occ` bit is set); each `−1`
+//! scores the maintained `multi` bit.  Because the per-event deltas
+//! telescope, the sum is exact even when events share a bucket.  Only two
+//! cases leave this path: the culprit-neighbour cells (`j = m ± d`, where a
+//! culprit pair *is* a candidate pair) and both candidate pairs vacating
+//! one shared bucket (the second `−1` needs "count ≥ 3", which two bits
+//! cannot answer); both fall back to the exact per-bucket merge on the flat
+//! counts.  `probe_body` detects bucket collisions per cell and sends them
+//! to the same merge.
 //!
 //! The `simd` module also holds the row-lane sweep, one difference-triangle
 //! row per 64-bit lane for n ≤ 128, behind two callers: the vector tier of
@@ -61,14 +60,16 @@
 //! pins the vector result to the scalar one on every call.
 //!
 //! Equivalence with the histogram reference is enforced three ways: the
-//! `debug_assert!` in the probe dispatcher (every call, bit for bit), the unit
-//! suite below (orders 2–32 exhaustively plus the width edges 33/40/64/65/80/
-//! 96/97/128/129, all cost models up to n = 80, adversarial permutations,
-//! swap walks, every kernel — the scalar tier is called directly at every
-//! width, so it runs on AVX-512 hosts too, and the suite prints the tiers
-//! that ran, e.g. `probe tiers: scalar W=1,2,slice; AVX-512 W=1,2,3,4`), and
-//! the cross-crate conformance kit in `adaptive-search`, which drives random
-//! swap/reset/inject sequences against a from-scratch oracle.
+//! `debug_assert!`s in the probe dispatcher (every call, bit for bit, against
+//! the reference and the per-pair `delta_for_swap`), the unit suite below
+//! (orders 2–32 exhaustively plus the width edges 33/40/64/65/80/96/97/128/
+//! 129, all cost models up to n = 80, adversarial permutations, swap walks,
+//! every kernel — the scalar tier and the from-scratch body are called
+//! directly, bypassing the dispatcher, so the scalar tier runs on AVX-512
+//! hosts too, and the suite prints the bodies that ran, e.g.
+//! `probe tiers: scalar W=1,2,slice; AVX-512 scratch W=1; permute W=2,3,4`),
+//! and the cross-crate conformance kit in `adaptive-search`, which drives
+//! random swap/reset/inject sequences against a from-scratch oracle.
 
 use crate::cost::ConflictTable;
 use crate::merge::BucketMerge;
@@ -95,12 +96,12 @@ struct RowMeta {
 }
 
 /// One row's occupancy masks held as a single register-sized word, so the
-/// event-replay kernel ([`ConflictTable::probe_range_masked`]) does every bit
-/// test *and* every bit update with plain shifts — no word indexing.  The
-/// dispatcher monomorphizes the kernel per implementor: `u64` carries the
-/// single-word rows of n ≤ 32, `u128` carries both words of the two-word rows
-/// of 33 ≤ n ≤ 64 (row width 2n − 1 ≤ 127 bits).  Wider rows take the
-/// slice-walking kernel instead.
+/// scalar event-replay kernel ([`ConflictTable::probe_range_masked`]) does
+/// every bit test *and* every bit update with plain shifts — no word
+/// indexing.  The dispatcher monomorphizes the kernel per implementor: `u64`
+/// carries the single-word rows of n ≤ 32, `u128` carries both words of the
+/// two-word rows of 33 ≤ n ≤ 64 (row width 2n − 1 ≤ 127 bits).  Wider rows
+/// take the slice-walking kernel instead.
 pub(crate) trait MaskWord:
     Copy
     + std::ops::BitAnd<Output = Self>
@@ -118,12 +119,6 @@ pub(crate) trait MaskWord:
     fn gated_bit(b: usize, set: bool) -> Self;
     /// Bit `b` as 0 or 1.
     fn bit(self, b: usize) -> i64;
-    /// The low 64 bits of `self >> s`.
-    fn shifted_low(self, s: usize) -> u64;
-    /// The low mask word (bits 0..64).
-    fn lo64(self) -> u64;
-    /// The high mask word (bits 64..128; zero for single-word rows).
-    fn hi64(self) -> u64;
 }
 
 impl MaskWord for u64 {
@@ -140,18 +135,6 @@ impl MaskWord for u64 {
     #[inline]
     fn bit(self, b: usize) -> i64 {
         ((self >> b) & 1) as i64
-    }
-    #[inline]
-    fn shifted_low(self, s: usize) -> u64 {
-        self >> s
-    }
-    #[inline]
-    fn lo64(self) -> u64 {
-        self
-    }
-    #[inline]
-    fn hi64(self) -> u64 {
-        0
     }
 }
 
@@ -170,49 +153,16 @@ impl MaskWord for u128 {
     fn bit(self, b: usize) -> i64 {
         ((self >> b) as u64 & 1) as i64
     }
-    #[inline]
-    fn shifted_low(self, s: usize) -> u64 {
-        (self >> s) as u64
-    }
-    #[inline]
-    fn lo64(self) -> u64 {
-        self as u64
-    }
-    #[inline]
-    fn hi64(self) -> u64 {
-        (self >> 64) as u64
-    }
 }
 
-/// Per-row probe context for the event-replay kernel: the shared [`RowMeta`],
-/// the row's occupancy masks packed into one [`MaskWord`] each (with the
-/// culprit-vacated buckets already patched out), and four precomputed
-/// *shifted windows* of the patched `occ` mask.
-///
-/// The windows exploit that four of a cell's six bucket indices are
-/// single-variable affine functions of one candidate-side value `v` with a
-/// row-constant offset — `k1 = v_j − left + off`, `k2 = right − v_j + off`,
-/// `n1 = v_m − v_l + off`, `n2 = v_r − v_m + off` — so shifting the (for the
-/// descending forms, bit-reversed) mask by the row constant once turns each
-/// per-candidate occupancy test into a single `u64` bit extract at `v − 1`
-/// (values are 1-based and `n ≤ 64` on this path, so the low 64 bits of the
-/// window always cover them).  Absent culprit sides store an all-zero window,
-/// which gates `k1`/`k2` for free.
+/// Per-row probe context for the scalar event-replay kernel: the shared
+/// [`RowMeta`] and the row's occupancy masks packed into one [`MaskWord`]
+/// each, with the culprit-vacated buckets already patched out.
 #[derive(Clone, Copy)]
 pub(crate) struct SimRow<Wd> {
     meta: RowMeta,
     occ: Wd,
     multi: Wd,
-    /// `occ >> (n − left_other)`: bit `v_j − 1` is `occ[k1]`; zero when the
-    /// left culprit pair is absent.
-    p1: u64,
-    /// n-bit reversal of `occ >> (right_other − 1)`: bit `v_j − 1` is
-    /// `occ[k2]`; zero when the right culprit pair is absent.
-    p2: u64,
-    /// n-bit reversal of `occ >> (v_m − 1)`: bit `v_l − 1` is `occ[n1]`.
-    p3: u64,
-    /// `occ >> (n − v_m)`: bit `v_r − 1` is `occ[n2]`.
-    p4: u64,
 }
 
 /// Reusable scratch for the arbitrary-width kernel
@@ -229,7 +179,7 @@ pub(crate) struct DynScratch {
 /// Slice-backed row source for the arbitrary-width kernel
 /// ([`ConflictTable::probe_range_masked_dyn`]): bit tests walk the patched
 /// [`DynScratch`] copies word by word (the scalar `probe_body`) or load a
-/// row's words into one register (the AVX-512 body for W ≤ 4).
+/// row's words into one register (the AVX-512 body for 2 ≤ W ≤ 4).
 pub(crate) struct DynRows<'a> {
     metas: &'a [RowMeta],
     occ: &'a [u64],
@@ -267,15 +217,6 @@ impl DynRows<'_> {
     fn multi_bit(&self, di: usize, k: usize) -> i64 {
         ((self.multi[di * self.words + (k >> 6)] >> (k & 63)) & 1) as i64
     }
-}
-
-/// Reverse an n-bit window held in the low bits of `x` (bit `i` ↦ bit
-/// `n − 1 − i`), discarding bits at and above `n`: the descending-form
-/// shifted windows of [`SimRow`] are built from this, so multi-word masks
-/// never need a full-width bit reversal.
-#[inline]
-fn rev_window(x: u64, n: usize) -> u64 {
-    x.reverse_bits() >> (64 - n)
 }
 
 /// Apply `set(bucket, occ_after, multi_after)` for each culprit-vacated bucket
@@ -425,8 +366,6 @@ impl ConflictTable {
             self.dmax
         );
         let counts = &self.counts[..];
-        let n_i = self.n as i64;
-        let vm = self.values[m] as i64;
         let mut removal_total = 0i64;
         for d in 1..=self.dmax {
             let (meta, removal) = self.build_row_meta(m, d);
@@ -439,32 +378,7 @@ impl ConflictTable {
                 occ = (occ & clear) | Wd::gated_bit(k, o);
                 multi = (multi & clear) | Wd::gated_bit(k, mu);
             });
-            // The shifted windows (see [`SimRow`]); `left_other`/`right_other`
-            // and `v_m` are all in 1..=n, so every shift is in 0..n for the
-            // ascending windows and 0..width for the descending ones, and the
-            // descending forms only need the low 64 bits of the segment
-            // reversed — never the full multi-word mask.
-            let p1 = if meta.has_left {
-                occ.shifted_low((n_i - meta.left_other) as usize)
-            } else {
-                0
-            };
-            let p2 = if meta.has_right {
-                rev_window(occ.shifted_low((meta.right_other - 1) as usize), self.n)
-            } else {
-                0
-            };
-            let p3 = rev_window(occ.shifted_low((vm - 1) as usize), self.n);
-            let p4 = occ.shifted_low((n_i - vm) as usize);
-            rows[d - 1] = SimRow {
-                meta,
-                occ,
-                multi,
-                p1,
-                p2,
-                p3,
-                p4,
-            };
+            rows[d - 1] = SimRow { meta, occ, multi };
         }
         removal_total
     }
@@ -668,8 +582,9 @@ impl ConflictTable {
 
     /// Does the dispatcher hand this table's probe to an AVX-512 body?  True
     /// on x86-64 with AVX-512 F + DQ ([`simd::probe_kernel_available`]) when a
-    /// row holds at most four mask words (n ≤ 128); both kernel entry points
-    /// branch on it.
+    /// row holds at most four mask words (n ≤ 128): the from-scratch body
+    /// serves one-word rows, the permute body the others.  The refresh pass
+    /// branches on it too.
     pub(crate) fn vector_probe(&self) -> bool {
         #[cfg(target_arch = "x86_64")]
         let vector = self.n <= simd::ROW_LANES_MAX_ORDER && simd::probe_kernel_available();
@@ -678,14 +593,12 @@ impl ConflictTable {
         vector
     }
 
-    /// Production probe kernel, monomorphized per [`MaskWord`] row
-    /// representation with stack storage for up to `R` rows (`u64, R = 32`
-    /// for n ≤ 32 — the historical single-word layout bit for bit — and
-    /// `u128, R = 64` for n ≤ 64, chosen by the dispatcher).  After the
-    /// per-row contexts are built, the body is chosen at runtime: the AVX-512
-    /// vector kernel ([`simd::probe_kernel_available`]) when the CPU has
-    /// F + DQ, the scalar telescoping replay ([`Self::probe_body_sim`])
-    /// otherwise — both pinned bit for bit to the histogram reference.
+    /// Scalar probe kernel for register-width rows, monomorphized per
+    /// [`MaskWord`] row representation with stack storage for up to `R` rows
+    /// (`u64, R = 32` for n ≤ 32 and `u128, R = 64` for n ≤ 64, chosen by
+    /// the dispatcher): the telescoping replay ([`Self::probe_body_sim`])
+    /// over the per-row contexts.  The dispatcher sends these orders here on
+    /// hosts without AVX-512 F + DQ.
     pub(crate) fn probe_range_masked<Wd: MaskWord, const R: usize>(
         &self,
         m: usize,
@@ -696,30 +609,19 @@ impl ConflictTable {
             meta: RowMeta::default(),
             occ: Wd::ZERO,
             multi: Wd::ZERO,
-            p1: 0,
-            p2: 0,
-            p3: 0,
-            p4: 0,
         }; R];
         let removal_total = self.build_rows(m, &mut rows);
-        let rows = &rows[..self.dmax];
-        #[cfg(target_arch = "x86_64")]
-        if self.vector_probe() {
-            // SAFETY: gated on runtime detection of the exact features the
-            // vector body is compiled for (AVX-512 F + DQ).
-            unsafe { self.probe_body_avx512(rows, m, lo_bound, removal_total, out) };
-            return;
-        }
-        self.probe_body_sim(rows, m, lo_bound, removal_total, out);
+        self.probe_body_sim(&rows[..self.dmax], m, lo_bound, removal_total, out);
     }
 
-    /// Production probe kernel for arbitrary row width (`W ≥ 3` mask words,
-    /// n ≥ 65) over patched slice-held mask copies, reusing the table-owned
-    /// [`DynScratch`].  The body is chosen at runtime: the AVX-512 permute
-    /// body ([`Self::probe_body_avx512_wide`]) when the CPU has F + DQ and
-    /// the rows hold at most four words (n ≤ 128), the scalar
-    /// collision-detecting body ([`Self::probe_body`]) otherwise — both
-    /// pinned bit for bit to the histogram reference.
+    /// Probe kernel over patched slice-held mask copies, reusing the
+    /// table-owned [`DynScratch`].  The body is chosen at runtime: the
+    /// AVX-512 permute body ([`Self::probe_body_avx512_wide`]) when the CPU
+    /// has F + DQ and the rows hold at most four words (n ≤ 128; the
+    /// dispatcher sends it two- to four-word rows), the scalar
+    /// collision-detecting body ([`Self::probe_body`]) otherwise (the
+    /// dispatcher sends it rows of three or more words) — both pinned bit
+    /// for bit to the histogram reference.
     pub(crate) fn probe_range_masked_dyn(&self, m: usize, lo_bound: usize, out: &mut [u64]) {
         let mut scratch = self.kernel_scratch.borrow_mut();
         let scratch = &mut *scratch;
@@ -763,51 +665,40 @@ mod tests {
         ]
     }
 
-    /// A probe tier's `(kind, row width)` label, e.g. `("scalar", "slice")`
-    /// or `("AVX-512", "3")`.
+    /// A probe body's `(name, row width)` label, e.g. `("scalar", "slice")`
+    /// or `("permute", "3")`.
     type Tier = (&'static str, String);
+
+    /// The AVX-512 body the dispatcher picks for this table, if any: the
+    /// from-scratch body for one-word rows, the permute body up to four.
+    fn vector_tier(table: &ConflictTable) -> Option<Tier> {
+        let words = table.mask_words;
+        let body = if words == 1 { "scratch" } else { "permute" };
+        table.vector_probe().then(|| (body, words.to_string()))
+    }
 
     /// The scalar tier called directly, bypassing the dispatcher, so it runs
     /// on AVX-512 hosts too: `probe_body_sim` over `u64` rows for n ≤ 32 and
     /// `u128` rows for n ≤ 64, `probe_body` over slice-held rows beyond.
     fn probe_scalar_tier(table: &ConflictTable, m: usize, lo_bound: usize) -> Vec<u64> {
-        fn run<Wd: MaskWord, const R: usize>(
-            table: &ConflictTable,
-            m: usize,
-            lo_bound: usize,
-        ) -> Vec<u64> {
-            let mut rows = [SimRow {
-                meta: RowMeta::default(),
-                occ: Wd::ZERO,
-                multi: Wd::ZERO,
-                p1: 0,
-                p2: 0,
-                p3: 0,
-                p4: 0,
-            }; R];
-            let removal_total = table.build_rows(m, &mut rows);
-            let mut out = vec![table.cost(); table.order()];
-            table.probe_body_sim(&rows[..table.dmax], m, lo_bound, removal_total, &mut out);
-            out
-        }
+        let mut out = vec![table.cost(); table.order()];
         match table.mask_words {
-            1 => run::<u64, 32>(table, m, lo_bound),
-            2 => run::<u128, 64>(table, m, lo_bound),
+            1 => table.probe_range_masked::<u64, 32>(m, lo_bound, &mut out),
+            2 => table.probe_range_masked::<u128, 64>(m, lo_bound, &mut out),
             _ => {
                 let mut scratch = DynScratch::default();
                 let removal_total = table.build_rows_dyn(m, &mut scratch);
-                let mut out = vec![table.cost(); table.order()];
                 let src = scratch.rows(table.mask_words);
                 table.probe_body(&src, m, lo_bound, removal_total, &mut out);
-                out
             }
         }
+        out
     }
 
     /// Pin the dispatched probe and the directly called scalar tier to the
     /// histogram reference, for every culprit and both probe variants.
-    /// Returns the tiers that ran: the scalar one and, when the dispatcher
-    /// picks it, the AVX-512 one (the dispatched probe *is* that tier here,
+    /// Returns the bodies that ran: the scalar one and, when the dispatcher
+    /// picks one, the AVX-512 one (the dispatched probe *is* that body here,
     /// so it is not called a second time).
     fn assert_probe_matches_reference(table: &ConflictTable, context: &str) -> Vec<Tier> {
         let n = table.order();
@@ -839,9 +730,7 @@ mod tests {
             "slice".to_string()
         };
         let mut ran = vec![("scalar", scalar)];
-        if table.vector_probe() {
-            ran.push(("AVX-512", words.to_string()));
-        }
+        ran.extend(vector_tier(table));
         ran
     }
 
@@ -863,10 +752,11 @@ mod tests {
     }
 
     /// The same equivalence past the single-word boundary, at the edges of
-    /// every row width: the two-word monomorphized kernel (n = 33…64), the
-    /// three- and four-word slice-held rows (65…96 and 97…128, where the
-    /// AVX-512 permute body serves), and n = 129, the first order past that
-    /// body's cap, against the histogram reference.  Orders up to 80 run
+    /// every row width: the two-word rows (n = 33…64, the monomorphized
+    /// scalar kernel and the AVX-512 permute body), the three- and four-word
+    /// slice-held rows (65…96 and 97…128, scalar and permute), and n = 129,
+    /// the first order past the permute body's cap, against the histogram
+    /// reference.  Orders up to 80 run
     /// every cost model.  From 96 on, a full check costs one to two seconds
     /// per model in a debug build, so n = 128 runs the first two models,
     /// which between them cover both weights and both spans, and the other
@@ -911,10 +801,76 @@ mod tests {
             }
         };
         println!(
-            "probe tiers: scalar{}; AVX-512{}",
+            "probe tiers: scalar{}; AVX-512 scratch{}; permute{}",
             widths("scalar"),
-            widths("AVX-512")
+            widths("scratch"),
+            widths("permute")
         );
+    }
+
+    /// The from-scratch AVX-512 body called directly, bypassing the
+    /// dispatcher, against the histogram reference: every one-word order
+    /// (n = 2 and 3 score row 1 only), every cost model, every culprit,
+    /// both probe variants, on random, identity, reversed and swap-walked
+    /// permutations.  Prints how many orders it ran (none without AVX-512).
+    #[test]
+    fn from_scratch_body_matches_reference_at_every_single_word_order() {
+        #[cfg(target_arch = "x86_64")]
+        fn check(table: &ConflictTable, context: &str) -> bool {
+            if !table.vector_probe() {
+                return false;
+            }
+            let n = table.order();
+            let mut reference = Vec::new();
+            for m in 0..n {
+                for lo_bound in [0, m + 1] {
+                    let mut out = vec![table.cost(); n];
+                    // SAFETY: `vector_probe` checked the CPU features.
+                    unsafe { table.probe_body_avx512_scratch(m, lo_bound, &mut out) };
+                    if lo_bound == 0 {
+                        table.probe_partners_reference(m, &mut reference);
+                    } else {
+                        table.probe_partners_above_reference(m, &mut reference);
+                    }
+                    assert_eq!(
+                        out, reference,
+                        "culprit {m}, lo_bound {lo_bound} ({context})"
+                    );
+                }
+            }
+            true
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        fn check(_: &ConflictTable, _: &str) -> bool {
+            false
+        }
+        let mut rng = default_rng(0x5C2A_7C40);
+        let mut orders = 0;
+        for n in 2..=32usize {
+            let mut ran = false;
+            for model in models() {
+                let random = one_based(random_permutation(n, &mut rng));
+                let identity: Vec<usize> = (1..=n).collect();
+                let reversed: Vec<usize> = (1..=n).rev().collect();
+                for (name, p) in [
+                    ("random", random),
+                    ("identity", identity),
+                    ("reversed", reversed),
+                ] {
+                    let mut table = ConflictTable::new(&p, model);
+                    ran |= check(&table, &format!("{name}, n={n}, {model:?}"));
+                    for step in 0..4 {
+                        let i = (rng.next_u64() as usize) % n;
+                        let j = (rng.next_u64() as usize) % n;
+                        table.apply_swap(i, j);
+                        let context = format!("{name} walk step {step}, n={n}, {model:?}");
+                        check(&table, &context);
+                    }
+                }
+            }
+            orders += usize::from(ran);
+        }
+        println!("from-scratch probe body: {orders} of 31 single-word orders");
     }
 
     /// Adversarial configurations: the identity permutation collapses every

@@ -1,62 +1,61 @@
-//! AVX-512 lane-parallel bodies: the probe for rows of up to four mask
-//! words, and the row-lane sweep behind the reset evaluator's bounded
-//! from-scratch cost and the conflict table's refresh pass, all for
-//! n ≤ 128 ([`ROW_LANES_MAX_ORDER`]).
+//! AVX-512 lane-parallel bodies, all for n ≤ 128 ([`ROW_LANES_MAX_ORDER`]):
+//! the two probe bodies, and the row-lane sweep behind the reset evaluator's
+//! bounded from-scratch cost and the conflict table's refresh pass.
 //!
-//! # Probe body
+//! # Probe bodies
 //!
 //! The scalar probe bodies (`probe_body_sim`, `probe_body`) are serial in
-//! the one dimension the workload has plenty of: candidates.  Each
-//! (candidate, row) cell reads six data-dependent bucket bits, and the
-//! scalar replay's sequential mask maintenance chains them.  The vector body
-//! keeps the same event algebra but scores **eight candidates per
-//! instruction**.  Its lane algebra is written once (`probe_lanes`) and
-//! instantiated twice; the two instances differ only in how a cell reads a
-//! bucket bit (the `LaneRows` trait):
+//! the one dimension the workload has plenty of: candidates.  Both vector
+//! bodies score **eight candidates per pass**, one per 64-bit lane; they
+//! differ in what a lane computes.
 //!
-//! * **Windows, W ≤ 2 (n ≤ 64)** — [`ConflictTable::probe_body_avx512`]
-//!   over the register-width rows.  The four single-variable bucket tests
-//!   come from the per-row *shifted windows* ([`SimRow`]): broadcast the
-//!   window once, then one variable shift by `value − 1` per lane
-//!   (`vpsrlvq`) and an AND against 1.  The two candidate-vacated buckets
-//!   read the row's packed masks as two broadcast 64-bit words each; the
-//!   word select (`index < 64`) is a mask blend, so two-word rows cost one
-//!   extra shift + blend, not a gather.
-//! * **Permutes, W = 3..=4 (65 ≤ n ≤ 128)** —
-//!   [`ConflictTable::probe_body_avx512_wide`] over the slice-held rows
-//!   ([`DynRows`]).  A 64-bit window cannot hold n > 64 values, so all six
-//!   bits are read from the patched row copies: one masked load puts a row's
-//!   `W` words in the low lanes of one register, and each test is a word
-//!   select `idx >> 6` through a lane permute (`vpermq`), a shift by
-//!   `idx & 63` and an AND against 1.  The word select is what this body
-//!   adds, so the kernel suite pins it at every width edge (n = 65, 80, 96,
-//!   97, 128); an off-by-one there fails it.
+//! * **From scratch, one-word rows (n ≤ 32)** —
+//!   [`ConflictTable::probe_body_avx512_scratch`].  Lane `l` holds the whole
+//!   configuration after swapping the culprit `m` with candidate `j_l`:
+//!   column `p` is `v[p]`, except `v[m]` at `p = j_l` and `v[j_l]` at
+//!   `p = m`.  Each row `d` is one loop over the left index `i` that ORs
+//!   `rolv(1, col[i + d] − col[i])` into a per-lane `u64`; the differences
+//!   lie in `(−32, 32)`, so distinct differences set distinct bits.  The
+//!   row's repeats are its `n − d` pairs minus the popcount, and the lane's
+//!   cost is `Σ ERR(d)·repeats` — the row-lane sweep's "pairs minus distinct
+//!   buckets" identity (below), so the body is exact by construction: it
+//!   reads no counts and no masks and needs no shared-bucket corrections.
+//!   It costs O(n·d_max) per candidate against the event algebra's
+//!   O(d_max), which pays while a row fits one word.  On a 2-vCPU AVX-512
+//!   Xeon a probe call at n = 16 takes about 280 ns against 840 ns for the
+//!   event algebra, while a two-word variant (a second bitset per lane,
+//!   chosen by a compare) timed level with the permute body at
+//!   n = 33–64, within run-to-run noise; two-word rows therefore stay with
+//!   the permute body, which the wider rows need anyway.
+//! * **Event algebra, two to four words (33 ≤ n ≤ 128)** —
+//!   [`ConflictTable::probe_body_avx512_wide`] over the patched slice-held
+//!   rows ([`DynRows`]), the scalar replay's cell algebra with the candidate
+//!   axis in lanes.  All six bucket bits of a cell are read from the row
+//!   copies: one masked load puts a row's `W` words in the low lanes of one
+//!   register, and each test is a word select `idx >> 6` through a lane
+//!   permute (`vpermq`), a shift by `idx & 63` and an AND against 1.  The
+//!   kernel suite pins the word select at every width edge (n = 33, 64, 65,
+//!   80, 96, 97, 128); an off-by-one there fails it.
 //!
-//!   Windows stay for W ≤ 2, where every value fits one 64-bit window: a
-//!   window test is one shift and one AND, and the permute test adds the
-//!   word select on top.
+//!   Shared-bucket corrections are evaluated *branchlessly in every lane*
+//!   from ten 8-way index compares (`__mmask8` k-registers): a `+1` event
+//!   with an earlier `+1` on its bucket truly scores 1, not its baseline occ
+//!   bit (correct by `1 − occ`); a `−1` event with `a` earlier `+1`s truly
+//!   scores `−[count + a ≥ 2]` (correct by `occ − multi`, then `1 − occ`).
+//!   Equalities that would force `v_j = v_m` or `j = m` are impossible
+//!   (permutation values are distinct) and not tested — the same derivation
+//!   the scalar replay's telescoping argument rests on, checked bit for bit
+//!   against the histogram reference by the same suites.
 //!
-//! Shared-bucket corrections are evaluated *branchlessly in every lane* from
-//! ten 8-way index compares (`__mmask8` k-registers): a `+1` event with an
-//! earlier `+1` on its bucket truly scores 1, not its baseline occ bit
-//! (correct by `1 − occ`); a `−1` event with `a` earlier `+1`s truly scores
-//! `−[count + a ≥ 2]` (correct by `occ − multi`, then `1 − occ`).
-//! Equalities that would force `v_j = v_m` or `j = m` are impossible
-//! (permutation values are distinct) and not tested — the same derivation
-//! the scalar replay's telescoping argument rests on, checked bit for bit
-//! against the histogram reference by the same suites.
-//!
-//! Memory traffic is hoisted out of the row loop entirely: the whole
-//! candidate axis is at most eight 8-lane accumulators for n ≤ 64 and
-//! sixteen for n ≤ 128, held across all rows and added onto `out` once at
-//! the end (the hoisted culprit-removal total rides in the accumulators'
-//! initial value).
-//!
-//! Only two cell shapes leave the vector path, via a lane mask on the
-//! accumulation: the culprit-neighbour cells (`j = m ± d`, a statically
-//! known lane per row) and both candidate pairs vacating one shared bucket
-//! (`o1 = o2`, detected as a k-register compare).  Those lanes are scored by
-//! the exact per-bucket merge instead, added straight onto `out`.
+//!   Memory traffic is hoisted out of the row loop entirely: the whole
+//!   candidate axis is at most sixteen 8-lane accumulators, held across all
+//!   rows and added onto `out` once at the end (the hoisted culprit-removal
+//!   total rides in the accumulators' initial value).  The culprit-neighbour
+//!   cells (`j = m ± d`) are folded into the lanes by a partner-value
+//!   override; only both candidate pairs vacating one shared bucket
+//!   (`o1 = o2`, detected as a k-register compare) leaves the vector path,
+//!   via a lane mask on the accumulation, for the exact per-bucket merge,
+//!   added straight onto `out`.
 //!
 //! # Row-lane sweep: reset evaluator and refresh pass
 //!
@@ -72,15 +71,16 @@
 //! the lanes whose `δ` lies in its 64-wide window (signed compares against
 //! the window ends; one word needs none).  A row's repeats are its pair
 //! count minus its distinct buckets, so no per-pair hit test or counter is
-//! needed: after the group, a SWAR popcount of the bitsets gives each row's
-//! distinct count, the eight rows' repeats are weighted by `ERR(d)` and
-//! summed, and the sweep returns `None` as soon as the partial cost exceeds
-//! the limit.  At one word per row the inner step is three vector
-//! instructions (subtract with a broadcast operand, rotate, masked OR) for
-//! eight pairs.  A shift by `δ + n − 1` per word, the obvious alternative,
-//! compiled to about twice the instructions; subtracting `values[i] − (n − 1)`
-//! to get bucket indices directly loses the memory-operand broadcast and
-//! measured 5–17 % slower at n = 16–80 on a 2-vCPU AVX-512 Xeon.
+//! needed: after the group, a SWAR popcount of the bitsets
+//! ([`popcount_lanes`]) gives each row's distinct count, the eight rows'
+//! repeats are weighted by `ERR(d)` and summed, and the sweep returns `None`
+//! as soon as the partial cost exceeds the limit.  At one word per row the
+//! inner step is three vector instructions (subtract with a broadcast
+//! operand, rotate, masked OR) for eight pairs.  A shift by `δ + n − 1` per
+//! word, the obvious alternative, compiled to about twice the instructions;
+//! subtracting `values[i] − (n − 1)` to get bucket indices directly loses
+//! the memory-operand broadcast and measured 5–17 % slower at n = 16–80 on a
+//! 2-vCPU AVX-512 Xeon.
 //!
 //! The conflict table's refresh pass ([`ConflictTable::refresh_avx512`]) is
 //! the same loop with `TRACK` on and no limit.  Per step it also tests each
@@ -105,7 +105,7 @@
 
 use std::arch::x86_64::*;
 
-use super::{row_merge, DynRows, MaskWord, RowMeta, SimRow};
+use super::{row_merge, DynRows};
 use crate::cost::{ConflictTable, CostModel};
 use crate::merge::BucketMerge;
 
@@ -127,29 +127,6 @@ pub(crate) fn probe_kernel_available() -> bool {
     })
 }
 
-/// Per-lane bit test of a (≤ 2)-word mask held as broadcast words: shift both
-/// words by `idx mod 64` and blend on `idx < 64`.  `words` is always the
-/// monomorphized kernel's `Wd::WORDS`, so the branch constant-folds —
-/// single-word rows (all indices < 64, zero high word) compile down to one
-/// shift and one AND.
-///
-/// # Safety
-///
-/// Requires AVX-512 F at runtime; callers are `#[target_feature]`-gated.
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn bit_at(words: usize, [lo, hi]: [__m512i; 2], idx: __m512i) -> __m512i {
-    let s = _mm512_and_epi64(idx, _mm512_set1_epi64(63));
-    let from_lo = _mm512_srlv_epi64(lo, s);
-    let sel = if words == 1 {
-        from_lo
-    } else {
-        let w = _mm512_cmplt_epi64_mask(idx, _mm512_set1_epi64(64));
-        _mm512_mask_mov_epi64(_mm512_srlv_epi64(hi, s), w, from_lo)
-    };
-    _mm512_and_epi64(sel, _mm512_set1_epi64(1))
-}
-
 /// Per-lane bit test of a (≤ 8)-word mask held in the low lanes of `words`:
 /// a permute picks word `idx >> 6` for each lane, then a shift by
 /// `idx mod 64` brings the bit down.
@@ -165,205 +142,116 @@ unsafe fn word_bit(words: __m512i, idx: __m512i) -> __m512i {
     _mm512_and_epi64(_mm512_srlv_epi64(word, s), _mm512_set1_epi64(1))
 }
 
-/// One 8-candidate block's lane vectors that a row's bit reader needs: the
-/// candidate and neighbour values, the four `+1` bucket indices, and the
-/// culprit-neighbour lanes (`j = m − d` / `j = m + d`) whose `k1` / `k2`
-/// partner is overridden with `v_m`.
-struct Cell {
-    vj: __m512i,
-    vl: __m512i,
-    vr: __m512i,
-    k1: __m512i,
-    k2: __m512i,
-    n1: __m512i,
-    n2: __m512i,
-    lane_md: __mmask8,
-    lane_pd: __mmask8,
+/// Per-lane population count of the bitsets spread over `words` (lane `l`
+/// of every vector belongs to the same bitset): SWAR byte counts summed over
+/// the words (≤ 8 per word and byte), then across the bytes.  A lane's total
+/// must stay below 256, so every partial sum of its byte counts fits one
+/// byte; the callers' bitsets hold at most 127 set bits.
+///
+/// # Safety
+///
+/// Requires AVX-512 F at runtime; callers are `#[target_feature]`-gated.
+#[inline]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn popcount_lanes(words: &[__m512i]) -> __m512i {
+    let (m1, m2, m4) = (
+        _mm512_set1_epi64(0x5555_5555_5555_5555),
+        _mm512_set1_epi64(0x3333_3333_3333_3333),
+        _mm512_set1_epi64(0x0f0f_0f0f_0f0f_0f0f),
+    );
+    let mut bytes = _mm512_setzero_si512();
+    for &s in words {
+        let x = _mm512_sub_epi64(s, _mm512_and_si512(_mm512_srli_epi64::<1>(s), m1));
+        let x = _mm512_add_epi64(
+            _mm512_and_si512(x, m2),
+            _mm512_and_si512(_mm512_srli_epi64::<2>(x), m2),
+        );
+        let x = _mm512_and_si512(_mm512_add_epi64(x, _mm512_srli_epi64::<4>(x)), m4);
+        bytes = _mm512_add_epi64(bytes, x);
+    }
+    let bytes = _mm512_add_epi64(bytes, _mm512_srli_epi64::<8>(bytes));
+    let bytes = _mm512_add_epi64(bytes, _mm512_srli_epi64::<16>(bytes));
+    let bytes = _mm512_add_epi64(bytes, _mm512_srli_epi64::<32>(bytes));
+    _mm512_and_si512(bytes, _mm512_set1_epi64(0xff))
 }
 
-/// How the vector probe body reads a row's bucket bits — the one thing its
-/// two instantiations do differently (see the module docs).
-trait LaneRows {
-    /// One row's bits in registers, set up once per row.
-    type Row;
-    /// Rows scored: distances `1..=rows()`.
-    fn rows(&self) -> usize;
-    /// Row `di`'s metadata and register state.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512 F and DQ at runtime.
-    unsafe fn row(&self, di: usize) -> (&RowMeta, Self::Row);
-    /// The `occ` bits (0 or 1 per lane) read by the four `+1` events, at
-    /// `k1`, `k2`, `n1`, `n2`; `k1` / `k2` read 0 when that culprit pair is
-    /// absent.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512 F and DQ at runtime.
-    unsafe fn plus_bits(row: &Self::Row, cell: &Cell) -> [__m512i; 4];
-    /// The `occ` and `multi` bits (0 or 1 per lane) at `idx`.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512 F and DQ at runtime.
-    unsafe fn bits_at(row: &Self::Row, idx: __m512i) -> (__m512i, __m512i);
-}
-
-/// A register-width row (W ≤ 2) as broadcast vectors: the shifted windows
-/// `p1..p4` of [`SimRow`], then `occ` and `multi` as (low, high) words.
-struct WindowRow {
-    p: [__m512i; 4],
-    occ: [__m512i; 2],
-    multi: [__m512i; 2],
-}
-
-impl<Wd: MaskWord> LaneRows for [SimRow<Wd>] {
-    type Row = WindowRow;
-
-    fn rows(&self) -> usize {
-        self.len()
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    unsafe fn row(&self, di: usize) -> (&RowMeta, WindowRow) {
-        let row = &self[di];
-        let bits = WindowRow {
-            p: [
-                _mm512_set1_epi64(row.p1 as i64),
-                _mm512_set1_epi64(row.p2 as i64),
-                _mm512_set1_epi64(row.p3 as i64),
-                _mm512_set1_epi64(row.p4 as i64),
-            ],
-            occ: [
-                _mm512_set1_epi64(row.occ.lo64() as i64),
-                _mm512_set1_epi64(row.occ.hi64() as i64),
-            ],
-            multi: [
-                _mm512_set1_epi64(row.multi.lo64() as i64),
-                _mm512_set1_epi64(row.multi.hi64() as i64),
-            ],
-        };
-        (&row.meta, bits)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    unsafe fn plus_bits(row: &WindowRow, cell: &Cell) -> [__m512i; 4] {
-        // Window bit at `value − 1`; the absent-side windows are pre-zeroed,
-        // so x1/x2 self-gate.
-        let one = _mm512_set1_epi64(1);
-        let vj1 = _mm512_sub_epi64(cell.vj, one);
-        let vl1 = _mm512_sub_epi64(cell.vl, one);
-        let vr1 = _mm512_sub_epi64(cell.vr, one);
-        let mut x1 = _mm512_and_epi64(_mm512_srlv_epi64(row.p[0], vj1), one);
-        let mut x2 = _mm512_and_epi64(_mm512_srlv_epi64(row.p[1], vj1), one);
-        let x3 = _mm512_and_epi64(_mm512_srlv_epi64(row.p[2], vl1), one);
-        let x4 = _mm512_and_epi64(_mm512_srlv_epi64(row.p[3], vr1), one);
-        // The shifted windows bake in the row-constant partner, so the
-        // overridden culprit-neighbour lanes re-read their `k1`/`k2` bit from
-        // the packed masks (≤ 2 blocks per row take this branch).
-        if cell.lane_md | cell.lane_pd != 0 {
-            let bx1 = bit_at(Wd::WORDS, row.occ, cell.k1);
-            let bx2 = bit_at(Wd::WORDS, row.occ, cell.k2);
-            x1 = _mm512_mask_mov_epi64(x1, cell.lane_md, bx1);
-            x2 = _mm512_mask_mov_epi64(x2, cell.lane_pd, bx2);
-        }
-        [x1, x2, x3, x4]
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    unsafe fn bits_at(row: &WindowRow, idx: __m512i) -> (__m512i, __m512i) {
-        (
-            bit_at(Wd::WORDS, row.occ, idx),
-            bit_at(Wd::WORDS, row.multi, idx),
-        )
-    }
-}
-
-/// A slice-held row of three or four words: `occ` and `multi` each in the
-/// low lanes of one register, plus the culprit-side gates.
-struct PermRow {
-    kg1: __mmask8,
-    kg2: __mmask8,
-    occ: __m512i,
-    multi: __m512i,
-}
-
-impl LaneRows for DynRows<'_> {
-    type Row = PermRow;
-
-    fn rows(&self) -> usize {
-        self.metas.len()
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    unsafe fn row(&self, di: usize) -> (&RowMeta, PermRow) {
-        let meta = &self.metas[di];
-        let span = di * self.words..(di + 1) * self.words;
-        let (occ, multi) = (&self.occ[span.clone()], &self.multi[span]);
-        // SAFETY (of the loads): each masked load reads the first
-        // `min(words, 8)` elements of a slice just bounds-checked to hold
-        // `words`.
-        let live = low_lanes(self.words);
-        let bits = PermRow {
-            kg1: if meta.has_left { 0xff } else { 0 },
-            kg2: if meta.has_right { 0xff } else { 0 },
-            occ: _mm512_maskz_loadu_epi64(live, occ.as_ptr().cast()),
-            multi: _mm512_maskz_loadu_epi64(live, multi.as_ptr().cast()),
-        };
-        (meta, bits)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    unsafe fn plus_bits(row: &PermRow, cell: &Cell) -> [__m512i; 4] {
-        // The indices carry the overridden culprit-neighbour partners
-        // already, so no lane needs a second read.
-        [
-            _mm512_maskz_mov_epi64(row.kg1, word_bit(row.occ, cell.k1)),
-            _mm512_maskz_mov_epi64(row.kg2, word_bit(row.occ, cell.k2)),
-            word_bit(row.occ, cell.n1),
-            word_bit(row.occ, cell.n2),
-        ]
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    unsafe fn bits_at(row: &PermRow, idx: __m512i) -> (__m512i, __m512i) {
-        (word_bit(row.occ, idx), word_bit(row.multi, idx))
+/// The lane of position `p` in the block of `lanes` candidates starting at
+/// `block`, as a one-bit mask; zero when `p` lies outside the block.
+#[inline]
+fn lane_of(block: usize, lanes: usize, p: usize) -> __mmask8 {
+    if (block..block + lanes).contains(&p) {
+        1 << (p - block)
+    } else {
+        0
     }
 }
 
 impl ConflictTable {
-    /// Eight-lane AVX-512 probe body over the register-width row contexts
-    /// (n ≤ 64) — drop-in replacement for `probe_body_sim` (same contract:
-    /// add each candidate's delta onto the prefilled `out`, skipping `m`).
-    /// Bucket bits come from the shifted windows; see the module docs.
+    /// From-scratch AVX-512 probe body for one-word rows (n ≤ 32): write
+    /// into `out[j]` the cost after swapping `m` with `j`, for
+    /// `j in lo_bound..n`, `j != m`, eight candidates per pass; the other
+    /// entries are left alone.  See the module docs.
     ///
     /// # Safety
     ///
     /// Requires AVX-512 F and DQ at runtime (see [`probe_kernel_available`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows hold more than one word (n > 32), if the culprit
+    /// is out of range, or if `out` is shorter than the order.
     #[target_feature(enable = "avx512f,avx512dq")]
-    pub(crate) unsafe fn probe_body_avx512<Wd: MaskWord>(
+    pub(crate) unsafe fn probe_body_avx512_scratch(
         &self,
-        rows: &[SimRow<Wd>],
         m: usize,
         lo_bound: usize,
-        removal_total: i64,
         out: &mut [u64],
     ) {
-        // n ≤ 64: eight blocks cover the candidate axis.
-        self.probe_lanes::<_, 8>(rows, m, lo_bound, removal_total, out);
+        let n = self.n;
+        assert!(
+            self.mask_words == 1,
+            "the from-scratch probe body covers n ≤ 32, got n = {n}"
+        );
+        assert!(m < n, "culprit {m} out of range for order {n}");
+        assert!(out.len() >= n, "probe output shorter than the order");
+        let values = &self.values[..];
+        let vm = _mm512_set1_epi64(values[m] as i64);
+        let one = _mm512_set1_epi64(1);
+        let mut cols = [_mm512_setzero_si512(); 32];
+        for block in (lo_bound..n).step_by(8) {
+            let lanes = (n - block).min(8);
+            // Lane l is the configuration with m and j = block + l swapped;
+            // `usize` is 64-bit on this arch, and the tail lanes load 0.
+            for (col, &v) in cols.iter_mut().zip(values) {
+                *col = _mm512_set1_epi64(v as i64);
+            }
+            for l in 0..lanes {
+                cols[block + l] = _mm512_mask_mov_epi64(cols[block + l], 1 << l, vm);
+            }
+            cols[m] = _mm512_maskz_loadu_epi64(low_lanes(lanes), values.as_ptr().add(block).cast());
+            let mut cost = _mm512_setzero_si512();
+            for d in 1..=self.dmax {
+                let mut seen = _mm512_setzero_si512();
+                for (left, right) in cols[..n].iter().zip(&cols[d..n]) {
+                    let bit = _mm512_rolv_epi64(one, _mm512_sub_epi64(*right, *left));
+                    seen = _mm512_or_si512(seen, bit);
+                }
+                let pairs = _mm512_set1_epi64((n - d) as i64);
+                let repeats = _mm512_sub_epi64(pairs, popcount_lanes(&[seen]));
+                // ERR(d) ≤ n² and repeats < n fit the 32×32→64 `vpmuldq`.
+                let weight = _mm512_set1_epi64(self.weight(d) as i64);
+                cost = _mm512_add_epi64(cost, _mm512_mul_epi32(weight, repeats));
+            }
+            let store = low_lanes(lanes) & !lane_of(block, lanes, m);
+            _mm512_mask_storeu_epi64(out.as_mut_ptr().add(block).cast(), store, cost);
+        }
     }
 
-    /// The same lane body over slice-held rows of three or four mask words
-    /// (65 ≤ n ≤ [`ROW_LANES_MAX_ORDER`]) — drop-in replacement for
-    /// `probe_body`.  Bucket bits come from word permutes; see the module
-    /// docs.
+    /// Eight-lane AVX-512 event-algebra probe body over slice-held rows of
+    /// two to four mask words (33 ≤ n ≤ [`ROW_LANES_MAX_ORDER`]) — drop-in
+    /// replacement for `probe_body` (same contract: add each candidate's
+    /// delta onto the prefilled `out`, skipping `m`).  Bucket bits come from
+    /// word permutes; see the module docs.
     ///
     /// # Safety
     ///
@@ -386,27 +274,6 @@ impl ConflictTable {
             "the permute probe body covers n ≤ {ROW_LANES_MAX_ORDER}, got {} words per row",
             rows.words
         );
-        // n ≤ 128: sixteen blocks cover the candidate axis.
-        self.probe_lanes::<_, 16>(rows, m, lo_bound, removal_total, out);
-    }
-
-    /// The lane algebra shared by both vector probe bodies, over at most
-    /// `BLOCKS` 8-candidate blocks; `S` says how a row's bucket bits are
-    /// read.  See the module docs.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512 F and DQ at runtime.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    unsafe fn probe_lanes<S: LaneRows + ?Sized, const BLOCKS: usize>(
-        &self,
-        rows: &S,
-        m: usize,
-        lo_bound: usize,
-        removal_total: i64,
-        out: &mut [u64],
-    ) {
         let n = self.n;
         let vm = self.values[m] as i64;
         let values = &self.values[..];
@@ -414,21 +281,24 @@ impl ConflictTable {
         let off = n as i64 - 1;
         let mut touched = BucketMerge::<6>::new();
         // One 8-lane accumulator per candidate block, alive across the whole
-        // row loop.  The culprit-removal half of every delta — identical for
-        // every candidate — is their initial value.
+        // row loop; four words per row cap n at 128, so sixteen blocks cover
+        // the candidate axis.  The culprit-removal half of every delta —
+        // identical for every candidate — is their initial value.
         let nblocks = (n - lo_bound).div_ceil(8);
-        assert!(
-            nblocks <= BLOCKS,
-            "{nblocks} candidate blocks exceed this body's {BLOCKS}"
-        );
-        let mut accs = [_mm512_set1_epi64(removal_total); BLOCKS];
+        let mut accs = [_mm512_set1_epi64(removal_total); 16];
         let one = _mm512_set1_epi64(1);
         let off_v = _mm512_set1_epi64(off);
         let vm_off = _mm512_set1_epi64(vm + off);
         let off_vm = _mm512_set1_epi64(off - vm);
-        for di in 0..rows.rows() {
-            let (meta, row) = rows.row(di);
+        let live = low_lanes(rows.words);
+        for (di, meta) in rows.metas.iter().enumerate() {
             let d = di + 1;
+            // The row's patched words in the low lanes of one register each.
+            // SAFETY (of the loads): each masked load reads the first
+            // `words ≤ 4` elements of a slice just bounds-checked to hold them.
+            let span = di * rows.words..(di + 1) * rows.words;
+            let occ = _mm512_maskz_loadu_epi64(live, rows.occ[span.clone()].as_ptr().cast());
+            let multi = _mm512_maskz_loadu_epi64(live, rows.multi[span].as_ptr().cast());
             // Row weights are ≤ n² < 2³¹ and lane scores are in −6..=6, so
             // the 32×32→64 `vpmuldq` below is exact.
             let w_v = _mm512_set1_epi64(meta.w);
@@ -476,44 +346,34 @@ impl ConflictTable {
                 // from `jl`/`jr`), and the re-add of that pair replaces the
                 // `k1`/`k2` event's partner value with `v_m` (the culprit
                 // slot holds the candidate's value after the swap).
-                let lane_md: __mmask8 = if (block..block + lanes).contains(&m_md) {
-                    1 << (m_md - block)
-                } else {
-                    0
-                };
-                let lane_pd: __mmask8 = if (block..block + lanes).contains(&m_pd) {
-                    1 << (m_pd - block)
-                } else {
-                    0
-                };
+                let lane_md = lane_of(block, lanes, m_md);
+                let lane_pd = lane_of(block, lanes, m_pd);
                 let jl = jl & !lane_pd;
                 let jr = jr & !lane_md;
                 // The six bucket indices of the cell's events.
-                let cell = Cell {
-                    vj,
-                    vl,
-                    vr,
-                    k1: _mm512_mask_mov_epi64(
-                        _mm512_add_epi64(vj, k1c),
-                        lane_md,
-                        _mm512_add_epi64(vj, off_vm),
-                    ),
-                    k2: _mm512_mask_mov_epi64(
-                        _mm512_sub_epi64(k2c, vj),
-                        lane_pd,
-                        _mm512_sub_epi64(vm_off, vj),
-                    ),
-                    n1: _mm512_sub_epi64(vm_off, vl),
-                    n2: _mm512_add_epi64(vr, off_vm),
+                let k1 = _mm512_mask_mov_epi64(
+                    _mm512_add_epi64(vj, k1c),
                     lane_md,
+                    _mm512_add_epi64(vj, off_vm),
+                );
+                let k2 = _mm512_mask_mov_epi64(
+                    _mm512_sub_epi64(k2c, vj),
                     lane_pd,
-                };
-                let (k1, k2, n1, n2) = (cell.k1, cell.k2, cell.n1, cell.n2);
+                    _mm512_sub_epi64(vm_off, vj),
+                );
+                let n1 = _mm512_sub_epi64(vm_off, vl);
+                let n2 = _mm512_add_epi64(vr, off_vm);
                 let o1 = _mm512_add_epi64(_mm512_sub_epi64(vj, vl), off_v);
                 let o2 = _mm512_add_epi64(_mm512_sub_epi64(vr, vj), off_v);
-                let [x1, x2, x3, x4] = S::plus_bits(&row, &cell);
-                let (oo1, mo1) = S::bits_at(&row, o1);
-                let (oo2, mo2) = S::bits_at(&row, o2);
+                // The `occ` bits the four +1 events read (`k1`/`k2` gated on
+                // their culprit pair being present), and both bits at the two
+                // −1 events' buckets.
+                let x1 = _mm512_maskz_mov_epi64(kg1, word_bit(occ, k1));
+                let x2 = _mm512_maskz_mov_epi64(kg2, word_bit(occ, k2));
+                let x3 = word_bit(occ, n1);
+                let x4 = word_bit(occ, n2);
+                let (oo1, mo1) = (word_bit(occ, o1), word_bit(multi, o1));
+                let (oo2, mo2) = (word_bit(occ, o2), word_bit(multi, o2));
                 // Independent-event score: +1 events add their baseline occ
                 // bit, −1 events subtract their baseline multi bit.
                 let mut score = _mm512_add_epi64(x1, x2);
@@ -568,11 +428,7 @@ impl ConflictTable {
                 // answer; the overridden neighbour lanes have one −1 event
                 // and cannot collide this way).
                 let dd = _mm512_cmpeq_epi64_mask(o1, o2) & jl & jr;
-                let lane_m: __mmask8 = if (block..block + lanes).contains(&m) {
-                    1 << (m - block)
-                } else {
-                    0
-                };
+                let lane_m = lane_of(block, lanes, m);
                 let good = !(dd | lane_m);
                 *acc = _mm512_mask_add_epi64(*acc, good, *acc, _mm512_mul_epi32(w_v, score));
                 // Exact per-bucket merge for the shared-bucket lanes (rare),
@@ -595,10 +451,7 @@ impl ConflictTable {
         for (b, acc) in accs[..nblocks].iter().enumerate() {
             let block = lo_bound + 8 * b;
             let lanes = (n - block).min(8);
-            let mut mask = low_lanes(lanes);
-            if (block..block + lanes).contains(&m) {
-                mask &= !(1 << (m - block));
-            }
+            let mask = low_lanes(lanes) & !lane_of(block, lanes, m);
             let out_ptr = out.as_mut_ptr().add(block).cast::<i64>();
             let cur = _mm512_maskz_loadu_epi64(mask, out_ptr);
             _mm512_mask_storeu_epi64(out_ptr, mask, _mm512_add_epi64(cur, *acc));
@@ -749,11 +602,6 @@ impl CostModel {
             *end = _mm512_set1_epi64(64 * (w as i64 + 1) - (n as i64 - 1));
         }
         let to_buckets = ((n - 1) % 64) as u32;
-        let (m1, m2, m4) = (
-            _mm512_set1_epi64(0x5555_5555_5555_5555),
-            _mm512_set1_epi64(0x3333_3333_3333_3333),
-            _mm512_set1_epi64(0x0f0f_0f0f_0f0f_0f0f),
-        );
         let mut cost = 0u64;
         for d0 in (1..=dmax).step_by(8) {
             let rows = (dmax + 1 - d0).min(8);
@@ -784,28 +632,9 @@ impl CostModel {
                 let lanes = live & low_lanes(n - d0 - i);
                 group.mark::<TRACK>(base, i, d0, lanes, &word_ends, errors);
             }
-            // Distinct buckets per lane: SWAR byte counts summed over the
-            // words (≤ 32 per byte), then across the bytes.
-            let mut bytes = _mm512_setzero_si512();
-            for s in group.seen {
-                let x = _mm512_sub_epi64(s, _mm512_and_si512(_mm512_srli_epi64::<1>(s), m1));
-                let x = _mm512_add_epi64(
-                    _mm512_and_si512(x, m2),
-                    _mm512_and_si512(_mm512_srli_epi64::<2>(x), m2),
-                );
-                let x = _mm512_and_si512(_mm512_add_epi64(x, _mm512_srli_epi64::<4>(x)), m4);
-                bytes = _mm512_add_epi64(bytes, x);
-            }
-            // A row has at most n − 1 ≤ 127 distinct buckets, so every
-            // partial sum of its byte counts fits one byte.
-            let bytes = _mm512_add_epi64(bytes, _mm512_srli_epi64::<8>(bytes));
-            let bytes = _mm512_add_epi64(bytes, _mm512_srli_epi64::<16>(bytes));
-            let bytes = _mm512_add_epi64(bytes, _mm512_srli_epi64::<32>(bytes));
+            // Distinct buckets per lane; a row has at most n − 1 ≤ 127.
             let mut distinct = [0u64; 8];
-            _mm512_storeu_epi64(
-                distinct.as_mut_ptr().cast(),
-                _mm512_and_si512(bytes, _mm512_set1_epi64(0xff)),
-            );
+            _mm512_storeu_epi64(distinct.as_mut_ptr().cast(), popcount_lanes(&group.seen));
             // Row d has n − d pairs; each beyond its bucket's first repeats.
             for (l, &k) in distinct.iter().enumerate().take(rows) {
                 let d = d0 + l;

@@ -163,6 +163,7 @@ impl From<(String, RequestError)> for Reject {
             RequestError::UnknownProblem { .. } => RejectReason::UnknownProblem,
             RequestError::SizeOutOfRange { .. }
             | RequestError::SizeNotMultiple { .. }
+            | RequestError::WalksOverBudget { .. }
             | RequestError::InvalidWarmStart { .. } => RejectReason::InvalidRequest,
         };
         Reject::new(id, reason, err.to_string())
@@ -540,6 +541,18 @@ mod tests {
             .into();
         assert_eq!(r.reason, RejectReason::InvalidRequest);
         assert!(r.detail.contains("not a multiple of 2"), "{}", r.detail);
+        let r: Reject = (
+            "e".to_string(),
+            RequestError::WalksOverBudget {
+                key: "costas",
+                n: 7_712,
+                walks: 2,
+                max_walks: 1,
+            },
+        )
+            .into();
+        assert_eq!(r.reason, RejectReason::InvalidRequest);
+        assert!(r.detail.contains("at most 1 fit"), "{}", r.detail);
     }
 
     #[test]

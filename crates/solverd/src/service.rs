@@ -3,9 +3,10 @@
 //! Lifecycle of a request line:
 //!
 //! 1. **Decode + validate at admission** ([`Service::submit`]): parse failures,
-//!    unknown problem keys and invalid warm starts are answered immediately
-//!    with structured rejects — a worker never sees a request that could make
-//!    the engine panic.
+//!    unknown problem keys, invalid warm starts and fan-outs over the memory
+//!    budget are answered immediately with structured rejects — a worker never
+//!    sees a request that could make the engine panic.  The fan-out width is
+//!    fixed here too.
 //! 2. **Admission control**: the queue is bounded; a request arriving at a
 //!    full queue is rejected with `"queue-full"` (backpressure: the client
 //!    retries, the service never buffers unboundedly and never blocks the
@@ -27,6 +28,12 @@
 //! request with a warm start always runs single-engine: the warm start is a
 //! handover to one engine, and racing fresh random walks against it would
 //! silently discard the caller's candidate on every rank but one.
+//!
+//! Every walk holds its own model, so a fan-out stays within
+//! [`problems::MODEL_MEMORY_BUDGET`] in total: the default width shrinks to
+//! the walks that fit ([`problems::ProblemInfo::walks_within_budget`], at
+//! least one), and an explicit `"walks"` that does not fit is rejected at
+//! admission as `"invalid-request"`.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,7 +44,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use adaptive_search::problems;
-use adaptive_search::request::{SolveOutcome, SolveRequest, Termination};
+use adaptive_search::request::{RequestError, SolveOutcome, SolveRequest, Termination};
 use adaptive_search::CancelToken;
 use multiwalk::{ThreadRunner, WalkSpec};
 
@@ -75,6 +82,8 @@ impl Default for ServiceConfig {
 /// One admitted unit of work.
 struct Job {
     wire: WireRequest,
+    /// Fan-out width, fixed at admission (see the module docs).
+    walks: usize,
     admitted: Instant,
     /// Deadline anchored at admission (queue time counts against it).
     deadline: Option<Instant>,
@@ -140,14 +149,13 @@ impl Service {
         });
         let workers = Arc::new(Mutex::new(
             (0..config.workers)
-                .map(|_| spawn_worker(&shared, config.fanout_walks))
+                .map(|_| spawn_worker(&shared))
                 .collect::<Vec<_>>(),
         ));
         let supervisor = {
             let shared = Arc::clone(&shared);
             let workers = Arc::clone(&workers);
-            let fanout_walks = config.fanout_walks;
-            std::thread::spawn(move || supervise(&shared, &workers, fanout_walks))
+            std::thread::spawn(move || supervise(&shared, &workers))
         };
         Self {
             config,
@@ -218,14 +226,22 @@ impl Service {
         // Validate *before* taking a queue slot: a worker must never receive a
         // request that the engine would panic on, and an invalid request must
         // not consume capacity.
-        if let Err(err) = wire.request.validate() {
-            let _ = reply.send(Reject::from((wire.id, err)).render());
-            return false;
-        }
+        let walks = wire
+            .request
+            .validate()
+            .and_then(|()| effective_walks(&wire.request, wire.walks, self.config.fanout_walks));
+        let walks = match walks {
+            Ok(walks) => walks,
+            Err(err) => {
+                let _ = reply.send(Reject::from((wire.id, err)).render());
+                return false;
+            }
+        };
         let admitted = Instant::now();
         let deadline = wire.request.deadline.and_then(|d| admitted.checked_add(d));
         let job = Job {
             wire,
+            walks,
             admitted,
             deadline,
             cancel: CancelToken::new(),
@@ -276,15 +292,15 @@ impl Drop for Service {
     }
 }
 
-fn spawn_worker(shared: &Arc<Shared>, fanout_walks: usize) -> JoinHandle<()> {
+fn spawn_worker(shared: &Arc<Shared>) -> JoinHandle<()> {
     let shared = Arc::clone(shared);
-    std::thread::spawn(move || worker_loop(&shared, fanout_walks))
+    std::thread::spawn(move || worker_loop(&shared))
 }
 
 /// The supervisor: polls the pool and replaces dead worker threads, so a
 /// worker death (injected or real) degrades capacity for milliseconds rather
 /// than forever.  Exits when the service begins shutting down.
-fn supervise(shared: &Arc<Shared>, workers: &Mutex<Vec<JoinHandle<()>>>, fanout_walks: usize) {
+fn supervise(shared: &Arc<Shared>, workers: &Mutex<Vec<JoinHandle<()>>>) {
     loop {
         std::thread::sleep(Duration::from_millis(10));
         if lock_clean(&shared.state).shutting_down {
@@ -295,7 +311,7 @@ fn supervise(shared: &Arc<Shared>, workers: &Mutex<Vec<JoinHandle<()>>>, fanout_
             if slot.is_finished() {
                 // Workers only exit normally during shutdown (checked above),
                 // so a finished handle here is a dead worker: reap + replace.
-                let corpse = std::mem::replace(slot, spawn_worker(shared, fanout_walks));
+                let corpse = std::mem::replace(slot, spawn_worker(shared));
                 let _ = corpse.join();
                 shared.respawned.fetch_add(1, Ordering::Relaxed);
             }
@@ -331,7 +347,7 @@ fn claim_kill(shared: &Shared) -> bool {
 /// worker, never the service.  The only way this thread dies is the
 /// fault-injection kill, taken *between* jobs so no admitted request is ever
 /// holding a dead worker.
-fn worker_loop(shared: &Shared, fanout_walks: usize) {
+fn worker_loop(shared: &Shared) {
     loop {
         let job = {
             let mut state = lock_clean(&shared.state);
@@ -355,10 +371,10 @@ fn worker_loop(shared: &Shared, fanout_walks: usize) {
         let line = catch_unwind(AssertUnwindSafe(|| {
             execute(
                 &job.wire,
+                job.walks,
                 job.admitted,
                 job.deadline,
                 &job.cancel,
-                fanout_walks,
             )
         }))
         .unwrap_or_else(|_| {
@@ -379,10 +395,10 @@ fn worker_loop(shared: &Shared, fanout_walks: usize) {
 /// Execute one admitted request and render its response line.
 fn execute(
     wire: &WireRequest,
+    walks: usize,
     admitted: Instant,
     deadline: Option<Instant>,
     cancel: &CancelToken,
-    fanout_walks: usize,
 ) -> String {
     let queue = admitted.elapsed();
     let meta = |walks, winner| OkMeta {
@@ -410,7 +426,6 @@ fn execute(
         return proto::render_ok(&meta(0, None), &outcome);
     };
 
-    let walks = effective_walks(&wire.request, wire.walks, fanout_walks);
     if walks <= 1 {
         let request = SolveRequest {
             deadline: remaining,
@@ -434,17 +449,29 @@ fn execute(
     }
 }
 
-/// Fan-out width for a request (see the module docs for the policy).
-fn effective_walks(request: &SolveRequest, explicit: Option<usize>, fanout_walks: usize) -> usize {
+/// Fan-out width for a validated request, or a typed error for an explicit
+/// width whose walks do not fit the memory budget together (see the module
+/// docs for the policy).
+fn effective_walks(
+    request: &SolveRequest,
+    explicit: Option<usize>,
+    fanout_walks: usize,
+) -> Result<usize, RequestError> {
     if request.warm_start.is_some() {
-        return 1;
+        return Ok(1);
     }
-    if let Some(walks) = explicit {
-        return walks.clamp(1, proto::MAX_WALKS);
-    }
-    match problems::find(&request.problem) {
-        Some(info) if request.n >= info.bench_size => fanout_walks.max(1),
-        _ => 1,
+    let info = request.info()?;
+    let fit = info.walks_within_budget(request.n);
+    match explicit {
+        Some(walks) if walks > fit => Err(RequestError::WalksOverBudget {
+            key: info.key,
+            n: request.n,
+            walks,
+            max_walks: fit,
+        }),
+        Some(walks) => Ok(walks.clamp(1, proto::MAX_WALKS)),
+        None if request.n >= info.bench_size => Ok(fanout_walks.clamp(1, fit)),
+        None => Ok(1),
     }
 }
 
@@ -575,18 +602,56 @@ mod tests {
             doc.get("reason").and_then(|v| v.as_str()),
             Some("invalid-request")
         );
+        // Two walks at Costas max_n would hold twice the memory budget.
+        let max_n = problems::find("costas").unwrap().max_n;
+        let line = format!(r#"{{"id":"m","problem":"costas","n":{max_n},"walks":2}}"#);
+        assert!(!service.submit(&line, &tx));
+        let doc = drain_one(&rx);
+        assert_eq!(
+            doc.get("reason").and_then(|v| v.as_str()),
+            Some("invalid-request")
+        );
         assert_eq!(service.queue_depth(), 0);
     }
 
     #[test]
     fn warm_start_requests_run_single_engine_even_at_bench_size() {
         let request = SolveRequest::new("costas", 18, 1).with_warm_start((1..=18).collect());
-        assert_eq!(effective_walks(&request, Some(8), 4), 1);
+        assert_eq!(effective_walks(&request, Some(8), 4), Ok(1));
         let cold = SolveRequest::new("costas", 18, 1);
-        assert_eq!(effective_walks(&cold, None, 4), 4);
+        assert_eq!(effective_walks(&cold, None, 4), Ok(4));
         let small = SolveRequest::new("costas", 10, 1);
-        assert_eq!(effective_walks(&small, None, 4), 1);
-        assert_eq!(effective_walks(&small, Some(3), 4), 3);
+        assert_eq!(effective_walks(&small, None, 4), Ok(1));
+        assert_eq!(effective_walks(&small, Some(3), 4), Ok(3));
+    }
+
+    /// At Costas `max_n` one walk's model already takes most of the budget:
+    /// the default fan-out shrinks to one walk and an explicit second walk
+    /// is refused (no solve runs here).
+    #[test]
+    fn fanouts_stay_within_the_memory_budget() {
+        let info = problems::find("costas").unwrap();
+        let huge = SolveRequest::new("costas", info.max_n, 1);
+        assert_eq!(info.walks_within_budget(info.max_n), 1);
+        assert_eq!(effective_walks(&huge, None, 4), Ok(1));
+        assert_eq!(effective_walks(&huge, Some(1), 4), Ok(1));
+        assert_eq!(
+            effective_walks(&huge, Some(2), 4),
+            Err(RequestError::WalksOverBudget {
+                key: "costas",
+                n: info.max_n,
+                walks: 2,
+                max_walks: 1,
+            })
+        );
+        // Between the extremes the default fan-out takes the walks that fit.
+        let mid = (1..info.max_n)
+            .find(|&n| info.walks_within_budget(n) == 2)
+            .expect("some order fits exactly two walks");
+        assert_eq!(
+            effective_walks(&SolveRequest::new("costas", mid, 1), None, 4),
+            Ok(2)
+        );
     }
 
     #[test]
