@@ -18,17 +18,31 @@
 //!   adopted (the paper reports this succeeds in ≈32 % of resets, independent of `n`);
 //!   otherwise all candidates are evaluated and the best one is adopted.
 //!
-//!   Each candidate is scored from scratch by [`CostModel::global_cost_bounded`],
-//!   which aborts once the candidate can no longer be adopted or become the best so
-//!   far.  On x86-64 with AVX-512 F + DQ and n ≤ 128 that evaluator scores eight
-//!   difference-triangle rows per vector pass; elsewhere it sweeps a scalar
-//!   histogram.  Both tiers return the same value, so the reset's choices, its
-//!   random draws and the whole trajectory do not depend on the host.  Under the
-//!   paper's `RL = 1` the reset runs at almost every local minimum and was the
-//!   largest layer of a Costas step before the vector tier.  The reset allocates
-//!   nothing: candidates are built in reusable buffers owned by the problem.
+//!   Every candidate is scored from scratch, in one of two ways chosen by the
+//!   table's tier ([`ConflictTable::batches_rotations`]):
+//!
+//!   * On x86-64 with AVX-512 F + DQ and n ≤ 32, the ≈ 2n family-1 rotations
+//!     are scored exactly, eight per vector pass, by
+//!     [`ConflictTable::rotation_costs`], which never builds them; only the
+//!     adopted or best one is materialised.
+//!   * Everywhere else, and for families 2 and 3 on every tier, each candidate
+//!     is built in a reusable buffer (family 1 by advancing two transposition
+//!     chains) and scored by [`CostModel::global_cost_bounded`], which aborts
+//!     once the candidate can no longer be adopted or become the best so far.
+//!     On x86-64 with AVX-512 F + DQ and n ≤ 128 that evaluator scores eight
+//!     difference-triangle rows per vector pass; elsewhere it sweeps a scalar
+//!     histogram.
+//!
+//!   Every score, exact or bounded, goes through one decision routine
+//!   ([`judge`]) in the paper's candidate order, and an aborted bounded score
+//!   is exactly a candidate the exact score would pass over, so the reset's
+//!   choices, its random draws and the whole trajectory do not depend on the
+//!   host.  Under the paper's `RL = 1` the reset runs at almost every local
+//!   minimum and is the largest layer of a Costas step at n = 16.  The reset
+//!   allocates nothing: candidates are built in reusable buffers owned by the
+//!   problem.
 
-use costas::{ConflictTable, CostModel};
+use costas::{ConflictTable, CostModel, Rotation};
 use xrand::{RandExt, Rng64};
 
 use crate::problem::PermutationProblem;
@@ -159,13 +173,9 @@ impl CostasProblem {
         model.global_cost_bounded(candidate, limit, &mut self.cost_scratch)
     }
 
-    /// Act on a candidate's [`Self::score_candidate`] result: adopt it
-    /// immediately if strictly better than `entry_cost`, otherwise remember
-    /// it if it beats (or, with a coin flip, ties) the best candidate so far.
-    /// Returns `true` when the candidate was adopted (early escape).  An
-    /// aborted score (`None`) takes none of the branches (including the tie
-    /// coin flip), so the observable behaviour, random stream included, is
-    /// identical to a full evaluation.
+    /// Act on a built candidate's [`Self::score_candidate`] result as
+    /// [`judge`] rules: adopt it, remember it as the best so far, or pass.
+    /// Returns `true` when the candidate was adopted (early escape).
     fn decide_candidate(
         &mut self,
         candidate: &[usize],
@@ -174,21 +184,17 @@ impl CostasProblem {
         best_cost: &mut u64,
         rng: &mut dyn Rng64,
     ) -> bool {
-        let Some(cost) = cost else {
-            return false; // provably > limit: neither adopted nor best
-        };
-        if cost < entry_cost {
-            self.table.reset_to(candidate);
-            return true;
+        match judge(cost, entry_cost, best_cost, rng) {
+            Verdict::Adopt => {
+                self.table.reset_to(candidate);
+                true
+            }
+            Verdict::Best => {
+                self.best_candidate.copy_from_slice(candidate);
+                false
+            }
+            Verdict::Pass => false,
         }
-        // Ties are broken stochastically so repeated resets from similar
-        // configurations do not always pick the same perturbation.
-        let replace = cost < *best_cost || (cost == *best_cost && rng.next_u64() & 1 == 0);
-        if replace {
-            *best_cost = cost;
-            self.best_candidate.copy_from_slice(candidate);
-        }
-        false
     }
 
     /// Evaluate the left- and right-rotation candidates of one anchored
@@ -226,20 +232,96 @@ impl CostasProblem {
         self.decide_candidate(right, right_cost, entry_cost, best_cost, rng)
     }
 
-    /// Perturbation family 1: circular shifts of sub-arrays anchored at `m`.
-    ///
-    /// The candidates are evaluated in the fixed order the paper lists them —
-    /// sub-arrays `[m..=hi]` for increasing `hi`, then `[lo..=m]` for increasing
-    /// `lo`, left rotation before right rotation — but each candidate buffer is
-    /// *advanced* instead of rebuilt: consecutive rotations of nested ranges
-    /// differ by exactly one transposition
+    /// Perturbation family 1: circular shifts of sub-arrays anchored at `m`,
+    /// evaluated in the fixed order the paper lists them — sub-arrays
+    /// `[m..=hi]` for increasing `hi`, then `[lo..=m]` for increasing `lo`,
+    /// left rotation before right rotation — batched where the table scores
+    /// rotations eight per pass, chained elsewhere.  Both paths take the
+    /// same decisions and random draws.  Returns `true` on early escape.
+    fn try_anchored_shifts(
+        &mut self,
+        m: usize,
+        entry_cost: u64,
+        best_cost: &mut u64,
+        rng: &mut dyn Rng64,
+    ) -> bool {
+        if self.table.batches_rotations() {
+            self.anchored_shifts_batched(m, entry_cost, best_cost, rng)
+        } else {
+            self.anchored_shifts_chained(m, entry_cost, best_cost, rng)
+        }
+    }
+
+    /// Family 1 on the count-free tier: exact costs of eight rotations per
+    /// pass from [`ConflictTable::rotation_costs`], then [`judge`] on each in
+    /// order; only an adopted or best rotation is built.  Scoring is exact,
+    /// so the two-cell range's second copy is scored like any other.
+    fn anchored_shifts_batched(
+        &mut self,
+        m: usize,
+        entry_cost: u64,
+        best_cost: &mut u64,
+        rng: &mut dyn Rng64,
+    ) -> bool {
+        let n = self.order();
+        // Candidate k: the range of rotation pair k / 2, left if k is even.
+        let above = n - 1 - m;
+        let rotation = |k: usize| {
+            let pair = k / 2;
+            let (lo, hi) = if pair < above {
+                (m, m + 1 + pair)
+            } else {
+                (pair - above, m)
+            };
+            Rotation {
+                lo,
+                hi,
+                left: k.is_multiple_of(2),
+            }
+        };
+        let total = 2 * (n - 1);
+        let mut batch = [Rotation {
+            lo: 0,
+            hi: 0,
+            left: true,
+        }; 8];
+        let mut costs = [0u64; 8];
+        for first in (0..total).step_by(8) {
+            let len = (total - first).min(8);
+            for (k, r) in batch[..len].iter_mut().enumerate() {
+                *r = rotation(first + k);
+            }
+            self.table.rotation_costs(&batch[..len], &mut costs);
+            for (r, &cost) in batch[..len].iter().zip(&costs) {
+                match judge(Some(cost), entry_cost, best_cost, rng) {
+                    Verdict::Adopt => {
+                        self.scratch.copy_from_slice(self.table.values());
+                        r.apply(&mut self.scratch);
+                        self.table.reset_to(&self.scratch);
+                        return true;
+                    }
+                    Verdict::Best => {
+                        self.best_candidate.copy_from_slice(self.table.values());
+                        r.apply(&mut self.best_candidate);
+                    }
+                    Verdict::Pass => {}
+                }
+            }
+        }
+        false
+    }
+
+    /// Family 1 where the table keeps its counts: each candidate buffer is
+    /// *advanced* instead of rebuilt, since consecutive rotations of nested
+    /// ranges differ by exactly one transposition
     /// (`rotl [m..=hi+1] = swap(hi, hi+1) ∘ rotl [m..=hi]`,
     /// `rotr [m..=hi+1] = swap(m, hi+1) ∘ rotr [m..=hi]`,
     /// `rotl [lo+1..=m] = swap(lo, m) ∘ rotl [lo..=m]`,
     /// `rotr [lo+1..=m] = swap(lo, lo+1) ∘ rotr [lo..=m]`),
-    /// so producing each of the ≈ 2n candidates is O(1) instead of O(n).
-    /// Returns `true` on early escape.
-    fn try_anchored_shifts(
+    /// so producing each of the ≈ 2n candidates is O(1) instead of O(n), and
+    /// each is scored with the running bound.  Returns `true` on early
+    /// escape.
+    fn anchored_shifts_chained(
         &mut self,
         m: usize,
         entry_cost: u64,
@@ -391,6 +473,40 @@ impl CostasProblem {
         self.erroneous = erroneous;
         escaped
     }
+}
+
+/// What the reset does with one scored candidate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// Strictly better than the entry configuration: adopt it at once.
+    Adopt,
+    /// The best candidate so far (a strict improvement, or a tie that won
+    /// its coin flip); `best_cost` already holds its cost.
+    Best,
+    /// Neither.
+    Pass,
+}
+
+/// The reset's one decision routine, for every family and both family-1
+/// paths: adopt a candidate strictly cheaper than `entry_cost`; otherwise
+/// make it the best so far if it beats `best_cost`, or ties it and wins a
+/// coin flip.  A bounded score that aborted (`None`, proven above both
+/// thresholds) passes without drawing, exactly as its exact cost would, so
+/// the random stream does not depend on which scorer ran.
+fn judge(cost: Option<u64>, entry_cost: u64, best_cost: &mut u64, rng: &mut dyn Rng64) -> Verdict {
+    let Some(cost) = cost else {
+        return Verdict::Pass;
+    };
+    if cost < entry_cost {
+        return Verdict::Adopt;
+    }
+    // Ties are broken stochastically so repeated resets from similar
+    // configurations do not always pick the same perturbation.
+    if cost < *best_cost || (cost == *best_cost && rng.next_u64() & 1 == 0) {
+        *best_cost = cost;
+        return Verdict::Best;
+    }
+    Verdict::Pass
 }
 
 impl PermutationProblem for CostasProblem {
@@ -616,6 +732,67 @@ mod tests {
                         assert_eq!(left == right, lo + 1 == m, "[{lo}..={m}] of order {n}");
                     }
                 }
+            }
+        }
+    }
+
+    /// Family 1 from `p`'s current state down one path, then the adoption
+    /// of the best candidate `custom_reset` falls back to: the adopted
+    /// configuration, its reported cost and the generator's next draw.
+    fn family_one(
+        p: &mut CostasProblem,
+        m: usize,
+        batched: bool,
+        rng: &mut xrand::DefaultRng,
+    ) -> (Vec<usize>, u64, u64) {
+        let entry_cost = p.global_cost();
+        let mut best_cost = u64::MAX;
+        p.best_candidate.copy_from_slice(p.table.values());
+        let escaped = if batched {
+            p.anchored_shifts_batched(m, entry_cost, &mut best_cost, rng)
+        } else {
+            p.anchored_shifts_chained(m, entry_cost, &mut best_cost, rng)
+        };
+        if !escaped {
+            let best = p.best_candidate.clone();
+            p.set_configuration(&best);
+        }
+        (p.configuration().to_vec(), p.global_cost(), rng.next_u64())
+    }
+
+    #[test]
+    fn batched_and_chained_family_one_replay_each_other() {
+        // 250 random states with random anchors and 250 engine-walk states
+        // anchored at their most erroneous variable, per order: both family-1
+        // paths must adopt the same configuration, report the same cost and
+        // leave the generator at the same draw.  On hosts without AVX-512 the
+        // batched path scores materialised rotations; the decisions it
+        // replays are the same.
+        use crate::config::AsConfig;
+        use crate::engine::{Engine, StepOutcome};
+        for n in [3usize, 4, 5, 8, 13, 16, 31, 32] {
+            let mut rng = default_rng(0x0F1A_7C4E ^ n as u64);
+            let mut states: Vec<(Vec<usize>, usize)> = (0..250)
+                .map(|_| (random_config(n, rng.next_u64()), rng.index(n)))
+                .collect();
+            let mut engine = Engine::new(CostasProblem::new(n), AsConfig::default(), n as u64);
+            while states.len() < 500 {
+                if engine.step() == StepOutcome::Solved {
+                    engine.restart();
+                }
+                let p = engine.problem();
+                let errors = p.table.errors();
+                let worst = (0..n).max_by_key(|&i| (errors[i], n - i)).unwrap();
+                states.push((p.configuration().to_vec(), worst));
+            }
+            for (k, (config, m)) in states.iter().enumerate() {
+                let mut p = CostasProblem::new(n);
+                p.set_configuration(config);
+                let mut q = p.clone();
+                let seed = rng.next_u64();
+                let batched = family_one(&mut p, *m, true, &mut default_rng(seed));
+                let chained = family_one(&mut q, *m, false, &mut default_rng(seed));
+                assert_eq!(batched, chained, "n={n} state {k} anchor {m}: {config:?}");
             }
         }
     }

@@ -970,6 +970,27 @@ mod tests {
         assert_eq!(r.final_cost, 445);
     }
 
+    #[test]
+    fn iteration_distribution_matches_recorded_golden_values() {
+        // The whole distribution, not one trajectory: Costas n = 12 under
+        // `AsConfig::default()` for seeds 0..=199, with order statistics
+        // recorded from an earlier build (nearest rank: the median is the
+        // 100th smallest count, p90 the 180th).  Any change to the search
+        // path — a decision, a random draw, a tie order — moves these.
+        let mut iterations: Vec<u64> = (0..=199u64)
+            .map(|seed| {
+                let r = Engine::new(CostasProblem::new(12), AsConfig::default(), seed).solve();
+                assert_eq!(r.status, SolveStatus::Solved, "seed {seed}");
+                r.stats.iterations
+            })
+            .collect();
+        iterations.sort_unstable();
+        let total: u64 = iterations.iter().sum();
+        let (median, p90, max) = (iterations[99], iterations[179], iterations[199]);
+        println!("n = 12, 200 seeds: median {median}, p90 {p90}, max {max}, total {total}");
+        assert_eq!((median, p90, max, total), (96, 317, 760, 27_298));
+    }
+
     /// Step both engines `steps` times and assert their observable state stays
     /// bit-for-bit identical throughout.
     fn assert_lockstep<P: PermutationProblem>(a: &mut Engine<P>, b: &mut Engine<P>, steps: usize) {

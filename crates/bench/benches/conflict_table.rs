@@ -3,14 +3,84 @@
 //! touched pair on a swap and recomputes the cost, the per-position errors and
 //! the probe's occupancy masks in one refresh pass after every change; the rows
 //! below time the read-only swap evaluations and probes against the from-scratch
-//! evaluations they replace, and the two mutating entry points, `apply_swap` and
-//! `reset_to`, at the orders the repository benchmark runs (16, 40 and 80).
+//! evaluations they replace, the two mutating entry points, `apply_swap` and
+//! `reset_to`, at the orders the repository benchmark runs (16, 40 and 80) and
+//! at 32, the last order with one-word rows, and
+//! the Costas model's dedicated reset on local minima recorded from real walks
+//! at n = 16 and 32.  Where the CPU has AVX-512 F + DQ, orders up to 32 keep no
+//! histogram: a swap is the swap plus the refresh pass, and the reset scores its
+//! anchored rotations eight per pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use adaptive_search::{AsConfig, CostasProblem, Engine, PermutationProblem, StepOutcome};
 use costas::{ConflictTable, CostModel};
-use xrand::{default_rng, random_permutation, RandExt};
+use xrand::{default_rng, random_permutation, RandExt, Rng64};
+
+/// A Costas model that records the state every dedicated reset starts from —
+/// the configuration at a local minimum and the culprit — and otherwise
+/// forwards everything, so the walk it rides is the plain model's.
+struct ResetRecorder {
+    inner: CostasProblem,
+    states: Vec<(Vec<usize>, usize)>,
+}
+
+impl PermutationProblem for ResetRecorder {
+    fn size(&self) -> usize {
+        self.inner.size()
+    }
+    fn set_configuration(&mut self, values: &[usize]) {
+        self.inner.set_configuration(values);
+    }
+    fn configuration(&self) -> &[usize] {
+        self.inner.configuration()
+    }
+    fn global_cost(&self) -> u64 {
+        self.inner.global_cost()
+    }
+    fn variable_errors(&self, out: &mut Vec<u64>) {
+        self.inner.variable_errors(out);
+    }
+    fn cached_errors(&self) -> Option<&[u64]> {
+        self.inner.cached_errors()
+    }
+    fn delta_for_swap(&self, i: usize, j: usize) -> i64 {
+        self.inner.delta_for_swap(i, j)
+    }
+    fn probe_partners(&self, culprit: usize, out: &mut Vec<u64>) {
+        self.inner.probe_partners(culprit, out);
+    }
+    fn has_accelerated_probe(&self) -> bool {
+        self.inner.has_accelerated_probe()
+    }
+    fn apply_swap(&mut self, i: usize, j: usize) {
+        self.inner.apply_swap(i, j);
+    }
+    fn custom_reset(&mut self, worst_var: usize, rng: &mut dyn Rng64) -> Option<u64> {
+        let state = (self.inner.configuration().to_vec(), worst_var);
+        self.states.push(state);
+        self.inner.custom_reset(worst_var, rng)
+    }
+}
+
+/// The first `count` local minima a paper-default walk of order `n` resets
+/// from (restarting on solutions).
+fn local_minima(n: usize, count: usize) -> Vec<(Vec<usize>, usize)> {
+    let recorder = ResetRecorder {
+        inner: CostasProblem::new(n),
+        states: Vec::new(),
+    };
+    let mut engine = Engine::new(recorder, AsConfig::default(), 5);
+    while engine.problem().states.len() < count {
+        if engine.step() == StepOutcome::Solved {
+            engine.restart();
+        }
+    }
+    let mut states = engine.into_problem().states;
+    states.truncate(count);
+    states
+}
 
 fn bench_conflict_table(c: &mut Criterion) {
     let mut group = c.benchmark_group("conflict_table");
@@ -52,9 +122,10 @@ fn bench_conflict_table(c: &mut Criterion) {
             });
         });
 
-        // The flat-histogram reference path both mask-based kernels are pinned
-        // against; the gap between this row and `probe_partners` is the
-        // dispatched kernel's contribution.
+        // The histogram reference path every kernel is pinned against (it
+        // builds each row's histogram from the values per call); the gap
+        // between this row and `probe_partners` is the dispatched kernel's
+        // contribution.
         group.bench_with_input(
             BenchmarkId::new("probe_partners_reference", n),
             &n,
@@ -162,9 +233,10 @@ fn bench_conflict_table(c: &mut Criterion) {
     }
 
     // The two mutating entry points, each ending in the refresh pass: a swap
-    // (±1 on the touched pairs' counts first) and the reset's adoption of a
-    // new permutation (a full histogram refill first).
-    for &n in &[16usize, 40, 80] {
+    // (±1 on the touched pairs' counts first, where the table keeps them) and
+    // the reset's adoption of a new permutation (a full histogram refill
+    // first, likewise).
+    for &n in &[16usize, 32, 40, 80] {
         let mut rng = default_rng(7);
         let pool: Vec<Vec<usize>> = (0..16)
             .map(|_| {
@@ -191,6 +263,24 @@ fn bench_conflict_table(c: &mut Criterion) {
                 k = (k + 1) % pool.len();
                 table.reset_to(&pool[k]);
                 black_box(table.cost())
+            });
+        });
+    }
+
+    // The dedicated reset (all three perturbation families) from recorded
+    // local minima, cycling through 64 of them.  Each call first restores
+    // the state, one `reset_to` of the same order.
+    for &n in &[16usize, 32] {
+        let states = local_minima(n, 64);
+        group.bench_with_input(BenchmarkId::new("custom_reset", n), &n, |b, _| {
+            let mut problem = CostasProblem::new(n);
+            let mut rng = default_rng(11);
+            let mut k = 0;
+            b.iter(|| {
+                k = (k + 1) % states.len();
+                let (config, culprit) = &states[k];
+                problem.set_configuration(config);
+                black_box(problem.custom_reset(*culprit, &mut rng))
             });
         });
     }

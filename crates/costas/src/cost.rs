@@ -13,11 +13,12 @@
 //! Both optimisations are configurable through [`CostModel`], so the ablation benches
 //! can turn each off independently.
 //!
-//! [`ConflictTable`] keeps, for the current permutation, a per-row histogram of
-//! difference values, moved in O(rows-to-check) per swap, and recomputes the cost,
-//! the per-variable errors and the probe's occupancy masks from it in one pass after
-//! every change — this is the data structure the inner loop of every local-search
-//! solver in this workspace stands on.
+//! [`ConflictTable`] holds the current permutation and recomputes the cost, the
+//! per-variable errors and the probe's occupancy masks from it in one pass after
+//! every change; where an event-algebra probe needs them it also keeps a per-row
+//! histogram of difference values, moved in O(rows-to-check) per swap — this is
+//! the data structure the inner loop of every local-search solver in this
+//! workspace stands on.
 
 use crate::array::Permutation;
 use crate::merge::BucketMerge;
@@ -161,11 +162,16 @@ impl CostModel {
     /// Rows of the difference triangle contribute independently and
     /// non-negatively, so every partial sum is a lower bound on the final cost:
     /// `None` therefore *proves* `cost > limit` without finishing the sweep.
-    /// This is the Costas reset's evaluator, called on each of its ≈ 2n
-    /// candidate perturbations.  The abort saves less than one might hope:
-    /// on the benchmark's Costas walks (optimised model), reset candidates
-    /// scanned on average 4.5 of 7, 13.4 of 19 and 28.6 of 39 rows at
-    /// n = 16, 40 and 80, so the sweep itself has to be fast.
+    /// This is the Costas reset's evaluator for every candidate the reset
+    /// does not batch: all ≈ 2n of them where the table keeps its counts,
+    /// and the ≤ 7 constant additions and prefix shifts on the count-free
+    /// tier (x86-64 with AVX-512 F + DQ, n ≤ 32), whose ≈ 2n anchored
+    /// rotations are scored exactly, eight per pass, by
+    /// [`ConflictTable::rotation_costs`] instead.  The abort saves less than
+    /// one might hope: on the benchmark's Costas walks (optimised model),
+    /// before the rotations were batched, reset candidates scanned on
+    /// average 4.5 of 7, 13.4 of 19 and 28.6 of 39 rows at n = 16, 40 and
+    /// 80, so the sweep itself has to be fast.
     ///
     /// Two tiers, chosen by CPU feature and order only:
     ///
@@ -291,9 +297,36 @@ impl CostModel {
     }
 }
 
-/// Conflict histogram of one permutation under one [`CostModel`], with the
-/// cost, the per-position errors and the probe's occupancy masks derived from
-/// it.
+/// A rotation of the sub-array at positions `lo..=hi` by one cell: left
+/// moves `v[lo]` to position `hi` and every other cell down one place, right
+/// moves `v[hi]` to position `lo` and every other cell up one place.  The
+/// Costas reset's first perturbation family rotates the sub-arrays starting
+/// or ending at the most erroneous variable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rotation {
+    /// First position of the sub-array.
+    pub lo: usize,
+    /// Last position of the sub-array (inclusive).
+    pub hi: usize,
+    /// Rotate left (`true`) or right (`false`).
+    pub left: bool,
+}
+
+impl Rotation {
+    /// Rotate `values[lo..=hi]` in place.
+    pub fn apply(self, values: &mut [usize]) {
+        let cells = &mut values[self.lo..=self.hi];
+        if self.left {
+            cells.rotate_left(1);
+        } else {
+            cells.rotate_right(1);
+        }
+    }
+}
+
+/// One permutation under one [`CostModel`], with the cost, the per-position
+/// errors and the probe's occupancy masks derived from it, and — only where
+/// an event-algebra probe reads it — its conflict histogram.
 ///
 /// `counts[(d−1) * width + diff_index]` stores how many pairs at distance `d`
 /// currently have each difference value.  A row with histogram counts
@@ -302,14 +335,13 @@ impl CostModel {
 ///
 /// # Recompute, don't maintain
 ///
-/// The counts are the table's only incremental state: a swap moves the counts
-/// of the ≤ 4·d_max pairs touching the two positions by ±1.  Everything else
-/// is recomputed from the values after every change ([`ConflictTable::apply_swap`],
-/// [`ConflictTable::reset_to`], [`ConflictTable::rebuild`]) by one *refresh
-/// pass*: the occupancy masks the probe reads, the cost, and the per-position
-/// errors under the paper's attribution rule (scanning a row left to right, a
-/// pair whose difference was already encountered charges `ERR(d)` to both
-/// endpoints).  The pass has two tiers, chosen by CPU feature and order only:
+/// Everything but the counts is recomputed from the values after every
+/// change ([`ConflictTable::apply_swap`], [`ConflictTable::reset_to`],
+/// [`ConflictTable::rebuild`]) by one *refresh pass*: the occupancy masks,
+/// the cost, and the per-position errors under the paper's attribution rule
+/// (scanning a row left to right, a pair whose difference was already
+/// encountered charges `ERR(d)` to both endpoints).  The pass has two tiers,
+/// chosen by CPU feature and order only:
 ///
 /// * **AVX-512 row lanes** (x86-64 with AVX-512 F + DQ, n ≤ 128): the reset
 ///   evaluator's lane loop ([`CostModel::global_cost_bounded`]) over the
@@ -317,10 +349,22 @@ impl CostModel {
 ///   and a per-lane "already seen" test whose charged pairs feed the errors
 ///   (see `kernel::simd`).
 /// * **Scalar** (every other host, n > 128): one scan of each row's pairs
-///   sets the masks from the counts the pairs land in and charges the errors;
-///   the cost is each row's pairs beyond its distinct buckets.  It is the
+///   sets each pair's `occ` bit, its `multi` bit when the bucket was already
+///   seen in the row, and charges the errors; the cost is each row's pairs
+///   beyond its distinct buckets.  It reads only the values and is the
 ///   reference the vector tier is pinned to by a `debug_assert!` on every
 ///   refresh and by the kernel suite.
+///
+/// The counts are kept only where a probe body reads them: the event-algebra
+/// tiers (n ≥ 33, and every order on hosts without AVX-512 F + DQ), where a
+/// swap moves the counts of the ≤ 4·d_max pairs touching the two positions
+/// by ±1.  On the **count-free tier** — x86-64 with AVX-512 F + DQ and
+/// one-word rows (n ≤ 32, [`ConflictTable::batches_rotations`]) — the probe
+/// and the reset's rotations score whole permutations from scratch, so the
+/// permutation is the table's whole state: `apply_swap` is a swap plus a
+/// refresh, `reset_to` and `rebuild` a refresh, and the read-only oracles
+/// ([`ConflictTable::delta_for_swap`], the `_reference` probes,
+/// [`ConflictTable::row_cost`]) work from the values.
 ///
 /// The contract — [`ConflictTable::errors`] equals a from-scratch
 /// [`CostModel::variable_errors`], and [`ConflictTable::cost`] a from-scratch
@@ -334,7 +378,12 @@ pub struct ConflictTable {
     pub(crate) width: usize,
     pub(crate) dmax: usize,
     pub(crate) values: Vec<usize>,
+    /// The conflict histogram, kept where `keeps_counts` holds and empty
+    /// elsewhere (see the type-level docs).
     pub(crate) counts: Vec<u32>,
+    /// Fixed at construction: off on the count-free tier, unless a test
+    /// asks for a counts-keeping table there.
+    keeps_counts: bool,
     /// Derived by the refresh pass: the weighted global cost.
     pub(crate) cost: u64,
     /// Derived by the refresh pass: the per-position errors (paper
@@ -366,6 +415,17 @@ pub struct ConflictTable {
 impl ConflictTable {
     /// Build the table for a permutation.
     pub fn new(values: &[usize], model: CostModel) -> Self {
+        Self::build(values, model, false)
+    }
+
+    /// A table that keeps its counts on every tier, for the tests that call
+    /// the event-algebra bodies directly at orders the count-free tier owns.
+    #[cfg(test)]
+    pub(crate) fn with_counts(values: &[usize], model: CostModel) -> Self {
+        Self::build(values, model, true)
+    }
+
+    fn build(values: &[usize], model: CostModel, force_counts: bool) -> Self {
         let n = values.len();
         assert!(n >= 1, "conflict table needs a non-empty permutation");
         let width = if n >= 2 { 2 * n - 1 } else { 1 };
@@ -377,7 +437,8 @@ impl ConflictTable {
             width,
             dmax,
             values: values.to_vec(),
-            counts: vec![0; dmax * width],
+            counts: Vec::new(),
+            keeps_counts: true,
             cost: 0,
             errors: vec![0; n],
             mask_words,
@@ -386,14 +447,35 @@ impl ConflictTable {
             kernel_scratch: std::cell::RefCell::new(crate::kernel::DynScratch::default()),
             weights: (0..=dmax).map(|d| model.weight_at(n, d.max(1))).collect(),
         };
+        table.keeps_counts = force_counts || !table.batches_rotations();
+        if table.keeps_counts {
+            table.counts = vec![0; dmax * width];
+        }
         table.rebuild();
         table
+    }
+
+    /// Does this table run on its values alone?  True on x86-64 with
+    /// AVX-512 F + DQ for one-word rows (n ≤ 32): there the probe scores
+    /// eight swapped permutations per pass, [`ConflictTable::rotation_costs`]
+    /// eight sub-array rotations per pass, and the table keeps no counts
+    /// (see the type-level docs).  A property of the order and the CPU only.
+    pub fn batches_rotations(&self) -> bool {
+        self.mask_words == 1 && self.vector_probe()
+    }
+
+    /// Does this table keep its conflict histogram?  Everywhere an
+    /// event-algebra probe body may read it.
+    pub(crate) fn keeps_counts(&self) -> bool {
+        self.keeps_counts
     }
 
     /// Heap bytes a table of order `n` under `model` holds once its probe
     /// scratch has grown: the buffers [`ConflictTable::new`] allocates plus
     /// the slice-held kernel's scratch rows.  About `4.5 n²` bytes under the
-    /// optimised model, nearly all of it the counts; sizing guards derive the
+    /// optimised model, nearly all of it the counts.  The counts are charged
+    /// even though the count-free tier (n ≤ 32 on AVX-512 hosts) keeps none,
+    /// so the bound does not depend on the CPU; sizing guards derive the
     /// largest admissible order from it.
     pub const fn heap_bytes(n: usize, model: CostModel) -> u128 {
         let dmax = model.max_distance(n);
@@ -418,22 +500,25 @@ impl ConflictTable {
         Self::new(perm.values(), model)
     }
 
-    /// Refill the histogram from the stored permutation and refresh the
-    /// masks, the cost and the per-position errors (O(n·d_max)).
+    /// Refill the histogram (where the table keeps one) from the stored
+    /// permutation and refresh the masks, the cost and the per-position
+    /// errors (O(n·d_max)).
     pub fn rebuild(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
-        for d in 1..=self.dmax {
-            for i in 0..(self.n - d) {
-                let idx = self.index(d, i);
-                self.counts[idx] += 1;
+        if self.keeps_counts {
+            self.counts.iter_mut().for_each(|c| *c = 0);
+            for d in 1..=self.dmax {
+                for i in 0..(self.n - d) {
+                    let idx = self.index(d, i);
+                    self.counts[idx] += 1;
+                }
             }
         }
         self.refresh();
     }
 
     /// Recompute the masks, the cost and the per-position errors from the
-    /// values (and, in the scalar tier, the counts): the refresh pass every
-    /// change ends in.  See the type-level docs for the two tiers.
+    /// values: the refresh pass every change ends in.  See the type-level
+    /// docs for the two tiers.
     fn refresh(&mut self) {
         #[cfg(target_arch = "x86_64")]
         if self.vector_probe() {
@@ -461,17 +546,16 @@ impl ConflictTable {
 
     /// Scalar tier of the refresh pass: the portable tier, the n > 128
     /// fallback and the vector tier's reference.  One left-to-right scan of
-    /// each row's pairs: a pair sets its bucket's `occ` bit, copies the
-    /// bucket's `count ≥ 2` into `multi`, and is charged when its `occ` bit
-    /// was already set; the row's cost is its pairs beyond the distinct
-    /// buckets.
+    /// each row's pairs, reading only the values: a pair whose bucket was
+    /// already seen in the row sets the bucket's `multi` bit and is charged;
+    /// every pair sets its `occ` bit; the row's cost is its pairs beyond the
+    /// distinct buckets.
     pub(crate) fn refresh_scalar(&mut self) {
-        let (n, width, words) = (self.n, self.width, self.mask_words);
+        let (n, words) = (self.n, self.mask_words);
         self.cost = 0;
         self.errors.iter_mut().for_each(|e| *e = 0);
         for d in 1..=self.dmax {
             let w = self.weights[d];
-            let counts = &self.counts[(d - 1) * width..d * width];
             let occ = &mut self.occ_mask[(d - 1) * words..d * words];
             let multi = &mut self.multi_mask[(d - 1) * words..d * words];
             occ.iter_mut().for_each(|o| *o = 0);
@@ -479,9 +563,10 @@ impl ConflictTable {
             for i in 0..(n - d) {
                 let b = self.values[i + d] + (n - 1) - self.values[i];
                 let (word, bit) = (b >> 6, b & 63);
-                let charge = w * ((occ[word] >> bit) & 1);
+                let seen = (occ[word] >> bit) & 1;
+                multi[word] |= seen << bit;
                 occ[word] |= 1 << bit;
-                multi[word] |= u64::from(counts[b] >= 2) << bit;
+                let charge = w * seen;
                 self.errors[i] += charge;
                 self.errors[i + d] += charge;
             }
@@ -581,18 +666,22 @@ impl ConflictTable {
         }
     }
 
-    /// Apply a swap of positions `i` and `j`, allocation-free: the counts of
-    /// the ≤ 4·d_max touched pairs move by ±1, then one refresh pass
-    /// recomputes the masks, the cost and the per-position errors (see the
-    /// type-level docs).  No-op when `i == j`.
+    /// Apply a swap of positions `i` and `j`, allocation-free: where the
+    /// table keeps counts, those of the ≤ 4·d_max touched pairs move by ±1;
+    /// then one refresh pass recomputes the masks, the cost and the
+    /// per-position errors (see the type-level docs).  No-op when `i == j`.
     pub fn apply_swap(&mut self, i: usize, j: usize) {
         if i == j {
             return;
         }
         let (i, j) = if i < j { (i, j) } else { (j, i) };
-        self.shift_touched_counts(i, j, u32::MAX);
-        self.values.swap(i, j);
-        self.shift_touched_counts(i, j, 1);
+        if self.keeps_counts {
+            self.shift_touched_counts(i, j, u32::MAX);
+            self.values.swap(i, j);
+            self.shift_touched_counts(i, j, 1);
+        } else {
+            self.values.swap(i, j);
+        }
         self.refresh();
         debug_assert!(
             self.consistency_check(),
@@ -620,17 +709,26 @@ impl ConflictTable {
     }
 
     /// Signed change in global cost a swap of positions `i` and `j` would cause,
-    /// computed **read-only** against the current histogram (`&self`, no mutation,
-    /// O(d_max), allocation-free).
+    /// computed **read-only** (`&self`, no mutation, allocation-free).
     ///
-    /// The affected pairs are the same O(d_max) set [`ConflictTable::apply_swap`]
-    /// walks, but instead of mutating the histogram twice the net count change of
-    /// every touched bucket is gathered first (a bucket can be hit by several of the
-    /// ≤ 4 affected pairs per distance) and the weighted cost difference
-    /// `ERR(d) · (max(c′ − 1, 0) − max(c − 1, 0))` is summed per distinct bucket.
+    /// Where the table keeps counts this is O(d_max): the affected pairs are
+    /// the same set [`ConflictTable::apply_swap`] walks, but instead of
+    /// mutating the histogram twice the net count change of every touched
+    /// bucket is gathered first (a bucket can be hit by several of the ≤ 4
+    /// affected pairs per distance) and the weighted cost difference
+    /// `ERR(d) · (max(c′ − 1, 0) − max(c − 1, 0))` is summed per distinct
+    /// bucket.  On the count-free tier (n ≤ 32) the swapped permutation is
+    /// copied to the stack and scored from scratch, one `u64` bitset per row.
     pub fn delta_for_swap(&self, i: usize, j: usize) -> i64 {
         if i == j || self.n < 2 {
             return 0;
+        }
+        if !self.keeps_counts {
+            let mut swapped = [0usize; 32];
+            let swapped = &mut swapped[..self.n];
+            swapped.copy_from_slice(&self.values);
+            swapped.swap(i, j);
+            return self.one_word_cost(swapped) as i64 - self.cost as i64;
         }
         let (i, j) = if i < j { (i, j) } else { (j, i) };
         let mut delta = 0i64;
@@ -662,6 +760,69 @@ impl ConflictTable {
         delta
     }
 
+    /// From-scratch cost of a permutation of this table's order n ≤ 32, one
+    /// `u64` bitset per row (the row's `2n − 1 ≤ 63` buckets fit one word):
+    /// a row's repeats are its pairs beyond its distinct buckets.
+    fn one_word_cost(&self, values: &[usize]) -> u64 {
+        let n = values.len();
+        debug_assert!(n == self.n && self.mask_words == 1);
+        (1..=self.dmax)
+            .map(|d| {
+                let seen = (0..n - d).fold(0u64, |seen, i| {
+                    seen | 1 << (values[i + d] + (n - 1) - values[i])
+                });
+                self.weights[d] * ((n - d) as u64 - u64::from(seen.count_ones()))
+            })
+            .sum()
+    }
+
+    /// Exact costs of sub-array rotations of the current permutation:
+    /// `out[k]` is the cost after applying `rotations[k]`.  Read-only.
+    ///
+    /// On the count-free tier ([`ConflictTable::batches_rotations`]) an
+    /// AVX-512 body scores eight rotations per pass without building any of
+    /// them, allocation-free (see `kernel::simd`).  Elsewhere each rotation
+    /// is materialised and scored by [`CostModel::global_cost_with`]; the
+    /// Costas reset does not call it there, but advances its candidates by
+    /// transpositions and scores them with the bounded evaluator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is shorter than `rotations` or a rotation does not
+    /// satisfy `lo ≤ hi < n`.
+    pub fn rotation_costs(&self, rotations: &[Rotation], out: &mut [u64]) {
+        assert!(out.len() >= rotations.len(), "rotation output too short");
+        for r in rotations {
+            assert!(
+                r.lo <= r.hi && r.hi < self.n,
+                "rotation {r:?} out of range for order {}",
+                self.n
+            );
+        }
+        #[cfg(target_arch = "x86_64")]
+        if self.batches_rotations() {
+            // SAFETY: `batches_rotations` detected the exact features the
+            // body is compiled for (AVX-512 F + DQ), and the rows hold one
+            // word.
+            unsafe { self.rotation_body_avx512(rotations, out) };
+            debug_assert!(
+                rotations.iter().zip(&*out).all(|(r, &cost)| {
+                    let mut rotated = self.values.clone();
+                    r.apply(&mut rotated);
+                    cost == self.model.global_cost(&rotated)
+                }),
+                "batched rotation costs diverged from the from-scratch cost"
+            );
+            return;
+        }
+        let (mut rotated, mut scratch) = (self.values.clone(), Vec::new());
+        for (r, cost) in rotations.iter().zip(out) {
+            rotated.copy_from_slice(&self.values);
+            r.apply(&mut rotated);
+            *cost = self.model.global_cost_with(&rotated, &mut scratch);
+        }
+    }
+
     /// Batched read-only probe: write into `out[j]` the global cost the configuration
     /// would have after swapping `culprit` with `j`, for every position `j`
     /// (`out[culprit]` is the current cost).  Pure: `&self`, no observable mutation,
@@ -684,9 +845,10 @@ impl ConflictTable {
     /// * elsewhere (other CPUs, n > 128): the scalar event-algebra bodies,
     ///   monomorphized per row width for n ≤ 64 and slice-walking beyond.
     ///
-    /// The plain histogram path is retained as the reference implementation
-    /// behind [`ConflictTable::probe_partners_reference`], and `debug_assert!`
-    /// pins the kernels to it on every call.
+    /// The plain histogram path, which builds each row's histogram from the
+    /// values, is retained as the reference implementation behind
+    /// [`ConflictTable::probe_partners_reference`], and `debug_assert!` pins
+    /// the kernels to it on every call.
     pub fn probe_partners(&self, culprit: usize, out: &mut Vec<u64>) {
         self.probe_partners_range(culprit, 0, out);
     }
@@ -703,8 +865,9 @@ impl ConflictTable {
 
     /// Scalar **reference implementation** of [`ConflictTable::probe_partners`]:
     /// same contract, bit-for-bit the same results, but always scoring candidates
-    /// one at a time against the flat difference histogram — never a mask-based
-    /// kernel.  The kernel-equivalence conformance properties and the hot-path
+    /// one at a time against a difference histogram it builds from the values
+    /// on each call — never a mask-based kernel, never the table's counts.
+    /// The kernel-equivalence conformance properties and the hot-path
     /// `debug_assert!`s pin the accelerated probes to this path.
     pub fn probe_partners_reference(&self, culprit: usize, out: &mut Vec<u64>) {
         self.probe_reference_range(culprit, 0, out);
@@ -776,19 +939,22 @@ impl ConflictTable {
     }
 
     /// Generic probe body (any order), the body of the `_reference` probes:
-    /// baseline counts are read from the flat histogram with the
-    /// culprit-vacated buckets patched via two scalars.
+    /// baseline counts are read from a histogram of each row built from the
+    /// values, with the culprit-vacated buckets patched via two scalars.
     fn probe_range_generic(&self, m: usize, lo_bound: usize, out: &mut [u64]) {
         let n = self.n;
         let vm = self.values[m] as i64;
         let values = &self.values[..];
-        let counts = &self.counts[..];
+        let mut counts = Vec::new();
+        let bucket = |diff: i64| (diff + (n as i64 - 1)) as usize;
         // One accumulator reused across every candidate of the batch (cleared per
         // candidate): constructing it inside the loop would re-zero its storage
         // for each of the n − 1 candidates.
         let mut touched = BucketMerge::<6>::new();
         for d in 1..=self.dmax {
             let w = self.weight(d) as i64;
+            self.row_histogram(d, &mut counts);
+            let counts = &counts[..];
             // Hoisted per-distance removal: the culprit pairs (m − d, m) and
             // (m, m + d) lose their current differences whatever the partner is.
             let left_other = (m >= d).then(|| values[m - d] as i64);
@@ -798,10 +964,10 @@ impl ConflictTable {
             // baseline(idx) = counts[idx] − a0·[idx = r0] − a1·[idx = r1].
             let mut removed = BucketMerge::<2>::new();
             if let Some(lo) = left_other {
-                removed.push(self.diff_index(d, vm - lo), 1);
+                removed.push(bucket(vm - lo), 1);
             }
             if let Some(ro) = right_other {
-                removed.push(self.diff_index(d, ro - vm), 1);
+                removed.push(bucket(ro - vm), 1);
             }
             let (mut r0, mut a0, mut r1, mut a1) = (usize::MAX, 0i64, usize::MAX, 0i64);
             let mut removal_delta = 0i64;
@@ -839,25 +1005,25 @@ impl ConflictTable {
                     let mut collide = false;
                     let (mut k1, mut k2) = (usize::MAX, usize::MAX);
                     if let Some(lo) = left_other {
-                        k1 = self.diff_index(d, vj - lo);
+                        k1 = bucket(vj - lo);
                     }
                     if let Some(ro) = right_other {
-                        k2 = self.diff_index(d, ro - vj);
+                        k2 = bucket(ro - vj);
                         collide |= k1 == k2;
                     }
                     let (mut o1, mut n1) = (usize::MAX, usize::MAX);
                     let has_left = j >= d;
                     if has_left {
                         let vl = values[j - d] as i64;
-                        o1 = self.diff_index(d, vj - vl);
-                        n1 = self.diff_index(d, vm - vl);
+                        o1 = bucket(vj - vl);
+                        n1 = bucket(vm - vl);
                         collide |= (k1 == o1) | (k1 == n1) | (k2 == o1) | (k2 == n1);
                     }
                     let has_right = j + d < n;
                     if has_right {
                         let vr = values[j + d] as i64;
-                        let o2 = self.diff_index(d, vr - vj);
-                        let n2 = self.diff_index(d, vr - vm);
+                        let o2 = bucket(vr - vj);
+                        let n2 = bucket(vr - vm);
                         collide |= (k1 == o2) | (k1 == n2) | (k2 == o2) | (k2 == n2);
                         collide |= (o1 == o2) | (o1 == n2) | (n1 == o2) | (n1 == n2);
                         if !collide {
@@ -889,12 +1055,12 @@ impl ConflictTable {
                 // neighbour is v_m instead when the candidate *is* that neighbour.
                 if let Some(lo) = left_other {
                     let lo = if m_minus_d == j { vm } else { lo };
-                    touched.push(self.diff_index(d, vj - lo), 1);
+                    touched.push(bucket(vj - lo), 1);
                 }
                 // Culprit pair (m, m + d), mirrored.
                 if let Some(ro) = right_other {
                     let ro = if m_plus_d == j { vm } else { ro };
-                    touched.push(self.diff_index(d, ro - vj), 1);
+                    touched.push(bucket(ro - vj), 1);
                 }
                 // Candidate pair (j − d, j) — unless it touches the culprit, in
                 // which case it is one of the culprit pairs handled above.
@@ -902,8 +1068,8 @@ impl ConflictTable {
                     let lo = values[j - d] as i64;
                     let (old, new) = (vj - lo, vm - lo);
                     if old != new {
-                        touched.push(self.diff_index(d, old), -1);
-                        touched.push(self.diff_index(d, new), 1);
+                        touched.push(bucket(old), -1);
+                        touched.push(bucket(new), 1);
                     }
                 }
                 // Candidate pair (j, j + d), mirrored.
@@ -911,8 +1077,8 @@ impl ConflictTable {
                     let ro = values[j + d] as i64;
                     let (old, new) = (ro - vj, ro - vm);
                     if old != new {
-                        touched.push(self.diff_index(d, old), -1);
-                        touched.push(self.diff_index(d, new), 1);
+                        touched.push(bucket(old), -1);
+                        touched.push(bucket(new), 1);
                     }
                 }
                 for (idx, net) in touched.nets() {
@@ -946,7 +1112,8 @@ impl ConflictTable {
     }
 
     /// Weighted cost contributed by row `d` of the current difference triangle
-    /// (`Σ ERR(d)·max(c − 1, 0)` over the row's histogram buckets).
+    /// (`Σ ERR(d)·max(c − 1, 0)` over the row's histogram buckets, built from
+    /// the values on each call).
     ///
     /// Diagnostic/decomposition helper: the rows contribute to
     /// [`ConflictTable::cost`] independently, so `Σ_d row_cost(d)` equals the
@@ -957,11 +1124,24 @@ impl ConflictTable {
     pub fn row_cost(&self, d: usize) -> u64 {
         assert!((1..=self.dmax).contains(&d), "row {d} is not scored");
         let w = self.weight(d);
-        let base = (d - 1) * self.width;
-        self.counts[base..base + self.width]
+        let mut counts = Vec::new();
+        self.row_histogram(d, &mut counts);
+        counts
             .iter()
             .map(|&c| w * u64::from(c.saturating_sub(1)))
             .sum()
+    }
+
+    /// Row `d`'s histogram of bucket counts (`2n − 1` buckets), built from
+    /// the values into `counts` — what the read-only oracles read instead of
+    /// the table's maintained counts.
+    fn row_histogram(&self, d: usize, counts: &mut Vec<u32>) {
+        let n = self.n;
+        counts.clear();
+        counts.resize(self.width, 0);
+        for i in 0..n - d {
+            counts[self.values[i + d] + (n - 1) - self.values[i]] += 1;
+        }
     }
 
     /// Debug helper: recompute the cost from scratch and compare with the running
@@ -1376,6 +1556,67 @@ mod tests {
                 assert_eq!(total, table.cost(), "n={n} model={model:?}");
             }
         }
+    }
+
+    #[test]
+    fn count_free_table_matches_from_scratch_oracles() {
+        // Along seeded swap and `reset_to` walks, every read-only oracle of a
+        // table without counts (n ≤ 32 on AVX-512 hosts) equals a
+        // from-scratch computation on its values: the cost, the errors, each
+        // row's cost, `delta_for_swap` and the reference probe for every
+        // pair.  Elsewhere the same checks run on the counts-keeping table.
+        let mut rng = default_rng(0xC0_4E7F);
+        let (mut count_free, mut tables) = (0, 0);
+        let (mut errors, mut probed) = (Vec::new(), Vec::new());
+        for n in 2..=32usize {
+            for model in [CostModel::basic(), CostModel::optimized()] {
+                let p = one_based(random_permutation(n, &mut rng));
+                let mut table = ConflictTable::new(&p, model);
+                tables += 1;
+                count_free += usize::from(!table.keeps_counts());
+                for step in 0..8 {
+                    if step % 4 == 3 {
+                        table.reset_to(&one_based(random_permutation(n, &mut rng)));
+                    } else {
+                        table.apply_swap(rng.index(n), rng.index(n));
+                    }
+                    let context = format!("n={n} {model:?} step {step}");
+                    let values = table.values().to_vec();
+                    let cost = model.global_cost(&values);
+                    assert_eq!(table.cost(), cost, "cost ({context})");
+                    model.variable_errors(&values, &mut errors);
+                    assert_eq!(table.errors(), &errors[..], "errors ({context})");
+                    for d in 1..=model.max_distance(n) {
+                        let mut diffs: Vec<_> = (0..n - d)
+                            .map(|i| values[i + d] as i64 - values[i] as i64)
+                            .collect();
+                        diffs.sort_unstable();
+                        diffs.dedup();
+                        let repeats = (n - d - diffs.len()) as u64;
+                        assert_eq!(
+                            table.row_cost(d),
+                            model.weight_at(n, d) * repeats,
+                            "row {d} ({context})"
+                        );
+                    }
+                    for m in 0..n {
+                        table.probe_partners_reference(m, &mut probed);
+                        for (j, &got) in probed.iter().enumerate() {
+                            let mut swapped = values.clone();
+                            swapped.swap(m, j);
+                            let after = model.global_cost(&swapped);
+                            assert_eq!(got, after, "probe ({m}, {j}) ({context})");
+                            assert_eq!(
+                                table.delta_for_swap(m, j),
+                                after as i64 - cost as i64,
+                                "delta ({m}, {j}) ({context})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        println!("count-free oracles: {count_free} of {tables} tables kept no counts");
     }
 
     #[test]

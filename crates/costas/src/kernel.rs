@@ -14,14 +14,20 @@
 //!   (`ConflictTable::probe_body_avx512_scratch` in `simd`).  Each lane
 //!   scores one candidate's whole swapped permutation, eight per pass, by
 //!   the row-lane sweep's "pairs minus distinct buckets" identity; it reads
-//!   neither the counts nor the masks.
+//!   neither the counts nor the masks.  Its lane-cost loop also scores the
+//!   Costas reset's sub-array rotations, eight per pass
+//!   (`ConflictTable::rotation_body_avx512`, behind
+//!   [`ConflictTable::rotation_costs`]).  Nothing on this tier reads the
+//!   counts, so the table keeps none here (the *count-free tier*).
 //! * **AVX-512 F + DQ, two to four words (33 ≤ n ≤ 128):**
 //!   `ConflictTable::probe_range_masked_dyn` with the permute body
 //!   (`ConflictTable::probe_body_avx512_wide` in `simd`): the event
 //!   algebra below, eight candidates per instruction, every bucket bit read
 //!   from the row's words in one register by a lane permute.
 //! * **Everywhere else — the portable tier and the reference for both:**
-//!   the scalar event-algebra bodies.  `ConflictTable::probe_range_masked`
+//!   the scalar event-algebra bodies, which read the counts, so every table
+//!   served here keeps them (the tests build a counts-keeping table to call
+//!   them at n ≤ 32 on AVX-512 hosts).  `ConflictTable::probe_range_masked`
 //!   is monomorphized per row-mask word type (`MaskWord`: one `u64` for
 //!   n ≤ 32, one `u128` holding both words for n ≤ 64) and runs
 //!   `probe_body_sim`; `ConflictTable::probe_range_masked_dyn` runs
@@ -61,21 +67,28 @@
 //!
 //! Equivalence with the histogram reference is enforced three ways: the
 //! `debug_assert!`s in the probe dispatcher (every call, bit for bit, against
-//! the reference and the per-pair `delta_for_swap`), the unit suite below
+//! the reference and the per-pair `delta_for_swap`, both of which build
+//! their histograms from the values on the count-free tier, so a kernel and
+//! its pins never share maintained state there), the unit suite below
 //! (orders 2–32 exhaustively plus the width edges 33/40/64/65/80/96/97/128/
 //! 129, all cost models up to n = 80, adversarial permutations, swap walks,
-//! every kernel — the scalar tier and the from-scratch body are called
+//! every kernel — the scalar tier and the from-scratch bodies are called
 //! directly, bypassing the dispatcher, so the scalar tier runs on AVX-512
 //! hosts too, and the suite prints the bodies that ran, e.g.
-//! `probe tiers: scalar W=1,2,slice; AVX-512 scratch W=1; permute W=2,3,4`),
-//! and the cross-crate conformance kit in `adaptive-search`, which drives
-//! random swap/reset/inject sequences against a from-scratch oracle.
+//! `probe tiers: scalar W=1,2,slice; AVX-512 scratch W=1; permute W=2,3,4;
+//! reset rotations: batch, materialised`), and the cross-crate conformance
+//! kit in `adaptive-search`, which drives random swap/reset/inject sequences
+//! against a from-scratch oracle.
 
 use crate::cost::ConflictTable;
 use crate::merge::BucketMerge;
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod simd;
+
+/// Why an event-algebra body refuses a table on the count-free tier.
+const NO_COUNTS: &str =
+    "the event-algebra probe bodies read the counts, which this table does not keep";
 
 /// Width-independent half of the per-row probe context: the row weight, the
 /// histogram base, the culprit's neighbouring values, and the ≤ 2
@@ -349,9 +362,11 @@ impl ConflictTable {
     /// The storage is width-parameterized by the dispatcher (no silent
     /// capacity cap): the call is rejected up front when the culprit is out of
     /// range, when the word type disagrees with the table's mask layout, or
-    /// when `rows` cannot hold every scored distance.
+    /// when `rows` cannot hold every scored distance, or when the table
+    /// keeps no counts (the event algebra reads them).
     fn build_rows<Wd: MaskWord>(&self, m: usize, rows: &mut [SimRow<Wd>]) -> i64 {
         assert!(m < self.n, "culprit {m} out of range for order {}", self.n);
+        assert!(self.keeps_counts(), "{NO_COUNTS}");
         assert_eq!(
             Wd::WORDS,
             self.mask_words,
@@ -388,6 +403,7 @@ impl ConflictTable {
     /// in place.
     fn build_rows_dyn(&self, m: usize, scratch: &mut DynScratch) -> i64 {
         assert!(m < self.n, "culprit {m} out of range for order {}", self.n);
+        assert!(self.keeps_counts(), "{NO_COUNTS}");
         let words = self.mask_words;
         let counts = &self.counts[..];
         scratch.metas.clear();
@@ -642,7 +658,7 @@ impl ConflictTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{CostModel, ErrWeight, RowSpan};
+    use crate::cost::{CostModel, ErrWeight, Rotation, RowSpan};
     use xrand::{default_rng, random_permutation, Rng64};
 
     fn one_based(mut p: Vec<usize>) -> Vec<usize> {
@@ -679,8 +695,17 @@ mod tests {
 
     /// The scalar tier called directly, bypassing the dispatcher, so it runs
     /// on AVX-512 hosts too: `probe_body_sim` over `u64` rows for n ≤ 32 and
-    /// `u128` rows for n ≤ 64, `probe_body` over slice-held rows beyond.
+    /// `u128` rows for n ≤ 64, `probe_body` over slice-held rows beyond.  A
+    /// count-free table is rebuilt with counts first: the event algebra
+    /// reads them.
     fn probe_scalar_tier(table: &ConflictTable, m: usize, lo_bound: usize) -> Vec<u64> {
+        let counted;
+        let table = if table.keeps_counts() {
+            table
+        } else {
+            counted = ConflictTable::with_counts(table.values(), *table.model());
+            &counted
+        };
         let mut out = vec![table.cost(); table.order()];
         match table.mask_words {
             1 => table.probe_range_masked::<u64, 32>(m, lo_bound, &mut out),
@@ -786,6 +811,24 @@ mod tests {
                     &table,
                     &format!("n={n}, {model:?}"),
                 ));
+                // The reset's rotations through the public entry point, at
+                // the first and the middle anchor.
+                for m in [0, n / 2] {
+                    let rotations = anchored_rotations(n, m);
+                    let mut out = vec![0; rotations.len()];
+                    table.rotation_costs(&rotations, &mut out);
+                    assert_eq!(
+                        out,
+                        materialised_costs(&table, &rotations),
+                        "rotations at {m}, n={n}, {model:?}"
+                    );
+                }
+                let rotations = if table.batches_rotations() {
+                    "batch"
+                } else {
+                    "materialised"
+                };
+                ran.insert(("rotations", rotations.to_string()));
             }
         }
         let widths = |tier: &str| -> String {
@@ -800,11 +843,17 @@ mod tests {
                 format!(" W={}", ws.join(","))
             }
         };
+        let rotations: Vec<_> = ran
+            .iter()
+            .filter(|t| t.0 == "rotations")
+            .map(|t| t.1.as_str())
+            .collect();
         println!(
-            "probe tiers: scalar{}; AVX-512 scratch{}; permute{}",
+            "probe tiers: scalar{}; AVX-512 scratch{}; permute{}; reset rotations: {}",
             widths("scalar"),
             widths("scratch"),
-            widths("permute")
+            widths("permute"),
+            rotations.join(", ")
         );
     }
 
@@ -873,6 +922,101 @@ mod tests {
         println!("from-scratch probe body: {orders} of 31 single-word orders");
     }
 
+    /// Every anchored rotation at anchor `m` of an order-`n` permutation, in
+    /// the reset's order: `[m..=hi]` for ascending `hi`, then `[lo..=m]` for
+    /// ascending `lo`, left before right.
+    fn anchored_rotations(n: usize, m: usize) -> Vec<Rotation> {
+        let ranges = (m + 1..n).map(|hi| (m, hi)).chain((0..m).map(|lo| (lo, m)));
+        ranges
+            .flat_map(|(lo, hi)| [true, false].map(|left| Rotation { lo, hi, left }))
+            .collect()
+    }
+
+    /// `CostModel::global_cost` of each rotation of the table's permutation,
+    /// materialised.
+    fn materialised_costs(table: &ConflictTable, rotations: &[Rotation]) -> Vec<u64> {
+        rotations
+            .iter()
+            .map(|r| {
+                let mut rotated = table.values().to_vec();
+                r.apply(&mut rotated);
+                table.model().global_cost(&rotated)
+            })
+            .collect()
+    }
+
+    /// The rotation body called directly, bypassing dispatch, against the
+    /// from-scratch cost of each materialised rotation: every one-word order,
+    /// every cost model, every anchor with both sub-families and both
+    /// directions, on random, identity, reversed and swap-walked
+    /// permutations.  Each anchor's rotations go in one call (the last batch
+    /// is partial unless 8 divides 2(n − 1)) and as every prefix of one to
+    /// eight, into an output with a sentinel past the end.  Prints how many
+    /// orders it ran, or why it did not.
+    #[test]
+    fn rotation_body_matches_materialised_rotations_at_every_single_word_order() {
+        #[cfg(target_arch = "x86_64")]
+        fn check(table: &ConflictTable, context: &str) -> bool {
+            if !table.batches_rotations() {
+                return false;
+            }
+            let n = table.order();
+            for m in 0..n {
+                let rotations = anchored_rotations(n, m);
+                let expected = materialised_costs(table, &rotations);
+                for len in (1..=rotations.len().min(8)).chain([rotations.len()]) {
+                    let mut out = vec![u64::MAX; len + 1];
+                    // SAFETY: `batches_rotations` checked the CPU features.
+                    unsafe { table.rotation_body_avx512(&rotations[..len], &mut out) };
+                    assert_eq!(
+                        &out[..len],
+                        &expected[..len],
+                        "anchor {m}, {len} ({context})"
+                    );
+                    assert_eq!(out[len], u64::MAX, "wrote past the rotations ({context})");
+                }
+            }
+            true
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        fn check(_: &ConflictTable, _: &str) -> bool {
+            false
+        }
+        let mut rng = default_rng(0x7074_A7E5);
+        let mut orders = 0;
+        for n in 2..=32usize {
+            let mut ran = false;
+            for model in models() {
+                let random = one_based(random_permutation(n, &mut rng));
+                let identity: Vec<usize> = (1..=n).collect();
+                let reversed: Vec<usize> = (1..=n).rev().collect();
+                for (name, p) in [
+                    ("random", random),
+                    ("identity", identity),
+                    ("reversed", reversed),
+                ] {
+                    let mut table = ConflictTable::new(&p, model);
+                    ran |= check(&table, &format!("{name}, n={n}, {model:?}"));
+                    for step in 0..2 {
+                        let i = (rng.next_u64() as usize) % n;
+                        let j = (rng.next_u64() as usize) % n;
+                        table.apply_swap(i, j);
+                        check(
+                            &table,
+                            &format!("{name} walk step {step}, n={n}, {model:?}"),
+                        );
+                    }
+                }
+            }
+            orders += usize::from(ran);
+        }
+        if orders == 0 {
+            println!("rotation body: skipped, no AVX-512 F + DQ on this host");
+        } else {
+            println!("rotation body: {orders} of 31 single-word orders");
+        }
+    }
+
     /// Adversarial configurations: the identity permutation collapses every
     /// row into a single bucket (maximal collisions) and the reverse
     /// permutation mirrors it, so the fallback path is exercised heavily —
@@ -936,7 +1080,7 @@ mod tests {
     #[should_panic(expected = "out of range for order")]
     fn build_rows_rejects_an_out_of_range_culprit() {
         let p = one_based(random_permutation(16, &mut default_rng(13)));
-        let table = ConflictTable::new(&p, CostModel::optimized());
+        let table = ConflictTable::with_counts(&p, CostModel::optimized());
         let mut out = vec![0u64; 16];
         table.probe_range_masked::<u64, 32>(16, 0, &mut out);
     }
@@ -947,7 +1091,7 @@ mod tests {
     fn build_rows_rejects_undersized_row_storage() {
         let p = one_based(random_permutation(32, &mut default_rng(17)));
         // Full span scores 31 distances; 16 rows of storage must not pass.
-        let table = ConflictTable::new(&p, CostModel::basic());
+        let table = ConflictTable::with_counts(&p, CostModel::basic());
         let mut out = vec![0u64; 32];
         table.probe_range_masked::<u64, 16>(0, 0, &mut out);
     }
@@ -1080,7 +1224,8 @@ mod tests {
 
     /// Run each refresh tier directly on a copy of `table` whose derived
     /// state has been clobbered, and check masks, cost, errors and counts
-    /// against a from-scratch build.  Returns whether the vector tier ran.
+    /// (none on the count-free tier) against a from-scratch build.  Returns
+    /// whether the vector tier ran.
     fn assert_refresh_tiers(table: &ConflictTable, context: &str) -> bool {
         let expected = from_scratch(table.values(), *table.model());
         type Tier = fn(&mut ConflictTable);
@@ -1097,7 +1242,14 @@ mod tests {
             t.errors.iter_mut().for_each(|e| *e = 0xdead);
             t.cost = 0xdead;
             refresh(&mut t);
-            assert_eq!(t.counts, expected.counts, "{name} counts ({context})");
+            if t.keeps_counts() {
+                assert_eq!(t.counts, expected.counts, "{name} counts ({context})");
+            } else {
+                assert!(
+                    t.counts.is_empty(),
+                    "count-free table holds counts ({context})"
+                );
+            }
             assert_eq!(t.occ_mask, expected.occ, "{name} occ ({context})");
             assert_eq!(t.multi_mask, expected.multi, "{name} multi ({context})");
             assert_eq!(t.cost, expected.cost, "{name} cost ({context})");

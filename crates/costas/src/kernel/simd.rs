@@ -1,6 +1,7 @@
 //! AVX-512 lane-parallel bodies, all for n ≤ 128 ([`ROW_LANES_MAX_ORDER`]):
-//! the two probe bodies, and the row-lane sweep behind the reset evaluator's
-//! bounded from-scratch cost and the conflict table's refresh pass.
+//! the two probe bodies, the reset's rotation body, and the row-lane sweep
+//! behind the reset evaluator's bounded from-scratch cost and the conflict
+//! table's refresh pass.
 //!
 //! # Probe bodies
 //!
@@ -26,7 +27,9 @@
 //!   event algebra, while a two-word variant (a second bitset per lane,
 //!   chosen by a compare) timed level with the permute body at
 //!   n = 33–64, within run-to-run noise; two-word rows therefore stay with
-//!   the permute body, which the wider rows need anyway.
+//!   the permute body, which the wider rows need anyway.  The lane-cost
+//!   loop ([`ConflictTable::lane_costs`]) takes the columns of any eight
+//!   permutations and is shared with the rotation body below.
 //! * **Event algebra, two to four words (33 ≤ n ≤ 128)** —
 //!   [`ConflictTable::probe_body_avx512_wide`] over the patched slice-held
 //!   rows ([`DynRows`]), the scalar replay's cell algebra with the candidate
@@ -57,10 +60,32 @@
 //!   via a lane mask on the accumulation, for the exact per-bucket merge,
 //!   added straight onto `out`.
 //!
+//! # Rotation body: the reset's first family, eight per pass
+//!
+//! The Costas reset's first perturbation family rotates by one cell every
+//! sub-array starting or ending at the most erroneous variable, ≈ 2n
+//! candidates.  On one-word rows
+//! [`ConflictTable::rotation_body_avx512`] scores eight of them per pass
+//! without building any: lane `l` carries its rotation's bounds
+//! `[lo, hi]`, direction and moved end value, and column `p` is `v[p]`,
+//! `v[p + 1]` (left rotation, `lo ≤ p < hi`), `v[p − 1]` (right rotation,
+//! `lo < p ≤ hi`) or the end value (`p = hi` left, `p = lo` right), chosen
+//! per lane by k-mask compares of `p` against the bounds and three masked
+//! moves of broadcast values.  The columns then go through the probe's
+//! lane-cost loop, so each lane's cost is exact — no abort, no bound.  An
+//! earlier prototype batched the candidates by copying and transposing
+//! materialised permutations, and the copies ate the gain; generating the
+//! columns from the bounds costs O(n) vector operations per pass, below the
+//! O(n·d_max) of the scoring.  The conflict table keeps no counts on this
+//! tier: the two from-scratch bodies and the refresh pass read only the
+//! values.
+//!
 //! # Row-lane sweep: reset evaluator and refresh pass
 //!
-//! The Costas reset scores ≈ 2n candidate permutations from scratch
-//! ([`CostModel::global_cost_bounded`]).  The scalar body sweeps one row of
+//! The Costas reset scores its other candidates — every one where the table
+//! keeps counts, families 2 and 3 on the count-free tier — from scratch
+//! with an abort bound ([`CostModel::global_cost_bounded`]).  The scalar
+//! body sweeps one row of
 //! the difference triangle at a time through a `2n − 1`-entry histogram.
 //! This body instead gives each of the eight 64-bit lanes one row `d`: lane
 //! `l` of group `d0` holds row `d0 + l` as a `W`-word occupancy bitset
@@ -106,7 +131,7 @@
 use std::arch::x86_64::*;
 
 use super::{row_merge, DynRows};
-use crate::cost::{ConflictTable, CostModel};
+use crate::cost::{ConflictTable, CostModel, Rotation};
 use crate::merge::BucketMerge;
 
 /// Largest order the row-word vector bodies serve — the reset evaluator
@@ -216,7 +241,6 @@ impl ConflictTable {
         assert!(out.len() >= n, "probe output shorter than the order");
         let values = &self.values[..];
         let vm = _mm512_set1_epi64(values[m] as i64);
-        let one = _mm512_set1_epi64(1);
         let mut cols = [_mm512_setzero_si512(); 32];
         for block in (lo_bound..n).step_by(8) {
             let lanes = (n - block).min(8);
@@ -229,22 +253,112 @@ impl ConflictTable {
                 cols[block + l] = _mm512_mask_mov_epi64(cols[block + l], 1 << l, vm);
             }
             cols[m] = _mm512_maskz_loadu_epi64(low_lanes(lanes), values.as_ptr().add(block).cast());
-            let mut cost = _mm512_setzero_si512();
-            for d in 1..=self.dmax {
-                let mut seen = _mm512_setzero_si512();
-                for (left, right) in cols[..n].iter().zip(&cols[d..n]) {
-                    let bit = _mm512_rolv_epi64(one, _mm512_sub_epi64(*right, *left));
-                    seen = _mm512_or_si512(seen, bit);
-                }
-                let pairs = _mm512_set1_epi64((n - d) as i64);
-                let repeats = _mm512_sub_epi64(pairs, popcount_lanes(&[seen]));
-                // ERR(d) ≤ n² and repeats < n fit the 32×32→64 `vpmuldq`.
-                let weight = _mm512_set1_epi64(self.weight(d) as i64);
-                cost = _mm512_add_epi64(cost, _mm512_mul_epi32(weight, repeats));
-            }
+            let cost = self.lane_costs(&cols[..n]);
             let store = low_lanes(lanes) & !lane_of(block, lanes, m);
             _mm512_mask_storeu_epi64(out.as_mut_ptr().add(block).cast(), store, cost);
         }
+    }
+
+    /// From-scratch AVX-512 body of [`ConflictTable::rotation_costs`] for
+    /// one-word rows (n ≤ 32): `out[k]` is the exact cost after applying
+    /// `rotations[k]`, eight rotations per pass.  Lane `l`'s column `p` is
+    /// `v[p]`, `v[p + 1]` (left rotation, `lo ≤ p < hi`), `v[p − 1]` (right
+    /// rotation, `lo < p ≤ hi`) or the moved end value (`v[lo]` at `p = hi`
+    /// for a left rotation, `v[hi]` at `p = lo` for a right one), picked by
+    /// k-mask compares against the lane's bounds, so no rotation is ever
+    /// built; the columns then go through the probe's lane-cost loop.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and DQ at runtime (see [`probe_kernel_available`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows hold more than one word (n > 32) or `out` is
+    /// shorter than `rotations`.  Each rotation must satisfy
+    /// `lo ≤ hi < n` (checked by the caller).
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(crate) unsafe fn rotation_body_avx512(&self, rotations: &[Rotation], out: &mut [u64]) {
+        let n = self.n;
+        assert!(
+            self.mask_words == 1,
+            "the rotation body covers n ≤ 32, got n = {n}"
+        );
+        assert!(out.len() >= rotations.len(), "rotation output too short");
+        let values = &self.values[..];
+        let mut cols = [_mm512_setzero_si512(); 32];
+        let out = &mut out[..rotations.len()];
+        for (batch, out) in rotations.chunks(8).zip(out.chunks_mut(8)) {
+            // Idle lanes get bounds past the array, so every compare misses
+            // and they score the current permutation.
+            let (mut lo, mut hi, mut end) = ([n as i64; 8], [n as i64; 8], [0i64; 8]);
+            let mut left: __mmask8 = 0;
+            for (l, r) in batch.iter().enumerate() {
+                (lo[l], hi[l]) = (r.lo as i64, r.hi as i64);
+                end[l] = values[if r.left { r.lo } else { r.hi }] as i64;
+                left |= u8::from(r.left) << l;
+            }
+            let lo = _mm512_loadu_epi64(lo.as_ptr());
+            let hi = _mm512_loadu_epi64(hi.as_ptr());
+            let end = _mm512_loadu_epi64(end.as_ptr());
+            for (p, col) in cols[..n].iter_mut().enumerate() {
+                let at = _mm512_set1_epi64(p as i64);
+                let (at_lo, at_hi) = (
+                    _mm512_cmpeq_epi64_mask(lo, at),
+                    _mm512_cmpeq_epi64_mask(hi, at),
+                );
+                let inside = _mm512_cmple_epi64_mask(lo, at) & _mm512_cmple_epi64_mask(at, hi);
+                // `usize` is 64-bit on this arch.
+                *col = _mm512_set1_epi64(values[p] as i64);
+                if p + 1 < n {
+                    let next = inside & left & !at_hi;
+                    *col =
+                        _mm512_mask_mov_epi64(*col, next, _mm512_set1_epi64(values[p + 1] as i64));
+                }
+                if p > 0 {
+                    let prev = inside & !left & !at_lo;
+                    *col =
+                        _mm512_mask_mov_epi64(*col, prev, _mm512_set1_epi64(values[p - 1] as i64));
+                }
+                *col = _mm512_mask_mov_epi64(*col, (at_hi & left) | (at_lo & !left), end);
+            }
+            let mut costs = [0u64; 8];
+            _mm512_storeu_epi64(costs.as_mut_ptr().cast(), self.lane_costs(&cols[..n]));
+            out.copy_from_slice(&costs[..out.len()]);
+        }
+    }
+
+    /// The lane-cost loop of both from-scratch bodies: lane `l` of
+    /// `cols[p]` is column `p` of lane `l`'s permutation (n ≤ 32), and the
+    /// result's lane `l` is that permutation's exact cost.  Each row `d` ORs
+    /// `rolv(1, col[i + d] − col[i])` into a per-lane `u64` over the left
+    /// index `i`; the differences lie in `(−32, 32)`, so distinct
+    /// differences set distinct bits, and the row's repeats are its `n − d`
+    /// pairs minus the popcount, weighted by `ERR(d)`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and DQ at runtime; callers are
+    /// `#[target_feature]`-gated.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn lane_costs(&self, cols: &[__m512i]) -> __m512i {
+        let n = cols.len();
+        let one = _mm512_set1_epi64(1);
+        let mut cost = _mm512_setzero_si512();
+        for d in 1..=self.dmax {
+            let mut seen = _mm512_setzero_si512();
+            for (left, right) in cols.iter().zip(&cols[d..]) {
+                let bit = _mm512_rolv_epi64(one, _mm512_sub_epi64(*right, *left));
+                seen = _mm512_or_si512(seen, bit);
+            }
+            let pairs = _mm512_set1_epi64((n - d) as i64);
+            let repeats = _mm512_sub_epi64(pairs, popcount_lanes(&[seen]));
+            // ERR(d) ≤ n² and repeats < n fit the 32×32→64 `vpmuldq`.
+            let weight = _mm512_set1_epi64(self.weight(d) as i64);
+            cost = _mm512_add_epi64(cost, _mm512_mul_epi32(weight, repeats));
+        }
+        cost
     }
 
     /// Eight-lane AVX-512 event-algebra probe body over slice-held rows of

@@ -12,7 +12,8 @@
 //! * [`CostasArray`] / [`Permutation`] — validated permutation types ([`array`]).
 //! * [`DifferenceTriangle`] — the full triangle, row by row ([`triangle`]).
 //! * [`cost`] — the paper's error model (`ERR(d)`), Chang's half-triangle optimisation
-//!   and the [`cost::ConflictTable`] giving O(⌊n/2⌋) swap evaluation, which is
+//!   and the [`cost::ConflictTable`] giving batched swap evaluation and the
+//!   exact costs of the reset's sub-array rotations ([`Rotation`]), which is
 //!   what makes local search on the CAP fast.
 //! * [`check`] — standalone validity predicates.
 //! * [`symmetry`] — the dihedral symmetry group acting on Costas arrays (rotations /
@@ -39,7 +40,7 @@ pub mod triangle;
 pub use array::{CostasArray, Permutation, PermutationError};
 pub use check::{is_costas, is_costas_permutation, violation_count};
 pub use construction::{golomb_construction, welch_construction, ConstructionError};
-pub use cost::{ConflictTable, CostModel, ErrWeight, RowSpan};
+pub use cost::{ConflictTable, CostModel, ErrWeight, Rotation, RowSpan};
 pub use counts::{known_costas_count, KNOWN_COUNTS};
 pub use enumerate::{count_costas, enumerate_costas, first_costas, EnumerationStats};
 pub use merge::BucketMerge;
