@@ -31,7 +31,7 @@ pub enum StepOutcome {
     Continue,
 }
 
-/// Outcome of offering an elite configuration through [`Engine::inject_candidate`].
+/// Outcome of offering a configuration through [`Engine::inject_candidate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectOutcome {
     /// The candidate was installed as the current configuration (its cost was
@@ -84,8 +84,6 @@ pub struct EngineSnapshot {
     pub iterations_since_restart: u64,
     /// Tabu marks since the last reset (the `RL` counter).
     pub marked_since_reset: usize,
-    /// A coordinated restart is pending at the next step boundary.
-    pub restart_pending: bool,
     /// Per-variable Tabu freeze horizons.
     pub tabu_horizons: Vec<u64>,
 }
@@ -142,9 +140,6 @@ pub struct Engine<P: PermutationProblem> {
     /// Variables marked Tabu since the last reset — the quantity compared against the
     /// paper's `RL` parameter.
     marked_since_reset: usize,
-    /// A coordinated restart was requested externally; honoured at the next
-    /// [`Engine::step`] boundary so callers never observe a half-applied iteration.
-    restart_pending: bool,
     // scratch buffers reused across iterations to keep the inner loop allocation-free;
     // `ties` serves the culprit sweep and then the swap sweep of the same iteration
     errors: Vec<u64>,
@@ -175,7 +170,6 @@ impl<P: PermutationProblem> Engine<P> {
             best_config: Vec::new(),
             iterations_since_restart: 0,
             marked_since_reset: 0,
-            restart_pending: false,
             errors: Vec::with_capacity(n),
             ties: TieBreak::with_capacity(n),
             probe: Vec::with_capacity(n),
@@ -194,7 +188,6 @@ impl<P: PermutationProblem> Engine<P> {
             best_config: self.best_config.clone(),
             iterations_since_restart: self.iterations_since_restart,
             marked_since_reset: self.marked_since_reset,
-            restart_pending: self.restart_pending,
             tabu_horizons: self.tabu.horizons().to_vec(),
         }
     }
@@ -258,7 +251,6 @@ impl<P: PermutationProblem> Engine<P> {
             best_config: snap.best_config.clone(),
             iterations_since_restart: snap.iterations_since_restart,
             marked_since_reset: snap.marked_since_reset,
-            restart_pending: snap.restart_pending,
             errors: Vec::with_capacity(n),
             ties: TieBreak::with_capacity(n),
             probe: Vec::with_capacity(n),
@@ -452,20 +444,6 @@ impl<P: PermutationProblem> Engine<P> {
         self.stats.iterations += 1;
         self.iterations_since_restart += 1;
 
-        // Coordinated restart requested by an external driver: like a policy restart,
-        // it consumes this iteration.
-        if self.restart_pending {
-            self.restart_pending = false;
-            self.stats.restarts += 1;
-            self.stats.coordinated_restarts += 1;
-            self.randomize_configuration();
-            return if self.problem.global_cost() == 0 {
-                StepOutcome::Solved
-            } else {
-                StepOutcome::Continue
-            };
-        }
-
         // Full restart when the policy says so.
         if let RestartPolicy::Every { iterations } = self.config.restart {
             if self.iterations_since_restart >= iterations {
@@ -589,24 +567,7 @@ impl<P: PermutationProblem> Engine<P> {
         self.randomize_configuration();
     }
 
-    /// Request a coordinated restart: the engine re-randomises at the *next*
-    /// [`Engine::step`] boundary instead of immediately.
-    ///
-    /// This is the restart hook of the cooperative multi-walk runtime: when the
-    /// exchange layer detects global stagnation it schedules a restart on every walk,
-    /// and each walk honours it at its own iteration boundary, which keeps the
-    /// deterministic substrates (virtual cluster) reproducible — the restart always
-    /// lands at the same point of the walk's random stream.
-    pub fn schedule_restart(&mut self) {
-        self.restart_pending = true;
-    }
-
-    /// Is a coordinated restart pending?
-    pub fn restart_pending(&self) -> bool {
-        self.restart_pending
-    }
-
-    /// Offer an elite configuration (warm start / cooperative injection).
+    /// Offer a configuration to start from (a warm start).
     ///
     /// The candidate is evaluated and installed as the current configuration iff its
     /// cost is **strictly below** `cost_threshold`; otherwise the engine's
@@ -615,9 +576,8 @@ impl<P: PermutationProblem> Engine<P> {
     ///
     /// Adoption behaves like a diversification jump: the Tabu memory and the `RL`
     /// counter are cleared so the search engages the injected region unencumbered by
-    /// marks accumulated elsewhere, and a pending coordinated restart is cancelled
-    /// (the injection already moved the walk).  The engine's random stream is *not*
-    /// consumed, so rejected offers leave the walk byte-for-byte identical.
+    /// marks accumulated elsewhere.  The engine's random stream is *not* consumed,
+    /// so rejected offers leave the walk byte-for-byte identical.
     ///
     /// # Panics
     /// Panics if `candidate` is not a permutation of `1..=n`.
@@ -639,7 +599,6 @@ impl<P: PermutationProblem> Engine<P> {
             self.stats.injections_adopted += 1;
             self.tabu.clear();
             self.marked_since_reset = 0;
-            self.restart_pending = false;
             self.note_best();
             InjectOutcome::Adopted { cost }
         } else {
@@ -820,35 +779,6 @@ mod tests {
     fn inject_candidate_rejects_non_permutations() {
         let mut e = small_engine(6, 1);
         let _ = e.inject_candidate(&[1, 1, 2, 3, 4, 5], u64::MAX);
-    }
-
-    #[test]
-    fn scheduled_restart_fires_at_the_next_step_boundary() {
-        let config = AsConfig::builder().max_iterations(10_000).build();
-        let mut e = Engine::new(CostasProblem::new(18), config, 9);
-        assert!(!e.restart_pending());
-        e.schedule_restart();
-        assert!(e.restart_pending());
-        let before = e.problem().configuration().to_vec();
-        let _ = e.step();
-        assert!(!e.restart_pending());
-        assert_eq!(e.stats().restarts, 1);
-        assert_eq!(e.stats().coordinated_restarts, 1);
-        // With overwhelming probability the restart changed the configuration.
-        assert_ne!(e.problem().configuration(), &before[..]);
-    }
-
-    #[test]
-    fn adoption_cancels_a_pending_restart() {
-        let mut e = small_engine(12, 2);
-        let elite = {
-            let mut solver = small_engine(12, 55);
-            solver.solve().solution.expect("order 12 solves")
-        };
-        e.schedule_restart();
-        assert!(e.inject_candidate(&elite, u64::MAX).adopted());
-        assert!(!e.restart_pending());
-        assert_eq!(e.stats().coordinated_restarts, 0);
     }
 
     /// A never-solved problem that records every committed swap, used to observe
@@ -1082,19 +1012,16 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_resume_carries_pending_restarts_and_best() {
+    fn snapshot_resume_carries_the_best() {
         let mut e = small_engine(14, 77);
         for _ in 0..100 {
             let _ = e.step();
         }
-        e.schedule_restart();
         let snap = e.snapshot();
-        assert!(snap.restart_pending);
         let mut resumed =
             Engine::from_snapshot(CostasProblem::new(14), AsConfig::costas_defaults(14), &snap)
                 .expect("valid snapshot");
         assert_eq!(resumed.best_cost(), e.best_cost());
-        assert!(resumed.restart_pending());
         assert_lockstep(&mut e, &mut resumed, 100);
     }
 

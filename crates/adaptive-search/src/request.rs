@@ -298,7 +298,7 @@ impl SolveRequest {
         if let Some(warm) = &self.warm_start {
             check_permutation(warm, engine.problem().size())?;
             // Threshold u64::MAX: a warm start is an unconditional handover,
-            // not a cooperative offer — the caller asked to start *here*.
+            // not a conditional offer — the caller asked to start *here*.
             engine.inject_candidate(warm, u64::MAX);
         }
         // An unrepresentable deadline (Instant overflow) degrades to "none".

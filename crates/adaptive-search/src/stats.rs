@@ -31,12 +31,9 @@ pub struct SearchStats {
     pub custom_reset_escapes: u64,
     /// Full restarts from a fresh random configuration.
     pub restarts: u64,
-    /// Restarts performed on behalf of an external coordinator (cooperative
-    /// multi-walk stagnation recovery), counted in `restarts` as well.
-    pub coordinated_restarts: u64,
-    /// Elite configurations offered through [`crate::Engine::inject_candidate`].
+    /// Configurations offered through [`crate::Engine::inject_candidate`].
     pub injections_offered: u64,
-    /// Elite configurations actually adopted (cost below the caller's threshold).
+    /// Offered configurations actually adopted (cost below the caller's threshold).
     pub injections_adopted: u64,
     /// External stop-condition polls (the analogue of MPI termination probes).
     pub stop_checks: u64,
@@ -54,7 +51,6 @@ impl SearchStats {
         self.custom_resets += other.custom_resets;
         self.custom_reset_escapes += other.custom_reset_escapes;
         self.restarts += other.restarts;
-        self.coordinated_restarts += other.coordinated_restarts;
         self.injections_offered += other.injections_offered;
         self.injections_adopted += other.injections_adopted;
         self.stop_checks += other.stop_checks;
@@ -151,7 +147,6 @@ mod tests {
             custom_resets: 1,
             custom_reset_escapes: 1,
             restarts: 1,
-            coordinated_restarts: 1,
             injections_offered: 6,
             injections_adopted: 2,
             stop_checks: 7,
@@ -166,7 +161,6 @@ mod tests {
         assert_eq!(a.custom_resets, 1);
         assert_eq!(a.custom_reset_escapes, 1);
         assert_eq!(a.restarts, 1);
-        assert_eq!(a.coordinated_restarts, 1);
         assert_eq!(a.injections_offered, 6);
         assert_eq!(a.injections_adopted, 2);
         assert_eq!(a.stop_checks, 7);

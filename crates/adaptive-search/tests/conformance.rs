@@ -47,7 +47,7 @@ pub enum Op {
     /// Probe positions `i % n` and `j % n`, then commit that swap.
     Swap(usize, usize),
     /// Install a fresh random permutation through `set_configuration` — exactly
-    /// what the engine's restart, custom-reset adoption and elite-injection
+    /// what the engine's restart, custom-reset adoption and warm-start
     /// paths do.
     Reset(u64),
 }

@@ -22,7 +22,6 @@
 //! | `COSTAS_RUNS` | `runs_override` | repetition count override |
 //! | `COSTAS_SEED` | `master_seed` | master seed |
 //! | `COSTAS_BENCH_JSON` | `bench_json` | artefact destination override |
-//! | `COSTAS_COOP_INTERVAL` | `coop_interval` | cooperative exchange interval |
 //! | `COSTAS_SOLVERD_ADDR` | `solverd_addr` | drive a remote solverd over TCP |
 //! | `COSTAS_LOAD_RPS` | `load_rps` | load_gen target request rate |
 //! | `COSTAS_LOAD_REQUESTS` | `load_requests` | load_gen request count |
@@ -55,8 +54,6 @@ pub struct BenchConfig {
     pub master_seed: u64,
     /// `COSTAS_BENCH_JSON`: artefact destination override.
     pub bench_json: Option<PathBuf>,
-    /// `COSTAS_COOP_INTERVAL`: cooperative exchange interval.
-    pub coop_interval: u64,
     /// `COSTAS_SOLVERD_ADDR`: when set, `load_gen` drives this TCP endpoint
     /// instead of an in-process service.
     pub solverd_addr: Option<String>,
@@ -105,7 +102,6 @@ impl Default for BenchConfig {
             runs_override: None,
             master_seed: DEFAULT_MASTER_SEED,
             bench_json: None,
-            coop_interval: 64,
             solverd_addr: None,
             load_rps: 20.0,
             load_requests: 60,
@@ -161,13 +157,6 @@ impl BenchConfig {
                     }
                 },
                 "COSTAS_BENCH_JSON" => config.bench_json = Some(PathBuf::from(value)),
-                "COSTAS_COOP_INTERVAL" => match value.parse() {
-                    Ok(interval) => config.coop_interval = interval,
-                    Err(_) => {
-                        let default = config.coop_interval;
-                        config.warn_parse(&name, &value, &format!("using {default}"));
-                    }
-                },
                 "COSTAS_SOLVERD_ADDR" => config.solverd_addr = Some(value),
                 "COSTAS_LOAD_RPS" => match value.parse::<f64>() {
                     Ok(rps) if rps > 0.0 && rps.is_finite() => config.load_rps = rps,
@@ -250,7 +239,7 @@ impl BenchConfig {
                 },
                 _ => config.warnings.push(format!(
                     "unknown variable {name} (typo? this version knows: FULL, RUNS, SEED, \
-                     BENCH_JSON, COOP_INTERVAL, SOLVERD_ADDR, LOAD_RPS, LOAD_REQUESTS, \
+                     BENCH_JSON, SOLVERD_ADDR, LOAD_RPS, LOAD_REQUESTS, \
                      LOAD_WORKERS, LOAD_QUEUE, LOAD_RETRIES, LOAD_RETRY_BACKOFF_MS, \
                      FAULT_SEED, CAMPAIGN_N, CAMPAIGN_WALKERS, CAMPAIGN_ROUNDS, \
                      CAMPAIGN_INTERVAL, CAMPAIGN_DIR, CAMPAIGN_HALT_AFTER)"
@@ -284,7 +273,6 @@ mod tests {
         assert!(!config.full);
         assert_eq!(config.runs_override, None);
         assert_eq!(config.master_seed, DEFAULT_MASTER_SEED);
-        assert_eq!(config.coop_interval, 64);
         assert!(config.warnings.is_empty());
     }
 
@@ -295,7 +283,6 @@ mod tests {
             ("COSTAS_RUNS", "7"),
             ("COSTAS_SEED", "12345"),
             ("COSTAS_BENCH_JSON", "out.json"),
-            ("COSTAS_COOP_INTERVAL", "128"),
             ("COSTAS_SOLVERD_ADDR", "127.0.0.1:7777"),
             ("COSTAS_LOAD_RPS", "12.5"),
             ("COSTAS_LOAD_REQUESTS", "99"),
@@ -316,7 +303,6 @@ mod tests {
         assert_eq!(config.runs_override, Some(7));
         assert_eq!(config.master_seed, 12345);
         assert_eq!(config.bench_json.as_deref(), Some(Path::new("out.json")));
-        assert_eq!(config.coop_interval, 128);
         assert_eq!(config.solverd_addr.as_deref(), Some("127.0.0.1:7777"));
         assert_eq!(config.load_rps, 12.5);
         assert_eq!(config.load_requests, 99);
@@ -339,12 +325,19 @@ mod tests {
 
     #[test]
     fn unknown_costas_variables_warn() {
-        // A typo, and the two knobs of the retired strong-scaling sweep.
-        let names = ["COSTAS_THREAD", "COSTAS_THREADS", "COSTAS_SCALING_STEPS"];
+        // A typo, the two knobs of the retired strong-scaling sweep, and the
+        // exchange interval of the retired cooperative comparison.
+        let names = [
+            "COSTAS_THREAD",
+            "COSTAS_THREADS",
+            "COSTAS_SCALING_STEPS",
+            "COSTAS_COOP_INTERVAL",
+        ];
         let config = BenchConfig::from_vars(vars(&[
             (names[0], "8"),
             (names[1], "1,2"),
             (names[2], "5000"),
+            (names[3], "128"),
         ]));
         assert_eq!(config.warnings.len(), names.len(), "{:?}", config.warnings);
         for (warning, name) in config.warnings.iter().zip(names) {

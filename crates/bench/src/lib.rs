@@ -12,7 +12,7 @@
 //!   seed.
 //! * **Output** — each harness prints the paper-shaped table to stdout and writes a
 //!   CSV with the same rows under `target/experiments/` for plotting.  The
-//!   `coop_vs_independent`, `load_gen` and `campaign` harnesses additionally
+//!   `load_gen` and `campaign` harnesses additionally
 //!   emit a schema-validated `BENCH_*.json` document (destination overridable
 //!   with `COSTAS_BENCH_JSON`; CI checks and uploads it).  Performance claims
 //!   are not read from these documents: the repository benchmark

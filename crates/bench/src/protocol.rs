@@ -8,15 +8,9 @@
 //!   the sampled mode is used for very large core counts, see DESIGN.md §4.
 //! * [`iteration_samples`] — gather the empirical sequential distribution that feeds
 //!   the sampled mode and the time-to-target / exponential-fit analyses.
-//! * [`cooperative_cell`] — the cooperative counterpart of [`parallel_cell`]: `runs`
-//!   cooperative multi-walk jobs on the deterministic virtual-cluster substrate,
-//!   seeded identically to the independent cell so `coop_vs_independent` comparisons
-//!   isolate the effect of the exchange layer.
 
 use adaptive_search::{SequentialDriver, SolveResult};
-use multiwalk::{
-    CoopConfig, CoopResult, CooperativeRunner, SimulatedRun, VirtualCluster, WalkSpec,
-};
+use multiwalk::{SimulatedRun, VirtualCluster, WalkSpec};
 use runtime_stats::BatchStats;
 use xrand::SeedSequence;
 
@@ -85,64 +79,6 @@ pub fn parallel_cell(
     }
 }
 
-/// Summary of one cooperative (instance, core count) cell.
-#[derive(Debug, Clone)]
-pub struct CoopCellSummary {
-    /// Core count simulated.
-    pub cores: usize,
-    /// Statistics of the virtual completion times in seconds.
-    pub seconds: BatchStats,
-    /// Statistics of the winning walk's iteration count (machine-independent).
-    pub iterations: BatchStats,
-    /// Runs (out of `count`) that found a solution within the budget.
-    pub solved: usize,
-    /// Elite adoptions summed over all runs.
-    pub adoptions: u64,
-    /// Coordinated-restart events summed over all runs.
-    pub coordinated_restarts: u64,
-}
-
-/// Simulate one cell of a *cooperative* parallel table: `runs` cooperative multi-walk
-/// jobs on the deterministic virtual-cluster substrate (every walk really executed,
-/// elite exchange every `coop.exchange_interval` iterations).
-///
-/// The per-run master seeds are derived exactly like [`parallel_cell`]'s, so a
-/// cooperative cell and an independent cell with the same arguments face the same
-/// sequence of job seeds — the comparison isolates the effect of the exchange layer.
-pub fn cooperative_cell(
-    cluster: &VirtualCluster,
-    spec: &WalkSpec,
-    coop: CoopConfig,
-    cores: usize,
-    runs: usize,
-    master_seed: u64,
-) -> CoopCellSummary {
-    let runner = CooperativeRunner::new(spec.clone(), cores).with_coop(coop);
-    let seeds = SeedSequence::new(master_seed);
-    let runs_vec: Vec<CoopResult> = (0..runs)
-        .map(|r| runner.run_virtual(cluster, seeds.child(r as u64).seed()))
-        .collect();
-    let seconds: Vec<f64> = runs_vec
-        .iter()
-        .map(|r| {
-            r.virtual_seconds
-                .expect("virtual substrate reports seconds")
-        })
-        .collect();
-    let iterations: Vec<f64> = runs_vec
-        .iter()
-        .map(|r| r.winner_iterations as f64)
-        .collect();
-    CoopCellSummary {
-        cores,
-        seconds: BatchStats::from_values(&seconds),
-        iterations: BatchStats::from_values(&iterations),
-        solved: runs_vec.iter().filter(|r| r.solved()).count(),
-        adoptions: runs_vec.iter().map(|r| r.adoptions).sum(),
-        coordinated_restarts: runs_vec.iter().map(|r| r.coordinated_restarts).sum(),
-    }
-}
-
 /// Decide the cell mode for a core count: exact up to `exact_core_limit`, sampled
 /// beyond it (the paper's 512–8192-core points are far cheaper to sample, and the
 /// independence of the walks makes the two statistically equivalent).
@@ -199,54 +135,6 @@ mod tests {
             sampled.iterations.mean
                 <= BatchStats::from_u64(&samples).mean + spec.check_interval() as f64
         );
-    }
-
-    #[test]
-    fn cooperative_cell_is_deterministic_and_consistent() {
-        let cluster = VirtualCluster::new(PlatformProfile::local());
-        let spec = WalkSpec::costas(11);
-        let coop = CoopConfig::every(128);
-        let a = cooperative_cell(&cluster, &spec, coop, 4, 4, 9);
-        let b = cooperative_cell(&cluster, &spec, coop, 4, 4, 9);
-        assert_eq!(a.cores, 4);
-        assert_eq!(a.solved, 4, "CAP 11 solves within the default budget");
-        assert_eq!(a.iterations.mean, b.iterations.mean, "seed-deterministic");
-        assert_eq!(a.adoptions, b.adoptions);
-        assert!(a.seconds.mean > 0.0);
-    }
-
-    /// Regression for the `coordinated_restarts: 0` blind spot: with the default
-    /// `CoopConfig` the restart trigger needs `stagnation_limit` (64) consecutive
-    /// non-improving exchange rounds — `64 × exchange_interval` stagnant
-    /// iterations — which benchmark-sized budgets never reach, so every
-    /// committed artefact showed zero and the restart path went unmeasured.
-    /// Forcing stagnation (a hard instance on a tiny budget, exchanges every 64
-    /// iterations, restart after a single stagnant round) proves the trigger
-    /// actually fires and is counted through the whole protocol stack.
-    #[test]
-    fn forced_stagnation_fires_the_coordinated_restart_trigger() {
-        let cluster = VirtualCluster::new(PlatformProfile::local());
-        // Order 18 essentially never solves in 2 000 iterations, so the global
-        // best stops improving almost immediately.
-        let spec = WalkSpec::costas(18).with_config(
-            adaptive_search::AsConfig::builder()
-                .max_iterations(2_000)
-                .build(),
-        );
-        let coop = CoopConfig::every(64).with_stagnation_limit(Some(1));
-        let cell = cooperative_cell(&cluster, &spec, coop, 4, 2, 11);
-        assert_eq!(cell.solved, 0, "the budget is chosen to be unsolvable");
-        assert!(
-            cell.coordinated_restarts >= 1,
-            "stagnation must fire the coordinated-restart trigger at least once, \
-             got {}",
-            cell.coordinated_restarts
-        );
-        // The same job with restarts disabled counts none: the counter measures
-        // the trigger, not some unrelated event.
-        let disabled = CoopConfig::every(64).with_stagnation_limit(None);
-        let cell = cooperative_cell(&cluster, &spec, disabled, 4, 2, 11);
-        assert_eq!(cell.coordinated_restarts, 0);
     }
 
     #[test]

@@ -1,29 +1,23 @@
 //! Schema validation for the `BENCH_*.json` documents the harnesses emit.
 //!
-//! Three harnesses write machine-readable documents: `coop_vs_independent`
-//! (the cooperative-vs-independent cells), `load_gen` (serving numbers) and
-//! `campaign` (a checkpoint/resume campaign report).  CI checks and uploads
-//! them.  Their consumers need each schema to stay what it claims: a file
-//! announcing `coop_vs_independent/v5` must have the v5 shape, and a stale
+//! Two harnesses write machine-readable documents: `load_gen` (serving
+//! numbers) and `campaign` (a checkpoint/resume campaign report).  CI checks
+//! and uploads them.  Their consumers need each schema to stay what it claims:
+//! a file announcing `solverd_load/v2` must have the v2 shape, and a stale
 //! document written by an older harness must be rejected loudly, not
 //! mis-read.  Speed is not read from these documents; the repository
 //! benchmark (`perfbench/`) is the perf ledger.
 //!
 //! This module is that contract, in code: one validator per current schema
-//! ([`validate_coop_vs_independent`], [`validate_solverd_load`],
-//! [`validate_campaign`]) plus a dispatching [`validate_bench_doc`] that
-//! recognises a document by its `schema` field and rejects superseded
-//! versions (`coop_vs_independent/v4`, `solverd_load/v1`, …) with an error
+//! ([`validate_solverd_load`], [`validate_campaign`]) plus a dispatching
+//! [`validate_bench_doc`] that recognises a document by its `schema` field and
+//! rejects superseded versions (`solverd_load/v1`, `campaign/v0`, …) with an error
 //! naming the expected one.  Validators are pure functions over parsed
 //! [`Json`]; the round-trip (`render` → [`Json::parse`] → validate) is what
 //! the tests exercise.
 
 use runtime_stats::Json;
 
-/// Current schema tag of the cooperative-vs-independent document.  v5 holds
-/// only the per-core-count cells; v4 also carried probe-throughput,
-/// strong-scaling, serving and campaign riders, and is rejected as stale.
-pub const COOP_VS_INDEPENDENT_SCHEMA: &str = "coop_vs_independent/v5";
 /// Current schema tag of the solverd load-generation section.  v2 adds the
 /// fault-tolerance columns — `retries` (queue-full re-offers with backoff,
 /// *not* folded into `rejected_overflow`), `worker_panicked` (typed
@@ -85,63 +79,11 @@ fn require_nullable_number(obj: &Json, key: &str, context: &str) -> Result<(), S
     }
 }
 
-fn require_array<'a>(obj: &'a Json, key: &str, context: &str) -> Result<&'a [Json], String> {
-    obj.get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{context}: missing array {key:?}"))
-}
-
 fn require_object(value: &Json, context: &str) -> Result<(), String> {
     match value {
         Json::Object(_) => Ok(()),
         _ => Err(format!("{context}: expected an object")),
     }
-}
-
-/// Validate a `coop_vs_independent/v5` document: one cell per entry of
-/// `core_counts`, in that order, each with its independent and cooperative
-/// sides.
-pub fn validate_coop_vs_independent(doc: &Json) -> Result<(), String> {
-    require_schema(doc, COOP_VS_INDEPENDENT_SCHEMA)?;
-    require_u64(doc, "n", "coop_vs_independent")?;
-    require_u64(doc, "runs", "coop_vs_independent")?;
-    require_u64(doc, "master_seed", "coop_vs_independent")?;
-    let core_counts = require_array(doc, "core_counts", "coop_vs_independent")?;
-    let cells = require_array(doc, "cells", "coop_vs_independent")?;
-    if cells.is_empty() {
-        return Err("coop_vs_independent: empty \"cells\"".into());
-    }
-    if cells.len() != core_counts.len() {
-        return Err(format!(
-            "coop_vs_independent: {} cells for {} core counts",
-            cells.len(),
-            core_counts.len()
-        ));
-    }
-    for (i, (cell, expected)) in cells.iter().zip(core_counts).enumerate() {
-        let context = format!("coop_vs_independent cell {i}");
-        let cores = require_u64(cell, "cores", &context)?;
-        if Some(cores) != expected.as_u64() {
-            return Err(format!(
-                "{context}: cores {cores} does not match core_counts[{i}]"
-            ));
-        }
-        require_number(cell, "speedup_iterations", &context)?;
-        for side in ["independent", "cooperative"] {
-            let inner = cell
-                .get(side)
-                .ok_or_else(|| format!("{context}: missing {side:?}"))?;
-            require_object(inner, &context)?;
-            require_number(inner, "mean_iterations", &context)?;
-            require_number(inner, "mean_seconds", &context)?;
-        }
-        require_u64(
-            cell.get("cooperative").expect("checked above"),
-            "coordinated_restarts",
-            &context,
-        )?;
-    }
-    Ok(())
 }
 
 /// Validate a `campaign/v1` section (standalone document or rider): the
@@ -289,7 +231,6 @@ pub fn validate_solverd_load(section: &Json) -> Result<(), String> {
 pub fn validate_bench_doc(doc: &Json) -> Result<(), String> {
     let schema = schema_of(doc)?.to_string();
     match schema.split('/').next() {
-        Some("coop_vs_independent") => validate_coop_vs_independent(doc),
         Some("solverd_load") => validate_solverd_load(doc),
         Some("campaign") => validate_campaign(doc),
         _ => Err(format!("unknown benchmark schema {schema:?}")),
@@ -344,46 +285,11 @@ mod tests {
         ])
     }
 
-    fn sample_coop_doc() -> Json {
-        let side = Json::object(vec![
-            ("mean_iterations", Json::from(1000.0)),
-            ("median_iterations", Json::from(900.0)),
-            ("mean_seconds", Json::from(0.01)),
-        ]);
-        let coop_side = match side.clone() {
-            Json::Object(mut map) => {
-                map.insert("solved".into(), Json::from(6u64));
-                map.insert("adoptions".into(), Json::from(3u64));
-                map.insert("coordinated_restarts".into(), Json::from(1u64));
-                Json::Object(map)
-            }
-            _ => unreachable!(),
-        };
-        let cell = |cores: usize| {
-            Json::object(vec![
-                ("cores", Json::from(cores)),
-                ("independent", side.clone()),
-                ("cooperative", coop_side.clone()),
-                ("speedup_iterations", Json::from(0.98)),
-            ])
-        };
-        Json::object(vec![
-            ("schema", Json::from(COOP_VS_INDEPENDENT_SCHEMA)),
-            ("n", Json::from(14usize)),
-            ("runs", Json::from(6usize)),
-            ("master_seed", Json::from(7u64)),
-            ("exchange_interval", Json::from(64u64)),
-            ("core_counts", Json::from(vec![4u64, 16, 64])),
-            ("cells", Json::Array(vec![cell(4), cell(16), cell(64)])),
-        ])
-    }
-
     /// Round-trip property for every current schema: what the emitters
     /// render parses back and validates.
     #[test]
     fn current_schemas_round_trip_through_parse_and_validate() {
         for (doc, schema) in [
-            (sample_coop_doc(), COOP_VS_INDEPENDENT_SCHEMA),
             (sample_load_section(), SOLVERD_LOAD_SCHEMA),
             (sample_campaign_section(), CAMPAIGN_SCHEMA),
         ] {
@@ -493,8 +399,6 @@ mod tests {
     #[test]
     fn stale_schemas_are_rejected_by_name() {
         for (stale, current) in [
-            ("coop_vs_independent/v3", COOP_VS_INDEPENDENT_SCHEMA),
-            ("coop_vs_independent/v4", COOP_VS_INDEPENDENT_SCHEMA),
             ("solverd_load/v0", SOLVERD_LOAD_SCHEMA),
             ("solverd_load/v1", SOLVERD_LOAD_SCHEMA),
             ("campaign/v0", CAMPAIGN_SCHEMA),
@@ -512,45 +416,5 @@ mod tests {
         }
         let missing = Json::object(vec![("n", Json::from(1u64))]);
         assert!(validate_bench_doc(&missing).is_err());
-    }
-
-    #[test]
-    fn structural_violations_are_caught() {
-        let poke = |edit: &dyn Fn(&mut std::collections::BTreeMap<String, Json>)| {
-            let mut doc = sample_coop_doc();
-            if let Json::Object(map) = &mut doc {
-                edit(map);
-            }
-            validate_coop_vs_independent(&doc)
-        };
-        assert!(poke(&|map| {
-            map.insert("cells".into(), Json::Array(Vec::new()));
-        })
-        .expect_err("empty cells")
-        .contains("empty"));
-        // a cell count that disagrees with the core-count list
-        assert!(poke(&|map| {
-            map.insert("core_counts".into(), Json::from(vec![4u64, 16]));
-        })
-        .expect_err("mismatched cells")
-        .contains("core counts"));
-        // cells out of step with the core-count order
-        assert!(poke(&|map| {
-            map.insert("core_counts".into(), Json::from(vec![4u64, 64, 16]));
-        })
-        .expect_err("reordered cells")
-        .contains("core_counts[1]"));
-        // a cooperative side without its restart count
-        assert!(poke(&|map| {
-            if let Some(Json::Array(cells)) = map.get_mut("cells") {
-                if let Some(Json::Object(cell)) = cells.get_mut(0) {
-                    if let Some(Json::Object(side)) = cell.get_mut("cooperative") {
-                        side.remove("coordinated_restarts");
-                    }
-                }
-            }
-        })
-        .expect_err("missing coordinated_restarts")
-        .contains("coordinated_restarts"));
     }
 }

@@ -48,7 +48,7 @@ use runtime_stats::Json;
 use crate::walker::WalkSpec;
 
 /// Version tag of the checkpoint payload; bumped on any incompatible layout change.
-pub const CHECKPOINT_SCHEMA: &str = "campaign_checkpoint/v2";
+pub const CHECKPOINT_SCHEMA: &str = "campaign_checkpoint/v3";
 /// Version tag of the artifact section emitted by [`Campaign::artifact_section`].
 pub const ARTIFACT_SCHEMA: &str = "campaign/v1";
 
@@ -422,7 +422,7 @@ impl CampaignSpec {
 // Snapshot (de)serialization
 // ---------------------------------------------------------------------------
 
-const STATS_FIELDS: [&str; 13] = [
+const STATS_FIELDS: [&str; 12] = [
     "iterations",
     "local_minima",
     "improving_moves",
@@ -432,7 +432,6 @@ const STATS_FIELDS: [&str; 13] = [
     "custom_resets",
     "custom_reset_escapes",
     "restarts",
-    "coordinated_restarts",
     "injections_offered",
     "injections_adopted",
     "stop_checks",
@@ -449,7 +448,6 @@ fn stats_to_json(s: &SearchStats) -> Json {
         ("custom_resets", s.custom_resets),
         ("custom_reset_escapes", s.custom_reset_escapes),
         ("restarts", s.restarts),
-        ("coordinated_restarts", s.coordinated_restarts),
         ("injections_offered", s.injections_offered),
         ("injections_adopted", s.injections_adopted),
         ("stop_checks", s.stop_checks),
@@ -478,15 +476,6 @@ fn get_u64(value: &Json, field: &str, context: &str) -> Result<u64, CampaignErro
     value
         .get(field)
         .and_then(Json::as_u64)
-        .ok_or_else(|| CampaignError::MissingField {
-            field: format!("{context}.{field}"),
-        })
-}
-
-fn get_bool(value: &Json, field: &str, context: &str) -> Result<bool, CampaignError> {
-    value
-        .get(field)
-        .and_then(Json::as_bool)
         .ok_or_else(|| CampaignError::MissingField {
             field: format!("{context}.{field}"),
         })
@@ -522,14 +511,13 @@ fn stats_from_json(value: &Json, context: &str) -> Result<SearchStats, CampaignE
         custom_resets: get_u64(value, "custom_resets", context)?,
         custom_reset_escapes: get_u64(value, "custom_reset_escapes", context)?,
         restarts: get_u64(value, "restarts", context)?,
-        coordinated_restarts: get_u64(value, "coordinated_restarts", context)?,
         injections_offered: get_u64(value, "injections_offered", context)?,
         injections_adopted: get_u64(value, "injections_adopted", context)?,
         stop_checks: get_u64(value, "stop_checks", context)?,
     })
 }
 
-const SNAPSHOT_FIELDS: [&str; 9] = [
+const SNAPSHOT_FIELDS: [&str; 8] = [
     "rng",
     "configuration",
     "stats",
@@ -537,7 +525,6 @@ const SNAPSHOT_FIELDS: [&str; 9] = [
     "best_config",
     "iterations_since_restart",
     "marked_since_reset",
-    "restart_pending",
     "tabu_horizons",
 ];
 
@@ -560,7 +547,6 @@ fn snapshot_to_json(s: &EngineSnapshot) -> Json {
                 "marked_since_reset".to_string(),
                 Json::from(s.marked_since_reset),
             ),
-            ("restart_pending".to_string(), Json::Bool(s.restart_pending)),
             (
                 "tabu_horizons".to_string(),
                 Json::from(s.tabu_horizons.clone()),
@@ -595,7 +581,6 @@ fn snapshot_from_json(value: &Json, context: &str) -> Result<EngineSnapshot, Cam
         best_config: get_usize_array(value, "best_config", context)?,
         iterations_since_restart: get_u64(value, "iterations_since_restart", context)?,
         marked_since_reset: get_u64(value, "marked_since_reset", context)? as usize,
-        restart_pending: get_bool(value, "restart_pending", context)?,
         tabu_horizons: get_u64_array(value, "tabu_horizons", context)?,
     })
 }

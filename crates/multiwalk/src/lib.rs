@@ -1,4 +1,4 @@
-//! # multiwalk — independent and cooperative multi-walk parallel local search
+//! # multiwalk — independent multi-walk parallel local search
 //!
 //! The parallelisation scheme of the IPPS 2012 paper (§V) is *independent
 //! multiple-walk* (also called multi-start): fork one sequential Adaptive Search
@@ -26,35 +26,20 @@
 //! [`WalkSpec`] describes the instance + engine configuration shared by every walk,
 //! and seeds are derived per rank through the chaotic-map seeder of §III-B3.
 //!
-//! ## Cooperative mode
-//!
-//! Beyond the paper, [`CooperativeRunner`] runs the same walks *cooperatively*: every
-//! `exchange_interval` iterations the globally best configuration is shared and
-//! adopted by lagging walks ([`adaptive_search::Engine::inject_candidate`]), and a
-//! stagnating job performs coordinated restarts
-//! ([`adaptive_search::Engine::schedule_restart`]).  Both substrates are
-//! supported — OS threads (shared elite pool) and the virtual cluster
-//! (deterministic interleaved exchange on the virtual clock).
-//!
-//! **Use cooperation judiciously.**  Elite exchange helps on deep, hard instances
-//! where a low intermediate cost signals genuine progress towards a solution, and it
-//! makes coordinated diversification possible at cluster scale.  On small instances
-//! it tends to *hurt*: the independent min-of-K effect already collapses the runtime
-//! distribution (the paper's linear speed-ups rely exactly on the K walks being
-//! i.i.d.), and adopting a shared elite correlates the walks, shrinking the effective
-//! number of independent samples the minimum is taken over.  The
-//! `coop_vs_independent` harness in the `bench` crate measures the ratio per core
-//! count so the decision can be made from data.
+//! The walks never communicate.  A cooperative layer (elite exchange plus
+//! coordinated restarts) was measured against these independent walks in
+//! iterations and deleted when it did not win; the README's "Why the walks stay
+//! independent" holds the numbers.  Both substrates can be replayed exactly:
+//! [`ThreadRunner::run_deterministic`] and [`VirtualCluster::run_exact`] name the
+//! same winner, at the same iteration count, with the same solution.
 
 pub mod campaign;
-pub mod cooperative;
 pub mod platform;
 pub mod thread_runner;
 pub mod virtual_cluster;
 pub mod walker;
 
 pub use campaign::{Campaign, CampaignError, CampaignSpec};
-pub use cooperative::{CoopConfig, CoopResult, CooperativeRunner};
 pub use platform::PlatformProfile;
 pub use thread_runner::{MultiWalkResult, ThreadRunner};
 pub use virtual_cluster::{SimulatedRun, VirtualCluster};

@@ -9,9 +9,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use adaptive_search::termination::{AnyStop, CancelToken, DeadlineStop, FlagStop, StopCondition};
 use adaptive_search::{SolveResult, SolveStatus};
@@ -60,8 +59,21 @@ impl MultiWalkResult {
     }
 }
 
-/// The shared winner record: rank and solution of the first walk to finish.
-type WinnerCell = Arc<Mutex<Option<(usize, Vec<usize>)>>>;
+/// How a fan-out ends its walks and names its winner: the one difference
+/// between [`ThreadRunner::run_with_controls`] and
+/// [`ThreadRunner::run_deterministic`].
+#[derive(Clone, Copy)]
+enum Race<'a> {
+    /// Walks also stop on the shared first-solution flag, the deadline and the
+    /// cancel token; the first walk to record its solution wins.
+    FirstSolver {
+        deadline: Option<Instant>,
+        cancel: Option<&'a CancelToken>,
+    },
+    /// No stop condition: every walk runs to its own completion and the solved
+    /// walk with the lowest `(iterations, rank)` wins.
+    FewestIterations,
+}
 
 /// Runs `workers` independent walks on OS threads.
 #[derive(Debug, Clone)]
@@ -116,83 +128,7 @@ impl ThreadRunner {
         deadline: Option<Instant>,
         cancel: Option<&CancelToken>,
     ) -> MultiWalkResult {
-        let start = Instant::now();
-        let found = Arc::new(AtomicBool::new(false));
-        let winner: WinnerCell = Arc::new(Mutex::new(None));
-
-        let mut walk_results: Vec<Option<SolveResult>> = (0..self.workers).map(|_| None).collect();
-
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.workers)
-                .map(|rank| {
-                    let spec = self.spec.clone();
-                    let found = found.clone();
-                    let winner = winner.clone();
-                    let cancel = cancel.cloned();
-                    scope.spawn(move || {
-                        let walk_start = Instant::now();
-                        // The catch region covers engine construction and the
-                        // whole solve; winner recording stays outside it so a
-                        // poisoned winner mutex cannot be blamed on this walk.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            let mut engine = spec.build_engine(master_seed, rank);
-                            let mut conditions: Vec<Box<dyn StopCondition>> =
-                                vec![Box::new(FlagStop::new(found.clone()))];
-                            if let Some(at) = deadline {
-                                conditions.push(Box::new(DeadlineStop::at(at)));
-                            }
-                            if let Some(token) = &cancel {
-                                conditions.push(Box::new(token.stop_condition()));
-                            }
-                            engine.solve_until(&mut AnyStop::new(conditions))
-                        }));
-                        let result = match outcome {
-                            Ok(result) => result,
-                            Err(_) => SolveResult::panicked(walk_start.elapsed()),
-                        };
-                        if result.status == SolveStatus::Solved {
-                            // First writer wins; later solvers keep their result but
-                            // do not overwrite the winner record.
-                            let mut guard =
-                                winner.lock().unwrap_or_else(|poison| poison.into_inner());
-                            if guard.is_none() {
-                                *guard = Some((
-                                    rank,
-                                    result.solution.clone().expect("solved implies solution"),
-                                ));
-                            }
-                            found.store(true, Ordering::Relaxed);
-                        }
-                        result
-                    })
-                })
-                .collect();
-            for (rank, handle) in handles.into_iter().enumerate() {
-                // A join error is unreachable while catch_unwind covers the
-                // walk body; treat it as one more dead walk, never an abort.
-                walk_results[rank] = Some(
-                    handle
-                        .join()
-                        .unwrap_or_else(|_| SolveResult::panicked(start.elapsed())),
-                );
-            }
-        });
-
-        let elapsed = start.elapsed();
-        let winner_record = winner
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner())
-            .clone();
-        MultiWalkResult {
-            solution: winner_record.as_ref().map(|(_, sol)| sol.clone()),
-            winner: winner_record.map(|(rank, _)| rank),
-            elapsed,
-            walks: self.workers,
-            walk_results: walk_results
-                .into_iter()
-                .map(|r| r.expect("every walk reports"))
-                .collect(),
-        }
+        self.fan_out(master_seed, Race::FirstSolver { deadline, cancel })
     }
 
     /// Run the job with **no early-termination flag**: every walk runs to its own
@@ -211,51 +147,87 @@ impl ThreadRunner {
     /// machine-independent clock, so a deterministic thread job agrees with the
     /// simulator about *who* wins, while still exercising real OS threads.
     pub fn run_deterministic(&self, master_seed: u64) -> MultiWalkResult {
-        let start = Instant::now();
-        let mut walk_results: Vec<Option<SolveResult>> = (0..self.workers).map(|_| None).collect();
+        self.fan_out(master_seed, Race::FewestIterations)
+    }
 
-        std::thread::scope(|scope| {
+    /// The one fan-out body: spawn a walk per rank, isolate panics, join, and
+    /// pick the winner as `race` says.
+    fn fan_out(&self, master_seed: u64, race: Race<'_>) -> MultiWalkResult {
+        let start = Instant::now();
+        let found = Arc::new(AtomicBool::new(false));
+        let first_solver: Mutex<Option<usize>> = Mutex::new(None);
+
+        let walk_results: Vec<SolveResult> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.workers)
                 .map(|rank| {
-                    let spec = self.spec.clone();
+                    let (found, first_solver) = (&found, &first_solver);
                     scope.spawn(move || {
                         let walk_start = Instant::now();
-                        // Panic isolation preserves determinism: a fault that
-                        // is a function of (spec, master_seed, rank) kills the
-                        // same walk in every replay, and the placeholder's
-                        // u64::MAX costs keep it out of the winner fold.
-                        catch_unwind(AssertUnwindSafe(|| {
-                            let mut engine = spec.build_engine(master_seed, rank);
-                            engine.solve()
+                        // The catch region covers engine construction and the
+                        // whole solve; winner recording stays outside it so a
+                        // poisoned winner mutex cannot be blamed on this walk.
+                        // A fault that is a function of (spec, master_seed,
+                        // rank) kills the same walk in every replay, and the
+                        // placeholder's u64::MAX costs keep it out of the
+                        // deterministic winner fold.
+                        let result = catch_unwind(AssertUnwindSafe(|| {
+                            let mut engine = self.spec.build_engine(master_seed, rank);
+                            let Race::FirstSolver { deadline, cancel } = race else {
+                                return engine.solve();
+                            };
+                            let mut conditions: Vec<Box<dyn StopCondition>> =
+                                vec![Box::new(FlagStop::new(found.clone()))];
+                            if let Some(at) = deadline {
+                                conditions.push(Box::new(DeadlineStop::at(at)));
+                            }
+                            if let Some(token) = cancel {
+                                conditions.push(Box::new(token.stop_condition()));
+                            }
+                            engine.solve_until(&mut AnyStop::new(conditions))
                         }))
-                        .unwrap_or_else(|_| SolveResult::panicked(walk_start.elapsed()))
+                        .unwrap_or_else(|_| SolveResult::panicked(walk_start.elapsed()));
+                        if matches!(race, Race::FirstSolver { .. })
+                            && result.status == SolveStatus::Solved
+                        {
+                            // First writer wins; later solvers keep their result
+                            // but do not overwrite the winner record.
+                            first_solver
+                                .lock()
+                                .unwrap_or_else(|poison| poison.into_inner())
+                                .get_or_insert(rank);
+                            found.store(true, Ordering::Relaxed);
+                        }
+                        result
                     })
                 })
                 .collect();
-            for (rank, handle) in handles.into_iter().enumerate() {
-                walk_results[rank] = Some(
+            // A join error is unreachable while catch_unwind covers the walk
+            // body; treat it as one more dead walk, never an abort.
+            handles
+                .into_iter()
+                .map(|handle| {
                     handle
                         .join()
-                        .unwrap_or_else(|_| SolveResult::panicked(start.elapsed())),
-                );
-            }
+                        .unwrap_or_else(|_| SolveResult::panicked(start.elapsed()))
+                })
+                .collect()
         });
 
-        let elapsed = start.elapsed();
-        let walk_results: Vec<SolveResult> = walk_results
-            .into_iter()
-            .map(|r| r.expect("every walk reports"))
-            .collect();
-        let winner = walk_results
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.status == SolveStatus::Solved)
-            .min_by_key(|(rank, r)| (r.stats.iterations, *rank))
-            .map(|(rank, _)| rank);
+        let winner = match race {
+            Race::FirstSolver { .. } => first_solver
+                .into_inner()
+                .unwrap_or_else(|poison| poison.into_inner()),
+            Race::FewestIterations => walk_results
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| r.status == SolveStatus::Solved)
+                .min_by_key(|(rank, r)| (r.stats.iterations, *rank))
+                .map(|(rank, _)| rank),
+        };
         MultiWalkResult {
             solution: winner.and_then(|w| walk_results[w].solution.clone()),
             winner,
-            elapsed,
+            elapsed: start.elapsed(),
             walks: self.workers,
             walk_results,
         }
@@ -265,6 +237,7 @@ impl ThreadRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PlatformProfile, VirtualCluster};
     use adaptive_search::AsConfig;
     use costas::is_costas_permutation;
 
@@ -400,6 +373,34 @@ mod tests {
             .walk_results
             .iter()
             .all(|r| r.status != SolveStatus::ExternallyStopped));
+    }
+
+    #[test]
+    fn deterministic_threads_agree_with_the_exact_virtual_cluster() {
+        // The two deterministic substrates share one clock, engine iterations:
+        // the exact simulator stops at the first block boundary after a solve,
+        // the thread job runs every walk out, and both name the walk with the
+        // lowest (iterations, rank).  They must agree on rank, count and answer.
+        let cluster = VirtualCluster::new(PlatformProfile::local());
+        for n in [10, 12] {
+            let spec = WalkSpec::costas(n);
+            for walks in [1, 2, 4, 8] {
+                let runner = ThreadRunner::new(spec.clone(), walks);
+                for master_seed in 0..4u64 {
+                    let simulated = cluster.run_exact(&spec, walks, master_seed);
+                    let threaded = runner.run_deterministic(master_seed);
+                    let case = format!("n = {n}, {walks} walks, seed {master_seed}");
+                    assert!(simulated.solved(), "{case}");
+                    assert_eq!(threaded.winner, simulated.winner_rank, "{case}");
+                    assert_eq!(
+                        threaded.winner_iterations(),
+                        Some(simulated.winner_iterations),
+                        "{case}"
+                    );
+                    assert_eq!(threaded.solution, simulated.solution, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

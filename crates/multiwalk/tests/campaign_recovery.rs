@@ -294,7 +294,11 @@ fn deeply_nested_checkpoint_payload_is_a_typed_parse_error() {
 fn stale_schema_version_is_a_typed_error() {
     let spec = small_spec(scratch_dir("stale"));
     fs::create_dir_all(&spec.dir).expect("mkdir");
-    for stale in ["campaign_checkpoint/v0", "campaign_checkpoint/v1"] {
+    for stale in [
+        "campaign_checkpoint/v0",
+        "campaign_checkpoint/v1",
+        "campaign_checkpoint/v2",
+    ] {
         let payload = format!(r#"{{"schema":"{stale}"}}"#);
         fs::write(spec.checkpoint_path(), frame_record(&payload)).expect("write stale checkpoint");
         let err = Campaign::open(spec.clone()).expect_err("stale schema must be rejected");

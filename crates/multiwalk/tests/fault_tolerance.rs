@@ -11,7 +11,7 @@ use std::sync::Once;
 
 use adaptive_search::fault::{self, Fault, FaultPlan};
 use adaptive_search::{CostasProblem, Engine, PermutationProblem, SolveStatus};
-use multiwalk::{CoopConfig, CooperativeRunner, ThreadRunner, WalkSpec};
+use multiwalk::{ThreadRunner, WalkSpec};
 
 /// One plan per test binary: every test in this file shares it, so the
 /// process-global installation can never race between tests.
@@ -123,21 +123,4 @@ fn deterministic_runner_replays_identically_under_faults() {
             "rank {rank} dies iff the plan says so"
         );
     }
-}
-
-#[test]
-fn cooperative_thread_runner_survives_panicking_walks() {
-    let spec = chaos_spec(12);
-    let walks = 4;
-    let (master_seed, dead) = mixed_seed(&spec, walks);
-    let runner = CooperativeRunner::new(spec, walks).with_coop(CoopConfig::every(128));
-    let result = runner.run_threads(master_seed);
-    // The job must complete with per-walk stats for every rank and a winner
-    // from the survivor set (order 12 with an unbounded budget always solves).
-    assert_eq!(result.walk_stats.len(), walks);
-    assert!(result.solved(), "cooperative survivors still win");
-    assert!(!dead[result.winner.unwrap()], "a dead walk cannot win");
-    assert!(costas::is_costas_permutation(
-        result.solution.as_ref().unwrap()
-    ));
 }

@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | [`costas`] | `costas` | Costas-array domain: difference triangle, validity, symmetry, Welch/Golomb constructions, enumeration, incremental conflict table |
 //! | [`adaptive_search`] | `adaptive-search` | The Adaptive Search metaheuristic, the CAP model (§IV), the N-Queens / All-Interval / Magic-Square / Langford / number-partitioning models, and the string-keyed workload registry (`problems`) |
-//! | [`multiwalk`] | `multiwalk` | Independent + cooperative multi-walk runners (OS threads) and the virtual cluster simulator (§V) |
+//! | [`multiwalk`] | `multiwalk` | Independent multi-walk runners (OS threads) and the virtual cluster simulator (§V) |
 //! | [`runtime_stats`] | `runtime-stats` | Time-to-target plots, shifted-exponential fits, speed-up models, table rendering |
 //! | [`baselines`] | `baselines` | Dialectic Search, quadratic tabu search, random-restart hill climbing, complete backtracking |
 //! | [`solverd`] | `solverd` | Long-running solver service: solve requests over line-delimited JSON (stdin/stdout or localhost TCP), bounded admission queue, deadline enforcement |
@@ -32,11 +32,13 @@
 //! let job = ThreadRunner::new(WalkSpec::costas(12), 4).run(42);
 //! assert!(job.solved());
 //!
-//! // Or let the walks cooperate (elite exchange + coordinated restarts) on the
-//! // deterministic virtual cluster: same seed, same winning iteration count.
+//! // Or simulate it on the deterministic virtual cluster, whose clock is engine
+//! // iterations: it names the same winner as a flag-free thread job.
 //! let cluster = VirtualCluster::new(PlatformProfile::local());
-//! let coop = CooperativeRunner::new(WalkSpec::costas(12), 4).run_virtual(&cluster, 42);
-//! assert!(coop.solved());
+//! let run = cluster.run_exact(&WalkSpec::costas(12), 4, 42);
+//! let threads = ThreadRunner::new(WalkSpec::costas(12), 4).run_deterministic(42);
+//! assert_eq!(threads.winner, run.winner_rank);
+//! assert_eq!(threads.winner_iterations(), Some(run.winner_iterations));
 //! ```
 
 pub use adaptive_search;
@@ -59,8 +61,7 @@ pub mod prelude {
         DifferenceTriangle, Permutation,
     };
     pub use multiwalk::{
-        CoopConfig, CoopResult, CooperativeRunner, MultiWalkResult, PlatformProfile, SimulatedRun,
-        ThreadRunner, VirtualCluster, WalkSpec,
+        MultiWalkResult, PlatformProfile, SimulatedRun, ThreadRunner, VirtualCluster, WalkSpec,
     };
     pub use runtime_stats::{BatchStats, Series, ShiftedExponential, TimeToTarget};
     pub use xrand::{default_rng, ChaoticSeeder, RandExt, SeedSequence};
