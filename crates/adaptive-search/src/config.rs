@@ -24,8 +24,10 @@ pub struct ResetPolicy {
     /// on its own that can trap the search in a short cycle of near-solutions (the
     /// structured perturbations of configuration A lead to B and vice versa).  The
     /// original C implementation avoids this through additional stochastic state; this
-    /// flag is the explicit, documented equivalent (see DESIGN.md).  Disable it to
-    /// reproduce the strictly literal reading of §IV-B.
+    /// flag is the explicit equivalent: after a failed custom reset the generic
+    /// perturbation moves the walk off the cycle, at the cost of one random move the
+    /// paper does not describe.  Disable it to reproduce the strictly literal reading
+    /// of §IV-B.
     pub noise_on_failed_custom_reset: bool,
 }
 

@@ -1,15 +1,17 @@
 //! Micro-benchmarks of the conflict table — the data structure every solver's
 //! inner loop stands on.  The table moves its difference histogram by ±1 per
 //! touched pair on a swap and recomputes the cost, the per-position errors and
-//! the probe's occupancy masks in one refresh pass after every change; the rows
-//! below time the read-only swap evaluations and probes against the from-scratch
-//! evaluations they replace, the two mutating entry points, `apply_swap` and
-//! `reset_to`, at the orders the repository benchmark runs (16, 40 and 80) and
-//! at 32, the last order with one-word rows, and
-//! the Costas model's dedicated reset on local minima recorded from real walks
-//! at n = 16 and 32.  Where the CPU has AVX-512 F + DQ, orders up to 32 keep no
-//! histogram: a swap is the swap plus the refresh pass, and the reset scores its
-//! anchored rotations eight per pass.
+//! (off the vector tier) the scalar probe's occupancy masks in one refresh
+//! pass after every change; the rows below time the read-only swap
+//! evaluations and probes against the from-scratch evaluations they replace,
+//! the two mutating entry points, `apply_swap` and `reset_to`, at the orders
+//! the repository benchmark runs (16, 40 and 80) and at 32, the last order
+//! with one-word rows, and the Costas model's dedicated reset on local minima
+//! recorded from real walks at n = 16 and 32.  Where the CPU has AVX-512 F +
+//! DQ + BW + VBMI (the vector tier), tables up to n = 128 keep no masks,
+//! orders up to 32 keep no histogram either (a swap is the swap plus the
+//! refresh pass, and the reset scores its anchored rotations eight per
+//! pass), and the probe at 33 ≤ n ≤ 128 scores 64 candidates per pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -195,13 +197,14 @@ fn bench_conflict_table(c: &mut Criterion) {
     }
 
     // Either side of the single-word mask boundary and past it, against the
-    // histogram reference every tier is pinned to.  Where the CPU has
-    // AVX-512 F + DQ, n = 32 is the last order of the from-scratch body (one
-    // word per row), and every multi-word row from n = 33 to 128 (two words
-    // at 33/34/40, three at 65/80, four at 128) takes the permute body.
-    // Elsewhere the scalar bodies serve: the monomorphized replay up to
-    // n = 64, the slice body beyond.
-    for &n in &[32usize, 33, 34, 40, 65, 80, 128] {
+    // histogram reference every tier is pinned to.  On the vector tier
+    // (AVX-512 F + DQ + BW + VBMI), n = 32 is the last order of the
+    // from-scratch body (one word per row), and every multi-word row from
+    // n = 33 to 128 takes the byte-lane body: one table lookup per bucket up
+    // to n = 64 (two words at 33/34/40/64), two beyond (three words at 65/80,
+    // four at 128).  Elsewhere the scalar bodies serve: the monomorphized
+    // replay up to n = 64, the slice body beyond.
+    for &n in &[32usize, 33, 34, 40, 64, 65, 80, 128] {
         let mut rng = default_rng(7);
         let mut perm = random_permutation(n, &mut rng);
         perm.iter_mut().for_each(|v| *v += 1);

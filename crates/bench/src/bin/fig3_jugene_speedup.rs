@@ -6,7 +6,8 @@
 //! 3.71× (CAP 23) against an ideal of 4×.
 //!
 //! Core counts this large are simulated in the sampled min-of-K mode from an
-//! empirical distribution of real sequential runs (DESIGN.md §4).  Quick mode uses
+//! empirical distribution of real sequential runs (see the README's "Virtual-cluster
+//! cells: exact and sampled").  Quick mode uses
 //! CAP 14/15/16 as the three instances; full mode uses CAP 17/18/19.
 
 use bench::protocol::{cell_seed, iteration_samples, sequential_batch};

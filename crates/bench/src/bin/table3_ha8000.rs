@@ -2,9 +2,9 @@
 //!
 //! Paper protocol: 50 multi-walk jobs per (instance, core-count) cell on the Hitachi
 //! HA8000; report avg / median / min / max seconds.  Here the cluster is the virtual
-//! HA8000 profile (see DESIGN.md §4): every walk is a real Adaptive Search run and the
-//! virtual clock counts the winning walk's iterations, converted to seconds with a
-//! locally calibrated iteration rate.
+//! HA8000 profile (see the README's "Virtual-cluster cells: exact and sampled"): every
+//! walk is a real Adaptive Search run and the virtual clock counts the winning walk's
+//! iterations, converted to seconds with a locally calibrated iteration rate.
 //!
 //! Quick mode: n ∈ {14, 15, 16}, 10 runs per cell.  Full mode: n ∈ {18, 19, 20},
 //! 50 runs per cell (hours).

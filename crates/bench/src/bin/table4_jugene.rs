@@ -4,9 +4,10 @@
 //! roughly 3× slower per core than HA8000); instances 21–23, 512 to 8,192 cores.
 //! Core counts this large are simulated in the *sampled* mode: the per-walk completion
 //! iteration counts are drawn from an empirical distribution measured with real
-//! sequential runs of the same instance (DESIGN.md §4 explains why independence makes
-//! this statistically equivalent), while the 512-core column is kept exact in quick
-//! mode so both modes can be compared.
+//! sequential runs of the same instance (the README's "Virtual-cluster cells: exact
+//! and sampled" explains why independence makes this statistically equivalent),
+//! while the 512-core column is kept exact in quick mode so both modes can be
+//! compared.
 //!
 //! Quick mode: n ∈ {15, 16}, 10 runs per cell.  Full mode: n ∈ {18, 19, 20}, 50 runs.
 

@@ -5,7 +5,8 @@
 //! * [`parallel_cell`] — one cell of Tables III–V: `runs` simulated multi-walk jobs at
 //!   a given core count, either *exact* (every walk really executed) or *sampled*
 //!   (min-of-K over an empirical sample of sequential completion iteration counts);
-//!   the sampled mode is used for very large core counts, see DESIGN.md §4.
+//!   the sampled mode is used for very large core counts, see the README's
+//!   "Virtual-cluster cells: exact and sampled".
 //! * [`iteration_samples`] — gather the empirical sequential distribution that feeds
 //!   the sampled mode and the time-to-target / exponential-fit analyses.
 

@@ -1,7 +1,13 @@
 //! Focused probe-path timing: the dispatched kernel vs the histogram
-//! reference, per order, on stable walk states (not the criterion shim's mixed
-//! workload).  Used to tune the multi-word kernel; numbers print as
-//! probes/sec and ns/probe.
+//! reference, per order, on walked table states (not the criterion shim's
+//! mixed workload).  The dispatcher picks the body by CPU and order: on
+//! AVX-512 F + DQ + BW + VBMI hosts the from-scratch body up to n = 32 and
+//! the byte-lane body (64 candidates per pass) from 33 to 128, the scalar
+//! bodies elsewhere and beyond.  Numbers print as ns per probe call.
+//!
+//! ```text
+//! cargo run --release -p costas --example probe_perf -- [calls per order]
+//! ```
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -165,8 +165,8 @@ impl CostModel {
     /// This is the Costas reset's evaluator for every candidate the reset
     /// does not batch: all ≈ 2n of them where the table keeps its counts,
     /// and the ≤ 7 constant additions and prefix shifts on the count-free
-    /// tier (x86-64 with AVX-512 F + DQ, n ≤ 32), whose ≈ 2n anchored
-    /// rotations are scored exactly, eight per pass, by
+    /// tier (x86-64 with AVX-512 F + DQ + BW + VBMI, n ≤ 32), whose ≈ 2n
+    /// anchored rotations are scored exactly, eight per pass, by
     /// [`ConflictTable::rotation_costs`] instead.  The abort saves less than
     /// one might hope: on the benchmark's Costas walks (optimised model),
     /// before the rotations were batched, reset candidates scanned on
@@ -175,10 +175,11 @@ impl CostModel {
     ///
     /// Two tiers, chosen by CPU feature and order only:
     ///
-    /// * **AVX-512 row lanes** (x86-64 with AVX-512 F + DQ, n ≤ 128): one row
-    ///   of the triangle per 64-bit lane, eight rows per pass, each row's
-    ///   buckets as a 1–4-word occupancy bitset; the abort is checked after
-    ///   every eight rows (see `kernel::simd`).  `scratch` is not touched.
+    /// * **AVX-512 row lanes** (x86-64 with AVX-512 F + DQ + BW + VBMI,
+    ///   n ≤ 128): one row of the triangle per 64-bit lane, eight rows per
+    ///   pass, each row's buckets as a 1–4-word occupancy bitset; the abort
+    ///   is checked after every eight rows (see `kernel::simd`).  `scratch`
+    ///   is not touched.
     /// * **Scalar histogram** (every other host, n > 128): one row at a time
     ///   through the `2n − 1`-entry `scratch` histogram, zeroed per row, the
     ///   abort checked after every row.
@@ -197,8 +198,8 @@ impl CostModel {
             && crate::kernel::simd::probe_kernel_available()
         {
             // SAFETY: gated on runtime detection of the exact features the
-            // row-lane body is compiled for (AVX-512 F + DQ), and the order
-            // fits its four occupancy words per lane.
+            // row-lane body is compiled for (AVX-512 F + DQ + BW + VBMI), and
+            // the order fits its four occupancy words per lane.
             let bounded = unsafe { self.global_cost_bounded_avx512(values, limit) };
             debug_assert_eq!(
                 bounded,
@@ -337,17 +338,19 @@ impl Rotation {
 ///
 /// Everything but the counts is recomputed from the values after every
 /// change ([`ConflictTable::apply_swap`], [`ConflictTable::reset_to`],
-/// [`ConflictTable::rebuild`]) by one *refresh pass*: the occupancy masks,
-/// the cost, and the per-position errors under the paper's attribution rule
-/// (scanning a row left to right, a pair whose difference was already
-/// encountered charges `ERR(d)` to both endpoints).  The pass has two tiers,
-/// chosen by CPU feature and order only:
+/// [`ConflictTable::rebuild`]) by one *refresh pass*: the cost, the
+/// per-position errors under the paper's attribution rule (scanning a row
+/// left to right, a pair whose difference was already encountered charges
+/// `ERR(d)` to both endpoints) and, where the table keeps them, the
+/// occupancy masks.  The pass has two tiers, chosen by CPU feature and order
+/// only:
 ///
-/// * **AVX-512 row lanes** (x86-64 with AVX-512 F + DQ, n ≤ 128): the reset
-///   evaluator's lane loop ([`CostModel::global_cost_bounded`]) over the
-///   values, one row per lane, with a second bitset for buckets seen twice
-///   and a per-lane "already seen" test whose charged pairs feed the errors
-///   (see `kernel::simd`).
+/// * **AVX-512 row lanes** (the *vector tier*: x86-64 with AVX-512 F + DQ +
+///   BW + VBMI, n ≤ 128): the reset evaluator's lane loop
+///   ([`CostModel::global_cost_bounded`]) over the values, one row per
+///   lane, with a per-lane "already seen" test whose charged pairs feed the
+///   errors (see `kernel::simd`).  No probe body on this tier reads the
+///   masks, so the table keeps none.
 /// * **Scalar** (every other host, n > 128): one scan of each row's pairs
 ///   sets each pair's `occ` bit, its `multi` bit when the bucket was already
 ///   seen in the row, and charges the errors; the cost is each row's pairs
@@ -356,13 +359,13 @@ impl Rotation {
 ///   refresh and by the kernel suite.
 ///
 /// The counts are kept only where a probe body reads them: the event-algebra
-/// tiers (n ≥ 33, and every order on hosts without AVX-512 F + DQ), where a
-/// swap moves the counts of the ≤ 4·d_max pairs touching the two positions
-/// by ±1.  On the **count-free tier** — x86-64 with AVX-512 F + DQ and
-/// one-word rows (n ≤ 32, [`ConflictTable::batches_rotations`]) — the probe
-/// and the reset's rotations score whole permutations from scratch, so the
-/// permutation is the table's whole state: `apply_swap` is a swap plus a
-/// refresh, `reset_to` and `rebuild` a refresh, and the read-only oracles
+/// tiers (n ≥ 33, and every order off the vector tier), where a swap moves
+/// the counts of the ≤ 4·d_max pairs touching the two positions by ±1.  On
+/// the **count-free tier** — the vector tier's one-word rows (n ≤ 32,
+/// [`ConflictTable::batches_rotations`]) — the probe and the reset's
+/// rotations score whole permutations from scratch, so the permutation is
+/// the table's whole state: `apply_swap` is a swap plus a refresh,
+/// `reset_to` and `rebuild` a refresh, and the read-only oracles
 /// ([`ConflictTable::delta_for_swap`], the `_reference` probes,
 /// [`ConflictTable::row_cost`]) work from the values.
 ///
@@ -382,8 +385,12 @@ pub struct ConflictTable {
     /// elsewhere (see the type-level docs).
     pub(crate) counts: Vec<u32>,
     /// Fixed at construction: off on the count-free tier, unless a test
-    /// asks for a counts-keeping table there.
+    /// asks for a scalar-tier table there.
     keeps_counts: bool,
+    /// Fixed at construction: off on the vector tier
+    /// ([`ConflictTable::vector_probe`]), where no body reads the masks,
+    /// unless a test asks for a scalar-tier table there.
+    keeps_masks: bool,
     /// Derived by the refresh pass: the weighted global cost.
     pub(crate) cost: u64,
     /// Derived by the refresh pass: the per-position errors (paper
@@ -398,9 +405,10 @@ pub struct ConflictTable {
     /// `(d − 1) · mask_words + (b >> 6)`, bit `b & 63`.  A bit of `occ_mask` is
     /// set iff the bucket holds ≥ 1 pair, of `multi_mask` iff ≥ 2.  The batched
     /// probe kernel ([`crate::kernel`]) reads each candidate's cost delta out of
-    /// these words instead of six histogram loads.  Derived by the refresh
-    /// pass at every order (length `dmax · mask_words`, so empty only at n = 1,
-    /// which has no rows).
+    /// these words instead of six histogram loads.  Derived by the scalar
+    /// refresh pass where `keeps_masks` holds (length `dmax · mask_words`,
+    /// so empty only at n = 1, which has no rows) and empty on the vector
+    /// tier, whose probe bodies read the values and the counts instead.
     pub(crate) occ_mask: Vec<u64>,
     pub(crate) multi_mask: Vec<u64>,
     /// Reusable scratch for the arbitrary-width (`mask_words ≥ 3`) probe
@@ -418,14 +426,14 @@ impl ConflictTable {
         Self::build(values, model, false)
     }
 
-    /// A table that keeps its counts on every tier, for the tests that call
-    /// the event-algebra bodies directly at orders the count-free tier owns.
+    /// A table that keeps its counts and masks on every tier, for the tests
+    /// that call the scalar bodies directly at orders the vector tier owns.
     #[cfg(test)]
-    pub(crate) fn with_counts(values: &[usize], model: CostModel) -> Self {
+    pub(crate) fn scalar_tier(values: &[usize], model: CostModel) -> Self {
         Self::build(values, model, true)
     }
 
-    fn build(values: &[usize], model: CostModel, force_counts: bool) -> Self {
+    fn build(values: &[usize], model: CostModel, scalar_tier: bool) -> Self {
         let n = values.len();
         assert!(n >= 1, "conflict table needs a non-empty permutation");
         let width = if n >= 2 { 2 * n - 1 } else { 1 };
@@ -439,27 +447,33 @@ impl ConflictTable {
             values: values.to_vec(),
             counts: Vec::new(),
             keeps_counts: true,
+            keeps_masks: true,
             cost: 0,
             errors: vec![0; n],
             mask_words,
-            occ_mask: vec![0; dmax * mask_words],
-            multi_mask: vec![0; dmax * mask_words],
+            occ_mask: Vec::new(),
+            multi_mask: Vec::new(),
             kernel_scratch: std::cell::RefCell::new(crate::kernel::DynScratch::default()),
             weights: (0..=dmax).map(|d| model.weight_at(n, d.max(1))).collect(),
         };
-        table.keeps_counts = force_counts || !table.batches_rotations();
+        table.keeps_counts = scalar_tier || !table.batches_rotations();
         if table.keeps_counts {
             table.counts = vec![0; dmax * width];
+        }
+        table.keeps_masks = scalar_tier || !table.vector_probe();
+        if table.keeps_masks {
+            table.occ_mask = vec![0; dmax * mask_words];
+            table.multi_mask = vec![0; dmax * mask_words];
         }
         table.rebuild();
         table
     }
 
     /// Does this table run on its values alone?  True on x86-64 with
-    /// AVX-512 F + DQ for one-word rows (n ≤ 32): there the probe scores
-    /// eight swapped permutations per pass, [`ConflictTable::rotation_costs`]
-    /// eight sub-array rotations per pass, and the table keeps no counts
-    /// (see the type-level docs).  A property of the order and the CPU only.
+    /// AVX-512 F + DQ + BW + VBMI for one-word rows (n ≤ 32): there the probe
+    /// scores eight swapped permutations per pass,
+    /// [`ConflictTable::rotation_costs`] eight sub-array rotations per pass,
+    /// and the table keeps no counts (see the type-level docs).  A property of the order and the CPU only.
     pub fn batches_rotations(&self) -> bool {
         self.mask_words == 1 && self.vector_probe()
     }
@@ -470,13 +484,20 @@ impl ConflictTable {
         self.keeps_counts
     }
 
+    /// Does this table keep its occupancy masks?  Everywhere a scalar
+    /// event-algebra body may read them: off the vector tier.
+    pub(crate) fn keeps_masks(&self) -> bool {
+        self.keeps_masks
+    }
+
     /// Heap bytes a table of order `n` under `model` holds once its probe
     /// scratch has grown: the buffers [`ConflictTable::new`] allocates plus
     /// the slice-held kernel's scratch rows.  About `4.5 n²` bytes under the
     /// optimised model, nearly all of it the counts.  The counts are charged
     /// even though the count-free tier (n ≤ 32 on AVX-512 hosts) keeps none,
-    /// so the bound does not depend on the CPU; sizing guards derive the
-    /// largest admissible order from it.
+    /// and the masks even though the vector tier (n ≤ 128 there) keeps
+    /// none, so the bound does not depend on the CPU; sizing guards derive
+    /// the largest admissible order from it.
     pub const fn heap_bytes(n: usize, model: CostModel) -> u128 {
         let dmax = model.max_distance(n);
         let width = if n >= 2 { 2 * n - 1 } else { 1 };
@@ -501,8 +522,8 @@ impl ConflictTable {
     }
 
     /// Refill the histogram (where the table keeps one) from the stored
-    /// permutation and refresh the masks, the cost and the per-position
-    /// errors (O(n·d_max)).
+    /// permutation and refresh the masks (where it keeps them), the cost and
+    /// the per-position errors (O(n·d_max)).
     pub fn rebuild(&mut self) {
         if self.keeps_counts {
             self.counts.iter_mut().for_each(|c| *c = 0);
@@ -516,26 +537,22 @@ impl ConflictTable {
         self.refresh();
     }
 
-    /// Recompute the masks, the cost and the per-position errors from the
-    /// values: the refresh pass every change ends in.  See the type-level
-    /// docs for the two tiers.
+    /// Recompute the masks (where the table keeps them), the cost and the
+    /// per-position errors from the values: the refresh pass every change
+    /// ends in.  See the type-level docs for the two tiers.
     fn refresh(&mut self) {
         #[cfg(target_arch = "x86_64")]
-        if self.vector_probe() {
-            // SAFETY: gated on runtime detection of the exact features the
-            // row-lane body is compiled for (AVX-512 F + DQ), and n ≤ 128
-            // fits its four occupancy words per lane.
+        if !self.keeps_masks {
+            // SAFETY: a table keeps no masks only on the vector tier, gated
+            // on runtime detection of the exact features the row-lane body
+            // is compiled for, and n ≤ 128 fits its four occupancy words per
+            // lane.
             unsafe { self.refresh_avx512() };
             debug_assert!(
                 {
                     let mut reference = self.clone();
                     reference.refresh_scalar();
-                    (
-                        &reference.occ_mask,
-                        &reference.multi_mask,
-                        reference.cost,
-                        &reference.errors,
-                    ) == (&self.occ_mask, &self.multi_mask, self.cost, &self.errors)
+                    (reference.cost, &reference.errors) == (self.cost, &self.errors)
                 },
                 "row-lane refresh diverged from the scalar tier"
             );
@@ -549,15 +566,22 @@ impl ConflictTable {
     /// each row's pairs, reading only the values: a pair whose bucket was
     /// already seen in the row sets the bucket's `multi` bit and is charged;
     /// every pair sets its `occ` bit; the row's cost is its pairs beyond the
-    /// distinct buckets.
+    /// distinct buckets.  Where the table keeps no masks (the vector tier,
+    /// n ≤ 128, four words per row at most) each row's bits go to a local
+    /// buffer instead.
     pub(crate) fn refresh_scalar(&mut self) {
         let (n, words) = (self.n, self.mask_words);
         self.cost = 0;
         self.errors.iter_mut().for_each(|e| *e = 0);
+        let (mut occ_row, mut multi_row) = ([0u64; 4], [0u64; 4]);
         for d in 1..=self.dmax {
             let w = self.weights[d];
-            let occ = &mut self.occ_mask[(d - 1) * words..d * words];
-            let multi = &mut self.multi_mask[(d - 1) * words..d * words];
+            let (occ, multi) = if self.keeps_masks {
+                let row = (d - 1) * words..d * words;
+                (&mut self.occ_mask[row.clone()], &mut self.multi_mask[row])
+            } else {
+                (&mut occ_row[..words], &mut multi_row[..words])
+            };
             occ.iter_mut().for_each(|o| *o = 0);
             multi.iter_mut().for_each(|m| *m = 0);
             for i in 0..(n - d) {
@@ -802,8 +826,8 @@ impl ConflictTable {
         #[cfg(target_arch = "x86_64")]
         if self.batches_rotations() {
             // SAFETY: `batches_rotations` detected the exact features the
-            // body is compiled for (AVX-512 F + DQ), and the rows hold one
-            // word.
+            // body is compiled for (AVX-512 F + DQ + BW + VBMI), and the rows
+            // hold one word.
             unsafe { self.rotation_body_avx512(rotations, out) };
             debug_assert!(
                 rotations.iter().zip(&*out).all(|(r, &cost)| {
@@ -838,10 +862,11 @@ impl ConflictTable {
     /// three tiers chosen by CPU feature and row width (one mask word per row
     /// for n ≤ 32, two for n ≤ 64, and so on):
     ///
-    /// * on x86-64 with AVX-512 F + DQ, n ≤ 32: a from-scratch body that
-    ///   scores eight swapped permutations per pass;
-    /// * on x86-64 with AVX-512 F + DQ, 33 ≤ n ≤ 128: an 8-candidate event
-    ///   algebra body reading the occupancy masks by word permutes;
+    /// * on x86-64 with AVX-512 F + DQ + BW + VBMI, n ≤ 32: a from-scratch
+    ///   body that scores eight swapped permutations per pass;
+    /// * on x86-64 with AVX-512 F + DQ + BW + VBMI, 33 ≤ n ≤ 128: a byte-lane
+    ///   event-algebra body, 64 candidates per pass, one per byte lane,
+    ///   reading exact counts by byte-table lookups;
     /// * elsewhere (other CPUs, n > 128): the scalar event-algebra bodies,
     ///   monomorphized per row width for n ≤ 64 and slice-walking beyond.
     ///
@@ -906,15 +931,18 @@ impl ConflictTable {
         }
         let vector = self.vector_probe();
         match self.mask_words {
-            // SAFETY: `vector_probe` detected the exact features the body is
-            // compiled for (AVX-512 F + DQ), and the rows hold one word.
+            // SAFETY: `vector_probe` detected the exact features the bodies
+            // are compiled for (AVX-512 F + DQ + BW + VBMI); the rows hold
+            // one word, or two to four (n ≤ 128).
             #[cfg(target_arch = "x86_64")]
             1 if vector => unsafe { self.probe_body_avx512_scratch(m, lo_bound, out) },
+            #[cfg(target_arch = "x86_64")]
+            2..=4 if vector => unsafe { self.probe_body_avx512_bytes(m, lo_bound, out) },
             // dmax ≤ n − 1, and the row capacity R only needs to cover the
             // largest order of each width class: n ≤ 32 for one word per row
             // (u64), n ≤ 64 for two (packed into one u128).
             1 => self.probe_range_masked::<u64, 32>(m, lo_bound, out),
-            2 if !vector => self.probe_range_masked::<u128, 64>(m, lo_bound, out),
+            2 => self.probe_range_masked::<u128, 64>(m, lo_bound, out),
             _ => self.probe_range_masked_dyn(m, lo_bound, out),
         }
         debug_assert!(

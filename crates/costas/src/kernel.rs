@@ -1,16 +1,18 @@
 //! Batched probe kernels for the Costas conflict table.
 //!
-//! [`ConflictTable`] keeps, for every row `d` of the difference-triangle
-//! histogram, two occupancy bitsets over the row's `2n − 1` buckets: `occ`
-//! (bucket holds ≥ 1 pair) and `multi` (≥ 2), recomputed by its refresh pass
-//! after every change.  A row spans `W = ⌈(2n − 1) / 64⌉` `u64` words — one
-//! word for n ≤ 32, two for n ≤ 64, unbounded beyond — and every order has a
+//! [`ConflictTable`] keeps the difference-triangle histogram (the counts)
+//! wherever a probe body reads it, and, off the vector tier, two occupancy
+//! bitsets per row `d` over the row's `2n − 1` buckets: `occ` (bucket holds
+//! ≥ 1 pair) and `multi` (≥ 2), recomputed by its refresh pass after every
+//! change.  A row spans `W = ⌈(2n − 1) / 64⌉` `u64` words — one word for
+//! n ≤ 32, two for n ≤ 64, unbounded beyond — and every order has a
 //! kernel, so none falls back to the slow histogram path.  All of them are
 //! pinned bit for bit to the plain histogram reference
 //! (`ConflictTable::probe_partners_reference`).  The dispatcher in `cost.rs`
-//! picks the tier by CPU feature and row width only:
+//! picks the tier by CPU feature and row width only; the *vector tier* is
+//! x86-64 with AVX-512 F + DQ + BW + VBMI and n ≤ 128:
 //!
-//! * **AVX-512 F + DQ, one-word rows (n ≤ 32):** the from-scratch body
+//! * **Vector tier, one-word rows (n ≤ 32):** the from-scratch body
 //!   (`ConflictTable::probe_body_avx512_scratch` in `simd`).  Each lane
 //!   scores one candidate's whole swapped permutation, eight per pass, by
 //!   the row-lane sweep's "pairs minus distinct buckets" identity; it reads
@@ -19,51 +21,54 @@
 //!   (`ConflictTable::rotation_body_avx512`, behind
 //!   [`ConflictTable::rotation_costs`]).  Nothing on this tier reads the
 //!   counts, so the table keeps none here (the *count-free tier*).
-//! * **AVX-512 F + DQ, two to four words (33 ≤ n ≤ 128):**
-//!   `ConflictTable::probe_range_masked_dyn` with the permute body
-//!   (`ConflictTable::probe_body_avx512_wide` in `simd`): the event
-//!   algebra below, eight candidates per instruction, every bucket bit read
-//!   from the row's words in one register by a lane permute.
+//! * **Vector tier, two to four words (33 ≤ n ≤ 128):** the byte-lane body
+//!   (`ConflictTable::probe_body_avx512_bytes` in `simd`): the event algebra
+//!   below, 64 candidates per instruction, one per byte lane, every
+//!   baseline count looked up exactly from the row's counts held as a byte
+//!   table in registers.
 //! * **Everywhere else — the portable tier and the reference for both:**
-//!   the scalar event-algebra bodies, which read the counts, so every table
-//!   served here keeps them (the tests build a counts-keeping table to call
-//!   them at n ≤ 32 on AVX-512 hosts).  `ConflictTable::probe_range_masked`
-//!   is monomorphized per row-mask word type (`MaskWord`: one `u64` for
-//!   n ≤ 32, one `u128` holding both words for n ≤ 64) and runs
-//!   `probe_body_sim`; `ConflictTable::probe_range_masked_dyn` runs
-//!   `probe_body` over slice-held mask copies for every wider row, with the
-//!   patched masks kept in a table-owned scratch so the read-only probe
-//!   contract stays allocation-free.
+//!   the scalar event-algebra bodies, which read the counts and the masks,
+//!   so every table served here keeps both (the tests build such a
+//!   *scalar-tier* table to call them on vector-tier hosts).
+//!   `ConflictTable::probe_range_masked` is monomorphized per row-mask word
+//!   type (`MaskWord`: one `u64` for n ≤ 32, one `u128` holding both words
+//!   for n ≤ 64) and runs `probe_body_sim`;
+//!   `ConflictTable::probe_range_masked_dyn` runs `probe_body` over
+//!   slice-held mask copies for every wider row, with the patched masks kept
+//!   in a table-owned scratch so the read-only probe contract stays
+//!   allocation-free.
 //!
 //! The event algebra is candidate-major: per (candidate, row) cell the ≤ 6
-//! bucket events of the swap are scored against the row's masks, patched
+//! bucket events of the swap are scored against the row's baseline, patched
 //! once per probe call for the culprit-vacated buckets (`SimRow`,
-//! `DynScratch`), and the culprit-removal delta — identical for every
-//! candidate — is summed across rows once and added once per candidate
-//! instead of once per (row, candidate).  `probe_body_sim` is
-//! *collision-free by construction*: it replays the events **in sequence**
-//! on register copies of the masks.  Each `+1` scores its current `occ` bit
-//! and then maintains both bits exactly (after a `+1`, a bucket's `multi`
-//! bit is its `occ` bit from before, and its `occ` bit is set); each `−1`
-//! scores the maintained `multi` bit.  Because the per-event deltas
-//! telescope, the sum is exact even when events share a bucket.  Only two
-//! cases leave this path: the culprit-neighbour cells (`j = m ± d`, where a
-//! culprit pair *is* a candidate pair) and both candidate pairs vacating
-//! one shared bucket (the second `−1` needs "count ≥ 3", which two bits
-//! cannot answer); both fall back to the exact per-bucket merge on the flat
-//! counts.  `probe_body` detects bucket collisions per cell and sends them
-//! to the same merge.
+//! `DynScratch`, the byte body's table), and the culprit-removal delta —
+//! identical for every candidate — is summed across rows once and added
+//! once per candidate instead of once per (row, candidate).
+//! `probe_body_sim` is *collision-free by construction*: it replays the
+//! events **in sequence** on register copies of the masks.  Each `+1`
+//! scores its current `occ` bit and then maintains both bits exactly (after
+//! a `+1`, a bucket's `multi` bit is its `occ` bit from before, and its
+//! `occ` bit is set); each `−1` scores the maintained `multi` bit.  Because
+//! the per-event deltas telescope, the sum is exact even when events share
+//! a bucket.  Only two cases leave this path: the culprit-neighbour cells
+//! (`j = m ± d`, where a culprit pair *is* a candidate pair) and both
+//! candidate pairs vacating one shared bucket (the second `−1` needs "count
+//! ≥ 3", which two bits cannot answer); both fall back to the exact
+//! per-bucket merge on the flat counts.  `probe_body` detects bucket
+//! collisions per cell and sends them to the same merge.  The byte body
+//! reads exact counts, so it replays both cases in its lanes.
 //!
 //! The `simd` module also holds the row-lane sweep, one difference-triangle
 //! row per 64-bit lane for n ≤ 128, behind two callers: the vector tier of
 //! the reset evaluator,
 //! [`CostModel::global_cost_bounded`](crate::CostModel::global_cost_bounded),
 //! and the vector tier of the table's refresh pass, which recomputes the
-//! masks, the cost and the per-position errors after every change.  Their
-//! scalar tiers stay in `cost.rs`.  The `reset_evaluator_*` and
-//! `refresh_pass_*` tests below call both tiers directly, so the scalar
-//! tiers run on AVX-512 hosts too, and a `debug_assert!` in each dispatcher
-//! pins the vector result to the scalar one on every call.
+//! cost and the per-position errors after every change (the masks only on
+//! the scalar tier).  Their scalar tiers stay in `cost.rs`.  The
+//! `reset_evaluator_*` and `refresh_pass_*` tests below call both tiers
+//! directly, so the scalar tiers run on vector-tier hosts too, and a
+//! `debug_assert!` in each dispatcher pins the vector result to the scalar
+//! one on every call.
 //!
 //! Equivalence with the histogram reference is enforced three ways: the
 //! `debug_assert!`s in the probe dispatcher (every call, bit for bit, against
@@ -72,10 +77,10 @@
 //! its pins never share maintained state there), the unit suite below
 //! (orders 2–32 exhaustively plus the width edges 33/40/64/65/80/96/97/128/
 //! 129, all cost models up to n = 80, adversarial permutations, swap walks,
-//! every kernel — the scalar tier and the from-scratch bodies are called
-//! directly, bypassing the dispatcher, so the scalar tier runs on AVX-512
-//! hosts too, and the suite prints the bodies that ran, e.g.
-//! `probe tiers: scalar W=1,2,slice; AVX-512 scratch W=1; permute W=2,3,4;
+//! every kernel — the scalar tier and both vector bodies are also called
+//! directly, bypassing the dispatcher, so the scalar tier runs on
+//! vector-tier hosts too, and the suite prints the bodies that ran, e.g.
+//! `probe tiers: scalar W=1,2,slice; AVX-512 scratch W=1; bytes W=2,3,4;
 //! reset rotations: batch, materialised`), and the cross-crate conformance
 //! kit in `adaptive-search`, which drives random swap/reset/inject sequences
 //! against a from-scratch oracle.
@@ -89,6 +94,10 @@ pub(crate) mod simd;
 /// Why an event-algebra body refuses a table on the count-free tier.
 const NO_COUNTS: &str =
     "the event-algebra probe bodies read the counts, which this table does not keep";
+
+/// Why a scalar event-algebra body refuses a table on the vector tier.
+const NO_MASKS: &str =
+    "the scalar event-algebra probe bodies read the masks, which this table does not keep";
 
 /// Width-independent half of the per-row probe context: the row weight, the
 /// histogram base, the culprit's neighbouring values, and the ≤ 2
@@ -190,9 +199,8 @@ pub(crate) struct DynScratch {
 }
 
 /// Slice-backed row source for the arbitrary-width kernel
-/// ([`ConflictTable::probe_range_masked_dyn`]): bit tests walk the patched
-/// [`DynScratch`] copies word by word (the scalar `probe_body`) or load a
-/// row's words into one register (the AVX-512 body for 2 ≤ W ≤ 4).
+/// ([`ConflictTable::probe_range_masked_dyn`]): the scalar `probe_body`'s
+/// bit tests walk the patched [`DynScratch`] copies word by word.
 pub(crate) struct DynRows<'a> {
     metas: &'a [RowMeta],
     occ: &'a [u64],
@@ -363,10 +371,11 @@ impl ConflictTable {
     /// capacity cap): the call is rejected up front when the culprit is out of
     /// range, when the word type disagrees with the table's mask layout, or
     /// when `rows` cannot hold every scored distance, or when the table
-    /// keeps no counts (the event algebra reads them).
+    /// keeps no counts or no masks (the event algebra reads both).
     fn build_rows<Wd: MaskWord>(&self, m: usize, rows: &mut [SimRow<Wd>]) -> i64 {
         assert!(m < self.n, "culprit {m} out of range for order {}", self.n);
         assert!(self.keeps_counts(), "{NO_COUNTS}");
+        assert!(self.keeps_masks(), "{NO_MASKS}");
         assert_eq!(
             Wd::WORDS,
             self.mask_words,
@@ -404,6 +413,7 @@ impl ConflictTable {
     fn build_rows_dyn(&self, m: usize, scratch: &mut DynScratch) -> i64 {
         assert!(m < self.n, "culprit {m} out of range for order {}", self.n);
         assert!(self.keeps_counts(), "{NO_COUNTS}");
+        assert!(self.keeps_masks(), "{NO_MASKS}");
         let words = self.mask_words;
         let counts = &self.counts[..];
         scratch.metas.clear();
@@ -523,7 +533,7 @@ impl ConflictTable {
     /// collision-free common case every baseline test is a single bit test on
     /// `src`'s patched masks; culprit-neighbour cells and bucket collisions
     /// fall back to the exact per-bucket merge.  Serves n > 128, and every
-    /// n ≥ 65 on hosts without AVX-512.  Bit-for-bit equal to the histogram
+    /// n ≥ 65 off the vector tier.  Bit-for-bit equal to the histogram
     /// reference (see the module docs for how that is pinned).
     fn probe_body(
         &self,
@@ -596,11 +606,12 @@ impl ConflictTable {
         }
     }
 
-    /// Does the dispatcher hand this table's probe to an AVX-512 body?  True
-    /// on x86-64 with AVX-512 F + DQ ([`simd::probe_kernel_available`]) when a
-    /// row holds at most four mask words (n ≤ 128): the from-scratch body
-    /// serves one-word rows, the permute body the others.  The refresh pass
-    /// branches on it too.
+    /// Does the dispatcher hand this table's probe to an AVX-512 body (the
+    /// *vector tier*)?  True on x86-64 with AVX-512 F + DQ + BW + VBMI
+    /// ([`simd::probe_kernel_available`]) when a row holds at most four mask
+    /// words (n ≤ 128): the from-scratch body serves one-word rows, the
+    /// byte-lane body the others.  Tables on this tier keep no masks, and
+    /// their refresh pass runs the row-lane sweep.
     pub(crate) fn vector_probe(&self) -> bool {
         #[cfg(target_arch = "x86_64")]
         let vector = self.n <= simd::ROW_LANES_MAX_ORDER && simd::probe_kernel_available();
@@ -613,8 +624,8 @@ impl ConflictTable {
     /// [`MaskWord`] row representation with stack storage for up to `R` rows
     /// (`u64, R = 32` for n ≤ 32 and `u128, R = 64` for n ≤ 64, chosen by
     /// the dispatcher): the telescoping replay ([`Self::probe_body_sim`])
-    /// over the per-row contexts.  The dispatcher sends these orders here on
-    /// hosts without AVX-512 F + DQ.
+    /// over the per-row contexts.  The dispatcher sends these orders here
+    /// off the vector tier.
     pub(crate) fn probe_range_masked<Wd: MaskWord, const R: usize>(
         &self,
         m: usize,
@@ -631,26 +642,15 @@ impl ConflictTable {
     }
 
     /// Probe kernel over patched slice-held mask copies, reusing the
-    /// table-owned [`DynScratch`].  The body is chosen at runtime: the
-    /// AVX-512 permute body ([`Self::probe_body_avx512_wide`]) when the CPU
-    /// has F + DQ and the rows hold at most four words (n ≤ 128; the
-    /// dispatcher sends it two- to four-word rows), the scalar
-    /// collision-detecting body ([`Self::probe_body`]) otherwise (the
-    /// dispatcher sends it rows of three or more words) — both pinned bit
-    /// for bit to the histogram reference.
+    /// table-owned [`DynScratch`]: the scalar collision-detecting body
+    /// ([`Self::probe_body`]), pinned bit for bit to the histogram
+    /// reference.  The dispatcher sends it rows of three or more words off
+    /// the vector tier.
     pub(crate) fn probe_range_masked_dyn(&self, m: usize, lo_bound: usize, out: &mut [u64]) {
         let mut scratch = self.kernel_scratch.borrow_mut();
         let scratch = &mut *scratch;
         let removal_total = self.build_rows_dyn(m, scratch);
         let src = scratch.rows(self.mask_words);
-        #[cfg(target_arch = "x86_64")]
-        if self.vector_probe() {
-            // SAFETY: gated on runtime detection of the exact features the
-            // vector body is compiled for (AVX-512 F + DQ); n ≤ 128 keeps the
-            // rows within its four-word cap.
-            unsafe { self.probe_body_avx512_wide(&src, m, lo_bound, removal_total, out) };
-            return;
-        }
         self.probe_body(&src, m, lo_bound, removal_total, out);
     }
 }
@@ -682,29 +682,29 @@ mod tests {
     }
 
     /// A probe body's `(name, row width)` label, e.g. `("scalar", "slice")`
-    /// or `("permute", "3")`.
+    /// or `("bytes", "3")`.
     type Tier = (&'static str, String);
 
     /// The AVX-512 body the dispatcher picks for this table, if any: the
-    /// from-scratch body for one-word rows, the permute body up to four.
+    /// from-scratch body for one-word rows, the byte-lane body up to four.
     fn vector_tier(table: &ConflictTable) -> Option<Tier> {
         let words = table.mask_words;
-        let body = if words == 1 { "scratch" } else { "permute" };
+        let body = if words == 1 { "scratch" } else { "bytes" };
         table.vector_probe().then(|| (body, words.to_string()))
     }
 
     /// The scalar tier called directly, bypassing the dispatcher, so it runs
     /// on AVX-512 hosts too: `probe_body_sim` over `u64` rows for n ≤ 32 and
     /// `u128` rows for n ≤ 64, `probe_body` over slice-held rows beyond.  A
-    /// count-free table is rebuilt with counts first: the event algebra
-    /// reads them.
+    /// vector-tier table is rebuilt as a scalar-tier one first: the event
+    /// algebra reads the counts and the masks.
     fn probe_scalar_tier(table: &ConflictTable, m: usize, lo_bound: usize) -> Vec<u64> {
-        let counted;
-        let table = if table.keeps_counts() {
+        let scalar;
+        let table = if table.keeps_masks() {
             table
         } else {
-            counted = ConflictTable::with_counts(table.values(), *table.model());
-            &counted
+            scalar = ConflictTable::scalar_tier(table.values(), *table.model());
+            &scalar
         };
         let mut out = vec![table.cost(); table.order()];
         match table.mask_words {
@@ -778,9 +778,9 @@ mod tests {
 
     /// The same equivalence past the single-word boundary, at the edges of
     /// every row width: the two-word rows (n = 33…64, the monomorphized
-    /// scalar kernel and the AVX-512 permute body), the three- and four-word
-    /// slice-held rows (65…96 and 97…128, scalar and permute), and n = 129,
-    /// the first order past the permute body's cap, against the histogram
+    /// scalar kernel and the AVX-512 byte-lane body), the three- and four-word
+    /// slice-held rows (65…96 and 97…128, scalar and byte-lane), and n = 129,
+    /// the first order past the vector tier's cap, against the histogram
     /// reference.  Orders up to 80 run
     /// every cost model.  From 96 on, a full check costs one to two seconds
     /// per model in a debug build, so n = 128 runs the first two models,
@@ -848,11 +848,14 @@ mod tests {
             .filter(|t| t.0 == "rotations")
             .map(|t| t.1.as_str())
             .collect();
+        let vector = if ran.iter().any(|t| t.0 == "scratch" || t.0 == "bytes") {
+            format!("scratch{}; bytes{}", widths("scratch"), widths("bytes"))
+        } else {
+            "skipped, no F + DQ + BW + VBMI".to_string()
+        };
         println!(
-            "probe tiers: scalar{}; AVX-512 scratch{}; permute{}; reset rotations: {}",
+            "probe tiers: scalar{}; AVX-512 {vector}; reset rotations: {}",
             widths("scalar"),
-            widths("scratch"),
-            widths("permute"),
             rotations.join(", ")
         );
     }
@@ -920,6 +923,121 @@ mod tests {
             orders += usize::from(ran);
         }
         println!("from-scratch probe body: {orders} of 31 single-word orders");
+    }
+
+    /// The probe cells the byte-lane body scores by its two special cases,
+    /// counted from the values: culprit-neighbour cells (`j = m ± d`) and
+    /// cells whose two candidate pairs share a bucket (`o1 = o2`), over
+    /// every candidate of culprit `m`.
+    fn special_cells(table: &ConflictTable, m: usize) -> [usize; 2] {
+        let (n, v) = (table.order(), table.values());
+        let mut cells = [0; 2];
+        for j in (0..n).filter(|&j| j != m) {
+            for d in 1..=table.dmax {
+                if j + d == m || m + d == j {
+                    cells[0] += 1;
+                } else if j >= d && j + d < n && v[j] + v[j] == v[j - d] + v[j + d] {
+                    cells[1] += 1;
+                }
+            }
+        }
+        cells
+    }
+
+    /// The byte-lane AVX-512 body called directly, bypassing the
+    /// dispatcher, against the histogram reference: the two- to four-word
+    /// orders at every width and lookup edge (33/34, 63/64/65 — one table
+    /// lookup up to n = 64, two beyond — 96/97, 127/128, and 40 and 80),
+    /// every cost model, every culprit, both probe variants, on random,
+    /// identity, reversed, multiplier (`v_i = k·i mod n`, two buckets per
+    /// row) and swap-walked permutations.  The identity, reversed and
+    /// multiplier rows are collision-heavy; the suite checks that it reached
+    /// culprit-neighbour cells and shared-bucket (`o1 = o2`) cells, and
+    /// prints how many orders it ran (none without the vector tier).
+    #[test]
+    fn byte_body_matches_reference_at_two_to_four_word_orders() {
+        #[cfg(target_arch = "x86_64")]
+        fn check(table: &ConflictTable, context: &str, reached: &mut [usize; 2]) -> bool {
+            if !table.vector_probe() {
+                return false;
+            }
+            let n = table.order();
+            let mut reference = Vec::new();
+            for m in 0..n {
+                // The reference for `lo_bound = m + 1` is the full one with
+                // the entries at and below the culprit at the current cost,
+                // as `probe_partners_above_reference` builds it.
+                table.probe_partners_reference(m, &mut reference);
+                for lo_bound in [0, m + 1] {
+                    let mut out = vec![table.cost(); n];
+                    // SAFETY: `vector_probe` checked the CPU features.
+                    unsafe { table.probe_body_avx512_bytes(m, lo_bound, &mut out) };
+                    reference[..lo_bound].fill(table.cost());
+                    assert_eq!(
+                        out, reference,
+                        "culprit {m}, lo_bound {lo_bound} ({context})"
+                    );
+                }
+                let [neighbours, shared] = special_cells(table, m);
+                reached[0] += neighbours;
+                reached[1] += shared;
+            }
+            true
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        fn check(_: &ConflictTable, _: &str, _: &mut [usize; 2]) -> bool {
+            false
+        }
+        let mut rng = default_rng(0xB7E5_1A9E);
+        let (mut orders, mut reached) = (0, [0; 2]);
+        for n in [33usize, 34, 40, 63, 64, 65, 80, 96, 97, 127, 128] {
+            let mut ran = false;
+            let k = [3, 5, 7].into_iter().find(|k| n % k != 0).unwrap();
+            for (i, model) in models().into_iter().enumerate() {
+                let random = one_based(random_permutation(n, &mut rng));
+                let identity: Vec<usize> = (1..=n).collect();
+                let reversed: Vec<usize> = (1..=n).rev().collect();
+                let multiplier: Vec<usize> = (0..n).map(|i| k * i % n + 1).collect();
+                // A full check of one table costs up to a second in a debug
+                // build from n = 96 on, so there the other models run the
+                // random and the multiplier permutation only.
+                let every = n <= 80 || i == 0;
+                for (name, p) in [
+                    ("random", random),
+                    ("multiplier", multiplier),
+                    ("identity", identity),
+                    ("reversed", reversed),
+                ] {
+                    if !every && !matches!(name, "random" | "multiplier") {
+                        continue;
+                    }
+                    let mut table = ConflictTable::new(&p, model);
+                    ran |= check(&table, &format!("{name}, n={n}, {model:?}"), &mut reached);
+                    if name != "random" || !every {
+                        continue;
+                    }
+                    for step in 0..2 {
+                        let i = (rng.next_u64() as usize) % n;
+                        let j = (rng.next_u64() as usize) % n;
+                        table.apply_swap(i, j);
+                        let context = format!("walk step {step}, n={n}, {model:?}");
+                        check(&table, &context, &mut reached);
+                    }
+                }
+            }
+            orders += usize::from(ran);
+        }
+        if orders == 0 {
+            println!("byte-lane probe body: skipped, no AVX-512 F + DQ + BW + VBMI on this host");
+            return;
+        }
+        let [neighbours, shared] = reached;
+        assert!(neighbours > 0, "no culprit-neighbour cell was scored");
+        assert!(shared > 0, "no shared-bucket (o1 = o2) cell was scored");
+        println!(
+            "byte-lane probe body: {orders} of 11 orders; {neighbours} culprit-neighbour \
+             cells, {shared} shared-bucket cells"
+        );
     }
 
     /// Every anchored rotation at anchor `m` of an order-`n` permutation, in
@@ -1011,7 +1129,7 @@ mod tests {
             orders += usize::from(ran);
         }
         if orders == 0 {
-            println!("rotation body: skipped, no AVX-512 F + DQ on this host");
+            println!("rotation body: skipped, no AVX-512 F + DQ + BW + VBMI on this host");
         } else {
             println!("rotation body: {orders} of 31 single-word orders");
         }
@@ -1067,7 +1185,7 @@ mod tests {
     #[should_panic(expected = "does not match the table's")]
     fn build_rows_rejects_a_width_mismatch() {
         let p = one_based(random_permutation(40, &mut default_rng(11)));
-        let table = ConflictTable::new(&p, CostModel::optimized());
+        let table = ConflictTable::scalar_tier(&p, CostModel::optimized());
         // n = 40 has two mask words per row; forcing the single-word kernel
         // must be rejected up front rather than silently mis-indexing.
         let mut out = vec![0u64; 40];
@@ -1080,7 +1198,7 @@ mod tests {
     #[should_panic(expected = "out of range for order")]
     fn build_rows_rejects_an_out_of_range_culprit() {
         let p = one_based(random_permutation(16, &mut default_rng(13)));
-        let table = ConflictTable::with_counts(&p, CostModel::optimized());
+        let table = ConflictTable::scalar_tier(&p, CostModel::optimized());
         let mut out = vec![0u64; 16];
         table.probe_range_masked::<u64, 32>(16, 0, &mut out);
     }
@@ -1091,7 +1209,7 @@ mod tests {
     fn build_rows_rejects_undersized_row_storage() {
         let p = one_based(random_permutation(32, &mut default_rng(17)));
         // Full span scores 31 distances; 16 rows of storage must not pass.
-        let table = ConflictTable::with_counts(&p, CostModel::basic());
+        let table = ConflictTable::scalar_tier(&p, CostModel::basic());
         let mut out = vec![0u64; 32];
         table.probe_range_masked::<u64, 16>(0, 0, &mut out);
     }
@@ -1222,21 +1340,27 @@ mod tests {
         }
     }
 
-    /// Run each refresh tier directly on a copy of `table` whose derived
-    /// state has been clobbered, and check masks, cost, errors and counts
-    /// (none on the count-free tier) against a from-scratch build.  Returns
-    /// whether the vector tier ran.
+    /// Run each refresh tier directly on a table whose derived state has
+    /// been clobbered, and check masks (none on the vector tier), cost,
+    /// errors and counts (none on the count-free tier) against a
+    /// from-scratch build: the scalar tier on a scalar-tier table (counts
+    /// and masks) and on a copy of `table`, and the vector tier on a copy of
+    /// `table` where it runs.  Returns whether the vector tier ran.
     fn assert_refresh_tiers(table: &ConflictTable, context: &str) -> bool {
         let expected = from_scratch(table.values(), *table.model());
+        let scalar = ConflictTable::scalar_tier(table.values(), *table.model());
         type Tier = fn(&mut ConflictTable);
-        let mut tiers: Vec<(&str, Tier)> = vec![("scalar", ConflictTable::refresh_scalar)];
+        let mut runs: Vec<(&str, &ConflictTable, Tier)> = vec![
+            ("scalar", &scalar, ConflictTable::refresh_scalar),
+            ("scalar on this table", table, ConflictTable::refresh_scalar),
+        ];
         #[cfg(target_arch = "x86_64")]
         if table.vector_probe() {
             // SAFETY: `vector_probe` checked the CPU features and the order.
-            tiers.push(("AVX-512", |t| unsafe { t.refresh_avx512() }));
+            runs.push(("AVX-512", table, |t| unsafe { t.refresh_avx512() }));
         }
-        for &(name, refresh) in &tiers {
-            let mut t = table.clone();
+        for &(name, base, refresh) in &runs {
+            let mut t = base.clone();
             t.occ_mask.iter_mut().for_each(|w| *w = !0);
             t.multi_mask.iter_mut().for_each(|w| *w = !0);
             t.errors.iter_mut().for_each(|e| *e = 0xdead);
@@ -1250,12 +1374,19 @@ mod tests {
                     "count-free table holds counts ({context})"
                 );
             }
-            assert_eq!(t.occ_mask, expected.occ, "{name} occ ({context})");
-            assert_eq!(t.multi_mask, expected.multi, "{name} multi ({context})");
+            if t.keeps_masks() {
+                assert_eq!(t.occ_mask, expected.occ, "{name} occ ({context})");
+                assert_eq!(t.multi_mask, expected.multi, "{name} multi ({context})");
+            } else {
+                assert!(
+                    t.occ_mask.is_empty() && t.multi_mask.is_empty(),
+                    "vector-tier table holds masks ({context})"
+                );
+            }
             assert_eq!(t.cost, expected.cost, "{name} cost ({context})");
             assert_eq!(t.errors, expected.errors, "{name} errors ({context})");
         }
-        tiers.len() == 2
+        runs.len() == 3
     }
 
     /// Both refresh tiers equal a from-scratch build along seeded random

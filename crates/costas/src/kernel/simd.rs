@@ -7,10 +7,9 @@
 //!
 //! The scalar probe bodies (`probe_body_sim`, `probe_body`) are serial in
 //! the one dimension the workload has plenty of: candidates.  Both vector
-//! bodies score **eight candidates per pass**, one per 64-bit lane; they
-//! differ in what a lane computes.
+//! bodies put the candidates in lanes; they differ in what a lane computes.
 //!
-//! * **From scratch, one-word rows (n ≤ 32)** —
+//! * **From scratch, one-word rows (n ≤ 32), eight candidates per pass** —
 //!   [`ConflictTable::probe_body_avx512_scratch`].  Lane `l` holds the whole
 //!   configuration after swapping the culprit `m` with candidate `j_l`:
 //!   column `p` is `v[p]`, except `v[m]` at `p = j_l` and `v[j_l]` at
@@ -24,41 +23,53 @@
 //!   It costs O(n·d_max) per candidate against the event algebra's
 //!   O(d_max), which pays while a row fits one word.  On a 2-vCPU AVX-512
 //!   Xeon a probe call at n = 16 takes about 280 ns against 840 ns for the
-//!   event algebra, while a two-word variant (a second bitset per lane,
-//!   chosen by a compare) timed level with the permute body at
-//!   n = 33–64, within run-to-run noise; two-word rows therefore stay with
-//!   the permute body, which the wider rows need anyway.  The lane-cost
-//!   loop ([`ConflictTable::lane_costs`]) takes the columns of any eight
-//!   permutations and is shared with the rotation body below.
-//! * **Event algebra, two to four words (33 ≤ n ≤ 128)** —
-//!   [`ConflictTable::probe_body_avx512_wide`] over the patched slice-held
-//!   rows ([`DynRows`]), the scalar replay's cell algebra with the candidate
-//!   axis in lanes.  All six bucket bits of a cell are read from the row
-//!   copies: one masked load puts a row's `W` words in the low lanes of one
-//!   register, and each test is a word select `idx >> 6` through a lane
-//!   permute (`vpermq`), a shift by `idx & 63` and an AND against 1.  The
-//!   kernel suite pins the word select at every width edge (n = 33, 64, 65,
-//!   80, 96, 97, 128); an off-by-one there fails it.
+//!   event algebra.  The lane-cost loop ([`ConflictTable::lane_costs`])
+//!   takes the columns of any eight permutations and is shared with the
+//!   rotation body below.
+//! * **Event algebra, two to four words (33 ≤ n ≤ 128), 64 candidates per
+//!   pass** — [`ConflictTable::probe_body_avx512_bytes`], the scalar
+//!   replay's cell algebra with one candidate per *byte* lane.  Per row `d`
+//!   the row's `u32` counts become a byte table of at most 256 entries
+//!   (counts are at most `n − d ≤ 127`), the ≤ 2 culprit-vacated buckets are
+//!   patched, and the table stays in `Q` registers: two while
+//!   `2n − 1 ≤ 128` (n ≤ 64), four beyond.  The six bucket indices of a
+//!   cell (`k1`, `k2` re-add the culprit's pairs, `n1`, `n2` the
+//!   candidate's, `o1`, `o2` remove the candidate's) are `u8` arithmetic on
+//!   byte copies of the values — every index is at most `2n − 2 ≤ 254` —
+//!   and each baseline count is one `vpermi2b` lookup (two and a blend on
+//!   the index's top bit with four registers).
 //!
-//!   Shared-bucket corrections are evaluated *branchlessly in every lane*
-//!   from ten 8-way index compares (`__mmask8` k-registers): a `+1` event
-//!   with an earlier `+1` on its bucket truly scores 1, not its baseline occ
-//!   bit (correct by `1 − occ`); a `−1` event with `a` earlier `+1`s truly
-//!   scores `−[count + a ≥ 2]` (correct by `occ − multi`, then `1 − occ`).
-//!   Equalities that would force `v_j = v_m` or `j = m` are impossible
-//!   (permutation values are distinct) and not tested — the same derivation
-//!   the scalar replay's telescoping argument rests on, checked bit for bit
-//!   against the histogram reference by the same suites.
+//!   The events replay exactly in the scalar order `k1, k2, n1, n2, o1, o2`.
+//!   A `+1` event scores 1 iff its bucket is occupied when it lands: a
+//!   baseline pair, or an earlier `+1` on the same bucket.  A `−1` event
+//!   scores −1 iff its bucket holds two or more pairs when it lands; its own
+//!   pair is a baseline pair, so that is a second baseline pair or an
+//!   earlier `+1` there.  The earlier events on a bucket are the 11 index
+//!   equalities that can occur, as 64-lane k-mask compares; the other four
+//!   (`o1 = k1`, `o1 = n1`, `o2 = k2`, `o2 = n2`) would force `j = m` or
+//!   `v_j = v_m`.  When both candidate pairs share a bucket (`o1 = o2`),
+//!   `o1` has left it before `o2` lands, so `o2`'s count is adjusted down
+//!   by one, and no `+1` can hit that bucket.  The culprit-neighbour lanes
+//!   (`j = m ± d`) drop the candidate pair that *is* a culprit pair and
+//!   re-add the culprit pair against `v_m`, a masked move of the `k1`/`k2`
+//!   index.  So every lane is exact and no cell leaves the vector path.
 //!
-//!   Memory traffic is hoisted out of the row loop entirely: the whole
-//!   candidate axis is at most sixteen 8-lane accumulators, held across all
-//!   rows and added onto `out` once at the end (the hoisted culprit-removal
-//!   total rides in the accumulators' initial value).  The culprit-neighbour
-//!   cells (`j = m ± d`) are folded into the lanes by a partner-value
-//!   override; only both candidate pairs vacating one shared bucket
-//!   (`o1 = o2`, detected as a k-register compare) leaves the vector path,
-//!   via a lane mask on the accumulation, for the exact per-bucket merge,
-//!   added straight onto `out`.
+//!   A lane's row score (−2 to 4) is a byte; `vpmaddwd` against
+//!   `ERR(d) < 2¹⁵` in the even or odd half of each `i32` lane adds
+//!   `ERR(d)·score` into `i32` accumulators, four per block of 64
+//!   candidates, held in registers across the rows (the table width and
+//!   the block count, one or two, are constants of the monomorphized body).
+//!   The culprit-removal total is added once per candidate at the end, and
+//!   the culprit lane and the lanes past the order are left alone; blocks
+//!   start at `lo_bound`.  A call costs one table build per row plus one
+//!   pass per row and block: 19 passes at n = 40, 78 at n = 80.  The
+//!   permute body it replaced read two bitmasks per row, eight candidates
+//!   per pass, with a scalar merge for the `o1 = o2` cells.  Per call on a
+//!   2-vCPU AVX-512 Xeon (walked tables under the optimised model, best of
+//!   three alternating runs), permute → byte-lane: 2.4 → 0.52 µs at
+//!   n = 33, 2.8 → 0.62 µs at n = 40, 6.9 → 0.98 µs at n = 64, 7.7 →
+//!   2.3 µs at n = 65 (the first order with two lookups per bucket),
+//!   10.7 → 3.0 µs at n = 80 and 26 → 4.8 µs at n = 128.
 //!
 //! # Rotation body: the reset's first family, eight per pass
 //!
@@ -76,17 +87,17 @@
 //! earlier prototype batched the candidates by copying and transposing
 //! materialised permutations, and the copies ate the gain; generating the
 //! columns from the bounds costs O(n) vector operations per pass, below the
-//! O(n·d_max) of the scoring.  The conflict table keeps no counts on this
-//! tier: the two from-scratch bodies and the refresh pass read only the
-//! values.
+//! O(n·d_max) of the scoring.  The conflict table keeps no counts and no
+//! masks on this tier: the two from-scratch bodies and the refresh pass
+//! read only the values.
 //!
 //! # Row-lane sweep: reset evaluator and refresh pass
 //!
 //! The Costas reset scores its other candidates — every one where the table
 //! keeps counts, families 2 and 3 on the count-free tier — from scratch
 //! with an abort bound ([`CostModel::global_cost_bounded`]).  The scalar
-//! body sweeps one row of
-//! the difference triangle at a time through a `2n − 1`-entry histogram.
+//! body sweeps one row of the difference triangle at a time through a
+//! `2n − 1`-entry histogram.
 //! This body instead gives each of the eight 64-bit lanes one row `d`: lane
 //! `l` of group `d0` holds row `d0 + l` as a `W`-word occupancy bitset
 //! (`W = ⌈(2n − 1) / 64⌉ ≤ 4`, so n ≤ 128).  For each left index `i` one
@@ -110,61 +121,43 @@
 //! The conflict table's refresh pass ([`ConflictTable::refresh_avx512`]) is
 //! the same loop with `TRACK` on and no limit.  Per step it also tests each
 //! lane's bit against the bitset before setting it (`vptestmq`): a hit is a
-//! pair whose difference was already encountered in its row, so its bit
-//! goes into a second bitset (`multi`, buckets holding two or more pairs)
-//! and the pair is charged `ERR(d)` at both endpoints.  The left endpoint
-//! `i` takes the sum over the hit lanes; the right endpoints
-//! `i + d0 + l` accumulate in one register whose lane `l` stands for
-//! position `i + d0 + l` and which slides down one lane per step, so lane 0
-//! is final when it leaves.  After each group the bitsets are copied into
-//! the table's row-major masks, each word rotated left by `(n − 1) mod 64`:
-//! word `w`'s window holds exactly the histogram buckets `[64w, 64(w + 1))`
-//! of `b = δ + n − 1`, with `δ` at bit `δ mod 64`, and the probe reads
-//! bucket `b` at bit `b mod 64`.  The cost needs only distinctness, so the
-//! reset evaluator skips the rotation.
+//! pair whose difference was already encountered in its row, so the pair is
+//! charged `ERR(d)` at both endpoints.  The left endpoint `i` takes the sum
+//! over the hit lanes; the right endpoints `i + d0 + l` accumulate in one
+//! register whose lane `l` stands for position `i + d0 + l` and which
+//! slides down one lane per step, so lane 0 is final when it leaves.  No
+//! vector probe body reads the occupancy masks, so the pass exports none:
+//! tables on this tier keep no masks.
 //!
-//! Dispatch is by runtime feature detection ([`probe_kernel_available`]):
-//! AVX-512 F (shifts, rotates, compares, mask ops, `vpmuldq`) and DQ.
-//! Machines without it take the scalar bodies — same contract, same
+//! Dispatch is by runtime feature detection ([`probe_kernel_available`]),
+//! one gate for every body here: AVX-512 F (shifts, rotates, compares, mask
+//! ops, `vpmuldq`), DQ, BW (byte and word lanes) and VBMI (`vpermi2b`).
+//! Machines without all four take the scalar bodies — same contract, same
 //! pinning.
 
 use std::arch::x86_64::*;
 
-use super::{row_merge, DynRows};
+use super::NO_COUNTS;
 use crate::cost::{ConflictTable, CostModel, Rotation};
-use crate::merge::BucketMerge;
 
-/// Largest order the row-word vector bodies serve — the reset evaluator
+/// Largest order the vector bodies serve — the reset evaluator
 /// ([`CostModel::global_cost_bounded_avx512`]), the refresh pass
-/// ([`ConflictTable::refresh_avx512`]) and the permute probe body
-/// ([`ConflictTable::probe_body_avx512_wide`]): a row's `2n − 1` buckets fit
-/// in at most four 64-bit words.
+/// ([`ConflictTable::refresh_avx512`]) and the byte-lane probe body
+/// ([`ConflictTable::probe_body_avx512_bytes`]): a row's `2n − 1` buckets
+/// fit in at most four 64-bit words, or 256 byte lanes.
 pub(crate) const ROW_LANES_MAX_ORDER: usize = 128;
 
-/// Runtime gate for the vector bodies in this module: AVX-512 F + DQ,
-/// detected once and cached.
+/// Runtime gate for every vector body in this module: AVX-512 F + DQ + BW +
+/// VBMI, detected once and cached.
 pub(crate) fn probe_kernel_available() -> bool {
     use std::sync::OnceLock;
     static AVAILABLE: OnceLock<bool> = OnceLock::new();
     *AVAILABLE.get_or_init(|| {
         std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("avx512dq")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512vbmi")
     })
-}
-
-/// Per-lane bit test of a (≤ 8)-word mask held in the low lanes of `words`:
-/// a permute picks word `idx >> 6` for each lane, then a shift by
-/// `idx mod 64` brings the bit down.
-///
-/// # Safety
-///
-/// Requires AVX-512 F at runtime; callers are `#[target_feature]`-gated.
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn word_bit(words: __m512i, idx: __m512i) -> __m512i {
-    let word = _mm512_permutexvar_epi64(_mm512_srli_epi64::<6>(idx), words);
-    let s = _mm512_and_epi64(idx, _mm512_set1_epi64(63));
-    _mm512_and_epi64(_mm512_srlv_epi64(word, s), _mm512_set1_epi64(1))
 }
 
 /// Per-lane population count of the bitsets spread over `words` (lane `l`
@@ -219,7 +212,8 @@ impl ConflictTable {
     ///
     /// # Safety
     ///
-    /// Requires AVX-512 F and DQ at runtime (see [`probe_kernel_available`]).
+    /// Requires AVX-512 F and DQ at runtime (see [`probe_kernel_available`],
+    /// the gate every caller checks).
     ///
     /// # Panics
     ///
@@ -270,7 +264,8 @@ impl ConflictTable {
     ///
     /// # Safety
     ///
-    /// Requires AVX-512 F and DQ at runtime (see [`probe_kernel_available`]).
+    /// Requires AVX-512 F and DQ at runtime (see [`probe_kernel_available`],
+    /// the gate every caller checks).
     ///
     /// # Panics
     ///
@@ -361,215 +356,298 @@ impl ConflictTable {
         cost
     }
 
-    /// Eight-lane AVX-512 event-algebra probe body over slice-held rows of
-    /// two to four mask words (33 ≤ n ≤ [`ROW_LANES_MAX_ORDER`]) — drop-in
-    /// replacement for `probe_body` (same contract: add each candidate's
-    /// delta onto the prefilled `out`, skipping `m`).  Bucket bits come from
-    /// word permutes; see the module docs.
+    /// Byte-lane probe body for rows of two to four mask words
+    /// (33 ≤ n ≤ [`ROW_LANES_MAX_ORDER`]): write into `out[j]` the cost
+    /// after swapping `m` with `j`, for `j in lo_bound..n`, `j != m`, 64
+    /// candidates per pass, one per byte lane; the other entries are left
+    /// alone.  See the module docs.
     ///
     /// # Safety
     ///
-    /// Requires AVX-512 F and DQ at runtime (see [`probe_kernel_available`]).
+    /// Requires AVX-512 F, DQ, BW and VBMI at runtime (see
+    /// [`probe_kernel_available`]).
     ///
     /// # Panics
     ///
-    /// Panics if the rows hold more than four words.
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(crate) unsafe fn probe_body_avx512_wide(
+    /// Panics if the rows hold one word or more than four (n ≤ 32 or
+    /// n > 128), if the table keeps no counts, if the culprit is out of
+    /// range, or if `out` is shorter than the order.
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vbmi")]
+    pub(crate) unsafe fn probe_body_avx512_bytes(
         &self,
-        rows: &DynRows<'_>,
         m: usize,
         lo_bound: usize,
-        removal_total: i64,
         out: &mut [u64],
     ) {
-        assert!(
-            rows.words <= 4,
-            "the permute probe body covers n ≤ {ROW_LANES_MAX_ORDER}, got {} words per row",
-            rows.words
-        );
         let n = self.n;
-        let vm = self.values[m] as i64;
-        let values = &self.values[..];
-        let counts = &self.counts[..];
-        let off = n as i64 - 1;
-        let mut touched = BucketMerge::<6>::new();
-        // One 8-lane accumulator per candidate block, alive across the whole
-        // row loop; four words per row cap n at 128, so sixteen blocks cover
-        // the candidate axis.  The culprit-removal half of every delta —
-        // identical for every candidate — is their initial value.
-        let nblocks = (n - lo_bound).div_ceil(8);
-        let mut accs = [_mm512_set1_epi64(removal_total); 16];
-        let one = _mm512_set1_epi64(1);
-        let off_v = _mm512_set1_epi64(off);
-        let vm_off = _mm512_set1_epi64(vm + off);
-        let off_vm = _mm512_set1_epi64(off - vm);
-        let live = low_lanes(rows.words);
-        for (di, meta) in rows.metas.iter().enumerate() {
-            let d = di + 1;
-            // The row's patched words in the low lanes of one register each.
-            // SAFETY (of the loads): each masked load reads the first
-            // `words ≤ 4` elements of a slice just bounds-checked to hold them.
-            let span = di * rows.words..(di + 1) * rows.words;
-            let occ = _mm512_maskz_loadu_epi64(live, rows.occ[span.clone()].as_ptr().cast());
-            let multi = _mm512_maskz_loadu_epi64(live, rows.multi[span].as_ptr().cast());
-            // Row weights are ≤ n² < 2³¹ and lane scores are in −6..=6, so
-            // the 32×32→64 `vpmuldq` below is exact.
-            let w_v = _mm512_set1_epi64(meta.w);
-            let kg1: __mmask8 = if meta.has_left { 0xff } else { 0 };
-            let kg2: __mmask8 = if meta.has_right { 0xff } else { 0 };
-            let k1c = _mm512_set1_epi64(off - meta.left_other);
-            let k2c = _mm512_set1_epi64(off + meta.right_other);
-            let m_md = m.wrapping_sub(d);
-            let m_pd = m + d;
-            for (b, acc) in accs[..nblocks].iter_mut().enumerate() {
-                let block = lo_bound + 8 * b;
-                let lanes = (n - block).min(8);
-                let tail = low_lanes(lanes);
-                // Candidate positions are consecutive within a block, so the
-                // neighbour-presence gates are prefix/suffix lane masks,
-                // computed scalar.
-                let jl: __mmask8 = if d <= block {
-                    0xff
-                } else {
-                    (0xffu32 << (d - block).min(8)) as u8
-                };
-                let jr = low_lanes((n - d).saturating_sub(block));
-                // Candidate and neighbour values: the candidates are
-                // contiguous and the neighbours sit at fixed offsets ±d, so
-                // all three are masked loads (`usize` is 64-bit on this
-                // arch).  A neighbour lane whose position falls off the array
-                // keeps the candidate's own value — its events are gated by
-                // `jl`/`jr` — and tail lanes come back 0, which every
-                // consumer tolerates.  Masked-off lanes are never read, so
-                // the neighbour base address, which can lie outside
-                // `values` at an array edge, is formed with wrapping
-                // arithmetic; every lane that is read is in bounds.
-                let base = values.as_ptr().cast::<i64>();
-                let vj = _mm512_maskz_loadu_epi64(tail, base.add(block));
-                let vl = _mm512_mask_loadu_epi64(
-                    vj,
-                    jl & tail,
-                    base.wrapping_add(block).wrapping_sub(d),
+        assert!(
+            (2..=4).contains(&self.mask_words),
+            "the byte-lane probe body covers 33 ≤ n ≤ {ROW_LANES_MAX_ORDER}, got n = {n}"
+        );
+        assert!(self.keeps_counts(), "{NO_COUNTS}");
+        assert!(m < n, "culprit {m} out of range for order {n}");
+        assert!(out.len() >= n, "probe output shorter than the order");
+        // n ≤ 128 makes one or two blocks of 64 candidates.
+        match (self.mask_words, (n - lo_bound.min(n)).div_ceil(64)) {
+            (_, 0) => {}
+            (2, 1) => self.probe_bytes::<2, 1>(m, lo_bound, out),
+            (2, _) => self.probe_bytes::<2, 2>(m, lo_bound, out),
+            (_, 1) => self.probe_bytes::<4, 1>(m, lo_bound, out),
+            _ => self.probe_bytes::<4, 2>(m, lo_bound, out),
+        }
+    }
+
+    /// [`Self::probe_body_avx512_bytes`] with each row's byte table held in
+    /// `Q` registers of 64 buckets — two while `2n − 1 ≤ 128` (n ≤ 64), four
+    /// beyond — over `B` blocks of 64 candidates, the first at `lo_bound`.
+    /// Both are constants so the block loop unrolls and its accumulators
+    /// stay in registers.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F, DQ, BW and VBMI at runtime; the caller checks
+    /// the order, the counts, the culprit and `out`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vbmi")]
+    unsafe fn probe_bytes<const Q: usize, const B: usize>(
+        &self,
+        m: usize,
+        lo_bound: usize,
+        out: &mut [u64],
+    ) {
+        // Lane `l` of block `b` is candidate `lo_bound + 64b + l`.
+        const PAD: usize = ROW_LANES_MAX_ORDER;
+        let n = self.n;
+        // The values as bytes (≤ n ≤ 128) at `PAD + p`, zero-padded so the
+        // 64-byte neighbour loads at `block ± d` stay inside the buffer for
+        // every block < n and d < n.
+        let mut bytes = [0u8; 3 * PAD + 64];
+        for (b, &v) in bytes[PAD..PAD + n].iter_mut().zip(&self.values) {
+            *b = v as u8;
+        }
+        // Bucket arithmetic wraps in `u8`; every true bucket index is at most
+        // 2n − 2 ≤ 254, so the wrapped result is exact.
+        let off = (n - 1) as u8;
+        let vm = self.values[m] as u8;
+        let (vm_off, off_vm) = (splat(vm.wrapping_add(off)), splat(off.wrapping_sub(vm)));
+        let (one, offv) = (splat(1), splat(off));
+        // Per block, hoisted out of the row loop: the candidates' values.
+        let mut vjs = [_mm512_setzero_si512(); B];
+        for (b, vj) in vjs.iter_mut().enumerate() {
+            *vj = _mm512_loadu_si512(bytes.as_ptr().add(PAD + lo_bound + 64 * b).cast());
+        }
+        // Counts come in as `u32` chunks of sixteen, four per table register;
+        // a chunk's mask keeps its loads inside the row.
+        let width = self.width;
+        let mut chunk_live = [[0u16; 4]; Q];
+        for (c, live) in chunk_live.iter_mut().flatten().enumerate() {
+            let left = width.saturating_sub(16 * c);
+            *live = if left >= 16 { !0 } else { (1u16 << left) - 1 };
+        }
+        // Byte k of a packed register is the low byte of count k mod 32 of a
+        // pair of chunks; the high half comes from the second pair.
+        let mut pick = [0u8; 64];
+        for (k, p) in pick.iter_mut().enumerate() {
+            *p = 4 * (k as u8 & 31);
+        }
+        let pick = _mm512_loadu_si512(pick.as_ptr().cast());
+        const HIGH_HALF: __mmask64 = 0xffff_ffff_0000_0000;
+        let mut accs = [[_mm512_setzero_si512(); 4]; B];
+        let mut removal_total = 0i64;
+        for d in 1..=self.dmax {
+            let (meta, removal) = self.build_row_meta(m, d);
+            removal_total += removal;
+            // The row's baseline counts as a byte table (counts ≤ n − d ≤ 127),
+            // with the culprit-vacated buckets patched.
+            let row = self.counts.as_ptr().add(meta.base);
+            let mut table = [_mm512_setzero_si512(); Q];
+            for (q, (t, live)) in table.iter_mut().zip(&chunk_live).enumerate() {
+                // Chunks past the row's end load nothing, so their address
+                // is formed with wrapping arithmetic.
+                let chunk = |c: usize| row.wrapping_add(64 * q + 16 * c).cast::<i32>();
+                let lo = _mm512_permutex2var_epi8(
+                    _mm512_maskz_loadu_epi32(live[0], chunk(0)),
+                    pick,
+                    _mm512_maskz_loadu_epi32(live[1], chunk(1)),
                 );
-                let vr = _mm512_mask_loadu_epi64(vj, jr & tail, base.wrapping_add(block + d));
-                // The culprit-neighbour lanes (`j = m ± d`) are the standard
-                // cell with one substitution: their `(j ∓ d, j)` candidate
-                // pair *is* the culprit pair `(m, j)`, already removed by the
-                // patch, so its two events are suppressed (clearing the lane
-                // from `jl`/`jr`), and the re-add of that pair replaces the
-                // `k1`/`k2` event's partner value with `v_m` (the culprit
-                // slot holds the candidate's value after the swap).
-                let lane_md = lane_of(block, lanes, m_md);
-                let lane_pd = lane_of(block, lanes, m_pd);
-                let jl = jl & !lane_pd;
-                let jr = jr & !lane_md;
-                // The six bucket indices of the cell's events.
-                let k1 = _mm512_mask_mov_epi64(
-                    _mm512_add_epi64(vj, k1c),
+                let hi = _mm512_permutex2var_epi8(
+                    _mm512_maskz_loadu_epi32(live[2], chunk(2)),
+                    pick,
+                    _mm512_maskz_loadu_epi32(live[3], chunk(3)),
+                );
+                *t = _mm512_mask_blend_epi8(HIGH_HALF, lo, hi);
+                for (r, a) in [(meta.r0, meta.a0), (meta.r1, meta.a1)] {
+                    if r != usize::MAX && r >> 6 == q {
+                        *t = _mm512_mask_sub_epi8(*t, 1 << (r & 63), *t, splat(a as u8));
+                    }
+                }
+            }
+            // Row constants: k1 = v_j + c1, k2 = c2 − v_j, and the gates of
+            // the culprit's two pairs.
+            let c1 = splat(off.wrapping_sub(meta.left_other as u8));
+            let c2 = splat(off.wrapping_add(meta.right_other as u8));
+            let g1: __mmask64 = if meta.has_left { !0 } else { 0 };
+            let g2: __mmask64 = if meta.has_right { !0 } else { 0 };
+            // ERR(d) < 2¹⁵ as an `i16` in the even (odd) half of each `i32`
+            // lane: `vpmaddwd` then weights the even (odd) candidates.
+            let w = meta.w as i32;
+            let (w_even, w_odd) = (_mm512_set1_epi32(w), _mm512_set1_epi32(w << 16));
+            for (b, (acc, &vj)) in accs.iter_mut().zip(&vjs).enumerate() {
+                let at = lo_bound + 64 * b;
+                let vl = _mm512_loadu_si512(bytes.as_ptr().add(PAD + at - d).cast());
+                let vr = _mm512_loadu_si512(bytes.as_ptr().add(PAD + at + d).cast());
+                // Lanes whose left (right) candidate pair exists, less the
+                // culprit neighbours whose pair on that side is a culprit pair.
+                let lane_md = if m >= d { lane_of64(at, m - d) } else { 0 };
+                let lane_pd = lane_of64(at, m + d);
+                let jl = !low_lanes64(d.saturating_sub(at)) & !lane_pd;
+                let jr = low_lanes64(n.saturating_sub(at + d)) & !lane_md;
+                // The six bucket indices in replay order; a culprit
+                // neighbour re-adds its culprit pair against `v_m`.
+                let k1 = _mm512_mask_mov_epi8(
+                    _mm512_add_epi8(vj, c1),
                     lane_md,
-                    _mm512_add_epi64(vj, off_vm),
+                    _mm512_add_epi8(vj, off_vm),
                 );
-                let k2 = _mm512_mask_mov_epi64(
-                    _mm512_sub_epi64(k2c, vj),
+                let k2 = _mm512_mask_mov_epi8(
+                    _mm512_sub_epi8(c2, vj),
                     lane_pd,
-                    _mm512_sub_epi64(vm_off, vj),
+                    _mm512_sub_epi8(vm_off, vj),
                 );
-                let n1 = _mm512_sub_epi64(vm_off, vl);
-                let n2 = _mm512_add_epi64(vr, off_vm);
-                let o1 = _mm512_add_epi64(_mm512_sub_epi64(vj, vl), off_v);
-                let o2 = _mm512_add_epi64(_mm512_sub_epi64(vr, vj), off_v);
-                // The `occ` bits the four +1 events read (`k1`/`k2` gated on
-                // their culprit pair being present), and both bits at the two
-                // −1 events' buckets.
-                let x1 = _mm512_maskz_mov_epi64(kg1, word_bit(occ, k1));
-                let x2 = _mm512_maskz_mov_epi64(kg2, word_bit(occ, k2));
-                let x3 = word_bit(occ, n1);
-                let x4 = word_bit(occ, n2);
-                let (oo1, mo1) = (word_bit(occ, o1), word_bit(multi, o1));
-                let (oo2, mo2) = (word_bit(occ, o2), word_bit(multi, o2));
-                // Independent-event score: +1 events add their baseline occ
-                // bit, −1 events subtract their baseline multi bit.
-                let mut score = _mm512_add_epi64(x1, x2);
-                score = _mm512_mask_add_epi64(score, jl, score, _mm512_sub_epi64(x3, mo1));
-                score = _mm512_mask_add_epi64(score, jr, score, _mm512_sub_epi64(x4, mo2));
-                // Shared-bucket corrections in replay order k1, k2, n1, n2,
-                // o1, o2 (see the module docs): ten index compares as
-                // k-registers, corrections applied as masked adds.
-                let e21 = _mm512_cmpeq_epi64_mask(k2, k1);
-                let e31 = _mm512_cmpeq_epi64_mask(n1, k1);
-                let e32 = _mm512_cmpeq_epi64_mask(n1, k2);
-                let e41 = _mm512_cmpeq_epi64_mask(n2, k1);
-                let e42 = _mm512_cmpeq_epi64_mask(n2, k2);
-                let e43 = _mm512_cmpeq_epi64_mask(n2, n1);
-                let a5a = _mm512_cmpeq_epi64_mask(o1, k2) & kg2;
-                let a5b = _mm512_cmpeq_epi64_mask(o1, n2) & jr;
-                let a6a = _mm512_cmpeq_epi64_mask(o2, k1) & kg1;
-                let a6b = _mm512_cmpeq_epi64_mask(o2, n1) & jl;
-                score =
-                    _mm512_mask_add_epi64(score, e21 & kg1 & kg2, score, _mm512_sub_epi64(one, x2));
-                score = _mm512_mask_add_epi64(
-                    score,
-                    ((e31 & kg1) | (e32 & kg2)) & jl,
-                    score,
-                    _mm512_sub_epi64(one, x3),
-                );
-                score = _mm512_mask_add_epi64(
-                    score,
-                    ((e41 & kg1) | (e42 & kg2) | (e43 & jl)) & jr,
-                    score,
-                    _mm512_sub_epi64(one, x4),
-                );
-                score = _mm512_mask_sub_epi64(
-                    score,
-                    (a5a | a5b) & jl,
-                    score,
-                    _mm512_sub_epi64(oo1, mo1),
-                );
-                score =
-                    _mm512_mask_sub_epi64(score, a5a & a5b & jl, score, _mm512_sub_epi64(one, oo1));
-                score = _mm512_mask_sub_epi64(
-                    score,
-                    (a6a | a6b) & jr,
-                    score,
-                    _mm512_sub_epi64(oo2, mo2),
-                );
-                score =
-                    _mm512_mask_sub_epi64(score, a6a & a6b & jr, score, _mm512_sub_epi64(one, oo2));
-                // Lanes the vector algebra cannot score: the culprit itself
-                // and both candidate pairs vacating one shared bucket (the
-                // second −1 needs "count ≥ 3", which two mask bits cannot
-                // answer; the overridden neighbour lanes have one −1 event
-                // and cannot collide this way).
-                let dd = _mm512_cmpeq_epi64_mask(o1, o2) & jl & jr;
-                let lane_m = lane_of(block, lanes, m);
-                let good = !(dd | lane_m);
-                *acc = _mm512_mask_add_epi64(*acc, good, *acc, _mm512_mul_epi32(w_v, score));
-                // Exact per-bucket merge for the shared-bucket lanes (rare),
-                // added straight onto `out`; the lane's clean rows still
-                // arrive through its accumulator.
-                let mut fix = dd & tail & !lane_m;
-                while fix != 0 {
-                    let l = fix.trailing_zeros() as usize;
-                    fix &= fix - 1;
-                    let j = block + l;
-                    let vjx = values[j] as i64;
-                    let delta =
-                        row_merge(&mut touched, counts, values, meta, d, n, m, vm, off, j, vjx);
-                    out[j] = out[j].wrapping_add_signed(delta);
+                let n1 = _mm512_sub_epi8(vm_off, vl);
+                let n2 = _mm512_add_epi8(vr, off_vm);
+                let o1 = _mm512_sub_epi8(_mm512_add_epi8(vj, offv), vl);
+                let o2 = _mm512_sub_epi8(_mm512_add_epi8(vr, offv), vj);
+                let (b1, b2, b3) = (lookup(&table, k1), lookup(&table, k2), lookup(&table, n1));
+                let (b4, b5, b6) = (lookup(&table, n2), lookup(&table, o1), lookup(&table, o2));
+                // A +1 event scores 1 iff its bucket is occupied when it
+                // lands: a baseline pair, or an earlier +1 on that bucket.
+                let s1 = _mm512_mask_test_epi8_mask(g1, b1, b1);
+                let s2 = _mm512_mask_test_epi8_mask(g2, b2, b2)
+                    | _mm512_mask_cmpeq_epi8_mask(g1 & g2, k2, k1);
+                let s3 = _mm512_mask_test_epi8_mask(jl, b3, b3)
+                    | _mm512_mask_cmpeq_epi8_mask(jl & g1, n1, k1)
+                    | _mm512_mask_cmpeq_epi8_mask(jl & g2, n1, k2);
+                let s4 = _mm512_mask_test_epi8_mask(jr, b4, b4)
+                    | _mm512_mask_cmpeq_epi8_mask(jr & g1, n2, k1)
+                    | _mm512_mask_cmpeq_epi8_mask(jr & g2, n2, k2)
+                    | _mm512_mask_cmpeq_epi8_mask(jr & jl, n2, n1);
+                // A −1 event scores −1 iff its bucket holds two or more pairs
+                // when it lands.  Its own pair is a baseline pair, so that is
+                // a second baseline pair or an earlier +1 on the bucket
+                // (o1 = k1, o1 = n1, o2 = k2 and o2 = n2 would force j = m
+                // or v_j = v_m).  When both candidate pairs share a bucket
+                // (o1 = o2), o1 has left it before o2 lands, and no +1 can
+                // hit that bucket.
+                let t5 = _mm512_mask_cmpgt_epu8_mask(jl, b5, one)
+                    | _mm512_mask_cmpeq_epi8_mask(jl & g2, o1, k2)
+                    | _mm512_mask_cmpeq_epi8_mask(jl & jr, o1, n2);
+                let dd = _mm512_mask_cmpeq_epi8_mask(jl & jr, o2, o1);
+                let b6 = _mm512_mask_sub_epi8(b6, dd, b6, one);
+                let t6 = _mm512_mask_cmpgt_epu8_mask(jr, b6, one)
+                    | _mm512_mask_cmpeq_epi8_mask(jr & g1, o2, k1)
+                    | _mm512_mask_cmpeq_epi8_mask(jr & jl, o2, n1);
+                let mut score = _mm512_maskz_mov_epi8(s1, one);
+                score = _mm512_mask_add_epi8(score, s2, score, one);
+                score = _mm512_mask_add_epi8(score, s3, score, one);
+                score = _mm512_mask_add_epi8(score, s4, score, one);
+                score = _mm512_mask_sub_epi8(score, t5, score, one);
+                score = _mm512_mask_sub_epi8(score, t6, score, one);
+                // ERR(d) · score in `i32` lanes: lane k of acc[2h] (acc[2h + 1])
+                // is candidate 32h + 2k (32h + 2k + 1) of the block.
+                let halves = [
+                    _mm512_cvtepi8_epi16(_mm512_castsi512_si256(score)),
+                    _mm512_cvtepi8_epi16(_mm512_extracti64x4_epi64::<1>(score)),
+                ];
+                for (h, half) in halves.into_iter().enumerate() {
+                    acc[2 * h] = _mm512_add_epi32(acc[2 * h], _mm512_madd_epi16(half, w_even));
+                    acc[2 * h + 1] =
+                        _mm512_add_epi32(acc[2 * h + 1], _mm512_madd_epi16(half, w_odd));
                 }
             }
         }
-        // Single pass of `out` traffic: add each block's accumulator, masking
-        // out the culprit lane and the tail.
-        for (b, acc) in accs[..nblocks].iter().enumerate() {
-            let block = lo_bound + 8 * b;
-            let lanes = (n - block).min(8);
-            let mask = low_lanes(lanes) & !lane_of(block, lanes, m);
-            let out_ptr = out.as_mut_ptr().add(block).cast::<i64>();
-            let cur = _mm512_maskz_loadu_epi64(mask, out_ptr);
-            _mm512_mask_storeu_epi64(out_ptr, mask, _mm512_add_epi64(cur, *acc));
+        // Back into candidate order, plus the culprit-removal total, onto
+        // `out`, leaving the culprit and the lanes past the order alone.
+        let first = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
+        let second =
+            _mm512_setr_epi32(8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14, 30, 15, 31);
+        let removal = _mm512_set1_epi64(removal_total);
+        for (b, acc) in accs.iter().enumerate() {
+            let at = lo_bound + 64 * b;
+            let live = low_lanes64(n - at) & !lane_of64(at, m);
+            for h in 0..2 {
+                let (even, odd) = (acc[2 * h], acc[2 * h + 1]);
+                let sixteens = [
+                    _mm512_permutex2var_epi32(even, first, odd),
+                    _mm512_permutex2var_epi32(even, second, odd),
+                ];
+                for (g, v) in sixteens.into_iter().enumerate() {
+                    let eights = [_mm512_castsi512_si256(v), _mm512_extracti64x4_epi64::<1>(v)];
+                    for (e, eight) in eights.into_iter().enumerate() {
+                        let lane = 32 * h + 16 * g + 8 * e;
+                        let k = (live >> lane) as u8;
+                        if k == 0 {
+                            continue;
+                        }
+                        let delta = _mm512_add_epi64(_mm512_cvtepi32_epi64(eight), removal);
+                        let ptr = out.as_mut_ptr().add(at + lane).cast::<i64>();
+                        let cur = _mm512_maskz_loadu_epi64(k, ptr);
+                        _mm512_mask_storeu_epi64(ptr, k, _mm512_add_epi64(cur, delta));
+                    }
+                }
+            }
         }
+    }
+}
+
+/// Byte lookup of the bucket indices `idx` in a table of `Q` registers of 64
+/// bytes: one two-register permute (`vpermi2b`) for two, two and a blend on
+/// each index's top bit for four.
+///
+/// # Safety
+///
+/// Requires AVX-512 F, BW and VBMI at runtime; callers are
+/// `#[target_feature]`-gated.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+unsafe fn lookup<const Q: usize>(table: &[__m512i; Q], idx: __m512i) -> __m512i {
+    let low = _mm512_permutex2var_epi8(table[0], idx, table[1]);
+    if Q == 2 {
+        return low;
+    }
+    let high = _mm512_permutex2var_epi8(table[2], idx, table[3]);
+    _mm512_mask_mov_epi8(low, _mm512_movepi8_mask(idx), high)
+}
+
+/// `x` in every byte lane.
+///
+/// # Safety
+///
+/// Requires AVX-512 F at runtime; callers are `#[target_feature]`-gated.
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn splat(x: u8) -> __m512i {
+    _mm512_set1_epi8(x as i8)
+}
+
+/// Mask of the lowest `k` of 64 byte lanes (all of them for `k ≥ 64`).
+#[inline]
+fn low_lanes64(k: usize) -> __mmask64 {
+    if k >= 64 {
+        !0
+    } else {
+        (1 << k) - 1
+    }
+}
+
+/// The byte lane of position `p` in the block of 64 starting at `block`, as
+/// a one-bit mask; zero when `p` lies outside the block.
+#[inline]
+fn lane_of64(block: usize, p: usize) -> __mmask64 {
+    if (block..block + 64).contains(&p) {
+        1 << (p - block)
+    } else {
+        0
     }
 }
 
@@ -584,13 +662,11 @@ fn low_lanes(k: usize) -> __mmask8 {
 }
 
 /// One group of up to eight rows of the row-lane sweep, lane `l` holding
-/// row `d0 + l`: its bitsets of occupied buckets (`seen`) and, when the
-/// sweep tracks them, of buckets holding two or more pairs (`twice`), plus
-/// the tracked charges still owed to right endpoints (`right`) and the
-/// rows' weights `ERR(d0 + l)` (`weights`).
+/// row `d0 + l`: its bitsets of occupied buckets (`seen`), plus the tracked
+/// charges still owed to right endpoints (`right`) and the rows' weights
+/// `ERR(d0 + l)` (`weights`).
 struct RowGroup<const W: usize> {
     seen: [__m512i; W],
-    twice: [__m512i; W],
     right: __m512i,
     weights: __m512i,
 }
@@ -602,8 +678,8 @@ impl<const W: usize> RowGroup<W> {
     /// (`vprolvq` rotates by the count's low six bits, negative counts
     /// included); the words span 64 consecutive differences each, so
     /// distinct differences get distinct bits.  With `TRACK`, a lane whose
-    /// bit was already set is a charged pair: the bit also goes into
-    /// `twice`, and `ERR(d)` is added to `errors` at both endpoints.  The
+    /// bit was already set is a charged pair: `ERR(d)` is added to `errors`
+    /// at both endpoints.  The
     /// left endpoint `i` takes the sum over the charged lanes; lane `l` of
     /// `right` gathers the charges of position `i + d0 + l` and slides down
     /// one lane per step, so lane 0 is final when it leaves.
@@ -636,9 +712,7 @@ impl<const W: usize> RowGroup<W> {
                 _mm512_mask_cmplt_epi64_mask(rest, diff, word_ends[w])
             };
             if TRACK {
-                let h = _mm512_mask_test_epi64_mask(k, *s, bit);
-                self.twice[w] = _mm512_mask_or_epi64(self.twice[w], h, self.twice[w], bit);
-                hit |= h;
+                hit |= _mm512_mask_test_epi64_mask(k, *s, bit);
             }
             *s = _mm512_mask_or_epi64(*s, k, *s, bit);
             rest &= !k;
@@ -660,7 +734,8 @@ impl CostModel {
     ///
     /// # Safety
     ///
-    /// Requires AVX-512 F and DQ at runtime (see [`probe_kernel_available`]).
+    /// Requires AVX-512 F and DQ at runtime (see [`probe_kernel_available`],
+    /// the gate every caller checks).
     ///
     /// # Panics
     ///
@@ -676,21 +751,20 @@ impl CostModel {
             return Some(0);
         }
         match (2 * n - 1).div_ceil(64) {
-            1 => self.row_lanes::<1, false>(values, limit, [&mut [], &mut [], &mut []]),
-            2 => self.row_lanes::<2, false>(values, limit, [&mut [], &mut [], &mut []]),
-            3 => self.row_lanes::<3, false>(values, limit, [&mut [], &mut [], &mut []]),
-            4 => self.row_lanes::<4, false>(values, limit, [&mut [], &mut [], &mut []]),
+            1 => self.row_lanes::<1, false>(values, limit, &mut []),
+            2 => self.row_lanes::<2, false>(values, limit, &mut []),
+            3 => self.row_lanes::<3, false>(values, limit, &mut []),
+            4 => self.row_lanes::<4, false>(values, limit, &mut []),
             _ => panic!("the row-lane evaluator covers n ≤ {ROW_LANES_MAX_ORDER}, got n = {n}"),
         }
     }
 
     /// The row-lane sweep at `W = ⌈(2n − 1) / 64⌉` occupancy words per lane,
     /// for `2 ≤ n ≤ 128`: `Some(cost)` iff the cost is `≤ limit`, checked
-    /// after every group of eight rows.  With `TRACK`, `[errors, occ, multi]`
-    /// (the table's per-position errors, zeroed by the caller, and its
-    /// row-major masks) receive every charged pair's `ERR(d)` at both
-    /// endpoints and every row's bitsets; the reset evaluator leaves it off
-    /// and passes empty slices.
+    /// after every group of eight rows.  With `TRACK`, `errors` (the table's
+    /// per-position errors, zeroed by the caller) receives every charged
+    /// pair's `ERR(d)` at both endpoints; the reset evaluator leaves it off
+    /// and passes an empty slice.
     ///
     /// # Safety
     ///
@@ -701,7 +775,7 @@ impl CostModel {
         &self,
         values: &[usize],
         limit: u64,
-        [errors, occ, multi]: [&mut [u64]; 3],
+        errors: &mut [u64],
     ) -> Option<u64> {
         let n = values.len();
         let dmax = self.max_distance(n);
@@ -709,20 +783,17 @@ impl CostModel {
         let base = values.as_ptr().cast::<i64>();
         // Word w of a lane holds the differences in
         // [64w − (n − 1), 64(w + 1) − (n − 1)), the histogram's buckets
-        // [64w, 64(w + 1)), with difference δ at bit δ mod 64: rotating a
-        // word left by (n − 1) mod 64 puts bucket b at bit b mod 64.
+        // [64w, 64(w + 1)), with difference δ at bit δ mod 64.
         let mut word_ends = [_mm512_setzero_si512(); W];
         for (w, end) in word_ends.iter_mut().enumerate() {
             *end = _mm512_set1_epi64(64 * (w as i64 + 1) - (n as i64 - 1));
         }
-        let to_buckets = ((n - 1) % 64) as u32;
         let mut cost = 0u64;
         for d0 in (1..=dmax).step_by(8) {
             let rows = (dmax + 1 - d0).min(8);
             let live = low_lanes(rows);
             let mut group = RowGroup {
                 seen: [_mm512_setzero_si512(); W],
-                twice: [_mm512_setzero_si512(); W],
                 right: _mm512_setzero_si512(),
                 weights: _mm512_setzero_si512(),
             };
@@ -754,17 +825,6 @@ impl CostModel {
                 let d = d0 + l;
                 cost += ((n - d) as u64 - k) * self.weight_at(n, d);
             }
-            if TRACK {
-                let mut lanes = [0u64; 8];
-                for (w, (s, t)) in group.seen.iter().zip(&group.twice).enumerate() {
-                    for (masks, bits) in [(&mut *occ, s), (&mut *multi, t)] {
-                        _mm512_storeu_epi64(lanes.as_mut_ptr().cast(), *bits);
-                        for (l, &word) in lanes.iter().enumerate().take(rows) {
-                            masks[(d0 + l - 1) * W + w] = word.rotate_left(to_buckets);
-                        }
-                    }
-                }
-            }
             if cost > limit {
                 return None;
             }
@@ -775,13 +835,15 @@ impl CostModel {
 
 impl ConflictTable {
     /// Row-lane AVX-512 tier of the table's refresh pass: the reset
-    /// evaluator's sweep over the current values, tracking buckets seen twice
-    /// and charged pairs, recomputes the masks, the cost and the errors.
-    /// Same result as `refresh_scalar`, which the dispatcher pins it to.
+    /// evaluator's sweep over the current values, tracking charged pairs,
+    /// recomputes the cost and the errors.  Tables on this tier keep no
+    /// masks.  Same cost and errors as `refresh_scalar`, which the
+    /// dispatcher pins it to.
     ///
     /// # Safety
     ///
-    /// Requires AVX-512 F and DQ at runtime (see [`probe_kernel_available`]).
+    /// Requires AVX-512 F and DQ at runtime (see [`probe_kernel_available`],
+    /// the gate every caller checks).
     ///
     /// # Panics
     ///
@@ -791,11 +853,7 @@ impl ConflictTable {
         self.errors.iter_mut().for_each(|e| *e = 0);
         let model = *self.model();
         let (values, limit) = (&self.values[..], u64::MAX);
-        let out = [
-            &mut self.errors[..],
-            &mut self.occ_mask,
-            &mut self.multi_mask,
-        ];
+        let out = &mut self.errors[..];
         let swept = match self.mask_words {
             _ if self.n < 2 => Some(0),
             1 => model.row_lanes::<1, true>(values, limit, out),

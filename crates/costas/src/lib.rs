@@ -15,6 +15,12 @@
 //!   and the [`cost::ConflictTable`] giving batched swap evaluation and the
 //!   exact costs of the reset's sub-array rotations ([`Rotation`]), which is
 //!   what makes local search on the CAP fast.
+//! * [`kernel`] — the probe bodies behind
+//!   [`ConflictTable::probe_partners`](cost::ConflictTable::probe_partners):
+//!   on x86-64 with AVX-512 F + DQ + BW + VBMI, eight swapped permutations
+//!   per pass for n ≤ 32 and 64 candidates per pass, one per byte lane, for
+//!   33 ≤ n ≤ 128; scalar event-algebra bodies elsewhere, all pinned bit for
+//!   bit to the histogram reference.
 //! * [`check`] — standalone validity predicates.
 //! * [`symmetry`] — the dihedral symmetry group acting on Costas arrays (rotations /
 //!   reflections / transposition), orbit generation and canonical forms.

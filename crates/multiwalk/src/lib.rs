@@ -20,8 +20,9 @@
 //!   (HA8000, Grid'5000 Suno/Helios, JUGENE).  Because the walks are independent, the
 //!   wall-clock of a K-core run is exactly the minimum over K walks of their
 //!   completion times — the simulator computes that minimum by actually running the
-//!   walks, not by assuming a distribution.  See DESIGN.md §4 for why this
-//!   substitution preserves the paper's observable behaviour.
+//!   walks, not by assuming a distribution.  See the README's
+//!   "Virtual-cluster cells: exact and sampled" for why this substitution
+//!   preserves the paper's observable behaviour.
 //!
 //! [`WalkSpec`] describes the instance + engine configuration shared by every walk,
 //! and seeds are derived per rank through the chaotic-map seeder of §III-B3.

@@ -71,6 +71,7 @@ fn main() {
     println!(
         "\nEvery walk is a real Adaptive Search run; the virtual clock counts iterations of\n\
          the winning walk, exactly the quantity that the min-of-K law of independent\n\
-         multi-walk parallelism governs (see DESIGN.md §4)."
+         multi-walk parallelism governs (see the README's \"Virtual-cluster cells:\n\
+         exact and sampled\")."
     );
 }
