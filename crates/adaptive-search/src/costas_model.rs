@@ -21,17 +21,22 @@
 //!   Every candidate is scored from scratch, in one of two ways chosen by the
 //!   table's tier ([`ConflictTable::batches_rotations`]):
 //!
-//!   * On x86-64 with AVX-512 F + DQ and n ≤ 32, the ≈ 2n family-1 rotations
-//!     are scored exactly, eight per vector pass, by
-//!     [`ConflictTable::rotation_costs`], which never builds them; only the
-//!     adopted or best one is materialised.
-//!   * Everywhere else, and for families 2 and 3 on every tier, each candidate
+//!   * On x86-64 with AVX-512 F + DQ + BW + VBMI and n ≤ 32, the ≈ 2n
+//!     family-1 rotations and the ≤ 4 family-2 constant additions are
+//!     scored exactly by [`ConflictTable::rotation_costs`] (sixteen per
+//!     call) and [`ConflictTable::addition_costs`] (all of them in one
+//!     call), which never build them: sixteen candidates per vector pass
+//!     for n ≤ 16, eight up to n = 32.  Only an adopted or best candidate
+//!     is materialised.
+//!   * Everywhere else, and for family 3 on every tier, each candidate
 //!     is built in a reusable buffer (family 1 by advancing two transposition
 //!     chains) and scored by [`CostModel::global_cost_bounded`], which aborts
 //!     once the candidate can no longer be adopted or become the best so far.
-//!     On x86-64 with AVX-512 F + DQ and n ≤ 128 that evaluator scores eight
-//!     difference-triangle rows per vector pass; elsewhere it sweeps a scalar
-//!     histogram.
+//!     On x86-64 with AVX-512 F + DQ + BW + VBMI and n ≤ 128 that evaluator
+//!     scores eight difference-triangle rows per vector pass; elsewhere it
+//!     sweeps a scalar histogram.  Family 3 stays there on every tier: its
+//!     candidates are picked by random draws that interleave with the
+//!     decisions' tie coin flips, so they cannot be scored ahead of them.
 //!
 //!   Every score, exact or bounded, goes through one decision routine
 //!   ([`judge`]) in the paper's candidate order, and an aborted bounded score
@@ -42,7 +47,7 @@
 //!   allocates nothing: candidates are built in reusable buffers owned by the
 //!   problem.
 
-use costas::{ConflictTable, CostModel, Rotation};
+use costas::{add_circular, ConflictTable, CostModel, Rotation};
 use xrand::{RandExt, Rng64};
 
 use crate::problem::PermutationProblem;
@@ -236,7 +241,7 @@ impl CostasProblem {
     /// evaluated in the fixed order the paper lists them — sub-arrays
     /// `[m..=hi]` for increasing `hi`, then `[lo..=m]` for increasing `lo`,
     /// left rotation before right rotation — batched where the table scores
-    /// rotations eight per pass, chained elsewhere.  Both paths take the
+    /// rotations from its values, chained elsewhere.  Both paths take the
     /// same decisions and random draws.  Returns `true` on early escape.
     fn try_anchored_shifts(
         &mut self,
@@ -252,10 +257,11 @@ impl CostasProblem {
         }
     }
 
-    /// Family 1 on the count-free tier: exact costs of eight rotations per
-    /// pass from [`ConflictTable::rotation_costs`], then [`judge`] on each in
-    /// order; only an adopted or best rotation is built.  Scoring is exact,
-    /// so the two-cell range's second copy is scored like any other.
+    /// Family 1 on the count-free tier: exact costs of sixteen rotations
+    /// per call from [`ConflictTable::rotation_costs`], then [`judge`] on
+    /// each in order; only an adopted or best rotation is built.  Scoring
+    /// is exact, so the two-cell range's second copy is scored like any
+    /// other.
     fn anchored_shifts_batched(
         &mut self,
         m: usize,
@@ -284,31 +290,44 @@ impl CostasProblem {
             lo: 0,
             hi: 0,
             left: true,
-        }; 8];
-        let mut costs = [0u64; 8];
-        for first in (0..total).step_by(8) {
-            let len = (total - first).min(8);
+        }; 16];
+        let mut costs = [0u64; 16];
+        for first in (0..total).step_by(16) {
+            let len = (total - first).min(16);
             for (k, r) in batch[..len].iter_mut().enumerate() {
                 *r = rotation(first + k);
             }
             self.table.rotation_costs(&batch[..len], &mut costs);
             for (r, &cost) in batch[..len].iter().zip(&costs) {
-                match judge(Some(cost), entry_cost, best_cost, rng) {
-                    Verdict::Adopt => {
-                        self.scratch.copy_from_slice(self.table.values());
-                        r.apply(&mut self.scratch);
-                        self.table.reset_to(&self.scratch);
-                        return true;
-                    }
-                    Verdict::Best => {
-                        self.best_candidate.copy_from_slice(self.table.values());
-                        r.apply(&mut self.best_candidate);
-                    }
-                    Verdict::Pass => {}
+                let verdict = judge(Some(cost), entry_cost, best_cost, rng);
+                if self.act_unbuilt(verdict, |values, out| {
+                    out.copy_from_slice(values);
+                    r.apply(out);
+                }) {
+                    return true;
                 }
             }
         }
         false
+    }
+
+    /// Act on the verdict for an exactly scored candidate that has not been
+    /// built: build it from the current values with `build` only when it is
+    /// adopted (then adopt it) or becomes the best so far.  Returns `true`
+    /// when it was adopted (early escape).
+    fn act_unbuilt(&mut self, verdict: Verdict, build: impl Fn(&[usize], &mut [usize])) -> bool {
+        match verdict {
+            Verdict::Adopt => {
+                build(self.table.values(), &mut self.scratch);
+                self.table.reset_to(&self.scratch);
+                true
+            }
+            Verdict::Best => {
+                build(self.table.values(), &mut self.best_candidate);
+                false
+            }
+            Verdict::Pass => false,
+        }
     }
 
     /// Family 1 where the table keeps its counts: each candidate buffer is
@@ -387,39 +406,59 @@ impl CostasProblem {
         escaped
     }
 
-    /// Perturbation family 2: add a constant circularly (mod `n`) to every value.
+    /// Perturbation family 2: add a constant circularly (mod `n`) to every
+    /// value, batched where the table scores additions sixteen or eight per
+    /// pass, built and bounded elsewhere.  Both paths take the same
+    /// decisions and random draws.  Returns `true` on early escape.
     fn try_constant_additions(
         &mut self,
         entry_cost: u64,
         best_cost: &mut u64,
         rng: &mut dyn Rng64,
     ) -> bool {
-        let n = self.order();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        // the historical constant sequence: 1, 2, n−2, n−3 (n ≥ 4 only for the
-        // last), multiples of n dropped, *consecutive* duplicates collapsed —
-        // kept verbatim so trajectories are unchanged, allocation aside
-        let mut raw = [1, 2, n - 2, 0usize];
-        let mut raw_len = 3;
-        if n >= 4 {
-            raw[3] = n - 3;
-            raw_len = 4;
+        if self.table.batches_rotations() {
+            self.constant_additions_batched(entry_cost, best_cost, rng)
+        } else {
+            self.constant_additions_bounded(entry_cost, best_cost, rng)
         }
-        let mut constants = [0usize; 4];
-        let mut num_constants = 0;
-        for &c in &raw[..raw_len] {
-            if c % n != 0 && (num_constants == 0 || constants[num_constants - 1] != c) {
-                constants[num_constants] = c;
-                num_constants += 1;
+    }
+
+    /// Family 2 on the count-free tier: the exact costs of every constant
+    /// in one call to [`ConflictTable::addition_costs`], then [`judge`] on
+    /// each in order; only an adopted or best addition is built.
+    fn constant_additions_batched(
+        &mut self,
+        entry_cost: u64,
+        best_cost: &mut u64,
+        rng: &mut dyn Rng64,
+    ) -> bool {
+        let (constants, len) = addition_constants(self.order());
+        let mut costs = [0u64; 4];
+        self.table.addition_costs(&constants[..len], &mut costs);
+        for (&c, &cost) in constants[..len].iter().zip(&costs) {
+            let verdict = judge(Some(cost), entry_cost, best_cost, rng);
+            if self.act_unbuilt(verdict, |values, out| add_circular(values, c, out)) {
+                return true;
             }
         }
+        false
+    }
+
+    /// Family 2 where the table keeps its counts: each addition built in
+    /// the reusable buffer and scored with the running bound.
+    fn constant_additions_bounded(
+        &mut self,
+        entry_cost: u64,
+        best_cost: &mut u64,
+        rng: &mut dyn Rng64,
+    ) -> bool {
+        let (constants, len) = addition_constants(self.order());
+        let mut scratch = std::mem::take(&mut self.scratch);
         let mut escaped = false;
-        for &c in &constants[..num_constants] {
+        for &c in &constants[..len] {
             // the table's values are unchanged until a candidate is adopted, at
             // which point the loop exits — so re-reading them per constant is safe
-            for (dst, &src) in scratch.iter_mut().zip(self.table.values()) {
-                *dst = (src - 1 + c) % n + 1;
-            }
+            add_circular(self.table.values(), c, &mut scratch);
             if self.consider_candidate(&scratch, entry_cost, best_cost, rng) {
                 escaped = true;
                 break;
@@ -473,6 +512,28 @@ impl CostasProblem {
         self.erroneous = erroneous;
         escaped
     }
+}
+
+/// Family 2's constants for order `n`, in the paper's order, and how many
+/// there are: the historical sequence 1, 2, n−2, n−3 (n ≥ 4 only for the
+/// last), multiples of n dropped, *consecutive* duplicates collapsed — kept
+/// verbatim so trajectories are unchanged.  Every constant lies in `1..n`.
+fn addition_constants(n: usize) -> ([usize; 4], usize) {
+    let mut raw = [1, 2, n - 2, 0usize];
+    let mut raw_len = 3;
+    if n >= 4 {
+        raw[3] = n - 3;
+        raw_len = 4;
+    }
+    let mut constants = [0usize; 4];
+    let mut len = 0;
+    for &c in &raw[..raw_len] {
+        if c % n != 0 && (len == 0 || constants[len - 1] != c) {
+            constants[len] = c;
+            len += 1;
+        }
+    }
+    (constants, len)
 }
 
 /// What the reset does with one scored candidate.
@@ -793,6 +854,81 @@ mod tests {
                 let batched = family_one(&mut p, *m, true, &mut default_rng(seed));
                 let chained = family_one(&mut q, *m, false, &mut default_rng(seed));
                 assert_eq!(batched, chained, "n={n} state {k} anchor {m}: {config:?}");
+            }
+        }
+    }
+
+    /// Family 2 from `p`'s current state down one path, entered with
+    /// `best_cost` as the best so far, then the adoption of the best
+    /// candidate `custom_reset` falls back to: the adopted configuration,
+    /// its reported cost, the final best cost and the generator's next draw.
+    fn family_two(
+        p: &mut CostasProblem,
+        best_cost: u64,
+        batched: bool,
+        rng: &mut xrand::DefaultRng,
+    ) -> (Vec<usize>, u64, u64, u64) {
+        let entry_cost = p.global_cost();
+        let mut best_cost = best_cost;
+        p.best_candidate.copy_from_slice(p.table.values());
+        let escaped = if batched {
+            p.constant_additions_batched(entry_cost, &mut best_cost, rng)
+        } else {
+            p.constant_additions_bounded(entry_cost, &mut best_cost, rng)
+        };
+        if !escaped {
+            let best = p.best_candidate.clone();
+            p.set_configuration(&best);
+        }
+        (
+            p.configuration().to_vec(),
+            p.global_cost(),
+            best_cost,
+            rng.next_u64(),
+        )
+    }
+
+    #[test]
+    fn batched_and_bounded_family_two_replay_each_other() {
+        // 250 random states and 250 engine-walk states per order, each
+        // entered with a best cost so far of none, the entry cost, one
+        // addition's exact cost (a tie, so a coin flip) or one below it
+        // (an abort on the bounded path): both family-2 paths must adopt
+        // the same configuration, report the same cost, end on the same
+        // best cost and leave the generator at the same draw.  On hosts
+        // without AVX-512 the batched path scores materialised additions;
+        // the decisions it replays are the same.
+        use crate::config::AsConfig;
+        use crate::engine::{Engine, StepOutcome};
+        for n in [3usize, 4, 5, 8, 13, 16, 17, 31, 32] {
+            let mut rng = default_rng(0x0F2A_DD17 ^ n as u64);
+            let mut states: Vec<Vec<usize>> =
+                (0..250).map(|_| random_config(n, rng.next_u64())).collect();
+            let mut engine = Engine::new(CostasProblem::new(n), AsConfig::default(), n as u64);
+            while states.len() < 500 {
+                if engine.step() == StepOutcome::Solved {
+                    engine.restart();
+                }
+                states.push(engine.problem().configuration().to_vec());
+            }
+            let (constants, len) = addition_constants(n);
+            let mut costs = [0u64; 4];
+            for (k, config) in states.iter().enumerate() {
+                let mut p = CostasProblem::new(n);
+                p.set_configuration(config);
+                p.table.addition_costs(&constants[..len], &mut costs);
+                let tie = costs[rng.index(len)];
+                for best_cost in [u64::MAX, p.global_cost(), tie, tie.saturating_sub(1)] {
+                    let mut q = p.clone();
+                    let seed = rng.next_u64();
+                    let batched =
+                        family_two(&mut p.clone(), best_cost, true, &mut default_rng(seed));
+                    let bounded = family_two(&mut q, best_cost, false, &mut default_rng(seed));
+                    assert_eq!(
+                        batched, bounded,
+                        "n={n} state {k} best {best_cost}: {config:?}"
+                    );
+                }
             }
         }
     }

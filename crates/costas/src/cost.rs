@@ -163,11 +163,13 @@ impl CostModel {
     /// non-negatively, so every partial sum is a lower bound on the final cost:
     /// `None` therefore *proves* `cost > limit` without finishing the sweep.
     /// This is the Costas reset's evaluator for every candidate the reset
-    /// does not batch: all ≈ 2n of them where the table keeps its counts,
-    /// and the ≤ 7 constant additions and prefix shifts on the count-free
-    /// tier (x86-64 with AVX-512 F + DQ + BW + VBMI, n ≤ 32), whose ≈ 2n
-    /// anchored rotations are scored exactly, eight per pass, by
-    /// [`ConflictTable::rotation_costs`] instead.  The abort saves less than
+    /// does not batch: all ≈ 2n + 7 of them where the table keeps its
+    /// counts, and the ≤ 3 prefix shifts on the count-free tier (x86-64
+    /// with AVX-512 F + DQ + BW + VBMI, n ≤ 32), whose ≈ 2n anchored
+    /// rotations and ≤ 4 constant additions are scored exactly, sixteen per
+    /// pass for n ≤ 16 and eight beyond, by
+    /// [`ConflictTable::rotation_costs`] and
+    /// [`ConflictTable::addition_costs`] instead.  The abort saves less than
     /// one might hope: on the benchmark's Costas walks (optimised model),
     /// before the rotations were batched, reset candidates scanned on
     /// average 4.5 of 7, 13.4 of 19 and 28.6 of 39 rows at n = 16, 40 and
@@ -325,6 +327,23 @@ impl Rotation {
     }
 }
 
+/// Write into `out` the permutation `values` of `1..=n` with `c` added
+/// circularly to every value: `v + c`, less `n` where that exceeds `n`.
+/// The Costas reset's second perturbation family.
+///
+/// # Panics
+///
+/// Panics if `c` is not below `n` or `out` differs in length from `values`.
+pub fn add_circular(values: &[usize], c: usize, out: &mut [usize]) {
+    let n = values.len();
+    assert!(c < n, "constant {c} out of range for order {n}");
+    assert_eq!(out.len(), n, "order mismatch in add_circular");
+    for (dst, &v) in out.iter_mut().zip(values) {
+        let sum = v + c;
+        *dst = if sum > n { sum - n } else { sum };
+    }
+}
+
 /// One permutation under one [`CostModel`], with the cost, the per-position
 /// errors and the probe's occupancy masks derived from it, and — only where
 /// an event-algebra probe reads it — its conflict histogram.
@@ -363,7 +382,9 @@ impl Rotation {
 /// the counts of the ≤ 4·d_max pairs touching the two positions by ±1.  On
 /// the **count-free tier** — the vector tier's one-word rows (n ≤ 32,
 /// [`ConflictTable::batches_rotations`]) — the probe and the reset's
-/// rotations score whole permutations from scratch, so the permutation is
+/// rotations and constant additions score whole permutations from scratch,
+/// sixteen per pass in `u32` lanes for n ≤ 16 and eight in `u64` lanes
+/// beyond, so the permutation is
 /// the table's whole state: `apply_swap` is a swap plus a refresh,
 /// `reset_to` and `rebuild` a refresh, and the read-only oracles
 /// ([`ConflictTable::delta_for_swap`], the `_reference` probes,
@@ -470,10 +491,13 @@ impl ConflictTable {
     }
 
     /// Does this table run on its values alone?  True on x86-64 with
-    /// AVX-512 F + DQ + BW + VBMI for one-word rows (n ≤ 32): there the probe
-    /// scores eight swapped permutations per pass,
-    /// [`ConflictTable::rotation_costs`] eight sub-array rotations per pass,
-    /// and the table keeps no counts (see the type-level docs).  A property of the order and the CPU only.
+    /// AVX-512 F + DQ + BW + VBMI for one-word rows (n ≤ 32): there the
+    /// probe scores swapped permutations,
+    /// [`ConflictTable::rotation_costs`] sub-array rotations and
+    /// [`ConflictTable::addition_costs`] circular constant additions,
+    /// sixteen per pass in `u32` lanes for n ≤ 16 and eight in `u64` lanes
+    /// up to n = 32, and the table keeps no counts (see the type-level
+    /// docs).  A property of the order and the CPU only.
     pub fn batches_rotations(&self) -> bool {
         self.mask_words == 1 && self.vector_probe()
     }
@@ -804,8 +828,9 @@ impl ConflictTable {
     /// `out[k]` is the cost after applying `rotations[k]`.  Read-only.
     ///
     /// On the count-free tier ([`ConflictTable::batches_rotations`]) an
-    /// AVX-512 body scores eight rotations per pass without building any of
-    /// them, allocation-free (see `kernel::simd`).  Elsewhere each rotation
+    /// AVX-512 body scores sixteen rotations per pass for n ≤ 16 and eight
+    /// up to n = 32 without building any of them, allocation-free (see
+    /// `kernel::simd`).  Elsewhere each rotation
     /// is materialised and scored by [`CostModel::global_cost_with`]; the
     /// Costas reset does not call it there, but advances its candidates by
     /// transpositions and scores them with the bounded evaluator.
@@ -847,6 +872,56 @@ impl ConflictTable {
         }
     }
 
+    /// Exact costs of circular constant additions to the current
+    /// permutation: `out[k]` is the cost after adding `constants[k]` to
+    /// every value, circularly ([`add_circular`]).  Read-only.
+    ///
+    /// On the count-free tier ([`ConflictTable::batches_rotations`]) an
+    /// AVX-512 body scores sixteen additions per pass for n ≤ 16 and eight
+    /// up to n = 32, building the candidates in its lanes from the values,
+    /// allocation-free (see `kernel::simd`).  Elsewhere each addition is
+    /// materialised and scored by [`CostModel::global_cost_with`]; the
+    /// Costas reset does not call it there, but scores its candidates with
+    /// the bounded evaluator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is shorter than `constants` or a constant is not
+    /// below the order.
+    pub fn addition_costs(&self, constants: &[usize], out: &mut [u64]) {
+        assert!(out.len() >= constants.len(), "addition output too short");
+        for &c in constants {
+            assert!(c < self.n, "constant {c} out of range for order {}", self.n);
+        }
+        #[cfg(target_arch = "x86_64")]
+        if self.batches_rotations() {
+            // SAFETY: `batches_rotations` detected the exact features the
+            // body is compiled for (AVX-512 F + DQ + BW + VBMI), and the rows
+            // hold one word.
+            unsafe { self.addition_body_avx512(constants, out) };
+            debug_assert!(
+                {
+                    let mut scalar = vec![0; constants.len()];
+                    self.addition_costs_scalar(constants, &mut scalar);
+                    scalar == out[..constants.len()]
+                },
+                "batched addition costs diverged from the from-scratch cost"
+            );
+            return;
+        }
+        self.addition_costs_scalar(constants, out);
+    }
+
+    /// Portable body of [`ConflictTable::addition_costs`]: each addition
+    /// materialised and scored from scratch.  The vector body's reference.
+    pub(crate) fn addition_costs_scalar(&self, constants: &[usize], out: &mut [u64]) {
+        let (mut added, mut scratch) = (self.values.clone(), Vec::new());
+        for (&c, cost) in constants.iter().zip(out) {
+            add_circular(&self.values, c, &mut added);
+            *cost = self.model.global_cost_with(&added, &mut scratch);
+        }
+    }
+
     /// Batched read-only probe: write into `out[j]` the global cost the configuration
     /// would have after swapping `culprit` with `j`, for every position `j`
     /// (`out[culprit]` is the current cost).  Pure: `&self`, no observable mutation,
@@ -863,7 +938,8 @@ impl ConflictTable {
     /// for n ≤ 32, two for n ≤ 64, and so on):
     ///
     /// * on x86-64 with AVX-512 F + DQ + BW + VBMI, n ≤ 32: a from-scratch
-    ///   body that scores eight swapped permutations per pass;
+    ///   body that scores sixteen swapped permutations per pass in `u32`
+    ///   lanes for n ≤ 16 and eight in `u64` lanes beyond;
     /// * on x86-64 with AVX-512 F + DQ + BW + VBMI, 33 ≤ n ≤ 128: a byte-lane
     ///   event-algebra body, 64 candidates per pass, one per byte lane,
     ///   reading exact counts by byte-table lookups;

@@ -14,12 +14,16 @@
 //!
 //! * **Vector tier, one-word rows (n ≤ 32):** the from-scratch body
 //!   (`ConflictTable::probe_body_avx512_scratch` in `simd`).  Each lane
-//!   scores one candidate's whole swapped permutation, eight per pass, by
-//!   the row-lane sweep's "pairs minus distinct buckets" identity; it reads
-//!   neither the counts nor the masks.  Its lane-cost loop also scores the
-//!   Costas reset's sub-array rotations, eight per pass
-//!   (`ConflictTable::rotation_body_avx512`, behind
-//!   [`ConflictTable::rotation_costs`]).  Nothing on this tier reads the
+//!   scores one candidate's whole swapped permutation by the row-lane
+//!   sweep's "pairs minus distinct buckets" identity, sixteen per pass in
+//!   `u32` lanes while a row fits a 32-bit word (n ≤ 16) and eight per
+//!   pass in `u64` lanes up to n = 32; it reads neither the counts nor the
+//!   masks.  Its lane-cost loop also scores the Costas reset's sub-array
+//!   rotations and circular constant additions in the same layout
+//!   (`ConflictTable::rotation_body_avx512` and
+//!   `ConflictTable::addition_body_avx512`, behind
+//!   [`ConflictTable::rotation_costs`] and
+//!   [`ConflictTable::addition_costs`]).  Nothing on this tier reads the
 //!   counts, so the table keeps none here (the *count-free tier*).
 //! * **Vector tier, two to four words (33 ≤ n ≤ 128):** the byte-lane body
 //!   (`ConflictTable::probe_body_avx512_bytes` in `simd`): the event algebra
@@ -80,10 +84,12 @@
 //! every kernel — the scalar tier and both vector bodies are also called
 //! directly, bypassing the dispatcher, so the scalar tier runs on
 //! vector-tier hosts too, and the suite prints the bodies that ran, e.g.
-//! `probe tiers: scalar W=1,2,slice; AVX-512 scratch W=1; bytes W=2,3,4;
-//! reset rotations: batch, materialised`), and the cross-crate conformance
-//! kit in `adaptive-search`, which drives random swap/reset/inject sequences
-//! against a from-scratch oracle.
+//! `probe tiers: scalar W=1,2,slice; AVX-512 scratch W=1 16×u32 n≤16,
+//! 8×u64 n≤32; bytes W=2,3,4; reset rotations: batch, materialised`; the
+//! reset's rotation and addition bodies are checked at every one-word order,
+//! both lane layouts and the n = 16 / 17 boundary included), and the
+//! cross-crate conformance kit in `adaptive-search`, which drives random
+//! swap/reset/inject sequences against a from-scratch oracle.
 
 use crate::cost::ConflictTable;
 use crate::merge::BucketMerge;
@@ -785,13 +791,15 @@ mod tests {
     /// every cost model.  From 96 on, a full check costs one to two seconds
     /// per model in a debug build, so n = 128 runs the first two models,
     /// which between them cover both weights and both spans, and the other
-    /// edges (96, 97, 129) run the first.  n = 32 closes the single-word
-    /// class so the printed tier line covers every width.
+    /// edges (96, 97, 129) run the first.  n = 16 and 32 close the
+    /// single-word class's two lane layouts (sixteen `u32` lanes, eight
+    /// `u64` lanes) so the printed tier line covers every width and layout.
     #[test]
     fn multi_word_kernels_match_histogram_reference() {
         let mut ran = std::collections::BTreeSet::new();
         for (n, words, model_count) in [
-            (32usize, 1usize, 4usize),
+            (16usize, 1usize, 4usize),
+            (32, 1, 4),
             (33, 2, 4),
             (40, 2, 4),
             (64, 2, 4),
@@ -811,6 +819,15 @@ mod tests {
                     &table,
                     &format!("n={n}, {model:?}"),
                 ));
+                #[cfg(target_arch = "x86_64")]
+                if table.batches_rotations() {
+                    let limit = if n <= simd::U32_LANES_MAX_ORDER {
+                        16
+                    } else {
+                        32
+                    };
+                    ran.insert(("lanes", format!("{} n≤{limit}", lane_layout(n))));
+                }
                 // The reset's rotations through the public entry point, at
                 // the first and the middle anchor.
                 for m in [0, n / 2] {
@@ -848,8 +865,18 @@ mod tests {
             .filter(|t| t.0 == "rotations")
             .map(|t| t.1.as_str())
             .collect();
+        let lanes: Vec<_> = ran
+            .iter()
+            .filter(|t| t.0 == "lanes")
+            .map(|t| t.1.as_str())
+            .collect();
         let vector = if ran.iter().any(|t| t.0 == "scratch" || t.0 == "bytes") {
-            format!("scratch{}; bytes{}", widths("scratch"), widths("bytes"))
+            format!(
+                "scratch{} {}; bytes{}",
+                widths("scratch"),
+                lanes.join(", "),
+                widths("bytes")
+            )
         } else {
             "skipped, no F + DQ + BW + VBMI".to_string()
         };
@@ -860,17 +887,68 @@ mod tests {
         );
     }
 
+    /// The lane-boundary orders of the from-scratch bodies: n = 16 fills
+    /// exactly one block of sixteen `u32` lanes, n = 17 is the first order
+    /// in eight `u64` lanes.
+    const LANE_BOUNDARY: [usize; 2] = [16, 17];
+
+    /// The permutations the single-word body tests score at order `n`:
+    /// random, identity and reversed everywhere, plus at the lane boundary
+    /// a multiplier permutation (`v_i = k·i mod n + 1`, at most two buckets
+    /// per row) and a Costas array (cost 0).
+    fn single_word_inputs(n: usize, rng: &mut impl Rng64) -> Vec<(&'static str, Vec<usize>)> {
+        let mut inputs = vec![
+            ("random", one_based(random_permutation(n, rng))),
+            ("identity", (1..=n).collect()),
+            ("reversed", (1..=n).rev().collect()),
+        ];
+        if LANE_BOUNDARY.contains(&n) {
+            // 3 is coprime with both boundary orders.
+            inputs.push(("multiplier", (0..n).map(|i| 3 * i % n + 1).collect()));
+            let costas = crate::construction::any_construction(n).expect("Costas array");
+            inputs.push(("costas", costas.values().to_vec()));
+        }
+        inputs
+    }
+
+    /// The from-scratch bodies' lane layout at order `n` (n ≤ 32).
+    #[cfg(target_arch = "x86_64")]
+    fn lane_layout(n: usize) -> &'static str {
+        if n <= simd::U32_LANES_MAX_ORDER {
+            "16×u32"
+        } else {
+            "8×u64"
+        }
+    }
+
+    /// Which orders ran in which lane layout, e.g.
+    /// `16×u32 n=2..=16, 8×u64 n=17..=32`.
+    fn layouts_line(ran: &std::collections::BTreeMap<&'static str, Vec<usize>>) -> String {
+        let layouts: Vec<_> = ran
+            .iter()
+            .map(|(layout, orders)| {
+                let (lo, hi) = (orders.iter().min(), orders.iter().max());
+                format!("{layout} n={}..={}", lo.unwrap(), hi.unwrap())
+            })
+            .collect();
+        layouts.join(", ")
+    }
+
     /// The from-scratch AVX-512 body called directly, bypassing the
     /// dispatcher, against the histogram reference: every one-word order
     /// (n = 2 and 3 score row 1 only), every cost model, every culprit,
     /// both probe variants, on random, identity, reversed and swap-walked
-    /// permutations.  Prints how many orders it ran (none without AVX-512).
+    /// permutations, and at the lane boundary (n = 16, one block of sixteen
+    /// `u32` lanes with the culprit at each lane; n = 17, the first order in
+    /// eight `u64` lanes) on multiplier and Costas permutations and a longer
+    /// walk too.  Prints which orders ran in which lane layout (none
+    /// without AVX-512).
     #[test]
     fn from_scratch_body_matches_reference_at_every_single_word_order() {
         #[cfg(target_arch = "x86_64")]
-        fn check(table: &ConflictTable, context: &str) -> bool {
+        fn check(table: &ConflictTable, context: &str) -> Option<&'static str> {
             if !table.vector_probe() {
-                return false;
+                return None;
             }
             let n = table.order();
             let mut reference = Vec::new();
@@ -890,28 +968,23 @@ mod tests {
                     );
                 }
             }
-            true
+            Some(lane_layout(n))
         }
         #[cfg(not(target_arch = "x86_64"))]
-        fn check(_: &ConflictTable, _: &str) -> bool {
-            false
+        fn check(_: &ConflictTable, _: &str) -> Option<&'static str> {
+            None
         }
         let mut rng = default_rng(0x5C2A_7C40);
-        let mut orders = 0;
+        let mut ran = std::collections::BTreeMap::<_, Vec<usize>>::new();
         for n in 2..=32usize {
-            let mut ran = false;
+            let steps = if LANE_BOUNDARY.contains(&n) { 12 } else { 4 };
             for model in models() {
-                let random = one_based(random_permutation(n, &mut rng));
-                let identity: Vec<usize> = (1..=n).collect();
-                let reversed: Vec<usize> = (1..=n).rev().collect();
-                for (name, p) in [
-                    ("random", random),
-                    ("identity", identity),
-                    ("reversed", reversed),
-                ] {
+                for (name, p) in single_word_inputs(n, &mut rng) {
                     let mut table = ConflictTable::new(&p, model);
-                    ran |= check(&table, &format!("{name}, n={n}, {model:?}"));
-                    for step in 0..4 {
+                    if let Some(layout) = check(&table, &format!("{name}, n={n}, {model:?}")) {
+                        ran.entry(layout).or_default().push(n);
+                    }
+                    for step in 0..steps {
                         let i = (rng.next_u64() as usize) % n;
                         let j = (rng.next_u64() as usize) % n;
                         table.apply_swap(i, j);
@@ -920,9 +993,14 @@ mod tests {
                     }
                 }
             }
-            orders += usize::from(ran);
         }
-        println!("from-scratch probe body: {orders} of 31 single-word orders");
+        if ran.is_empty() {
+            println!(
+                "from-scratch probe body: skipped, no AVX-512 F + DQ + BW + VBMI on this host"
+            );
+        } else {
+            println!("from-scratch probe body: {}", layouts_line(&ran));
+        }
     }
 
     /// The probe cells the byte-lane body scores by its two special cases,
@@ -1067,22 +1145,24 @@ mod tests {
     /// from-scratch cost of each materialised rotation: every one-word order,
     /// every cost model, every anchor with both sub-families and both
     /// directions, on random, identity, reversed and swap-walked
-    /// permutations.  Each anchor's rotations go in one call (the last batch
-    /// is partial unless 8 divides 2(n − 1)) and as every prefix of one to
-    /// eight, into an output with a sentinel past the end.  Prints how many
-    /// orders it ran, or why it did not.
+    /// permutations, and at the lane boundary (n = 16 and 17) on multiplier
+    /// and Costas permutations too.  Each anchor's rotations go in one call
+    /// (the last pass is partial unless the lane count divides 2(n − 1))
+    /// and as every prefix of one to seventeen, so one full pass of sixteen
+    /// or eight and one more, into an output with a sentinel past the end.
+    /// Prints which orders ran in which lane layout, or why none did.
     #[test]
     fn rotation_body_matches_materialised_rotations_at_every_single_word_order() {
         #[cfg(target_arch = "x86_64")]
-        fn check(table: &ConflictTable, context: &str) -> bool {
+        fn check(table: &ConflictTable, context: &str) -> Option<&'static str> {
             if !table.batches_rotations() {
-                return false;
+                return None;
             }
             let n = table.order();
             for m in 0..n {
                 let rotations = anchored_rotations(n, m);
                 let expected = materialised_costs(table, &rotations);
-                for len in (1..=rotations.len().min(8)).chain([rotations.len()]) {
+                for len in (1..=rotations.len().min(17)).chain([rotations.len()]) {
                     let mut out = vec![u64::MAX; len + 1];
                     // SAFETY: `batches_rotations` checked the CPU features.
                     unsafe { table.rotation_body_avx512(&rotations[..len], &mut out) };
@@ -1094,27 +1174,21 @@ mod tests {
                     assert_eq!(out[len], u64::MAX, "wrote past the rotations ({context})");
                 }
             }
-            true
+            Some(lane_layout(n))
         }
         #[cfg(not(target_arch = "x86_64"))]
-        fn check(_: &ConflictTable, _: &str) -> bool {
-            false
+        fn check(_: &ConflictTable, _: &str) -> Option<&'static str> {
+            None
         }
         let mut rng = default_rng(0x7074_A7E5);
-        let mut orders = 0;
+        let mut ran = std::collections::BTreeMap::<_, Vec<usize>>::new();
         for n in 2..=32usize {
-            let mut ran = false;
             for model in models() {
-                let random = one_based(random_permutation(n, &mut rng));
-                let identity: Vec<usize> = (1..=n).collect();
-                let reversed: Vec<usize> = (1..=n).rev().collect();
-                for (name, p) in [
-                    ("random", random),
-                    ("identity", identity),
-                    ("reversed", reversed),
-                ] {
+                for (name, p) in single_word_inputs(n, &mut rng) {
                     let mut table = ConflictTable::new(&p, model);
-                    ran |= check(&table, &format!("{name}, n={n}, {model:?}"));
+                    if let Some(layout) = check(&table, &format!("{name}, n={n}, {model:?}")) {
+                        ran.entry(layout).or_default().push(n);
+                    }
                     for step in 0..2 {
                         let i = (rng.next_u64() as usize) % n;
                         let j = (rng.next_u64() as usize) % n;
@@ -1126,13 +1200,112 @@ mod tests {
                     }
                 }
             }
-            orders += usize::from(ran);
         }
-        if orders == 0 {
+        if ran.is_empty() {
             println!("rotation body: skipped, no AVX-512 F + DQ + BW + VBMI on this host");
         } else {
-            println!("rotation body: {orders} of 31 single-word orders");
+            println!("rotation body: {}", layouts_line(&ran));
         }
+    }
+
+    /// `CostModel::global_cost` of each circular addition of the table's
+    /// permutation, materialised.
+    fn materialised_additions(table: &ConflictTable, constants: &[usize]) -> Vec<u64> {
+        let mut added = vec![0; table.order()];
+        constants
+            .iter()
+            .map(|&c| {
+                crate::cost::add_circular(table.values(), c, &mut added);
+                table.model().global_cost(&added)
+            })
+            .collect()
+    }
+
+    /// `ConflictTable::addition_costs` against the from-scratch cost of each
+    /// materialised circular addition, at every order 2..=40 (the vector
+    /// body's two lane layouts, and the scalar body past n = 32), every cost
+    /// model, on random, identity and reversed permutations: the
+    /// dispatcher, the scalar body and, where the table batches, the vector
+    /// body called directly.  Every constant `0..n` goes in one call, then
+    /// the reset's four (1, 2, n − 2, n − 3), then prefixes around one full
+    /// pass (empty, 1, 7, 8, 9, 15, 16 and 17 constants), into an output
+    /// with a sentinel past the end.  Prints which orders ran on which
+    /// tier.
+    #[test]
+    fn addition_costs_match_materialised_additions_at_every_order() {
+        type Body = fn(&ConflictTable, &[usize], &mut [u64]);
+        let mut rng = default_rng(0xADD_C057);
+        let mut ran = std::collections::BTreeMap::<_, Vec<usize>>::new();
+        for n in 2..=40usize {
+            for model in models() {
+                let inputs = [
+                    ("random", one_based(random_permutation(n, &mut rng))),
+                    ("identity", (1..=n).collect()),
+                    ("reversed", (1..=n).rev().collect()),
+                ];
+                for (name, p) in inputs {
+                    let table = ConflictTable::new(&p, model);
+                    let mut bodies: Vec<(&str, Body)> = vec![
+                        ("dispatcher", ConflictTable::addition_costs),
+                        ("scalar", ConflictTable::addition_costs_scalar),
+                    ];
+                    ran.entry("scalar").or_default().push(n);
+                    #[cfg(target_arch = "x86_64")]
+                    if table.batches_rotations() {
+                        // SAFETY: `batches_rotations` checked the CPU features
+                        // and the order.
+                        bodies.push(("AVX-512", |t, c, out| unsafe {
+                            t.addition_body_avx512(c, out)
+                        }));
+                        ran.entry(lane_layout(n)).or_default().push(n);
+                    }
+                    let every: Vec<usize> = (0..n).rev().collect();
+                    let reset: Vec<usize> = if n >= 4 {
+                        vec![1, 2, n - 2, n - 3]
+                    } else {
+                        vec![1]
+                    };
+                    let mut sets = vec![every.clone(), reset];
+                    for len in [0, 1, 7, 8, 9, 15, 16, 17] {
+                        sets.push(every.iter().cycle().take(len).copied().collect());
+                    }
+                    for constants in &sets {
+                        let expected = materialised_additions(&table, constants);
+                        for (body, run) in &bodies {
+                            let mut out = vec![u64::MAX; constants.len() + 1];
+                            run(&table, constants, &mut out);
+                            let context = format!("{body}, {name}, n={n}, {model:?}");
+                            assert_eq!(
+                                &out[..constants.len()],
+                                &expected[..],
+                                "{constants:?} ({context})"
+                            );
+                            assert_eq!(
+                                out[constants.len()],
+                                u64::MAX,
+                                "wrote past the constants ({context})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        for orders in ran.values_mut() {
+            orders.dedup();
+        }
+        let vector = ran.iter().filter(|(tier, _)| **tier != "scalar");
+        let vector: Vec<_> = vector
+            .map(|(t, o)| format!("{t} {} orders", o.len()))
+            .collect();
+        println!(
+            "addition costs: scalar {} orders; AVX-512 {}",
+            ran["scalar"].len(),
+            if vector.is_empty() {
+                "skipped, no F + DQ + BW + VBMI".to_string()
+            } else {
+                vector.join(", ")
+            }
+        );
     }
 
     /// Adversarial configurations: the identity permutation collapses every

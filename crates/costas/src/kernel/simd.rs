@@ -1,7 +1,7 @@
 //! AVX-512 lane-parallel bodies, all for n ≤ 128 ([`ROW_LANES_MAX_ORDER`]):
-//! the two probe bodies, the reset's rotation body, and the row-lane sweep
-//! behind the reset evaluator's bounded from-scratch cost and the conflict
-//! table's refresh pass.
+//! the two probe bodies, the reset's rotation and addition bodies, and the
+//! row-lane sweep behind the reset evaluator's bounded from-scratch cost
+//! and the conflict table's refresh pass.
 //!
 //! # Probe bodies
 //!
@@ -9,23 +9,33 @@
 //! the one dimension the workload has plenty of: candidates.  Both vector
 //! bodies put the candidates in lanes; they differ in what a lane computes.
 //!
-//! * **From scratch, one-word rows (n ≤ 32), eight candidates per pass** —
+//! * **From scratch, one-word rows (n ≤ 32), sixteen candidates per pass
+//!   up to n = 16 and eight beyond** —
 //!   [`ConflictTable::probe_body_avx512_scratch`].  Lane `l` holds the whole
 //!   configuration after swapping the culprit `m` with candidate `j_l`:
 //!   column `p` is `v[p]`, except `v[m]` at `p = j_l` and `v[j_l]` at
 //!   `p = m`.  Each row `d` is one loop over the left index `i` that ORs
-//!   `rolv(1, col[i + d] − col[i])` into a per-lane `u64`; the differences
-//!   lie in `(−32, 32)`, so distinct differences set distinct bits.  The
+//!   `rolv(1, col[i + d] − col[i])` into a per-lane word; the differences
+//!   lie in `(−n, n)`, so distinct differences set distinct bits.  The
 //!   row's repeats are its `n − d` pairs minus the popcount, and the lane's
 //!   cost is `Σ ERR(d)·repeats` — the row-lane sweep's "pairs minus distinct
 //!   buckets" identity (below), so the body is exact by construction: it
 //!   reads no counts and no masks and needs no shared-bucket corrections.
 //!   It costs O(n·d_max) per candidate against the event algebra's
-//!   O(d_max), which pays while a row fits one word.  On a 2-vCPU AVX-512
-//!   Xeon a probe call at n = 16 takes about 280 ns against 840 ns for the
-//!   event algebra.  The lane-cost loop ([`ConflictTable::lane_costs`])
-//!   takes the columns of any eight permutations and is shared with the
-//!   rotation body below.
+//!   O(d_max), which pays while a row fits one word.  The lane layout
+//!   follows the row: while its `2n − 1 ≤ 31` buckets fit a 32-bit word
+//!   (n ≤ [`U32_LANES_MAX_ORDER`]) a lane is a `u32` ([`U32x16`]: `vprolvd`,
+//!   a nibble-lookup popcount weighted by `vpmaddwd`, and the exact cost,
+//!   at most n³, fits the lane), so one pass scores every candidate of an
+//!   order-16 probe; up to n = 32 a lane is a `u64` ([`U64x8`]).  On a
+//!   2-vCPU AVX-512 Xeon a probe call at n = 16 takes about 140 ns in
+//!   sixteen `u32` lanes, against 250 ns in eight `u64` lanes and 840 ns
+//!   for the event algebra.  A prototype with two `u32` words per
+//!   row for 17 ≤ n ≤ 32 read mixed: the rotations were level to 25 %
+//!   faster, but the probe up to 37 % slower at n = 17, 20 and 24, so
+//!   those orders keep the `u64` lanes.  The lane-cost loop
+//!   ([`ConflictTable::lane_costs`]) takes the columns of any permutations,
+//!   one per lane, and is shared with the reset bodies below.
 //! * **Event algebra, two to four words (33 ≤ n ≤ 128), 64 candidates per
 //!   pass** — [`ConflictTable::probe_body_avx512_bytes`], the scalar
 //!   replay's cell algebra with one candidate per *byte* lane.  Per row `d`
@@ -71,13 +81,14 @@
 //!   2.3 µs at n = 65 (the first order with two lookups per bucket),
 //!   10.7 → 3.0 µs at n = 80 and 26 → 4.8 µs at n = 128.
 //!
-//! # Rotation body: the reset's first family, eight per pass
+//! # Reset bodies: the first two families, sixteen or eight per pass
 //!
 //! The Costas reset's first perturbation family rotates by one cell every
 //! sub-array starting or ending at the most erroneous variable, ≈ 2n
 //! candidates.  On one-word rows
-//! [`ConflictTable::rotation_body_avx512`] scores eight of them per pass
-//! without building any: lane `l` carries its rotation's bounds
+//! [`ConflictTable::rotation_body_avx512`] scores sixteen of them per pass
+//! for n ≤ 16 and eight beyond, in the probe's lane layout, without
+//! building any: lane `l` carries its rotation's bounds
 //! `[lo, hi]`, direction and moved end value, and column `p` is `v[p]`,
 //! `v[p + 1]` (left rotation, `lo ≤ p < hi`), `v[p − 1]` (right rotation,
 //! `lo < p ≤ hi`) or the end value (`p = hi` left, `p = lo` right), chosen
@@ -87,14 +98,21 @@
 //! earlier prototype batched the candidates by copying and transposing
 //! materialised permutations, and the copies ate the gain; generating the
 //! columns from the bounds costs O(n) vector operations per pass, below the
-//! O(n·d_max) of the scoring.  The conflict table keeps no counts and no
-//! masks on this tier: the two from-scratch bodies and the refresh pass
-//! read only the values.
+//! O(n·d_max) of the scoring.  At n = 16 the 30 anchored rotations of a
+//! culprit take about 430 ns in sixteen `u32` lanes against 770 ns in
+//! eight `u64` lanes on a 2-vCPU AVX-512 Xeon.
+//!
+//! The second family adds a constant circularly to every value (at most
+//! four constants).  [`ConflictTable::addition_body_avx512`] scores them
+//! in one pass the same way: lane `l`'s column `p` is `v[p] + c_l`, less
+//! `n` where that exceeds `n` (a compare and a masked move).  The
+//! conflict table keeps no counts and no masks on this tier: the three
+//! from-scratch bodies and the refresh pass read only the values.
 //!
 //! # Row-lane sweep: reset evaluator and refresh pass
 //!
 //! The Costas reset scores its other candidates — every one where the table
-//! keeps counts, families 2 and 3 on the count-free tier — from scratch
+//! keeps counts, family 3 on the count-free tier — from scratch
 //! with an abort bound ([`CostModel::global_cost_bounded`]).  The scalar
 //! body sweeps one row of the difference triangle at a time through a
 //! `2n − 1`-entry histogram.
@@ -131,7 +149,8 @@
 //!
 //! Dispatch is by runtime feature detection ([`probe_kernel_available`]),
 //! one gate for every body here: AVX-512 F (shifts, rotates, compares, mask
-//! ops, `vpmuldq`), DQ, BW (byte and word lanes) and VBMI (`vpermi2b`).
+//! ops, `vpmuldq`), DQ, BW (byte and word lanes, `vpshufb`, `vpmaddwd`) and
+//! VBMI (`vpermi2b`).
 //! Machines without all four take the scalar bodies — same contract, same
 //! pinning.
 
@@ -146,6 +165,11 @@ use crate::cost::{ConflictTable, CostModel, Rotation};
 /// ([`ConflictTable::probe_body_avx512_bytes`]): a row's `2n − 1` buckets
 /// fit in at most four 64-bit words, or 256 byte lanes.
 pub(crate) const ROW_LANES_MAX_ORDER: usize = 128;
+
+/// Largest order whose rows' `2n − 1` buckets fit one 32-bit word: the
+/// from-scratch bodies run sixteen `u32` lanes ([`U32x16`]) up to it and
+/// eight `u64` lanes ([`U64x8`]) from there to n = 32.
+pub(crate) const U32_LANES_MAX_ORDER: usize = 16;
 
 /// Runtime gate for every vector body in this module: AVX-512 F + DQ + BW +
 /// VBMI, detected once and cached.
@@ -193,10 +217,40 @@ unsafe fn popcount_lanes(words: &[__m512i]) -> __m512i {
     _mm512_and_si512(bytes, _mm512_set1_epi64(0xff))
 }
 
+/// Per-byte population counts of `s`, by a nibble lookup (`vpshufb`).
+///
+/// # Safety
+///
+/// Requires AVX-512 F and BW at runtime; callers are
+/// `#[target_feature]`-gated.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn byte_popcounts(s: __m512i) -> __m512i {
+    let nibbles = _mm512_broadcast_i32x4(_mm_setr_epi8(
+        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+    ));
+    let low = _mm512_set1_epi8(0x0f);
+    _mm512_add_epi8(
+        _mm512_shuffle_epi8(nibbles, _mm512_and_si512(s, low)),
+        _mm512_shuffle_epi8(nibbles, _mm512_and_si512(_mm512_srli_epi16::<4>(s), low)),
+    )
+}
+
+/// Mask of the lowest `k` lanes as the low bits of a `u32` (all 32 for
+/// `k ≥ 32`); a layout of fewer lanes keeps the bits it has.
+#[inline]
+fn low_bits(k: usize) -> u32 {
+    if k >= 32 {
+        !0
+    } else {
+        (1 << k) - 1
+    }
+}
+
 /// The lane of position `p` in the block of `lanes` candidates starting at
 /// `block`, as a one-bit mask; zero when `p` lies outside the block.
 #[inline]
-fn lane_of(block: usize, lanes: usize, p: usize) -> __mmask8 {
+fn lane_of(block: usize, lanes: usize, p: usize) -> u32 {
     if (block..block + lanes).contains(&p) {
         1 << (p - block)
     } else {
@@ -204,22 +258,195 @@ fn lane_of(block: usize, lanes: usize, p: usize) -> __mmask8 {
     }
 }
 
+/// Lane layout of the from-scratch bodies: lane `l` holds one candidate
+/// permutation, and vector `p` its column `p`.  [`U32x16`] serves rows whose
+/// `2n − 1 ≤ 31` buckets fit a 32-bit word (n ≤ [`U32_LANES_MAX_ORDER`]),
+/// [`U64x8`] one-word rows up to n = 32.  Masks are the low
+/// [`Lanes::LANES`] bits of a `u32`.
+///
+/// # Safety
+///
+/// Every method requires AVX-512 F, DQ and BW at runtime; the callers are
+/// `#[target_feature]`-gated.  `load` and `store` also need `src` and
+/// `dst` valid for the lanes their mask selects.
+trait Lanes {
+    /// Candidates per pass.
+    const LANES: usize;
+    /// `x` in every lane.
+    unsafe fn splat(x: usize) -> __m512i;
+    /// `src[l]` in the lanes `k` selects, zero elsewhere.
+    unsafe fn load(src: *const usize, k: u32) -> __m512i;
+    /// Lane `l` of `v` widened to `dst[l]`, for the lanes `k` selects.
+    unsafe fn store(dst: *mut u64, k: u32, v: __m512i);
+    unsafe fn add(a: __m512i, b: __m512i) -> __m512i;
+    unsafe fn sub(a: __m512i, b: __m512i) -> __m512i;
+    /// `a` rotated left by `b` modulo the lane width.
+    unsafe fn rolv(a: __m512i, b: __m512i) -> __m512i;
+    /// `w` times the set bits per lane, for a weight `w < 2¹⁵`.
+    unsafe fn weighted_popcount(a: __m512i, w: usize) -> __m512i;
+    unsafe fn cmpeq(a: __m512i, b: __m512i) -> u32;
+    unsafe fn cmple(a: __m512i, b: __m512i) -> u32;
+    unsafe fn cmpgt(a: __m512i, b: __m512i) -> u32;
+    /// `a` in the lanes `k` selects, `src` elsewhere.
+    unsafe fn mask_mov(src: __m512i, k: u32, a: __m512i) -> __m512i;
+}
+
+/// Sixteen `u32` lanes: the from-scratch bodies' layout for n ≤ 16.
+struct U32x16;
+
+/// Eight `u64` lanes: the from-scratch bodies' layout for 17 ≤ n ≤ 32.
+struct U64x8;
+
+impl Lanes for U32x16 {
+    const LANES: usize = 16;
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn splat(x: usize) -> __m512i {
+        _mm512_set1_epi32(x as i32)
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn load(src: *const usize, k: u32) -> __m512i {
+        // `usize` is 64-bit on this arch; the upper half's address is formed
+        // with wrapping arithmetic, as it loads nothing when `k` is narrow.
+        let low = _mm512_maskz_loadu_epi64(k as __mmask8, src.cast());
+        let high = _mm512_maskz_loadu_epi64((k >> 8) as __mmask8, src.wrapping_add(8).cast());
+        let low = _mm512_castsi256_si512(_mm512_cvtepi64_epi32(low));
+        _mm512_inserti64x4::<1>(low, _mm512_cvtepi64_epi32(high))
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn store(dst: *mut u64, k: u32, v: __m512i) {
+        let low = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(v));
+        let high = _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64::<1>(v));
+        _mm512_mask_storeu_epi64(dst.cast(), k as __mmask8, low);
+        _mm512_mask_storeu_epi64(dst.wrapping_add(8).cast(), (k >> 8) as __mmask8, high);
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn add(a: __m512i, b: __m512i) -> __m512i {
+        _mm512_add_epi32(a, b)
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn sub(a: __m512i, b: __m512i) -> __m512i {
+        _mm512_sub_epi32(a, b)
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn rolv(a: __m512i, b: __m512i) -> __m512i {
+        _mm512_rolv_epi32(a, b)
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn weighted_popcount(s: __m512i, w: usize) -> __m512i {
+        // Byte counts summed in byte pairs (`vpmaddubsw`), then in pairs
+        // of pairs weighted by `w` (`vpmaddwd`).
+        let pairs = _mm512_maddubs_epi16(byte_popcounts(s), _mm512_set1_epi8(1));
+        _mm512_madd_epi16(pairs, _mm512_set1_epi16(w as i16))
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn cmpeq(a: __m512i, b: __m512i) -> u32 {
+        _mm512_cmpeq_epi32_mask(a, b).into()
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn cmple(a: __m512i, b: __m512i) -> u32 {
+        _mm512_cmple_epi32_mask(a, b).into()
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn cmpgt(a: __m512i, b: __m512i) -> u32 {
+        _mm512_cmpgt_epi32_mask(a, b).into()
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn mask_mov(src: __m512i, k: u32, a: __m512i) -> __m512i {
+        _mm512_mask_mov_epi32(src, k as __mmask16, a)
+    }
+}
+
+impl Lanes for U64x8 {
+    const LANES: usize = 8;
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn splat(x: usize) -> __m512i {
+        _mm512_set1_epi64(x as i64)
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn load(src: *const usize, k: u32) -> __m512i {
+        // `usize` is 64-bit on this arch.
+        _mm512_maskz_loadu_epi64(k as __mmask8, src.cast())
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn store(dst: *mut u64, k: u32, v: __m512i) {
+        _mm512_mask_storeu_epi64(dst.cast(), k as __mmask8, v);
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn add(a: __m512i, b: __m512i) -> __m512i {
+        _mm512_add_epi64(a, b)
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn sub(a: __m512i, b: __m512i) -> __m512i {
+        _mm512_sub_epi64(a, b)
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn rolv(a: __m512i, b: __m512i) -> __m512i {
+        _mm512_rolv_epi64(a, b)
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn weighted_popcount(s: __m512i, w: usize) -> __m512i {
+        // Byte counts summed per lane (`vpsadbw` against zero), then the
+        // 32×32→64 `vpmuludq` of the low halves.
+        let counts = _mm512_sad_epu8(byte_popcounts(s), _mm512_setzero_si512());
+        _mm512_mul_epu32(counts, Self::splat(w))
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn cmpeq(a: __m512i, b: __m512i) -> u32 {
+        _mm512_cmpeq_epi64_mask(a, b).into()
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn cmple(a: __m512i, b: __m512i) -> u32 {
+        _mm512_cmple_epi64_mask(a, b).into()
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn cmpgt(a: __m512i, b: __m512i) -> u32 {
+        _mm512_cmpgt_epi64_mask(a, b).into()
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn mask_mov(src: __m512i, k: u32, a: __m512i) -> __m512i {
+        _mm512_mask_mov_epi64(src, k as __mmask8, a)
+    }
+}
+
 impl ConflictTable {
     /// From-scratch AVX-512 probe body for one-word rows (n ≤ 32): write
     /// into `out[j]` the cost after swapping `m` with `j`, for
-    /// `j in lo_bound..n`, `j != m`, eight candidates per pass; the other
-    /// entries are left alone.  See the module docs.
+    /// `j in lo_bound..n`, `j != m`, sixteen candidates per pass in `u32`
+    /// lanes for n ≤ 16 and eight in `u64` lanes beyond; the other entries
+    /// are left alone.  See the module docs.
     ///
     /// # Safety
     ///
-    /// Requires AVX-512 F and DQ at runtime (see [`probe_kernel_available`],
-    /// the gate every caller checks).
+    /// Requires AVX-512 F, DQ and BW at runtime (see
+    /// [`probe_kernel_available`], the gate every caller checks).
     ///
     /// # Panics
     ///
     /// Panics if the rows hold more than one word (n > 32), if the culprit
     /// is out of range, or if `out` is shorter than the order.
-    #[target_feature(enable = "avx512f,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
     pub(crate) unsafe fn probe_body_avx512_scratch(
         &self,
         m: usize,
@@ -233,46 +460,64 @@ impl ConflictTable {
         );
         assert!(m < n, "culprit {m} out of range for order {n}");
         assert!(out.len() >= n, "probe output shorter than the order");
+        if n <= U32_LANES_MAX_ORDER {
+            self.probe_scratch::<U32x16>(m, lo_bound, out);
+        } else {
+            self.probe_scratch::<U64x8>(m, lo_bound, out);
+        }
+    }
+
+    /// [`Self::probe_body_avx512_scratch`] in the lane layout `L`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F, DQ and BW at runtime; the caller checks the order,
+    /// the culprit and `out`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn probe_scratch<L: Lanes>(&self, m: usize, lo_bound: usize, out: &mut [u64]) {
+        let n = self.n;
         let values = &self.values[..];
-        let vm = _mm512_set1_epi64(values[m] as i64);
+        let vm = L::splat(values[m]);
         let mut cols = [_mm512_setzero_si512(); 32];
-        for block in (lo_bound..n).step_by(8) {
-            let lanes = (n - block).min(8);
+        for block in (lo_bound..n).step_by(L::LANES) {
+            let lanes = (n - block).min(L::LANES);
             // Lane l is the configuration with m and j = block + l swapped;
-            // `usize` is 64-bit on this arch, and the tail lanes load 0.
+            // the tail lanes load 0.
             for (col, &v) in cols.iter_mut().zip(values) {
-                *col = _mm512_set1_epi64(v as i64);
+                *col = L::splat(v);
             }
             for l in 0..lanes {
-                cols[block + l] = _mm512_mask_mov_epi64(cols[block + l], 1 << l, vm);
+                cols[block + l] = L::mask_mov(cols[block + l], 1 << l, vm);
             }
-            cols[m] = _mm512_maskz_loadu_epi64(low_lanes(lanes), values.as_ptr().add(block).cast());
-            let cost = self.lane_costs(&cols[..n]);
-            let store = low_lanes(lanes) & !lane_of(block, lanes, m);
-            _mm512_mask_storeu_epi64(out.as_mut_ptr().add(block).cast(), store, cost);
+            cols[m] = L::load(values.as_ptr().add(block), low_bits(lanes));
+            let cost = self.lane_costs::<L>(&cols[..n]);
+            let store = low_bits(lanes) & !lane_of(block, lanes, m);
+            L::store(out.as_mut_ptr().add(block), store, cost);
         }
     }
 
     /// From-scratch AVX-512 body of [`ConflictTable::rotation_costs`] for
     /// one-word rows (n ≤ 32): `out[k]` is the exact cost after applying
-    /// `rotations[k]`, eight rotations per pass.  Lane `l`'s column `p` is
-    /// `v[p]`, `v[p + 1]` (left rotation, `lo ≤ p < hi`), `v[p − 1]` (right
-    /// rotation, `lo < p ≤ hi`) or the moved end value (`v[lo]` at `p = hi`
-    /// for a left rotation, `v[hi]` at `p = lo` for a right one), picked by
-    /// k-mask compares against the lane's bounds, so no rotation is ever
-    /// built; the columns then go through the probe's lane-cost loop.
+    /// `rotations[k]`, sixteen rotations per pass for n ≤ 16 and eight
+    /// beyond.  Lane `l`'s column `p` is `v[p]`, `v[p + 1]` (left rotation,
+    /// `lo ≤ p < hi`), `v[p − 1]` (right rotation, `lo < p ≤ hi`) or the
+    /// moved end value (`v[lo]` at `p = hi` for a left rotation, `v[hi]` at
+    /// `p = lo` for a right one), picked by k-mask compares against the
+    /// lane's bounds, so no rotation is ever built; the columns then go
+    /// through the probe's lane-cost loop.
     ///
     /// # Safety
     ///
-    /// Requires AVX-512 F and DQ at runtime (see [`probe_kernel_available`],
-    /// the gate every caller checks).
+    /// Requires AVX-512 F, DQ and BW at runtime (see
+    /// [`probe_kernel_available`], the gate every caller checks).
     ///
     /// # Panics
     ///
     /// Panics if the rows hold more than one word (n > 32) or `out` is
     /// shorter than `rotations`.  Each rotation must satisfy
     /// `lo ≤ hi < n` (checked by the caller).
-    #[target_feature(enable = "avx512f,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
     pub(crate) unsafe fn rotation_body_avx512(&self, rotations: &[Rotation], out: &mut [u64]) {
         let n = self.n;
         assert!(
@@ -280,80 +525,149 @@ impl ConflictTable {
             "the rotation body covers n ≤ 32, got n = {n}"
         );
         assert!(out.len() >= rotations.len(), "rotation output too short");
-        let values = &self.values[..];
-        let mut cols = [_mm512_setzero_si512(); 32];
-        let out = &mut out[..rotations.len()];
-        for (batch, out) in rotations.chunks(8).zip(out.chunks_mut(8)) {
-            // Idle lanes get bounds past the array, so every compare misses
-            // and they score the current permutation.
-            let (mut lo, mut hi, mut end) = ([n as i64; 8], [n as i64; 8], [0i64; 8]);
-            let mut left: __mmask8 = 0;
-            for (l, r) in batch.iter().enumerate() {
-                (lo[l], hi[l]) = (r.lo as i64, r.hi as i64);
-                end[l] = values[if r.left { r.lo } else { r.hi }] as i64;
-                left |= u8::from(r.left) << l;
-            }
-            let lo = _mm512_loadu_epi64(lo.as_ptr());
-            let hi = _mm512_loadu_epi64(hi.as_ptr());
-            let end = _mm512_loadu_epi64(end.as_ptr());
-            for (p, col) in cols[..n].iter_mut().enumerate() {
-                let at = _mm512_set1_epi64(p as i64);
-                let (at_lo, at_hi) = (
-                    _mm512_cmpeq_epi64_mask(lo, at),
-                    _mm512_cmpeq_epi64_mask(hi, at),
-                );
-                let inside = _mm512_cmple_epi64_mask(lo, at) & _mm512_cmple_epi64_mask(at, hi);
-                // `usize` is 64-bit on this arch.
-                *col = _mm512_set1_epi64(values[p] as i64);
-                if p + 1 < n {
-                    let next = inside & left & !at_hi;
-                    *col =
-                        _mm512_mask_mov_epi64(*col, next, _mm512_set1_epi64(values[p + 1] as i64));
-                }
-                if p > 0 {
-                    let prev = inside & !left & !at_lo;
-                    *col =
-                        _mm512_mask_mov_epi64(*col, prev, _mm512_set1_epi64(values[p - 1] as i64));
-                }
-                *col = _mm512_mask_mov_epi64(*col, (at_hi & left) | (at_lo & !left), end);
-            }
-            let mut costs = [0u64; 8];
-            _mm512_storeu_epi64(costs.as_mut_ptr().cast(), self.lane_costs(&cols[..n]));
-            out.copy_from_slice(&costs[..out.len()]);
+        if n <= U32_LANES_MAX_ORDER {
+            self.rotations::<U32x16>(rotations, out);
+        } else {
+            self.rotations::<U64x8>(rotations, out);
         }
     }
 
-    /// The lane-cost loop of both from-scratch bodies: lane `l` of
-    /// `cols[p]` is column `p` of lane `l`'s permutation (n ≤ 32), and the
-    /// result's lane `l` is that permutation's exact cost.  Each row `d` ORs
-    /// `rolv(1, col[i + d] − col[i])` into a per-lane `u64` over the left
-    /// index `i`; the differences lie in `(−32, 32)`, so distinct
-    /// differences set distinct bits, and the row's repeats are its `n − d`
-    /// pairs minus the popcount, weighted by `ERR(d)`.
+    /// [`Self::rotation_body_avx512`] in the lane layout `L`.
     ///
     /// # Safety
     ///
-    /// Requires AVX-512 F and DQ at runtime; callers are
+    /// Requires AVX-512 F, DQ and BW at runtime; the caller checks the order,
+    /// the rotations and `out`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn rotations<L: Lanes>(&self, rotations: &[Rotation], out: &mut [u64]) {
+        let n = self.n;
+        let values = &self.values[..];
+        let mut cols = [_mm512_setzero_si512(); 32];
+        let out = &mut out[..rotations.len()];
+        for (batch, out) in rotations.chunks(L::LANES).zip(out.chunks_mut(L::LANES)) {
+            // Idle lanes get bounds past the array, so every compare misses
+            // and they score the current permutation.
+            let (mut lo, mut hi, mut end) = ([n; 16], [n; 16], [0; 16]);
+            let mut left = 0u32;
+            for (l, r) in batch.iter().enumerate() {
+                (lo[l], hi[l]) = (r.lo, r.hi);
+                end[l] = values[if r.left { r.lo } else { r.hi }];
+                left |= u32::from(r.left) << l;
+            }
+            let all = low_bits(L::LANES);
+            let lo = L::load(lo.as_ptr(), all);
+            let hi = L::load(hi.as_ptr(), all);
+            let end = L::load(end.as_ptr(), all);
+            for (p, col) in cols[..n].iter_mut().enumerate() {
+                let at = L::splat(p);
+                let (at_lo, at_hi) = (L::cmpeq(lo, at), L::cmpeq(hi, at));
+                let inside = L::cmple(lo, at) & L::cmple(at, hi);
+                *col = L::splat(values[p]);
+                if p + 1 < n {
+                    let next = inside & left & !at_hi;
+                    *col = L::mask_mov(*col, next, L::splat(values[p + 1]));
+                }
+                if p > 0 {
+                    let prev = inside & !left & !at_lo;
+                    *col = L::mask_mov(*col, prev, L::splat(values[p - 1]));
+                }
+                *col = L::mask_mov(*col, (at_hi & left) | (at_lo & !left), end);
+            }
+            let cost = self.lane_costs::<L>(&cols[..n]);
+            L::store(out.as_mut_ptr(), low_bits(out.len()), cost);
+        }
+    }
+
+    /// From-scratch AVX-512 body of [`ConflictTable::addition_costs`] for
+    /// one-word rows (n ≤ 32): `out[k]` is the exact cost after adding
+    /// `constants[k]` circularly to every value, sixteen constants per pass
+    /// for n ≤ 16 and eight beyond.  Lane `l`'s column `p` is
+    /// `v[p] + c_l`, less `n` where that exceeds `n`, so no candidate is
+    /// built; the columns then go through the probe's lane-cost loop.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F, DQ and BW at runtime (see
+    /// [`probe_kernel_available`], the gate every caller checks).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows hold more than one word (n > 32) or `out` is
+    /// shorter than `constants`.  Each constant must lie below the order
+    /// (checked by the caller).
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    pub(crate) unsafe fn addition_body_avx512(&self, constants: &[usize], out: &mut [u64]) {
+        let n = self.n;
+        assert!(
+            self.mask_words == 1,
+            "the addition body covers n ≤ 32, got n = {n}"
+        );
+        assert!(out.len() >= constants.len(), "addition output too short");
+        if n <= U32_LANES_MAX_ORDER {
+            self.additions::<U32x16>(constants, out);
+        } else {
+            self.additions::<U64x8>(constants, out);
+        }
+    }
+
+    /// [`Self::addition_body_avx512`] in the lane layout `L`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F, DQ and BW at runtime; the caller checks the order,
+    /// the constants and `out`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn additions<L: Lanes>(&self, constants: &[usize], out: &mut [u64]) {
+        let n = self.n;
+        let order = L::splat(n);
+        let mut cols = [_mm512_setzero_si512(); 32];
+        for (batch, out) in constants.chunks(L::LANES).zip(out.chunks_mut(L::LANES)) {
+            // Idle lanes add 0 and score the current permutation.
+            let live = low_bits(batch.len());
+            let c = L::load(batch.as_ptr(), live);
+            for (col, &v) in cols[..n].iter_mut().zip(&self.values) {
+                let sum = L::add(L::splat(v), c);
+                *col = L::mask_mov(sum, L::cmpgt(sum, order), L::sub(sum, order));
+            }
+            let cost = self.lane_costs::<L>(&cols[..n]);
+            L::store(out.as_mut_ptr(), live, cost);
+        }
+    }
+
+    /// The lane-cost loop of the from-scratch bodies: lane `l` of `cols[p]`
+    /// is column `p` of lane `l`'s permutation (n ≤ 32, and n ≤ 16 for
+    /// [`U32x16`]), and the result's lane `l` is that permutation's exact
+    /// cost.  Each row `d` ORs `rolv(1, col[i + d] − col[i])` into a
+    /// per-lane word over the left index `i`; the differences lie in
+    /// `(−n, n)`, which the lane width covers, so distinct differences set
+    /// distinct bits, and the row's repeats are its `n − d` pairs minus the
+    /// popcount.  The cost is `Σ ERR(d)·(n − d)`, a scalar, less the
+    /// lane's `Σ ERR(d)·popcount`; `ERR(d) ≤ n² < 2¹⁵` and the cost, at
+    /// most `n³`, fit the lane.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F, DQ and BW at runtime; callers are
     /// `#[target_feature]`-gated.
     #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    unsafe fn lane_costs(&self, cols: &[__m512i]) -> __m512i {
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    unsafe fn lane_costs<L: Lanes>(&self, cols: &[__m512i]) -> __m512i {
         let n = cols.len();
-        let one = _mm512_set1_epi64(1);
-        let mut cost = _mm512_setzero_si512();
+        let one = L::splat(1);
+        // Σ ERR(d)·(n − d) over the rows, less Σ ERR(d)·distinct per lane.
+        let (mut pairs, mut distinct) = (0, _mm512_setzero_si512());
         for d in 1..=self.dmax {
             let mut seen = _mm512_setzero_si512();
             for (left, right) in cols.iter().zip(&cols[d..]) {
-                let bit = _mm512_rolv_epi64(one, _mm512_sub_epi64(*right, *left));
-                seen = _mm512_or_si512(seen, bit);
+                seen = _mm512_or_si512(seen, L::rolv(one, L::sub(*right, *left)));
             }
-            let pairs = _mm512_set1_epi64((n - d) as i64);
-            let repeats = _mm512_sub_epi64(pairs, popcount_lanes(&[seen]));
-            // ERR(d) ≤ n² and repeats < n fit the 32×32→64 `vpmuldq`.
-            let weight = _mm512_set1_epi64(self.weight(d) as i64);
-            cost = _mm512_add_epi64(cost, _mm512_mul_epi32(weight, repeats));
+            let w = self.weight(d) as usize;
+            pairs += w * (n - d);
+            distinct = L::add(distinct, L::weighted_popcount(seen, w));
         }
-        cost
+        L::sub(L::splat(pairs), distinct)
     }
 
     /// Byte-lane probe body for rows of two to four mask words
@@ -651,16 +965,6 @@ fn lane_of64(block: usize, p: usize) -> __mmask64 {
     }
 }
 
-/// Mask of the lowest `k` lanes (all eight for `k ≥ 8`).
-#[inline]
-fn low_lanes(k: usize) -> __mmask8 {
-    if k >= 8 {
-        0xff
-    } else {
-        (1u8 << k) - 1
-    }
-}
-
 /// One group of up to eight rows of the row-lane sweep, lane `l` holding
 /// row `d0 + l`: its bitsets of occupied buckets (`seen`), plus the tracked
 /// charges still owed to right endpoints (`right`) and the rows' weights
@@ -791,7 +1095,7 @@ impl CostModel {
         let mut cost = 0u64;
         for d0 in (1..=dmax).step_by(8) {
             let rows = (dmax + 1 - d0).min(8);
-            let live = low_lanes(rows);
+            let live = low_bits(rows) as __mmask8;
             let mut group = RowGroup {
                 seen: [_mm512_setzero_si512(); W],
                 right: _mm512_setzero_si512(),
@@ -814,7 +1118,7 @@ impl CostModel {
                 group.mark::<TRACK>(base, i, d0, live, &word_ends, errors);
             }
             for i in full..n - d0 {
-                let lanes = live & low_lanes(n - d0 - i);
+                let lanes = live & low_bits(n - d0 - i) as __mmask8;
                 group.mark::<TRACK>(base, i, d0, lanes, &word_ends, errors);
             }
             // Distinct buckets per lane; a row has at most n − 1 ≤ 127.

@@ -13,14 +13,16 @@
 //! * [`DifferenceTriangle`] — the full triangle, row by row ([`triangle`]).
 //! * [`cost`] — the paper's error model (`ERR(d)`), Chang's half-triangle optimisation
 //!   and the [`cost::ConflictTable`] giving batched swap evaluation and the
-//!   exact costs of the reset's sub-array rotations ([`Rotation`]), which is
-//!   what makes local search on the CAP fast.
+//!   exact costs of the reset's sub-array rotations ([`Rotation`]) and
+//!   circular constant additions ([`add_circular`]), which is what makes
+//!   local search on the CAP fast.
 //! * [`kernel`] — the probe bodies behind
 //!   [`ConflictTable::probe_partners`](cost::ConflictTable::probe_partners):
-//!   on x86-64 with AVX-512 F + DQ + BW + VBMI, eight swapped permutations
-//!   per pass for n ≤ 32 and 64 candidates per pass, one per byte lane, for
-//!   33 ≤ n ≤ 128; scalar event-algebra bodies elsewhere, all pinned bit for
-//!   bit to the histogram reference.
+//!   on x86-64 with AVX-512 F + DQ + BW + VBMI, swapped permutations scored
+//!   from scratch for n ≤ 32 (sixteen per pass in `u32` lanes for n ≤ 16,
+//!   eight in `u64` lanes beyond) and 64 candidates per pass, one per byte
+//!   lane, for 33 ≤ n ≤ 128; scalar event-algebra bodies elsewhere, all
+//!   pinned bit for bit to the histogram reference.
 //! * [`check`] — standalone validity predicates.
 //! * [`symmetry`] — the dihedral symmetry group acting on Costas arrays (rotations /
 //!   reflections / transposition), orbit generation and canonical forms.
@@ -46,7 +48,7 @@ pub mod triangle;
 pub use array::{CostasArray, Permutation, PermutationError};
 pub use check::{is_costas, is_costas_permutation, violation_count};
 pub use construction::{golomb_construction, welch_construction, ConstructionError};
-pub use cost::{ConflictTable, CostModel, ErrWeight, Rotation, RowSpan};
+pub use cost::{add_circular, ConflictTable, CostModel, ErrWeight, Rotation, RowSpan};
 pub use counts::{known_costas_count, KNOWN_COUNTS};
 pub use enumerate::{count_costas, enumerate_costas, first_costas, EnumerationStats};
 pub use merge::BucketMerge;
