@@ -1,11 +1,8 @@
-//! Diagnostic probe: convergence of the engine under different configurations.
+//! Diagnostic probe: convergence of the engine under different model configurations.
 use adaptive_search::*;
 
-fn run(label: &str, n: usize, model: CostasModelConfig, cfg: AsConfig, seed: u64, cap: u64) {
-    let cfg = AsConfig {
-        max_iterations: cap,
-        ..cfg
-    };
+fn run(label: &str, n: usize, model: CostasModelConfig, seed: u64, cap: u64) {
+    let cfg = AsConfig::builder().max_iterations(cap).build();
     let problem = CostasProblem::with_config(n, model);
     let mut engine = Engine::new(problem, cfg, seed);
     let start = std::time::Instant::now();
@@ -27,7 +24,6 @@ fn main() {
                         "default",
                         n,
                         CostasModelConfig::optimized(),
-                        AsConfig::default(),
                         seed,
                         5_000_000,
                     );
@@ -40,7 +36,6 @@ fn main() {
                     "default",
                     17,
                     CostasModelConfig::optimized(),
-                    AsConfig::default(),
                     seed,
                     50_000_000,
                 );
@@ -53,7 +48,6 @@ fn main() {
                         "default",
                         n,
                         CostasModelConfig::optimized(),
-                        AsConfig::default(),
                         seed,
                         5_000_000,
                     );
@@ -64,7 +58,6 @@ fn main() {
                             dedicated_reset: false,
                             ..Default::default()
                         },
-                        AsConfig::builder().use_custom_reset(false).build(),
                         seed,
                         5_000_000,
                     );
@@ -72,7 +65,6 @@ fn main() {
                         "basic-model",
                         n,
                         CostasModelConfig::basic(),
-                        AsConfig::builder().use_custom_reset(false).build(),
                         seed,
                         5_000_000,
                     );

@@ -425,7 +425,7 @@ mod tests {
     #[test]
     fn adaptive_search_solves_all_interval() {
         for n in [8usize, 12, 14] {
-            let cfg = AsConfig::builder().use_custom_reset(false).build();
+            let cfg = AsConfig::default();
             let mut engine = Engine::new(AllIntervalProblem::new(n), cfg, 77 + n as u64);
             let r = engine.solve();
             assert!(r.is_solved(), "n = {n}");

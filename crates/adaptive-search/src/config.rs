@@ -1,11 +1,17 @@
 //! Tuning parameters of the Adaptive Search engine.
 //!
-//! The names follow the paper: `RL` (reset limit — how many simultaneously frozen
-//! variables trigger a reset), `RP` (reset percentage — which fraction of the
-//! variables the generic reset re-randomises), the Tabu tenure (freeze duration), the
-//! plateau-following probability of §III-B1 and the restart policy.  The values used
-//! for the CAP experiments (§IV-B: `RL = 1`, `RP = 5 %`) are provided by
-//! [`AsConfig::costas_defaults`].
+//! The settings are the paper's four parameters (§III): `RL` (reset limit — how many
+//! simultaneously frozen variables trigger a reset), `RP` (reset percentage — which
+//! fraction of the variables the generic reset re-randomises), the Tabu tenure (freeze
+//! duration) and the plateau-following probability of §III-B1.  Two run controls sit
+//! beside them: the iteration budget and the stop-poll interval.  The defaults are the
+//! values used for the CAP experiments (§IV-B: `RL = 1`, `RP = 5 %`).
+//!
+//! A reset always offers the problem its own procedure first
+//! ([`crate::PermutationProblem::custom_reset`]); a model that has none, or whose
+//! procedure is switched off (`CostasModelConfig::dedicated_reset`), gets the generic
+//! `RP` perturbation instead.  A walk never restarts on its own: drivers that want a
+//! fresh configuration call [`crate::Engine::restart`].
 
 /// When is the diversification (reset) operator triggered and how strong is it?
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -15,20 +21,6 @@ pub struct ResetPolicy {
     pub reset_limit: usize,
     /// `RP`: fraction (0..=1) of the variables perturbed by the generic reset.
     pub reset_percentage: f64,
-    /// Prefer the problem's custom reset procedure when it provides one (§IV-B).
-    pub use_custom_reset: bool,
-    /// When the custom reset fails to find a strictly better configuration, follow it
-    /// with the generic `RP`-percentage random perturbation.
-    ///
-    /// The paper's description ("the best perturbation is selected") is deterministic;
-    /// on its own that can trap the search in a short cycle of near-solutions (the
-    /// structured perturbations of configuration A lead to B and vice versa).  The
-    /// original C implementation avoids this through additional stochastic state; this
-    /// flag is the explicit equivalent: after a failed custom reset the generic
-    /// perturbation moves the walk off the cycle, at the cost of one random move the
-    /// paper does not describe.  Disable it to reproduce the strictly literal reading
-    /// of §IV-B.
-    pub noise_on_failed_custom_reset: bool,
 }
 
 impl Default for ResetPolicy {
@@ -36,20 +28,8 @@ impl Default for ResetPolicy {
         Self {
             reset_limit: 1,
             reset_percentage: 0.05,
-            use_custom_reset: true,
-            noise_on_failed_custom_reset: true,
         }
     }
-}
-
-/// Full restart policy (start again from a fresh random permutation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RestartPolicy {
-    /// Never restart; run a single walk until solved or the iteration budget is hit.
-    #[default]
-    Never,
-    /// Restart every `iterations` iterations of the current walk.
-    Every { iterations: u64 },
 }
 
 /// All knobs of the Adaptive Search engine.
@@ -61,8 +41,6 @@ pub struct AsConfig {
     pub plateau_probability: f64,
     /// Reset / diversification policy.
     pub reset: ResetPolicy,
-    /// Restart policy.
-    pub restart: RestartPolicy,
     /// Hard iteration budget for one [`crate::Engine::solve`] call
     /// (`u64::MAX` = effectively unbounded).
     pub max_iterations: u64,
@@ -78,7 +56,6 @@ impl Default for AsConfig {
             tabu_tenure: 5,
             plateau_probability: 0.93,
             reset: ResetPolicy::default(),
-            restart: RestartPolicy::Never,
             max_iterations: u64::MAX,
             stop_check_interval: 64,
         }
@@ -86,15 +63,6 @@ impl Default for AsConfig {
 }
 
 impl AsConfig {
-    /// The configuration used for the Costas Array Problem in the paper
-    /// (`RL = 1`, `RP = 5 %`, custom reset enabled, no restarts).
-    ///
-    /// The instance size is accepted for future-proofing (some problems scale their
-    /// tenure with `n`); the CAP settings are size-independent.
-    pub fn costas_defaults(_n: usize) -> Self {
-        Self::default()
-    }
-
     /// Start building a configuration fluently.
     pub fn builder() -> AsConfigBuilder {
         AsConfigBuilder::default()
@@ -155,25 +123,6 @@ impl AsConfigBuilder {
         self
     }
 
-    /// Enable or disable the problem-specific reset procedure.
-    pub fn use_custom_reset(mut self, enabled: bool) -> Self {
-        self.config.reset.use_custom_reset = enabled;
-        self
-    }
-
-    /// Enable or disable the random kick applied when the custom reset fails to
-    /// escape (see [`ResetPolicy::noise_on_failed_custom_reset`]).
-    pub fn noise_on_failed_custom_reset(mut self, enabled: bool) -> Self {
-        self.config.reset.noise_on_failed_custom_reset = enabled;
-        self
-    }
-
-    /// Set the restart policy.
-    pub fn restart(mut self, policy: RestartPolicy) -> Self {
-        self.config.restart = policy;
-        self
-    }
-
     /// Set the iteration budget.
     pub fn max_iterations(mut self, max: u64) -> Self {
         self.config.max_iterations = max;
@@ -205,11 +154,10 @@ mod tests {
 
     #[test]
     fn defaults_match_the_paper() {
-        let c = AsConfig::costas_defaults(20);
+        // §IV-B: RL = 1, RP = 5 % for the CAP.
+        let c = AsConfig::default();
         assert_eq!(c.reset.reset_limit, 1);
-        assert!((c.reset.reset_percentage - 0.05).abs() < 1e-12);
-        assert!(c.reset.use_custom_reset);
-        assert_eq!(c.restart, RestartPolicy::Never);
+        assert_eq!(c.reset.reset_percentage, 0.05);
         assert!(c.validate().is_ok());
     }
 
@@ -220,8 +168,6 @@ mod tests {
             .plateau_probability(0.5)
             .reset_limit(3)
             .reset_percentage(0.25)
-            .use_custom_reset(false)
-            .restart(RestartPolicy::Every { iterations: 1000 })
             .max_iterations(10_000)
             .stop_check_interval(16)
             .build();
@@ -229,8 +175,6 @@ mod tests {
         assert_eq!(c.plateau_probability, 0.5);
         assert_eq!(c.reset.reset_limit, 3);
         assert_eq!(c.reset.reset_percentage, 0.25);
-        assert!(!c.reset.use_custom_reset);
-        assert_eq!(c.restart, RestartPolicy::Every { iterations: 1000 });
         assert_eq!(c.max_iterations, 10_000);
         assert_eq!(c.stop_check_interval, 16);
     }

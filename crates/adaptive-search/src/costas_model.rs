@@ -61,8 +61,6 @@ pub struct CostasModelConfig {
     /// model always defers to the engine's generic reset — this is the knob the
     /// ablation bench uses to measure the paper's "≈3.7× from the dedicated reset".
     pub dedicated_reset: bool,
-    /// How many erroneous variables the third perturbation family samples.
-    pub prefix_shift_candidates: usize,
 }
 
 impl Default for CostasModelConfig {
@@ -70,7 +68,6 @@ impl Default for CostasModelConfig {
         Self {
             cost_model: CostModel::optimized(),
             dedicated_reset: true,
-            prefix_shift_candidates: 3,
         }
     }
 }
@@ -81,7 +78,6 @@ impl CostasModelConfig {
         Self {
             cost_model: CostModel::basic(),
             dedicated_reset: false,
-            prefix_shift_candidates: 3,
         }
     }
 
@@ -90,6 +86,10 @@ impl CostasModelConfig {
         Self::default()
     }
 }
+
+/// How many erroneous variables perturbation family 3 samples: the paper's "at
+/// most three" (§IV-B).
+const PREFIX_SHIFT_CANDIDATES: usize = 3;
 
 /// The CAP as a [`PermutationProblem`].
 #[derive(Debug, Clone)]
@@ -493,7 +493,7 @@ impl CostasProblem {
             return false;
         }
         let mut scratch = std::mem::take(&mut self.scratch);
-        let tries = self.config.prefix_shift_candidates.min(erroneous.len());
+        let tries = PREFIX_SHIFT_CANDIDATES.min(erroneous.len());
         let mut escaped = false;
         for _ in 0..tries {
             let pick = erroneous[rng.index(erroneous.len())];
@@ -1006,6 +1006,20 @@ mod tests {
         let mut rng = default_rng(0);
         p.set_configuration(&random_config(12, 9));
         assert_eq!(p.custom_reset(0, &mut rng), None);
+
+        // End to end: the engine still resets, every time with its generic
+        // perturbation.
+        use crate::config::AsConfig;
+        use crate::engine::Engine;
+        let model = CostasModelConfig {
+            dedicated_reset: false,
+            ..Default::default()
+        };
+        let config = AsConfig::builder().max_iterations(2_000).build();
+        let r = Engine::new(CostasProblem::with_config(16, model), config, 3).solve();
+        assert!(r.stats.resets > 0);
+        assert_eq!(r.stats.custom_resets, 0);
+        assert_eq!(r.stats.custom_reset_escapes, 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use xrand::{default_rng, random_permutation, DefaultRng, RandExt};
 
-use crate::config::{AsConfig, RestartPolicy};
+use crate::config::AsConfig;
 use crate::problem::PermutationProblem;
 use crate::stats::{SearchStats, SolveResult, SolveStatus};
 use crate::tabu::TabuList;
@@ -59,7 +59,7 @@ impl InjectOutcome {
 ///
 /// Everything [`Engine::step`] carries from one iteration to the next is captured:
 /// the random stream, the current and best configurations, the statistics, the
-/// restart and reset counters and the Tabu horizons.  The engine's scratch buffers
+/// reset counter and the Tabu horizons.  The engine's scratch buffers
 /// are rebuilt from these by every iteration that reads them.  Restoring through
 /// [`Engine::from_snapshot`] onto a freshly built problem instance yields an engine
 /// whose subsequent trajectory is bit-for-bit identical to the original's — the
@@ -80,8 +80,6 @@ pub struct EngineSnapshot {
     pub best_cost: u64,
     /// Configuration attaining `best_cost`.
     pub best_config: Vec<usize>,
-    /// Iterations since the last policy restart.
-    pub iterations_since_restart: u64,
     /// Tabu marks since the last reset (the `RL` counter).
     pub marked_since_reset: usize,
     /// Per-variable Tabu freeze horizons.
@@ -136,7 +134,6 @@ pub struct Engine<P: PermutationProblem> {
     stats: SearchStats,
     best_cost: u64,
     best_config: Vec<usize>,
-    iterations_since_restart: u64,
     /// Variables marked Tabu since the last reset — the quantity compared against the
     /// paper's `RL` parameter.
     marked_since_reset: usize,
@@ -168,7 +165,6 @@ impl<P: PermutationProblem> Engine<P> {
             stats: SearchStats::default(),
             best_cost: u64::MAX,
             best_config: Vec::new(),
-            iterations_since_restart: 0,
             marked_since_reset: 0,
             errors: Vec::with_capacity(n),
             ties: TieBreak::with_capacity(n),
@@ -186,7 +182,6 @@ impl<P: PermutationProblem> Engine<P> {
             stats: self.stats.clone(),
             best_cost: self.best_cost,
             best_config: self.best_config.clone(),
-            iterations_since_restart: self.iterations_since_restart,
             marked_since_reset: self.marked_since_reset,
             tabu_horizons: self.tabu.horizons().to_vec(),
         }
@@ -249,7 +244,6 @@ impl<P: PermutationProblem> Engine<P> {
             stats: snap.stats.clone(),
             best_cost: snap.best_cost,
             best_config: snap.best_config.clone(),
-            iterations_since_restart: snap.iterations_since_restart,
             marked_since_reset: snap.marked_since_reset,
             errors: Vec::with_capacity(n),
             ties: TieBreak::with_capacity(n),
@@ -290,7 +284,6 @@ impl<P: PermutationProblem> Engine<P> {
         self.problem.set_configuration(&perm);
         self.tabu.clear();
         self.marked_since_reset = 0;
-        self.iterations_since_restart = 0;
         self.note_best();
     }
 
@@ -398,8 +391,16 @@ impl<P: PermutationProblem> Engine<P> {
         }
     }
 
-    /// Diversification: the problem-specific reset when available and enabled,
+    /// Diversification: the problem-specific reset when the problem offers one,
     /// otherwise the generic `RP`-percentage random perturbation.
+    ///
+    /// A problem-specific reset that finds nothing strictly better than the entry
+    /// configuration is followed by the generic perturbation.  The paper's
+    /// description ("the best perturbation is selected") is deterministic; on its own
+    /// that can trap the search in a short cycle of near-solutions (the structured
+    /// perturbations of configuration A lead to B and vice versa).  The random kick
+    /// moves the walk off the cycle, at the cost of one random move the paper does not
+    /// describe.
     ///
     /// Tabu marks are *not* erased by a reset — recently problematic variables stay
     /// frozen until their tenure expires, which steers the post-reset search towards
@@ -407,23 +408,16 @@ impl<P: PermutationProblem> Engine<P> {
     fn perform_reset(&mut self, culprit: usize) {
         self.stats.resets += 1;
         let entry_cost = self.problem.global_cost();
-        let mut handled = false;
-        if self.config.reset.use_custom_reset {
-            if let Some(new_cost) = self.problem.custom_reset(culprit, &mut self.rng) {
+        match self.problem.custom_reset(culprit, &mut self.rng) {
+            Some(new_cost) => {
                 self.stats.custom_resets += 1;
                 if new_cost < entry_cost {
                     self.stats.custom_reset_escapes += 1;
-                } else if self.config.reset.noise_on_failed_custom_reset {
-                    // The structured perturbation could not escape the local minimum:
-                    // add the generic random kick so the reset sequence cannot cycle
-                    // deterministically through the same handful of configurations.
+                } else {
                     self.generic_random_reset();
                 }
-                handled = true;
             }
-        }
-        if !handled {
-            self.generic_random_reset();
+            None => self.generic_random_reset(),
         }
         self.marked_since_reset = 0;
         self.note_best();
@@ -442,20 +436,6 @@ impl<P: PermutationProblem> Engine<P> {
             return StepOutcome::Solved;
         }
         self.stats.iterations += 1;
-        self.iterations_since_restart += 1;
-
-        // Full restart when the policy says so.
-        if let RestartPolicy::Every { iterations } = self.config.restart {
-            if self.iterations_since_restart >= iterations {
-                self.stats.restarts += 1;
-                self.randomize_configuration();
-                return if self.problem.global_cost() == 0 {
-                    StepOutcome::Solved
-                } else {
-                    StepOutcome::Continue
-                };
-            }
-        }
 
         let now = self.stats.iterations;
         let current_cost = self.problem.global_cost();
@@ -560,8 +540,8 @@ impl<P: PermutationProblem> Engine<P> {
     }
 
     /// Restart from a fresh random configuration (counted in the statistics).
-    /// Exposed so external drivers (e.g. the sequential multi-restart driver) can
-    /// implement their own restart schedules.
+    /// The engine never restarts on its own; drivers that keep a walk going after
+    /// it solves (campaigns, the virtual cluster's calibration) call this.
     pub fn restart(&mut self) {
         self.stats.restarts += 1;
         self.randomize_configuration();
@@ -615,13 +595,25 @@ impl<P: PermutationProblem> Engine<P> {
 mod tests {
     use super::*;
     use crate::config::AsConfig;
-    use crate::costas_model::CostasProblem;
+    use crate::costas_model::{CostasModelConfig, CostasProblem};
     use crate::stats::SolveStatus;
     use crate::termination::{FlagStop, StopReason};
     use costas::is_costas_permutation;
 
+    /// The optimised Costas model with its dedicated reset switched off, so every
+    /// reset is the engine's generic `RP` perturbation.
+    fn generic_reset_costas(n: usize) -> CostasProblem {
+        CostasProblem::with_config(
+            n,
+            CostasModelConfig {
+                dedicated_reset: false,
+                ..Default::default()
+            },
+        )
+    }
+
     fn small_engine(n: usize, seed: u64) -> Engine<CostasProblem> {
-        Engine::new(CostasProblem::new(n), AsConfig::costas_defaults(n), seed)
+        Engine::new(CostasProblem::new(n), AsConfig::default(), seed)
     }
 
     #[test]
@@ -697,20 +689,6 @@ mod tests {
         assert!(s.local_minima <= s.tabu_marks);
         assert!(s.custom_resets <= s.resets);
         assert!(s.custom_reset_escapes <= s.custom_resets);
-    }
-
-    #[test]
-    fn restart_policy_triggers_restarts() {
-        let config = AsConfig::builder()
-            .restart(RestartPolicy::Every { iterations: 20 })
-            .max_iterations(500)
-            .build();
-        let mut e = Engine::new(CostasProblem::new(17), config, 11);
-        let r = e.solve();
-        // 500 iterations with restart every 20 → many restarts unless solved very early
-        if !r.is_solved() {
-            assert!(r.stats.restarts >= 10);
-        }
     }
 
     #[test]
@@ -829,10 +807,7 @@ mod tests {
     fn generic_reset_applies_exactly_the_configured_number_of_swaps() {
         // RP = 0.5 over 10 variables → exactly ⌈5⌉ = 5 effective swaps per reset;
         // collisions are re-sampled instead of silently dropped.
-        let config = AsConfig::builder()
-            .reset_percentage(0.5)
-            .use_custom_reset(false)
-            .build();
+        let config = AsConfig::builder().reset_percentage(0.5).build();
         for seed in 0..50u64 {
             let mut e = Engine::new(SwapCounter::new(10), config.clone(), seed);
             let before = e.problem().swaps;
@@ -855,11 +830,10 @@ mod tests {
                 .reset_limit(32)
                 .plateau_probability(0.5)
                 .tabu_tenure(tenure)
-                .use_custom_reset(false)
                 .max_iterations(5_000)
                 .build();
-            let mut a = Engine::new(CostasProblem::new(13), config.clone(), 7);
-            let mut b = Engine::new(CostasProblem::new(13), config, 7);
+            let mut a = Engine::new(generic_reset_costas(13), config.clone(), 7);
+            let mut b = Engine::new(generic_reset_costas(13), config, 7);
             let ra = a.solve();
             let rb = b.solve();
             assert_eq!(ra.solution, rb.solution, "tenure {tenure}");
@@ -888,10 +862,9 @@ mod tests {
             .reset_limit(32)
             .tabu_tenure(4)
             .plateau_probability(0.5)
-            .use_custom_reset(false)
             .max_iterations(5_000)
             .build();
-        let r = Engine::new(CostasProblem::new(13), config, 7).solve();
+        let r = Engine::new(generic_reset_costas(13), config, 7).solve();
         assert_eq!(r.status, SolveStatus::IterationLimit);
         assert_eq!(
             (r.stats.iterations, r.stats.local_minima, r.stats.resets),
@@ -943,9 +916,8 @@ mod tests {
             .reset_limit(32)
             .plateau_probability(0.4)
             .tabu_tenure(6)
-            .use_custom_reset(false)
             .build();
-        let mut original = Engine::new(CostasProblem::new(15), config.clone(), 42);
+        let mut original = Engine::new(generic_reset_costas(15), config.clone(), 42);
         for _ in 0..700 {
             if original.step() == StepOutcome::Solved {
                 original.restart();
@@ -953,7 +925,7 @@ mod tests {
         }
         let snap = original.snapshot();
         let mut resumed =
-            Engine::from_snapshot(CostasProblem::new(15), config, &snap).expect("valid snapshot");
+            Engine::from_snapshot(generic_reset_costas(15), config, &snap).expect("valid snapshot");
         assert_eq!(resumed.snapshot(), snap, "restore must round-trip");
         assert_lockstep(&mut original, &mut resumed, 700);
     }
@@ -966,7 +938,6 @@ mod tests {
             .reset_limit(64)
             .plateau_probability(0.1)
             .tabu_tenure(8)
-            .use_custom_reset(false)
             .build();
         let mut original = Engine::new(SwapCounter::new(10), config.clone(), 5);
         for _ in 0..50 {
@@ -981,7 +952,7 @@ mod tests {
 
     #[test]
     fn snapshot_restore_rejects_corrupt_images_with_typed_errors() {
-        let config = AsConfig::costas_defaults(8);
+        let config = AsConfig::default();
         let e = small_engine(8, 1);
         let good = e.snapshot();
 
@@ -1018,9 +989,8 @@ mod tests {
             let _ = e.step();
         }
         let snap = e.snapshot();
-        let mut resumed =
-            Engine::from_snapshot(CostasProblem::new(14), AsConfig::costas_defaults(14), &snap)
-                .expect("valid snapshot");
+        let mut resumed = Engine::from_snapshot(CostasProblem::new(14), AsConfig::default(), &snap)
+            .expect("valid snapshot");
         assert_eq!(resumed.best_cost(), e.best_cost());
         assert_lockstep(&mut e, &mut resumed, 100);
     }

@@ -281,7 +281,7 @@ pub fn ensure_chaos_registered() {
         summary: "Costas wrapped in the installed deterministic fault plan",
         size_unit: "array order n (n variables)",
         build: build_chaos,
-        default_config: AsConfig::costas_defaults,
+        default_config: |_| AsConfig::default(),
         is_optimum: costas::is_costas_permutation,
         bench_size: usize::MAX,
         heap_bytes: problems::find("costas").expect("static entry").heap_bytes,
@@ -333,10 +333,10 @@ mod tests {
     #[test]
     fn benign_wrapper_is_computationally_transparent() {
         // Same seed, same model, with and without the wrapper: identical walk.
-        let bare = Engine::new(CostasProblem::new(10), AsConfig::costas_defaults(10), 42).solve();
+        let bare = Engine::new(CostasProblem::new(10), AsConfig::default(), 42).solve();
         let wrapped = Engine::new(
             FaultyProblem::new(Box::new(CostasProblem::new(10)), FaultPlan::benign(7)),
-            AsConfig::costas_defaults(10),
+            AsConfig::default(),
             42,
         )
         .solve();
@@ -352,8 +352,7 @@ mod tests {
         // fault itself — the same technique the chaos e2e tests use.
         let seed = (0..200u64)
             .find(|&seed| {
-                let engine =
-                    Engine::new(CostasProblem::new(10), AsConfig::costas_defaults(10), seed);
+                let engine = Engine::new(CostasProblem::new(10), AsConfig::default(), seed);
                 matches!(
                     plan.fault_for(engine.problem().configuration()),
                     Fault::PanicAt { .. }
@@ -364,7 +363,7 @@ mod tests {
             std::panic::catch_unwind(|| {
                 let mut engine = Engine::new(
                     FaultyProblem::new(Box::new(CostasProblem::new(10)), plan),
-                    AsConfig::costas_defaults(10),
+                    AsConfig::default(),
                     seed,
                 );
                 let r = engine.solve();

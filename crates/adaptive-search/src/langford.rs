@@ -330,7 +330,7 @@ mod tests {
     fn adaptive_search_solves_solvable_orders() {
         // L(2, n) is solvable iff n ≡ 0 or 3 (mod 4).
         for n in [3usize, 4, 7, 8] {
-            let cfg = AsConfig::builder().use_custom_reset(false).build();
+            let cfg = AsConfig::default();
             let mut engine = Engine::new(LangfordProblem::new(n), cfg, 3 + n as u64);
             let r = engine.solve();
             assert!(r.is_solved(), "n = {n}");

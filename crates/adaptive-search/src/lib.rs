@@ -15,8 +15,7 @@
 //! * **reset / diversification**: when `RL` variables are simultaneously frozen, a
 //!   percentage `RP` of the variables is re-randomised — or a *problem-specific reset*
 //!   is invoked (§III-B2), which for the CAP is the three-perturbation procedure of
-//!   §IV-B worth a 3.7× speed-up;
-//! * optional **restart** from scratch after a configurable number of iterations.
+//!   §IV-B worth a 3.7× speed-up.
 //!
 //! The crate is organised as a reusable library:
 //!
@@ -24,7 +23,8 @@
 //!   permutation problems, as in the original AS C library).
 //! * [`Engine`] — the AS algorithm itself, stepable one iteration at a time (which is
 //!   what the virtual-cluster simulator in the `multiwalk` crate builds on).
-//! * [`AsConfig`] — every tuning knob of the paper, with the paper's defaults.
+//! * [`AsConfig`] — the paper's four parameters (tenure, plateau probability, `RL`,
+//!   `RP`) plus the iteration budget and stop-poll interval, with the paper's defaults.
 //! * [`costas_model::CostasProblem`] — the CAP model (basic and optimised variants).
 //! * [`queens::QueensProblem`], [`all_interval::AllIntervalProblem`],
 //!   [`magic_square::MagicSquareProblem`], [`langford::LangfordProblem`],
@@ -35,7 +35,7 @@
 //!   predicate, standard bench sizes) so harnesses dispatch by name.
 //! * [`tie_break`] — the uniform tie-break accumulator shared by the engine's
 //!   culprit selection and min-conflict scan and by the baseline solvers.
-//! * [`multi_restart`] — a sequential driver with restart/benchmarking support.
+//! * [`multi_restart`] — the sequential benchmarking driver behind Table I.
 //! * [`request`] — the unified solve API ([`SolveRequest`] / [`SolveOutcome`]):
 //!   one typed request shape for every solve path in the workspace (baselines,
 //!   multi-walk fan-out, the `solverd` service), with typed errors instead of
@@ -62,11 +62,11 @@ pub mod tabu;
 pub mod termination;
 pub mod tie_break;
 
-pub use config::{AsConfig, AsConfigBuilder, ResetPolicy, RestartPolicy};
+pub use config::{AsConfig, AsConfigBuilder, ResetPolicy};
 pub use costas_model::{CostasModelConfig, CostasProblem};
 pub use engine::{Engine, EngineSnapshot, InjectOutcome, SnapshotError, StepOutcome};
 pub use fault::{Fault, FaultPlan, FaultyProblem};
-pub use multi_restart::{solve_costas, solve_with_restarts, SequentialDriver};
+pub use multi_restart::{solve_costas, SequentialDriver};
 pub use problem::PermutationProblem;
 pub use problems::{DynProblem, ProblemInfo};
 pub use request::{RequestError, SolveOutcome, SolveRequest, Termination};
@@ -84,7 +84,7 @@ mod tests {
     #[test]
     fn solves_small_costas_instance() {
         let problem = CostasProblem::new(10);
-        let config = AsConfig::costas_defaults(10);
+        let config = AsConfig::default();
         let mut engine = Engine::new(problem, config, 42);
         let result = engine.solve();
         assert_eq!(result.status, SolveStatus::Solved);

@@ -432,10 +432,7 @@ mod tests {
     #[test]
     fn adaptive_search_solves_small_magic_squares() {
         for side in [3usize, 4, 5] {
-            let cfg = AsConfig::builder()
-                .use_custom_reset(false)
-                .plateau_probability(0.9)
-                .build();
+            let cfg = AsConfig::builder().plateau_probability(0.9).build();
             let mut engine = Engine::new(MagicSquareProblem::new(side), cfg, 5 + side as u64);
             let r = engine.solve();
             assert!(r.is_solved(), "side = {side}");

@@ -2,30 +2,21 @@
 //!
 //! Table I of the paper is produced by running the sequential AS solver 100 times per
 //! instance and aggregating best/average/worst times and iteration counts.  The
-//! [`SequentialDriver`] does exactly that for any problem factory; [`solve_costas`]
-//! and [`solve_with_restarts`] are the convenience entry points used by the examples
-//! and the benchmark harnesses.
-
-use std::time::Duration;
+//! [`SequentialDriver`] does exactly that for the CAP; [`solve_costas`] is the
+//! convenience entry point used by the examples and the benchmark harnesses.
 
 use xrand::SeedSequence;
 
 use crate::config::AsConfig;
 use crate::costas_model::{CostasModelConfig, CostasProblem};
 use crate::engine::Engine;
-use crate::problem::PermutationProblem;
 use crate::stats::SolveResult;
 
 /// Solve one CAP instance of order `n` with the optimised model and the paper's
 /// default parameters.  Runs until a solution is found (no iteration cap), so for
 /// paper-sized instances (n ≤ 23) it always returns a solution.
 pub fn solve_costas(n: usize, seed: u64) -> SolveResult {
-    solve_costas_with(
-        n,
-        CostasModelConfig::optimized(),
-        AsConfig::costas_defaults(n),
-        seed,
-    )
+    solve_costas_with(n, CostasModelConfig::optimized(), AsConfig::default(), seed)
 }
 
 /// Solve one CAP instance with explicit model and engine configurations.
@@ -38,60 +29,6 @@ pub fn solve_costas_with(
     let problem = CostasProblem::with_config(n, model);
     let mut engine = Engine::new(problem, config, seed);
     engine.solve()
-}
-
-/// Solve a problem with an outer restart loop: each attempt gets `iterations_per_try`
-/// iterations; after `max_tries` unsuccessful attempts the best effort is returned.
-///
-/// This is the classical "random restart" wrapper; the engine's own
-/// [`crate::RestartPolicy`] covers the common case, but an outer loop is handy when
-/// each try should use an *independent* seed (as the independent multi-walk scheme
-/// does, just sequentially).
-pub fn solve_with_restarts<P, F>(
-    factory: F,
-    config: AsConfig,
-    master_seed: u64,
-    iterations_per_try: u64,
-    max_tries: usize,
-) -> SolveResult
-where
-    P: PermutationProblem,
-    F: Fn() -> P,
-{
-    let seeds = SeedSequence::new(master_seed);
-    let mut best: Option<SolveResult> = None;
-    let mut total_elapsed = Duration::ZERO;
-    let mut merged_stats = crate::stats::SearchStats::default();
-    for try_index in 0..max_tries.max(1) {
-        let cfg = AsConfig {
-            max_iterations: iterations_per_try,
-            ..config.clone()
-        };
-        let mut engine = Engine::new(factory(), cfg, seeds.child(try_index as u64).seed());
-        let mut result = engine.solve();
-        total_elapsed += result.elapsed;
-        merged_stats.merge(&result.stats);
-        if try_index > 0 {
-            merged_stats.restarts += 1;
-        }
-        let solved = result.is_solved();
-        let better = best
-            .as_ref()
-            .map(|b| result.best_cost < b.best_cost)
-            .unwrap_or(true);
-        if solved || better {
-            result.elapsed = total_elapsed;
-            result.stats = merged_stats.clone();
-            best = Some(result);
-        }
-        if solved {
-            break;
-        }
-    }
-    let mut out = best.expect("at least one try is always performed");
-    out.elapsed = total_elapsed;
-    out.stats = merged_stats;
-    out
 }
 
 /// Runs a batch of independent sequential solves of the same instance, one per seed —
@@ -112,7 +49,7 @@ impl SequentialDriver {
         Self {
             n,
             model: CostasModelConfig::optimized(),
-            config: AsConfig::costas_defaults(n),
+            config: AsConfig::default(),
         }
     }
 
@@ -191,7 +128,6 @@ impl BatchSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queens::QueensProblem;
     use crate::stats::SolveStatus;
     use costas::is_costas_permutation;
 
@@ -230,36 +166,6 @@ mod tests {
         assert!(summary.min_iterations <= summary.max_iterations);
         assert!(summary.avg_iterations >= summary.min_iterations as f64);
         assert!(summary.avg_iterations <= summary.max_iterations as f64);
-    }
-
-    #[test]
-    fn restart_wrapper_eventually_solves_with_tiny_budgets() {
-        // Queens n = 20 with only 300 iterations per try usually needs a few tries.
-        let r = solve_with_restarts(
-            || QueensProblem::new(20),
-            AsConfig::builder().use_custom_reset(false).build(),
-            99,
-            300,
-            50,
-        );
-        assert!(r.is_solved());
-        assert!(r.stats.iterations > 0);
-    }
-
-    #[test]
-    fn restart_wrapper_reports_best_effort_when_unsolved() {
-        // CAP 18 in 10 iterations × 2 tries will not be solved; the driver must still
-        // return a well-formed result with the best cost seen.
-        let r = solve_with_restarts(
-            || CostasProblem::new(18),
-            AsConfig::costas_defaults(18),
-            5,
-            10,
-            2,
-        );
-        assert!(!r.is_solved());
-        assert!(r.best_cost > 0);
-        assert!(r.stats.iterations <= 22);
     }
 
     #[test]

@@ -318,7 +318,7 @@ mod tests {
     fn adaptive_search_solves_solvable_orders() {
         // Balanced partitions with equal sums and square sums exist for these.
         for n in [8usize, 12, 16] {
-            let cfg = AsConfig::builder().use_custom_reset(false).build();
+            let cfg = AsConfig::default();
             let mut engine = Engine::new(PartitionProblem::new(n), cfg, 7 + n as u64);
             let r = engine.solve();
             assert!(r.is_solved(), "n = {n}");

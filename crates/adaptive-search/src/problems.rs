@@ -163,11 +163,6 @@ fn zero_cost<P: PermutationProblem>(mut fresh: P, values: &[usize]) -> bool {
     fresh.global_cost() == 0
 }
 
-/// Generic engine configuration shared by the models without a dedicated reset.
-fn generic_config(_n: usize) -> AsConfig {
-    AsConfig::builder().use_custom_reset(false).build()
-}
-
 /// Integer square root (for decoding a Magic Square side from a configuration).
 fn isqrt(n: usize) -> usize {
     let mut s = (n as f64).sqrt() as usize;
@@ -192,7 +187,7 @@ static REGISTRY: [ProblemInfo; 6] = [
         summary: "Costas Array Problem: all difference-triangle rows alldifferent",
         size_unit: "array order n (n variables)",
         build: |n| Box::new(CostasProblem::new(n)),
-        default_config: AsConfig::costas_defaults,
+        default_config: |_| AsConfig::default(),
         is_optimum: is_costas_permutation,
         bench_size: 18,
         heap_bytes: costas_heap_bytes,
@@ -206,7 +201,7 @@ static REGISTRY: [ProblemInfo; 6] = [
         summary: "N-Queens: no two queens on a shared diagonal",
         size_unit: "board size n (n variables)",
         build: |n| Box::new(QueensProblem::new(n)),
-        default_config: generic_config,
+        default_config: |_| AsConfig::default(),
         is_optimum: |values| zero_cost(QueensProblem::new(values.len().max(1)), values),
         bench_size: 100,
         heap_bytes: QueensProblem::heap_bytes,
@@ -220,7 +215,7 @@ static REGISTRY: [ProblemInfo; 6] = [
         summary: "All-Interval Series: all adjacent differences distinct",
         size_unit: "series length n (n variables)",
         build: |n| Box::new(AllIntervalProblem::new(n)),
-        default_config: generic_config,
+        default_config: |_| AsConfig::default(),
         is_optimum: |values| zero_cost(AllIntervalProblem::new(values.len().max(1)), values),
         bench_size: 50,
         heap_bytes: AllIntervalProblem::heap_bytes,
@@ -237,10 +232,7 @@ static REGISTRY: [ProblemInfo; 6] = [
         default_config: |_side| {
             // The plateau tuning of paper §III-B1: Magic Square needs aggressive
             // plateau-following (0.9 < p) to traverse its wide equal-cost shelves.
-            AsConfig::builder()
-                .use_custom_reset(false)
-                .plateau_probability(0.9)
-                .build()
+            AsConfig::builder().plateau_probability(0.9).build()
         },
         is_optimum: |values| {
             let side = isqrt(values.len());
@@ -260,7 +252,7 @@ static REGISTRY: [ProblemInfo; 6] = [
         summary: "Langford pairing L(2, n): the two copies of k sit k cells apart",
         size_unit: "pair count n (2n variables)",
         build: |pairs| Box::new(LangfordProblem::new(pairs)),
-        default_config: generic_config,
+        default_config: |_| AsConfig::default(),
         is_optimum: |values| {
             values.len() % 2 == 0
                 && !values.is_empty()
@@ -278,7 +270,7 @@ static REGISTRY: [ProblemInfo; 6] = [
         summary: "Number partitioning: halve 1..=n with equal sums and square sums",
         size_unit: "ground-set size n (n variables, n even)",
         build: |n| Box::new(PartitionProblem::new(n)),
-        default_config: generic_config,
+        default_config: |_| AsConfig::default(),
         is_optimum: |values| {
             values.len() % 2 == 0
                 && !values.is_empty()
@@ -464,7 +456,7 @@ mod tests {
             summary: "runtime-registered double",
             size_unit: "n",
             build: |n| Box::new(CostasProblem::new(n)),
-            default_config: AsConfig::costas_defaults,
+            default_config: |_| AsConfig::default(),
             is_optimum: is_costas_permutation,
             bench_size: usize::MAX,
             heap_bytes: costas_heap_bytes,

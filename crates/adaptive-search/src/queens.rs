@@ -389,7 +389,7 @@ mod tests {
     #[test]
     fn adaptive_search_solves_queens() {
         for n in [8usize, 20, 50] {
-            let cfg = AsConfig::builder().use_custom_reset(false).build();
+            let cfg = AsConfig::default();
             let mut engine = Engine::new(QueensProblem::new(n), cfg, n as u64);
             let r = engine.solve();
             assert!(r.is_solved(), "n = {n}");

@@ -112,7 +112,7 @@ impl AdaptiveSearchSolver {
     pub fn basic_model() -> Self {
         Self {
             model: CostasModelConfig::basic(),
-            config: AsConfig::builder().use_custom_reset(false).build(),
+            config: AsConfig::default(),
         }
     }
 

@@ -6,13 +6,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use adaptive_search::{AsConfig, CostasModelConfig, CostasProblem, Engine};
+use adaptive_search::multi_restart::solve_costas_with;
+use adaptive_search::{AsConfig, CostasModelConfig};
 use costas::{CostModel, ErrWeight, RowSpan};
 use xrand::SeedSequence;
 
-fn solve(n: usize, model: CostasModelConfig, config: AsConfig, seed: u64) -> u64 {
-    let mut engine = Engine::new(CostasProblem::with_config(n, model), config, seed);
-    let r = engine.solve();
+fn solve(n: usize, model: CostasModelConfig, seed: u64) -> u64 {
+    let r = solve_costas_with(n, model, AsConfig::default(), seed);
     assert!(r.is_solved());
     r.stats.iterations
 }
@@ -22,12 +22,8 @@ fn bench_ablations(c: &mut Criterion) {
     group.sample_size(10);
     let n = 13usize;
 
-    let variants: Vec<(&str, CostasModelConfig, AsConfig)> = vec![
-        (
-            "full_optimized",
-            CostasModelConfig::optimized(),
-            AsConfig::costas_defaults(n),
-        ),
+    let variants: Vec<(&str, CostasModelConfig)> = vec![
+        ("full_optimized", CostasModelConfig::optimized()),
         (
             "unit_err_weight",
             CostasModelConfig {
@@ -37,7 +33,6 @@ fn bench_ablations(c: &mut Criterion) {
                 },
                 ..CostasModelConfig::optimized()
             },
-            AsConfig::costas_defaults(n),
         ),
         (
             "full_triangle",
@@ -48,7 +43,6 @@ fn bench_ablations(c: &mut Criterion) {
                 },
                 ..CostasModelConfig::optimized()
             },
-            AsConfig::costas_defaults(n),
         ),
         (
             "generic_reset",
@@ -56,17 +50,16 @@ fn bench_ablations(c: &mut Criterion) {
                 dedicated_reset: false,
                 ..CostasModelConfig::optimized()
             },
-            AsConfig::builder().use_custom_reset(false).build(),
         ),
     ];
 
-    for (name, model, config) in variants {
+    for (name, model) in variants {
         let seeds = SeedSequence::new(31);
         group.bench_with_input(BenchmarkId::new(name, n), &n, |b, &n| {
             let mut run = 0u64;
             b.iter(|| {
                 run += 1;
-                black_box(solve(n, model, config.clone(), seeds.child(run).seed()))
+                black_box(solve(n, model, seeds.child(run).seed()))
             });
         });
     }

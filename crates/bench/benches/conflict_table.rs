@@ -93,16 +93,6 @@ fn bench_conflict_table(c: &mut Criterion) {
         perm.iter_mut().for_each(|v| *v += 1);
         let model = CostModel::optimized();
 
-        group.bench_with_input(BenchmarkId::new("incremental_swap_eval", n), &n, |b, _| {
-            let mut table = ConflictTable::new(&perm, model);
-            let mut rng = default_rng(11);
-            b.iter(|| {
-                let i = rng.index(n);
-                let j = rng.index(n);
-                black_box(table.cost_after_swap(i, j))
-            });
-        });
-
         group.bench_with_input(BenchmarkId::new("delta_for_swap", n), &n, |b, _| {
             let table = ConflictTable::new(&perm, model);
             let mut rng = default_rng(11);

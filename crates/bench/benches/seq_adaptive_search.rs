@@ -11,7 +11,7 @@ use xrand::SeedSequence;
 
 fn solve_once(n: usize, seed: u64) -> u64 {
     let problem = CostasProblem::with_config(n, CostasModelConfig::optimized());
-    let mut engine = Engine::new(problem, AsConfig::costas_defaults(n), seed);
+    let mut engine = Engine::new(problem, AsConfig::default(), seed);
     let result = engine.solve();
     assert!(result.is_solved());
     result.stats.iterations

@@ -22,8 +22,8 @@ struct Variant {
     config: AsConfig,
 }
 
-fn variants(n: usize) -> Vec<Variant> {
-    let base = AsConfig::costas_defaults(n);
+fn variants() -> Vec<Variant> {
+    let base = AsConfig::default();
     vec![
         Variant {
             name: "full-optimized",
@@ -58,13 +58,7 @@ fn variants(n: usize) -> Vec<Variant> {
                 dedicated_reset: false,
                 ..CostasModelConfig::optimized()
             },
-            config: AsConfig {
-                reset: adaptive_search::ResetPolicy {
-                    use_custom_reset: false,
-                    ..base.reset
-                },
-                ..base.clone()
-            },
+            config: base.clone(),
         },
         Variant {
             name: "plateau-off",
@@ -106,7 +100,7 @@ fn main() {
 
     for &n in sizes {
         let mut reference_time = None;
-        for variant in variants(n) {
+        for variant in variants() {
             let seeds = SeedSequence::new(options.master_seed ^ (n as u64) << 16);
             let mut times = Vec::with_capacity(runs);
             let mut iters = Vec::with_capacity(runs);

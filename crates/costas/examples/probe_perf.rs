@@ -54,7 +54,7 @@ fn main() {
         // the engine probes at equilibrium, not a random high-cost state.
         for _ in 0..50 * n {
             let (i, j) = (rng.index(n), rng.index(n));
-            if table.cost_after_swap(i, j) <= table.cost() {
+            if table.delta_for_swap(i, j) <= 0 {
                 table.apply_swap(i, j);
             }
         }

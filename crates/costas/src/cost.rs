@@ -127,32 +127,11 @@ impl CostModel {
     }
 
     /// Allocation-free from-scratch global cost: `scratch` is a reusable one-row
-    /// histogram (resized to `2n − 1` and zeroed per row).
+    /// histogram (resized to `2n − 1` and zeroed per row).  The scalar body of
+    /// [`CostModel::global_cost_bounded`] with no limit.
     pub fn global_cost_with(&self, values: &[usize], scratch: &mut Vec<u32>) -> u64 {
-        let n = values.len();
-        if n < 2 {
-            return 0;
-        }
-        let width = 2 * n - 1;
-        let dmax = self.max_distance(n);
-        scratch.clear();
-        scratch.resize(width, 0);
-        let mut cost = 0u64;
-        for d in 1..=dmax {
-            if d > 1 {
-                scratch.iter_mut().for_each(|c| *c = 0);
-            }
-            let w = self.weight_at(n, d);
-            for i in 0..(n - d) {
-                let diff = values[i + d] as i64 - values[i] as i64;
-                let idx = (diff + (n as i64 - 1)) as usize;
-                if scratch[idx] > 0 {
-                    cost += w;
-                }
-                scratch[idx] += 1;
-            }
-        }
-        cost
+        self.global_cost_bounded_scalar(values, u64::MAX, scratch)
+            .expect("no cost exceeds u64::MAX")
     }
 
     /// Like [`CostModel::global_cost_with`], but gives up as soon as the running
@@ -944,7 +923,7 @@ impl ConflictTable {
     ///   event-algebra body, 64 candidates per pass, one per byte lane,
     ///   reading exact counts by byte-table lookups;
     /// * elsewhere (other CPUs, n > 128): the scalar event-algebra bodies,
-    ///   monomorphized per row width for n ≤ 64 and slice-walking beyond.
+    ///   one register word per row mask for n ≤ 32 and slice-walking beyond.
     ///
     /// The plain histogram path, which builds each row's histogram from the
     /// values, is retained as the reference implementation behind
@@ -1014,11 +993,7 @@ impl ConflictTable {
             1 if vector => unsafe { self.probe_body_avx512_scratch(m, lo_bound, out) },
             #[cfg(target_arch = "x86_64")]
             2..=4 if vector => unsafe { self.probe_body_avx512_bytes(m, lo_bound, out) },
-            // dmax ≤ n − 1, and the row capacity R only needs to cover the
-            // largest order of each width class: n ≤ 32 for one word per row
-            // (u64), n ≤ 64 for two (packed into one u128).
-            1 => self.probe_range_masked::<u64, 32>(m, lo_bound, out),
-            2 => self.probe_range_masked::<u128, 64>(m, lo_bound, out),
+            1 => self.probe_range_masked(m, lo_bound, out),
             _ => self.probe_range_masked_dyn(m, lo_bound, out),
         }
         debug_assert!(
@@ -1192,27 +1167,6 @@ impl ConflictTable {
                 *out_slot = out_slot.wrapping_add_signed(delta);
             }
         }
-    }
-
-    /// Cost the configuration would have after swapping positions `i` and `j`,
-    /// without changing the current configuration.
-    ///
-    /// Thin compatibility wrapper over [`ConflictTable::delta_for_swap`]; solvers
-    /// should prefer the delta/batched probes directly.  Under `debug_assertions`
-    /// the prediction is cross-checked against the mutating apply/un-apply path.
-    pub fn cost_after_swap(&mut self, i: usize, j: usize) -> u64 {
-        let predicted = (self.cost as i64 + self.delta_for_swap(i, j)) as u64;
-        #[cfg(debug_assertions)]
-        {
-            self.apply_swap(i, j);
-            let actual = self.cost;
-            self.apply_swap(i, j);
-            debug_assert_eq!(
-                actual, predicted,
-                "delta path diverged from the apply path for swap ({i}, {j})"
-            );
-        }
-        predicted
     }
 
     /// Weighted cost contributed by row `d` of the current difference triangle
@@ -1396,27 +1350,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn cost_after_swap_is_side_effect_free() {
-        let mut rng = default_rng(9);
-        let n = 15;
-        let p = one_based(random_permutation(n, &mut rng));
-        let mut table = ConflictTable::new(&p, CostModel::optimized());
-        let before_values = table.values().to_vec();
-        let before_cost = table.cost();
-        for _ in 0..100 {
-            let i = rng.index(n);
-            let j = rng.index(n);
-            let predicted = table.cost_after_swap(i, j);
-            assert_eq!(table.values(), &before_values[..]);
-            assert_eq!(table.cost(), before_cost);
-            // and the prediction matches actually doing it
-            let mut copy = table.clone();
-            copy.apply_swap(i, j);
-            assert_eq!(copy.cost(), predicted);
         }
     }
 

@@ -48,7 +48,7 @@ use runtime_stats::Json;
 use crate::walker::WalkSpec;
 
 /// Version tag of the checkpoint payload; bumped on any incompatible layout change.
-pub const CHECKPOINT_SCHEMA: &str = "campaign_checkpoint/v3";
+pub const CHECKPOINT_SCHEMA: &str = "campaign_checkpoint/v4";
 /// Version tag of the artifact section emitted by [`Campaign::artifact_section`].
 pub const ARTIFACT_SCHEMA: &str = "campaign/v1";
 
@@ -517,13 +517,12 @@ fn stats_from_json(value: &Json, context: &str) -> Result<SearchStats, CampaignE
     })
 }
 
-const SNAPSHOT_FIELDS: [&str; 8] = [
+const SNAPSHOT_FIELDS: [&str; 7] = [
     "rng",
     "configuration",
     "stats",
     "best_cost",
     "best_config",
-    "iterations_since_restart",
     "marked_since_reset",
     "tabu_horizons",
 ];
@@ -539,10 +538,6 @@ fn snapshot_to_json(s: &EngineSnapshot) -> Json {
             ("stats".to_string(), stats_to_json(&s.stats)),
             ("best_cost".to_string(), Json::UInt(s.best_cost)),
             ("best_config".to_string(), Json::from(s.best_config.clone())),
-            (
-                "iterations_since_restart".to_string(),
-                Json::UInt(s.iterations_since_restart),
-            ),
             (
                 "marked_since_reset".to_string(),
                 Json::from(s.marked_since_reset),
@@ -579,7 +574,6 @@ fn snapshot_from_json(value: &Json, context: &str) -> Result<EngineSnapshot, Cam
         stats,
         best_cost: get_u64(value, "best_cost", context)?,
         best_config: get_usize_array(value, "best_config", context)?,
-        iterations_since_restart: get_u64(value, "iterations_since_restart", context)?,
         marked_since_reset: get_u64(value, "marked_since_reset", context)? as usize,
         tabu_horizons: get_u64_array(value, "tabu_horizons", context)?,
     })

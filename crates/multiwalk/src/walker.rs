@@ -39,7 +39,7 @@ impl WalkSpec {
             problem: "costas",
             n,
             model: CostasModelConfig::optimized(),
-            config: AsConfig::costas_defaults(n),
+            config: AsConfig::default(),
         }
     }
 

@@ -298,6 +298,7 @@ fn stale_schema_version_is_a_typed_error() {
         "campaign_checkpoint/v0",
         "campaign_checkpoint/v1",
         "campaign_checkpoint/v2",
+        "campaign_checkpoint/v3",
     ] {
         let payload = format!(r#"{{"schema":"{stale}"}}"#);
         fs::write(spec.checkpoint_path(), frame_record(&payload)).expect("write stale checkpoint");

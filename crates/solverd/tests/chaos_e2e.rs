@@ -46,7 +46,7 @@ fn arm() {
 /// rebuilding a *bare* engine the way the service will (same model, same
 /// default config, same seed) and hashing its initial configuration.
 fn predicted_fault(seed: u64) -> Fault {
-    let engine = Engine::new(CostasProblem::new(N), AsConfig::costas_defaults(N), seed);
+    let engine = Engine::new(CostasProblem::new(N), AsConfig::default(), seed);
     PLAN.fault_for(engine.problem().configuration())
 }
 

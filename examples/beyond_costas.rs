@@ -19,7 +19,7 @@ use costas_lab::adaptive_search::{
 };
 
 fn solve_and_report<P: PermutationProblem>(problem: P, label: &str, seed: u64) -> Vec<usize> {
-    let config = AsConfig::builder().use_custom_reset(false).build();
+    let config = AsConfig::default();
     let mut engine = Engine::new(problem, config, seed);
     let result = engine.solve();
     assert!(result.is_solved(), "{label} should be solvable");
