@@ -18,6 +18,9 @@ use xrand::SeedSequence;
 
 struct Variant {
     name: &'static str,
+    /// What §IV-B (or §III-B1) reports for this option, printed beside the
+    /// measured ratios.
+    paper: &'static str,
     model: CostasModelConfig,
     config: AsConfig,
 }
@@ -27,11 +30,13 @@ fn variants() -> Vec<Variant> {
     vec![
         Variant {
             name: "full-optimized",
+            paper: "resets escape at once in ≈32 %",
             model: CostasModelConfig::optimized(),
             config: base.clone(),
         },
         Variant {
             name: "err-unit",
+            paper: "the quadratic weighting makes the solver ≈17 % faster",
             model: CostasModelConfig {
                 cost_model: CostModel {
                     weight: ErrWeight::Unit,
@@ -43,6 +48,7 @@ fn variants() -> Vec<Variant> {
         },
         Variant {
             name: "full-triangle",
+            paper: "the Chang half-triangle makes the solver ≈30 % faster",
             model: CostasModelConfig {
                 cost_model: CostModel {
                     weight: ErrWeight::Quadratic,
@@ -54,6 +60,7 @@ fn variants() -> Vec<Variant> {
         },
         Variant {
             name: "generic-reset",
+            paper: "the dedicated reset makes the solver ≈3.7× faster",
             model: CostasModelConfig {
                 dedicated_reset: false,
                 ..CostasModelConfig::optimized()
@@ -62,6 +69,7 @@ fn variants() -> Vec<Variant> {
         },
         Variant {
             name: "plateau-off",
+            paper: "no figure",
             model: CostasModelConfig::optimized(),
             config: AsConfig {
                 plateau_probability: 0.0,
@@ -98,9 +106,13 @@ fn main() {
         "escape_rate",
     ]);
 
+    // Per variant and size: its time and iteration ratios to the optimised
+    // model, and its reset escape rate (NaN where it makes no dedicated
+    // resets).
+    let mut measured: Vec<Vec<[f64; 3]>> = vec![Vec::new(); variants().len()];
     for &n in sizes {
-        let mut reference_time = None;
-        for variant in variants() {
+        let mut reference = None;
+        for (v, variant) in variants().into_iter().enumerate() {
             let seeds = SeedSequence::new(options.master_seed ^ (n as u64) << 16);
             let mut times = Vec::with_capacity(runs);
             let mut iters = Vec::with_capacity(runs);
@@ -122,13 +134,12 @@ fn main() {
             }
             let t = BatchStats::from_values(&times);
             let i = BatchStats::from_values(&iters);
-            let reference = *reference_time.get_or_insert(t.mean);
-            let slowdown = t.mean / reference.max(1e-12);
-            let escape_rate = if resets > 0 {
-                format!("{:.0}%", 100.0 * escapes as f64 / resets as f64)
-            } else {
-                "-".to_string()
-            };
+            let (reference_time, reference_iters) = *reference.get_or_insert((t.mean, i.mean));
+            let slowdown = t.mean / reference_time.max(1e-12);
+            let escapes = (resets > 0).then(|| 100.0 * escapes as f64 / resets as f64);
+            let iterations = i.mean / reference_iters.max(1e-12);
+            measured[v].push([slowdown, iterations, escapes.unwrap_or(f64::NAN)]);
+            let escape_rate = escapes.map_or("-".to_string(), |e| format!("{e:.0}%"));
             table.add_row(vec![
                 n.to_string(),
                 variant.name.to_string(),
@@ -152,9 +163,35 @@ fn main() {
     println!("\n{}", table.render());
     let path = write_csv("ablation_model_options.csv", &csv.to_csv());
     println!("CSV written to {}", path.display());
+    // The measured ratios beside the paper's figures, without a verdict: a
+    // few runs of a heavy-tailed runtime cannot settle one.
+    let orders: Vec<String> = sizes.iter().map(|n| n.to_string()).collect();
     println!(
-        "\nShape check vs. the paper: the fully optimised model is the fastest; dropping the\n\
-         dedicated reset costs the most (paper: ≈3.7×), dropping the Chang restriction or the\n\
-         quadratic weighting costs tens of percent (paper: ≈30 % and ≈17 %)."
+        "\nMeasured vs. the paper, {runs} runs per variant at n = {}: mean time and mean \
+         iterations as ratios to full-optimized, one per order.",
+        orders.join(", ")
     );
+    let list = |rows: &[[f64; 3]], column: usize, digits: usize| -> String {
+        let values: Vec<String> = rows
+            .iter()
+            .map(|r| format!("{:.digits$}", r[column]))
+            .collect();
+        values.join(", ")
+    };
+    let variants = variants();
+    println!(
+        "  {:<14} reset escape rate (%) {}  (paper: {})",
+        variants[0].name,
+        list(&measured[0], 2, 0),
+        variants[0].paper
+    );
+    for (variant, rows) in variants.iter().zip(&measured).skip(1) {
+        println!(
+            "  {:<14} time {}; iterations {}  (paper: {})",
+            variant.name,
+            list(rows, 0, 2),
+            list(rows, 1, 2),
+            variant.paper
+        );
+    }
 }

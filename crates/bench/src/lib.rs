@@ -98,13 +98,17 @@ pub fn write_csv(name: &str, contents: &str) -> PathBuf {
 /// Write a machine-readable benchmark artefact (`BENCH_*.json`).
 ///
 /// The destination is `COSTAS_BENCH_JSON` when set (CI points it at the files
-/// it checks and uploads), otherwise `default_name` in the current directory.
+/// it checks and uploads), otherwise `default_name` in the current directory;
+/// a missing parent directory is created, as [`experiments_dir`] does.
 /// Returns the path written.
 pub fn write_bench_json(default_name: &str, doc: &runtime_stats::Json) -> PathBuf {
     let path = BenchConfig::get()
         .bench_json
         .clone()
         .unwrap_or_else(|| PathBuf::from(default_name));
+    if let Some(dir) = path.parent().filter(|dir| !dir.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).expect("create the benchmark JSON's directory");
+    }
     std::fs::write(&path, doc.render()).expect("write benchmark JSON");
     path
 }

@@ -328,7 +328,9 @@ pub fn add_circular(values: &[usize], c: usize, out: &mut [usize]) {
 /// an event-algebra probe reads it — its conflict histogram.
 ///
 /// `counts[(d−1) * width + diff_index]` stores how many pairs at distance `d`
-/// currently have each difference value.  A row with histogram counts
+/// currently have each difference value, as a `u16` on every tier (a count
+/// is at most `n − 1`; the byte-lane probe narrows a row's counts to bytes
+/// with one `vpermi2b` per 64 buckets).  A row with histogram counts
 /// `c₁,…,c_k` contributes `ERR(d) · Σ max(cᵢ − 1, 0)` to the global cost,
 /// which is exactly the paper's "already encountered" counting.
 ///
@@ -358,7 +360,8 @@ pub fn add_circular(values: &[usize], c: usize, out: &mut [usize]) {
 ///
 /// The counts are kept only where a probe body reads them: the event-algebra
 /// tiers (n ≥ 33, and every order off the vector tier), where a swap moves
-/// the counts of the ≤ 4·d_max pairs touching the two positions by ±1.  On
+/// each of the ≤ 4·d_max pairs touching the two positions from its bucket
+/// to its bucket after the swap, in one walk before the swap.  On
 /// the **count-free tier** — the vector tier's one-word rows (n ≤ 32,
 /// [`ConflictTable::batches_rotations`]) — the probe and the reset's
 /// rotations and constant additions score whole permutations from scratch,
@@ -382,8 +385,11 @@ pub struct ConflictTable {
     pub(crate) dmax: usize,
     pub(crate) values: Vec<usize>,
     /// The conflict histogram, kept where `keeps_counts` holds and empty
-    /// elsewhere (see the type-level docs).
-    pub(crate) counts: Vec<u32>,
+    /// elsewhere (see the type-level docs): `dmax` rows of `width` `u16`
+    /// counts (a count is at most `n − 1`), plus one zero entry past the
+    /// last row (when there is one), so a 32-bit gather of any count stays
+    /// inside the buffer.
+    pub(crate) counts: Vec<u16>,
     /// Fixed at construction: off on the count-free tier, unless a test
     /// asks for a scalar-tier table there.
     keeps_counts: bool,
@@ -417,7 +423,7 @@ pub struct ConflictTable {
     pub(crate) kernel_scratch: std::cell::RefCell<crate::kernel::DynScratch>,
     /// `weights[d]` = `ERR(d)`, precomputed so the apply/probe paths do not
     /// re-evaluate `n² − d²` per touched pair (`weights[0]` unused).
-    weights: Vec<u64>,
+    pub(crate) weights: Vec<u64>,
 }
 
 impl ConflictTable {
@@ -458,7 +464,11 @@ impl ConflictTable {
         };
         table.keeps_counts = scalar_tier || !table.batches_rotations();
         if table.keeps_counts {
-            table.counts = vec![0; dmax * width];
+            assert!(
+                n <= usize::from(u16::MAX) + 1,
+                "order {n} overflows the u16 counts"
+            );
+            table.counts = vec![0; dmax * width + usize::from(dmax > 0)];
         }
         table.keeps_masks = scalar_tier || !table.vector_probe();
         if table.keeps_masks {
@@ -507,7 +517,7 @@ impl ConflictTable {
         let words = width.div_ceil(64);
         let (n, dmax, width, words) = (n as u128, dmax as u128, width as u128, words as u128);
         16 * n // values, errors
-            + 4 * dmax * width // counts (u32)
+            + 4 * dmax * width // counts (u16 and the pad entry, charged at 4 bytes)
             + 8 * (dmax + 1) // weights
             + 16 * dmax * words // occ_mask, multi_mask
             + crate::kernel::DynScratch::heap_bytes(dmax, words)
@@ -529,11 +539,11 @@ impl ConflictTable {
     /// the per-position errors (O(n·d_max)).
     pub fn rebuild(&mut self) {
         if self.keeps_counts {
-            self.counts.iter_mut().for_each(|c| *c = 0);
-            for d in 1..=self.dmax {
-                for i in 0..(self.n - d) {
-                    let idx = self.index(d, i);
-                    self.counts[idx] += 1;
+            let (off, values) = (self.n - 1, &self.values[..]);
+            self.counts.fill(0);
+            for (d, row) in (1..=self.dmax).zip(self.counts.chunks_exact_mut(self.width)) {
+                for (&left, &right) in values.iter().zip(&values[d..]) {
+                    row[right + off - left] += 1;
                 }
             }
         }
@@ -608,12 +618,6 @@ impl ConflictTable {
         (d - 1) * self.width + (diff + (self.n as i64 - 1)) as usize
     }
 
-    #[inline]
-    fn index(&self, d: usize, i: usize) -> usize {
-        let diff = self.values[i + d] as i64 - self.values[i] as i64;
-        self.diff_index(d, diff)
-    }
-
     /// Replace the current permutation (same order) and rebuild.
     pub fn reset_to(&mut self, values: &[usize]) {
         assert_eq!(values.len(), self.n, "order mismatch in reset_to");
@@ -671,31 +675,50 @@ impl ConflictTable {
     }
 
     /// Move the counts of every pair touching position `i` or `j` (`i < j`)
-    /// by `delta` (`1`, or `u32::MAX` for −1), each pair once: the set depends
-    /// only on `i`, `j`, the order and the scored span, not on the values, so
-    /// [`ConflictTable::apply_swap`] walks it once before and once after the
-    /// swap.  A pair touching both positions (`j − i ≤ d_max`) is visited
-    /// once thanks to the `j − d != i` guard.
+    /// from its bucket now to its bucket once the two are swapped, in one
+    /// walk before the swap: each pair takes −1 at its old bucket and +1 at
+    /// its new one.  A pair's old bucket holds that pair, so no count goes
+    /// below zero whatever the order.  The pairs fall into four runs of
+    /// rows — left and right of `i`, left and right of `j` — each a loop
+    /// over its rows with no per-row bounds test; the pair `(i, j)` itself
+    /// (`j − i ≤ d_max`) is moved once, apart from them.
     #[inline]
-    fn shift_touched_counts(&mut self, i: usize, j: usize, delta: u32) {
-        let n = self.n;
-        for d in 1..=self.dmax {
-            let lefts = [
-                (i >= d).then(|| i - d),
-                (i + d < n).then_some(i),
-                (j >= d && j - d != i).then(|| j - d),
-                (j + d < n).then_some(j),
-            ];
-            for l in lefts.into_iter().flatten() {
-                let idx = self.index(d, l);
-                self.counts[idx] = self.counts[idx].wrapping_add(delta);
-            }
+    fn move_touched_counts(&mut self, i: usize, j: usize) {
+        let (n, dmax, width, off) = (self.n, self.dmax, self.width, self.n - 1);
+        let (vi, vj) = (self.values[i], self.values[j]);
+        let values = &self.values[..];
+        let counts = &mut self.counts[..];
+        // Row d's bucket `old` loses the pair and `new` gains it.
+        let mut shift = |d: usize, old: usize, new: usize| {
+            let row = (d - 1) * width;
+            counts[row + old] -= 1;
+            counts[row + new] += 1;
+        };
+        let ij = j - i;
+        for d in 1..=dmax.min(i) {
+            let left = values[i - d];
+            shift(d, vi + off - left, vj + off - left);
+        }
+        for d in (1..=dmax.min(n - 1 - i)).filter(|&d| d != ij) {
+            let right = values[i + d];
+            shift(d, right + off - vi, right + off - vj);
+        }
+        for d in (1..=dmax.min(j)).filter(|&d| d != ij) {
+            let left = values[j - d];
+            shift(d, vj + off - left, vi + off - left);
+        }
+        for d in 1..=dmax.min(n - 1 - j) {
+            let right = values[j + d];
+            shift(d, right + off - vj, right + off - vi);
+        }
+        if ij <= dmax {
+            shift(ij, vj + off - vi, vi + off - vj);
         }
     }
 
     /// Apply a swap of positions `i` and `j`, allocation-free: where the
-    /// table keeps counts, those of the ≤ 4·d_max touched pairs move by ±1;
-    /// then one refresh pass recomputes the masks, the cost and the
+    /// table keeps counts, each of the ≤ 4·d_max touched pairs moves from
+    /// its old bucket to its new one; then one refresh pass recomputes the masks, the cost and the
     /// per-position errors (see the type-level docs).  No-op when `i == j`.
     pub fn apply_swap(&mut self, i: usize, j: usize) {
         if i == j {
@@ -703,12 +726,9 @@ impl ConflictTable {
         }
         let (i, j) = if i < j { (i, j) } else { (j, i) };
         if self.keeps_counts {
-            self.shift_touched_counts(i, j, u32::MAX);
-            self.values.swap(i, j);
-            self.shift_touched_counts(i, j, 1);
-        } else {
-            self.values.swap(i, j);
+            self.move_touched_counts(i, j);
         }
+        self.values.swap(i, j);
         self.refresh();
         debug_assert!(
             self.consistency_check(),
@@ -1444,7 +1464,9 @@ mod tests {
     fn probe_agrees_with_apply_for_large_orders() {
         // Orders with 2n − 1 > 63 take the multi-word kernel; the reference
         // probe covers the generic histogram body.  Both are checked against
-        // the mutating apply path here.
+        // the mutating apply path here, at two to four words per row: one
+        // block of 64 candidates and two table registers (33, 40, 64), two
+        // blocks and four registers (65, 80, 128).
         type Probe = fn(&ConflictTable, usize, &mut Vec<u64>);
         let probes: [(&str, Probe); 2] = [
             ("kernel", ConflictTable::probe_partners),
@@ -1452,26 +1474,80 @@ mod tests {
         ];
         let mut rng = default_rng(103);
         let mut out = Vec::new();
-        for n in [33usize, 40] {
+        for n in [33usize, 40, 64, 65, 80, 128] {
             for model in [CostModel::basic(), CostModel::optimized()] {
                 let p = one_based(random_permutation(n, &mut rng));
                 let table = ConflictTable::new(&p, model);
-                for (name, probe) in probes {
-                    for culprit in 0..n {
-                        probe(&table, culprit, &mut out);
-                        for (j, &probed) in out.iter().enumerate() {
+                // Every culprit up to n = 65.  At 80 and 128, where the
+                // apply path's debug cross-checks make a culprit's n swaps
+                // costly in a debug build, every ninth culprit, the middle
+                // and the last one; each still probes every candidate.
+                let culprits: Vec<usize> = if n <= 65 {
+                    (0..n).collect()
+                } else {
+                    (0..n).step_by(9).chain([n / 2, n - 1]).collect()
+                };
+                for culprit in culprits {
+                    let applied: Vec<u64> = (0..n)
+                        .map(|j| {
                             let mut copy = table.clone();
                             copy.apply_swap(culprit, j);
-                            assert_eq!(
-                                probed,
-                                copy.cost(),
-                                "{name} n={n} model={model:?} ({culprit}, {j})"
-                            );
-                        }
+                            copy.cost()
+                        })
+                        .collect();
+                    for (name, probe) in probes {
+                        probe(&table, culprit, &mut out);
+                        assert_eq!(
+                            out, applied,
+                            "{name} n={n} model={model:?} culprit {culprit}"
+                        );
                     }
                 }
                 assert_eq!(table.values(), &p[..], "probe must not mutate");
                 assert!(table.errors_consistency_check());
+            }
+        }
+    }
+
+    #[test]
+    fn maintained_counts_match_a_rebuild_after_swaps_and_resets() {
+        // The counts `apply_swap` moves and `reset_to` refills equal a
+        // histogram built from the values, and a from-scratch `rebuild`, at
+        // every row width of the byte-lane orders under both models; the
+        // walks include swaps of neighbours within d_max and no-op swaps.
+        let mut rng = default_rng(0xC0_0475);
+        for n in [33usize, 40, 64, 65, 80, 128] {
+            for model in [CostModel::basic(), CostModel::optimized()] {
+                let (width, dmax) = (2 * n - 1, model.max_distance(n));
+                let p = one_based(random_permutation(n, &mut rng));
+                let mut table = ConflictTable::new(&p, model);
+                assert!(table.keeps_counts(), "n={n} keeps its counts");
+                for step in 0..60 {
+                    if step % 15 == 14 {
+                        table.reset_to(&one_based(random_permutation(n, &mut rng)));
+                    } else {
+                        let i = rng.index(n);
+                        let j = if step % 3 == 0 {
+                            (i + 1 + rng.index(3)).min(n - 1)
+                        } else {
+                            rng.index(n)
+                        };
+                        table.apply_swap(i, j);
+                    }
+                    let v = table.values();
+                    // The rows, then the zero pad entry.
+                    let mut expected = vec![0u16; dmax * width + 1];
+                    for d in 1..=dmax {
+                        for i in 0..n - d {
+                            expected[(d - 1) * width + v[i + d] + n - 1 - v[i]] += 1;
+                        }
+                    }
+                    let context = format!("n={n} {model:?} step {step}");
+                    assert_eq!(table.counts, expected, "maintained counts ({context})");
+                    let mut rebuilt = table.clone();
+                    rebuilt.rebuild();
+                    assert_eq!(rebuilt.counts, expected, "rebuilt counts ({context})");
+                }
             }
         }
     }

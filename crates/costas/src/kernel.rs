@@ -209,7 +209,7 @@ impl DynRows<'_> {
 /// Apply `set(bucket, occ_after, multi_after)` for each culprit-vacated bucket
 /// recorded in `meta` — the patch both mask builders stamp onto their copies.
 #[inline]
-fn for_each_patch(meta: &RowMeta, counts: &[u32], mut set: impl FnMut(usize, bool, bool)) {
+fn for_each_patch(meta: &RowMeta, counts: &[u16], mut set: impl FnMut(usize, bool, bool)) {
     for (r, a) in [(meta.r0, meta.a0), (meta.r1, meta.a1)] {
         if r != usize::MAX {
             let b = i64::from(counts[meta.base + r]) - a;
@@ -226,7 +226,7 @@ fn for_each_patch(meta: &RowMeta, counts: &[u32], mut set: impl FnMut(usize, boo
 #[allow(clippy::too_many_arguments)]
 fn row_merge(
     touched: &mut BucketMerge<6>,
-    counts: &[u32],
+    counts: &[u16],
     values: &[usize],
     row: &RowMeta,
     d: usize,
@@ -1052,6 +1052,102 @@ mod tests {
         );
     }
 
+    /// The byte-lane probe's row-context pre-pass, called directly, against
+    /// `build_row_meta`, the scalar bodies' per-row context: for every
+    /// culprit and row at the byte-lane orders (every row width and both
+    /// table layouts) under both models, on random, walked, identity and
+    /// reversed permutations — in the last two both culprit pairs vacate one
+    /// bucket.  Checks `v[m − d]`, `v[m + d]`, the vacated buckets, their
+    /// counts, each row's removal term and the total.
+    #[test]
+    fn row_context_pre_pass_matches_build_row_meta() {
+        #[cfg(target_arch = "x86_64")]
+        fn check(table: &ConflictTable, context: &str) -> bool {
+            if !table.vector_probe() {
+                return false;
+            }
+            let n = table.order();
+            // SAFETY: `vector_probe` checked the CPU features; 33 ≤ n ≤ 128
+            // and the table keeps its counts.
+            let bytes = unsafe { table.value_bytes() };
+            for m in 0..n {
+                let mut ctx = simd::RowContexts::default();
+                // SAFETY: as above, and m < n.
+                let total = unsafe { table.row_contexts(m, &bytes, &mut ctx) };
+                let mut expected_total = 0;
+                for d in 1..=table.dmax {
+                    let (meta, removal) = table.build_row_meta(m, d);
+                    let (r, at) = (d - 1, format!("m={m} d={d} ({context})"));
+                    expected_total += removal;
+                    assert_eq!(i64::from(ctx.removal[r]), removal, "removal, {at}");
+                    let sides = [
+                        (ctx.left[r], meta.has_left, meta.left_other),
+                        (ctx.right[r], meta.has_right, meta.right_other),
+                    ];
+                    let mut vacated = Vec::new();
+                    for (k, (value, has, other)) in sides.into_iter().enumerate() {
+                        assert_eq!(value != 0, has, "side {k} present, {at}");
+                        let count = ctx.vacated_counts[k][r];
+                        if has {
+                            assert_eq!(i64::from(value), other, "side {k} value, {at}");
+                            let bucket = usize::from(ctx.vacated[k][r]);
+                            assert_eq!(count, table.counts[meta.base + bucket], "count, {at}");
+                            vacated.push(bucket);
+                        } else {
+                            assert_eq!(count, 0, "absent side {k} count, {at}");
+                        }
+                    }
+                    let mut expected = Vec::new();
+                    for (bucket, pairs) in [(meta.r0, meta.a0), (meta.r1, meta.a1)] {
+                        if bucket != usize::MAX {
+                            expected.extend(std::iter::repeat_n(bucket, pairs as usize));
+                        }
+                    }
+                    vacated.sort_unstable();
+                    expected.sort_unstable();
+                    assert_eq!(vacated, expected, "vacated buckets, {at}");
+                }
+                assert_eq!(total, expected_total, "removal total, m={m} ({context})");
+            }
+            true
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        fn check(_: &ConflictTable, _: &str) -> bool {
+            false
+        }
+        let mut rng = default_rng(0x9EC0_7E47);
+        let mut orders = 0;
+        for n in [33usize, 40, 64, 65, 80, 128] {
+            let mut ran = false;
+            for model in [CostModel::optimized(), CostModel::basic()] {
+                let inputs = [
+                    ("random", one_based(random_permutation(n, &mut rng))),
+                    ("identity", (1..=n).collect()),
+                    ("reversed", (1..=n).rev().collect()),
+                ];
+                for (name, p) in inputs {
+                    let mut table = ConflictTable::new(&p, model);
+                    ran |= check(&table, &format!("{name}, n={n}, {model:?}"));
+                    for step in 0..3 {
+                        let i = (rng.next_u64() as usize) % n;
+                        let j = (rng.next_u64() as usize) % n;
+                        table.apply_swap(i, j);
+                        check(
+                            &table,
+                            &format!("{name} walk step {step}, n={n}, {model:?}"),
+                        );
+                    }
+                }
+            }
+            orders += usize::from(ran);
+        }
+        if orders == 0 {
+            println!("row-context pre-pass: skipped, no AVX-512 F + DQ + BW + VBMI on this host");
+        } else {
+            println!("row-context pre-pass: {orders} of 6 orders");
+        }
+    }
+
     /// Every anchored rotation at anchor `m` of an order-`n` permutation, in
     /// the reset's order: `[m..=hi]` for ascending `hi`, then `[lo..=m]` for
     /// ascending `lo`, left before right.
@@ -1398,7 +1494,7 @@ mod tests {
     /// tiers: the histogram, the masks read off it, the cost and the
     /// per-position errors from the reference sweeps.
     struct Scratch {
-        counts: Vec<u32>,
+        counts: Vec<u16>,
         occ: Vec<u64>,
         multi: Vec<u64>,
         cost: u64,
@@ -1409,7 +1505,8 @@ mod tests {
         let n = values.len();
         let (width, dmax) = ((2 * n - 1).max(1), model.max_distance(n));
         let words = width.div_ceil(64);
-        let mut counts = vec![0u32; dmax * width];
+        // The table's layout: the rows, then one zero pad entry.
+        let mut counts = vec![0u16; dmax * width + usize::from(dmax > 0)];
         for d in 1..=dmax {
             for i in 0..n - d {
                 counts[(d - 1) * width + values[i + d] + n - 1 - values[i]] += 1;
@@ -1514,6 +1611,68 @@ mod tests {
             vector_orders += usize::from(vector_ran);
         }
         println!("refresh tiers: scalar {orders} orders, AVX-512 row lanes {vector_orders}");
+    }
+
+    /// The row-lane refresh, called directly, equals the scalar refresh in
+    /// cost and errors at every order it serves, 2..=128, under both models,
+    /// on random, identity and reversed permutations and along short walks
+    /// of swaps and `reset_to`s.  Unlike the dispatcher's `debug_assert!`,
+    /// this runs in every build profile.  Prints how many orders ran.
+    #[test]
+    fn row_lane_refresh_matches_the_scalar_refresh_at_every_order() {
+        #[cfg(target_arch = "x86_64")]
+        fn check(table: &ConflictTable, context: &str) -> bool {
+            if !table.vector_probe() {
+                return false;
+            }
+            let (mut vector, mut scalar) = (table.clone(), table.clone());
+            for t in [&mut vector, &mut scalar] {
+                t.errors.iter_mut().for_each(|e| *e = 0xdead);
+                t.cost = 0xdead;
+            }
+            // SAFETY: `vector_probe` checked the CPU features and the order.
+            unsafe { vector.refresh_avx512() };
+            scalar.refresh_scalar();
+            assert_eq!(vector.cost, scalar.cost, "cost ({context})");
+            assert_eq!(vector.errors, scalar.errors, "errors ({context})");
+            true
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        fn check(_: &ConflictTable, _: &str) -> bool {
+            false
+        }
+        let mut rng = default_rng(0x2EF2_E5B0);
+        let mut orders = 0;
+        // 128: the largest order the row-lane bodies serve.
+        for n in 2..=128usize {
+            let mut ran = false;
+            for model in [CostModel::optimized(), CostModel::basic()] {
+                let inputs = [
+                    ("random", one_based(random_permutation(n, &mut rng))),
+                    ("identity", (1..=n).collect()),
+                    ("reversed", (1..=n).rev().collect()),
+                ];
+                for (name, p) in inputs {
+                    let mut table = ConflictTable::new(&p, model);
+                    ran |= check(&table, &format!("{name}, n={n}, {model:?}"));
+                    if name != "random" {
+                        continue;
+                    }
+                    for step in 0..4 {
+                        if step == 3 {
+                            table.reset_to(&one_based(random_permutation(n, &mut rng)));
+                        } else {
+                            let i = (rng.next_u64() as usize) % n;
+                            let j = (rng.next_u64() as usize) % n;
+                            table.apply_swap(i, j);
+                        }
+                        check(&table, &format!("walk step {step}, n={n}, {model:?}"));
+                    }
+                }
+            }
+            orders += usize::from(ran);
+        }
+        println!("row-lane refresh vs scalar: {orders} orders");
     }
 
     /// Collision-heavy inputs for the refresh pass: the identity and the

@@ -39,15 +39,29 @@
 //! * **Event algebra, two to four words (33 ≤ n ≤ 128), 64 candidates per
 //!   pass** — [`ConflictTable::probe_body_avx512_bytes`], the scalar
 //!   replay's cell algebra with one candidate per *byte* lane.  Per row `d`
-//!   the row's `u32` counts become a byte table of at most 256 entries
-//!   (counts are at most `n − d ≤ 127`), the ≤ 2 culprit-vacated buckets are
-//!   patched, and the table stays in `Q` registers: two while
+//!   the row's `u16` counts become a byte table of at most 256 entries
+//!   (counts are at most `n − d ≤ 127`): one `vpermi2b` picks the low
+//!   bytes of 64 counts out of two 32-count loads.  The ≤ 2 buckets the
+//!   culprit's pairs vacate lose one count each (a masked byte subtract),
+//!   and the table stays in `Q` registers: two while
 //!   `2n − 1 ≤ 128` (n ≤ 64), four beyond.  The six bucket indices of a
 //!   cell (`k1`, `k2` re-add the culprit's pairs, `n1`, `n2` the
 //!   candidate's, `o1`, `o2` remove the candidate's) are `u8` arithmetic on
 //!   byte copies of the values — every index is at most `2n − 2 ≤ 254` —
 //!   and each baseline count is one `vpermi2b` lookup (two and a blend on
 //!   the index's top bit with four registers).
+//!
+//!   What a row needs from the culprit alone is built before the row loop,
+//!   by one vector pre-pass over `d`, sixteen rows per pass in `u32` lanes
+//!   ([`ConflictTable::row_contexts`]): `v[m − d]` and `v[m + d]` (a
+//!   reversed and a straight 16-byte load from a zero-padded byte copy of
+//!   the values, so a pair past either end reads 0, which no value is),
+//!   the two vacated buckets, their counts by one gather each, and the
+//!   row's share of the culprit-removal total.  A removed pair saves
+//!   `ERR(d)` when its bucket holds another pair; when both pairs vacate
+//!   one bucket, the second saves it when a third remains.  The scalar
+//!   bodies build the same context one row at a time (`build_row_meta`),
+//!   and a test pins the two together.
 //!
 //!   The events replay exactly in the scalar order `k1, k2, n1, n2, o1, o2`.
 //!   A `+1` event scores 1 iff its bucket is occupied when it lands: a
@@ -138,14 +152,24 @@
 //!
 //! The conflict table's refresh pass ([`ConflictTable::refresh_avx512`]) is
 //! the same loop with `TRACK` on and no limit.  Per step it also tests each
-//! lane's bit against the bitset before setting it (`vptestmq`): a hit is a
-//! pair whose difference was already encountered in its row, so the pair is
-//! charged `ERR(d)` at both endpoints.  The left endpoint `i` takes the sum
-//! over the hit lanes; the right endpoints `i + d0 + l` accumulate in one
-//! register whose lane `l` stands for position `i + d0 + l` and which
-//! slides down one lane per step, so lane 0 is final when it leaves.  No
-//! vector probe body reads the occupancy masks, so the pass exports none:
-//! tables on this tier keep no masks.
+//! lane's bit against its word before setting it (one `vptestmq` on the
+//! lanes' words, picked by the same masks): a hit is a pair whose
+//! difference was already encountered in its row, charged `ERR(d)` at both
+//! endpoints.  The step only stores its hit mask as a byte.  After each
+//! group of eight rows the hit bytes are the left endpoints' charges as
+//! they stand; per row, a `vptestmb` of the bytes against the row's bit
+//! gives its bitmap of charged left indices, which, shifted by `d`, sets
+//! the row's bit in a second byte array for the right endpoints (a masked
+//! byte add).  A charge byte becomes its sum of weights by two
+//! sixteen-entry `vpermd` lookups, one per nibble, in tables built from the
+//! group's eight weights, and is added into one `u32` lane per position
+//! (a position's total is at most `2·Σ ERR(d)` < 2.8·10⁶ at n = 128); the
+//! lanes are widened into the errors once, at the end.  This replaced a
+//! per-step horizontal sum for the left endpoint, two scalar
+//! read-modify-writes and a right-endpoint register sliding down one lane
+//! per step (a loop-carried `valignq`).  No vector probe body reads the
+//! occupancy masks, so the pass exports none: tables on this tier keep no
+//! masks.
 //!
 //! Dispatch is by runtime feature detection ([`probe_kernel_available`]),
 //! one gate for every body here: AVX-512 F (shifts, rotates, compares, mask
@@ -165,6 +189,51 @@ use crate::cost::{ConflictTable, CostModel, Rotation};
 /// ([`ConflictTable::probe_body_avx512_bytes`]): a row's `2n − 1` buckets
 /// fit in at most four 64-bit words, or 256 byte lanes.
 pub(crate) const ROW_LANES_MAX_ORDER: usize = 128;
+
+/// Zero bytes before the first value in [`ConflictTable::value_bytes`]:
+/// as many as the largest order, so a load at `p − d` for any position `p`
+/// and distance `d` stays inside the buffer.
+const BYTES_PAD: usize = ROW_LANES_MAX_ORDER;
+
+/// Length of [`ConflictTable::value_bytes`]: the values and padding on both
+/// sides for 64-byte loads at `p + d`, and for the row-context pre-pass's
+/// 16-byte loads at `m ± d`.
+pub(crate) const VALUE_BYTES: usize = 3 * BYTES_PAD + 64;
+
+/// The culprit context of each row of a byte-lane probe, at index `d − 1`,
+/// as [`ConflictTable::row_contexts`] builds it: the per-row input of the
+/// probe's row loop, which the scalar bodies take from `build_row_meta`.
+/// Entries past the scored rows are unspecified.
+pub(crate) struct RowContexts {
+    /// `v[m − d]`, or zero where `d > m` (values start at 1).
+    pub(crate) left: [u8; ROW_LANES_MAX_ORDER],
+    /// `v[m + d]`, or zero where `m + d ≥ n`.
+    pub(crate) right: [u8; ROW_LANES_MAX_ORDER],
+    /// The buckets of the culprit's pairs `(m − d, m)` and `(m, m + d)`;
+    /// meaningful where the pair exists.
+    pub(crate) vacated: [[u8; ROW_LANES_MAX_ORDER]; 2],
+    /// The counts of those buckets, zero where the pair does not exist.
+    pub(crate) vacated_counts: [[u16; ROW_LANES_MAX_ORDER]; 2],
+    /// The row's share of the culprit-removal total: `−ERR(d)` per removed
+    /// pair that leaves a repeat behind.
+    pub(crate) removal: [i32; ROW_LANES_MAX_ORDER],
+}
+
+impl Default for RowContexts {
+    fn default() -> Self {
+        Self {
+            left: [0; ROW_LANES_MAX_ORDER],
+            right: [0; ROW_LANES_MAX_ORDER],
+            vacated: [[0; ROW_LANES_MAX_ORDER]; 2],
+            vacated_counts: [[0; ROW_LANES_MAX_ORDER]; 2],
+            removal: [0; ROW_LANES_MAX_ORDER],
+        }
+    }
+}
+
+/// Largest order whose rows' `2n − 1` buckets fit one 64-bit word: the
+/// from-scratch bodies' whole range.
+const ONE_WORD_MAX_ORDER: usize = 32;
 
 /// Largest order whose rows' `2n − 1` buckets fit one 32-bit word: the
 /// from-scratch bodies run sixteen `u32` lanes ([`U32x16`]) up to it and
@@ -461,13 +530,15 @@ impl ConflictTable {
         assert!(m < n, "culprit {m} out of range for order {n}");
         assert!(out.len() >= n, "probe output shorter than the order");
         if n <= U32_LANES_MAX_ORDER {
-            self.probe_scratch::<U32x16>(m, lo_bound, out);
+            self.probe_scratch::<U32x16, U32_LANES_MAX_ORDER>(m, lo_bound, out);
         } else {
-            self.probe_scratch::<U64x8>(m, lo_bound, out);
+            self.probe_scratch::<U64x8, ONE_WORD_MAX_ORDER>(m, lo_bound, out);
         }
     }
 
-    /// [`Self::probe_body_avx512_scratch`] in the lane layout `L`.
+    /// [`Self::probe_body_avx512_scratch`] in the lane layout `L`, for orders up
+    /// to `C` (the layout's largest): the column buffer holds `C` vectors,
+    /// each written before it is read.
     ///
     /// # Safety
     ///
@@ -475,11 +546,16 @@ impl ConflictTable {
     /// the culprit and `out`.
     #[inline]
     #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
-    unsafe fn probe_scratch<L: Lanes>(&self, m: usize, lo_bound: usize, out: &mut [u64]) {
+    unsafe fn probe_scratch<L: Lanes, const C: usize>(
+        &self,
+        m: usize,
+        lo_bound: usize,
+        out: &mut [u64],
+    ) {
         let n = self.n;
         let values = &self.values[..];
         let vm = L::splat(values[m]);
-        let mut cols = [_mm512_setzero_si512(); 32];
+        let mut cols = [_mm512_setzero_si512(); C];
         for block in (lo_bound..n).step_by(L::LANES) {
             let lanes = (n - block).min(L::LANES);
             // Lane l is the configuration with m and j = block + l swapped;
@@ -526,13 +602,15 @@ impl ConflictTable {
         );
         assert!(out.len() >= rotations.len(), "rotation output too short");
         if n <= U32_LANES_MAX_ORDER {
-            self.rotations::<U32x16>(rotations, out);
+            self.rotations::<U32x16, U32_LANES_MAX_ORDER>(rotations, out);
         } else {
-            self.rotations::<U64x8>(rotations, out);
+            self.rotations::<U64x8, ONE_WORD_MAX_ORDER>(rotations, out);
         }
     }
 
-    /// [`Self::rotation_body_avx512`] in the lane layout `L`.
+    /// [`Self::rotation_body_avx512`] in the lane layout `L`, for orders up
+    /// to `C` (the layout's largest): the column buffer holds `C` vectors,
+    /// each written before it is read.
     ///
     /// # Safety
     ///
@@ -540,10 +618,10 @@ impl ConflictTable {
     /// the rotations and `out`.
     #[inline]
     #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
-    unsafe fn rotations<L: Lanes>(&self, rotations: &[Rotation], out: &mut [u64]) {
+    unsafe fn rotations<L: Lanes, const C: usize>(&self, rotations: &[Rotation], out: &mut [u64]) {
         let n = self.n;
         let values = &self.values[..];
-        let mut cols = [_mm512_setzero_si512(); 32];
+        let mut cols = [_mm512_setzero_si512(); C];
         let out = &mut out[..rotations.len()];
         for (batch, out) in rotations.chunks(L::LANES).zip(out.chunks_mut(L::LANES)) {
             // Idle lanes get bounds past the array, so every compare misses
@@ -605,13 +683,15 @@ impl ConflictTable {
         );
         assert!(out.len() >= constants.len(), "addition output too short");
         if n <= U32_LANES_MAX_ORDER {
-            self.additions::<U32x16>(constants, out);
+            self.additions::<U32x16, U32_LANES_MAX_ORDER>(constants, out);
         } else {
-            self.additions::<U64x8>(constants, out);
+            self.additions::<U64x8, ONE_WORD_MAX_ORDER>(constants, out);
         }
     }
 
-    /// [`Self::addition_body_avx512`] in the lane layout `L`.
+    /// [`Self::addition_body_avx512`] in the lane layout `L`, for orders up
+    /// to `C` (the layout's largest): the column buffer holds `C` vectors,
+    /// each written before it is read.
     ///
     /// # Safety
     ///
@@ -619,10 +699,10 @@ impl ConflictTable {
     /// the constants and `out`.
     #[inline]
     #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
-    unsafe fn additions<L: Lanes>(&self, constants: &[usize], out: &mut [u64]) {
+    unsafe fn additions<L: Lanes, const C: usize>(&self, constants: &[usize], out: &mut [u64]) {
         let n = self.n;
         let order = L::splat(n);
-        let mut cols = [_mm512_setzero_si512(); 32];
+        let mut cols = [_mm512_setzero_si512(); C];
         for (batch, out) in constants.chunks(L::LANES).zip(out.chunks_mut(L::LANES)) {
             // Idle lanes add 0 and score the current permutation.
             let live = low_bits(batch.len());
@@ -711,6 +791,129 @@ impl ConflictTable {
         }
     }
 
+    /// The values as bytes (each ≤ n ≤ 128) at `BYTES_PAD + p`, zero
+    /// elsewhere: the byte-lane probe's neighbour loads at `block ± d` and
+    /// the row-context pre-pass's loads at `m ± d` stay inside the buffer,
+    /// and read zero — no value — past either end.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and BW at runtime; the order is at most
+    /// [`ROW_LANES_MAX_ORDER`].
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub(crate) unsafe fn value_bytes(&self) -> [u8; VALUE_BYTES] {
+        let mut bytes = [0u8; VALUE_BYTES];
+        let dst = bytes.as_mut_ptr().add(BYTES_PAD);
+        for at in (0..self.n).step_by(8) {
+            let k = low_bits(self.n - at) as __mmask8;
+            let v = _mm512_maskz_loadu_epi64(k, self.values.as_ptr().add(at).cast());
+            _mm512_mask_cvtepi64_storeu_epi8(dst.add(at).cast(), k, v);
+        }
+        bytes
+    }
+
+    /// The culprit context of every row `d` of a byte-lane probe at culprit
+    /// `m`, built in one vector pre-pass over `d`, sixteen rows per pass in
+    /// `u32` lanes: `v[m − d]` and `v[m + d]` read from `bytes` (zero for a
+    /// pair past either end), the buckets the culprit's pairs vacate, their
+    /// counts by one gather each, and each row's share of the
+    /// culprit-removal total.  `bytes` is [`Self::value_bytes`].  Returns
+    /// the total.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F, DQ and BW at runtime; the table keeps its counts,
+    /// `33 ≤ n ≤ 128` and `m < n`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
+    pub(crate) unsafe fn row_contexts(
+        &self,
+        m: usize,
+        bytes: &[u8; VALUE_BYTES],
+        ctx: &mut RowContexts,
+    ) -> i64 {
+        let (n, width) = (self.n, self.width);
+        let vm = self.values[m] as i32;
+        let off = n as i32 - 1;
+        let (one, zero) = (_mm512_set1_epi32(1), _mm512_setzero_si512());
+        let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        let reverse = _mm_setr_epi8(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
+        // Lane l of a pass starting at row d0 reads row d0 + l's counts at
+        // `(d0 − 1 + l) · width + bucket`.
+        let row_starts = _mm512_mullo_epi32(lanes, _mm512_set1_epi32(width as i32));
+        let counts = self.counts.as_ptr().cast::<i32>();
+        let mut total = zero;
+        for d0 in (1..=self.dmax).step_by(16) {
+            let at = d0 - 1;
+            let live = low_bits(self.dmax - at) as __mmask16;
+            // v[m − d0 − l] reversed into lane l; v[m + d0 + l] as loaded.
+            let left = _mm_shuffle_epi8(
+                _mm_loadu_si128(bytes.as_ptr().add(BYTES_PAD + m - d0 - 15).cast()),
+                reverse,
+            );
+            let right = _mm_loadu_si128(bytes.as_ptr().add(BYTES_PAD + m + d0).cast());
+            _mm_storeu_si128(ctx.left.as_mut_ptr().add(at).cast(), left);
+            _mm_storeu_si128(ctx.right.as_mut_ptr().add(at).cast(), right);
+            let (left, right) = (_mm512_cvtepu8_epi32(left), _mm512_cvtepu8_epi32(right));
+            let has_left = _mm512_mask_test_epi32_mask(live, left, left);
+            let has_right = _mm512_mask_test_epi32_mask(live, right, right);
+            let vacated = [
+                _mm512_sub_epi32(_mm512_set1_epi32(vm + off), left),
+                _mm512_add_epi32(right, _mm512_set1_epi32(off - vm)),
+            ];
+            // Two bytes per count: each 32-bit read holds the count in its
+            // low half (the pad entry covers the last one).
+            let rows = _mm512_add_epi32(row_starts, _mm512_set1_epi32((at * width) as i32));
+            let mut vacated_counts = [zero; 2];
+            for ((c, &bucket), has) in vacated_counts
+                .iter_mut()
+                .zip(&vacated)
+                .zip([has_left, has_right])
+            {
+                let idx = _mm512_add_epi32(rows, bucket);
+                let read = _mm512_mask_i32gather_epi32::<2>(zero, has, idx, counts);
+                *c = _mm512_and_si512(read, _mm512_set1_epi32(0xffff));
+            }
+            for (k, (&bucket, &c)) in vacated.iter().zip(&vacated_counts).enumerate() {
+                let dst = ctx.vacated[k].as_mut_ptr().add(at);
+                _mm_storeu_si128(dst.cast(), _mm512_cvtepi32_epi8(bucket));
+                let dst = ctx.vacated_counts[k].as_mut_ptr().add(at);
+                _mm256_storeu_si256(dst.cast(), _mm512_cvtepi32_epi16(c));
+            }
+            // Removing a pair from a bucket of count c ≥ 1 saves ERR(d)
+            // when c ≥ 2.  When both pairs vacate one bucket, the second
+            // saves ERR(d) when c ≥ 3.
+            let shared = _mm512_mask_cmpeq_epi32_mask(has_left & has_right, vacated[0], vacated[1]);
+            let second = _mm512_mask_add_epi32(one, shared, one, one);
+            let saves_left = _mm512_mask_cmpgt_epi32_mask(has_left, vacated_counts[0], one);
+            let saves_right = _mm512_mask_cmpgt_epi32_mask(has_right, vacated_counts[1], second);
+            let weights = self.weights.as_ptr().add(d0).cast::<i64>();
+            let w = _mm512_inserti64x4::<1>(
+                _mm512_castsi256_si512(_mm512_cvtepi64_epi32(_mm512_maskz_loadu_epi64(
+                    live as __mmask8,
+                    weights,
+                ))),
+                _mm512_cvtepi64_epi32(_mm512_maskz_loadu_epi64(
+                    (live >> 8) as __mmask8,
+                    weights.wrapping_add(8),
+                )),
+            );
+            let saved = _mm512_mask_add_epi32(
+                _mm512_maskz_mov_epi32(saves_left, w),
+                saves_right,
+                _mm512_maskz_mov_epi32(saves_left, w),
+                w,
+            );
+            _mm512_storeu_si512(
+                ctx.removal.as_mut_ptr().add(at).cast(),
+                _mm512_sub_epi32(zero, saved),
+            );
+            total = _mm512_add_epi32(total, saved);
+        }
+        -i64::from(_mm512_reduce_add_epi32(total))
+    }
+
     /// [`Self::probe_body_avx512_bytes`] with each row's byte table held in
     /// `Q` registers of 64 buckets — two while `2n − 1 ≤ 128` (n ≤ 64), four
     /// beyond — over `B` blocks of 64 candidates, the first at `lo_bound`.
@@ -730,15 +933,10 @@ impl ConflictTable {
         out: &mut [u64],
     ) {
         // Lane `l` of block `b` is candidate `lo_bound + 64b + l`.
-        const PAD: usize = ROW_LANES_MAX_ORDER;
         let n = self.n;
-        // The values as bytes (≤ n ≤ 128) at `PAD + p`, zero-padded so the
-        // 64-byte neighbour loads at `block ± d` stay inside the buffer for
-        // every block < n and d < n.
-        let mut bytes = [0u8; 3 * PAD + 64];
-        for (b, &v) in bytes[PAD..PAD + n].iter_mut().zip(&self.values) {
-            *b = v as u8;
-        }
+        let bytes = self.value_bytes();
+        let mut ctx = RowContexts::default();
+        let removal_total = self.row_contexts(m, &bytes, &mut ctx);
         // Bucket arithmetic wraps in `u8`; every true bucket index is at most
         // 2n − 2 ≤ 254, so the wrapped result is exact.
         let off = (n - 1) as u8;
@@ -748,68 +946,63 @@ impl ConflictTable {
         // Per block, hoisted out of the row loop: the candidates' values.
         let mut vjs = [_mm512_setzero_si512(); B];
         for (b, vj) in vjs.iter_mut().enumerate() {
-            *vj = _mm512_loadu_si512(bytes.as_ptr().add(PAD + lo_bound + 64 * b).cast());
+            let at = BYTES_PAD + lo_bound + 64 * b;
+            *vj = _mm512_loadu_si512(bytes.as_ptr().add(at).cast());
         }
-        // Counts come in as `u32` chunks of sixteen, four per table register;
-        // a chunk's mask keeps its loads inside the row.
+        // Counts come in as `u16` chunks of 32, two per table register; a
+        // chunk's mask keeps its loads inside the row.
         let width = self.width;
-        let mut chunk_live = [[0u16; 4]; Q];
+        let mut chunk_live = [[0u32; 2]; Q];
         for (c, live) in chunk_live.iter_mut().flatten().enumerate() {
-            let left = width.saturating_sub(16 * c);
-            *live = if left >= 16 { !0 } else { (1u16 << left) - 1 };
+            *live = low_bits(width.saturating_sub(32 * c));
         }
-        // Byte k of a packed register is the low byte of count k mod 32 of a
-        // pair of chunks; the high half comes from the second pair.
-        let mut pick = [0u8; 64];
-        for (k, p) in pick.iter_mut().enumerate() {
-            *p = 4 * (k as u8 & 31);
+        // Byte k of a table register is the low byte of count k of its two
+        // chunks (counts ≤ n − d ≤ 127).
+        let mut even = [0u8; 64];
+        for (k, e) in even.iter_mut().enumerate() {
+            *e = 2 * k as u8;
         }
-        let pick = _mm512_loadu_si512(pick.as_ptr().cast());
-        const HIGH_HALF: __mmask64 = 0xffff_ffff_0000_0000;
+        let even = _mm512_loadu_si512(even.as_ptr().cast());
         let mut accs = [[_mm512_setzero_si512(); 4]; B];
-        let mut removal_total = 0i64;
         for d in 1..=self.dmax {
-            let (meta, removal) = self.build_row_meta(m, d);
-            removal_total += removal;
-            // The row's baseline counts as a byte table (counts ≤ n − d ≤ 127),
-            // with the culprit-vacated buckets patched.
-            let row = self.counts.as_ptr().add(meta.base);
+            let r = d - 1;
+            let (left, right) = (ctx.left[r], ctx.right[r]);
+            let (has_left, has_right) = (left != 0, right != 0);
+            // The row's baseline counts as a byte table, less the culprit's
+            // pairs at the buckets they vacate.
+            let row = self.counts.as_ptr().add(r * width);
             let mut table = [_mm512_setzero_si512(); Q];
             for (q, (t, live)) in table.iter_mut().zip(&chunk_live).enumerate() {
                 // Chunks past the row's end load nothing, so their address
                 // is formed with wrapping arithmetic.
-                let chunk = |c: usize| row.wrapping_add(64 * q + 16 * c).cast::<i32>();
-                let lo = _mm512_permutex2var_epi8(
-                    _mm512_maskz_loadu_epi32(live[0], chunk(0)),
-                    pick,
-                    _mm512_maskz_loadu_epi32(live[1], chunk(1)),
+                let chunk = |c: usize| row.wrapping_add(64 * q + 32 * c).cast::<i16>();
+                *t = _mm512_permutex2var_epi8(
+                    _mm512_maskz_loadu_epi16(live[0], chunk(0)),
+                    even,
+                    _mm512_maskz_loadu_epi16(live[1], chunk(1)),
                 );
-                let hi = _mm512_permutex2var_epi8(
-                    _mm512_maskz_loadu_epi32(live[2], chunk(2)),
-                    pick,
-                    _mm512_maskz_loadu_epi32(live[3], chunk(3)),
-                );
-                *t = _mm512_mask_blend_epi8(HIGH_HALF, lo, hi);
-                for (r, a) in [(meta.r0, meta.a0), (meta.r1, meta.a1)] {
-                    if r != usize::MAX && r >> 6 == q {
-                        *t = _mm512_mask_sub_epi8(*t, 1 << (r & 63), *t, splat(a as u8));
-                    }
+                for (bucket, has) in [
+                    (ctx.vacated[0][r], has_left),
+                    (ctx.vacated[1][r], has_right),
+                ] {
+                    let k = u64::from(has && usize::from(bucket >> 6) == q) << (bucket & 63);
+                    *t = _mm512_mask_sub_epi8(*t, k, *t, one);
                 }
             }
             // Row constants: k1 = v_j + c1, k2 = c2 − v_j, and the gates of
             // the culprit's two pairs.
-            let c1 = splat(off.wrapping_sub(meta.left_other as u8));
-            let c2 = splat(off.wrapping_add(meta.right_other as u8));
-            let g1: __mmask64 = if meta.has_left { !0 } else { 0 };
-            let g2: __mmask64 = if meta.has_right { !0 } else { 0 };
+            let c1 = splat(off.wrapping_sub(left));
+            let c2 = splat(off.wrapping_add(right));
+            let g1: __mmask64 = if has_left { !0 } else { 0 };
+            let g2: __mmask64 = if has_right { !0 } else { 0 };
             // ERR(d) < 2¹⁵ as an `i16` in the even (odd) half of each `i32`
             // lane: `vpmaddwd` then weights the even (odd) candidates.
-            let w = meta.w as i32;
+            let w = self.weight(d) as i32;
             let (w_even, w_odd) = (_mm512_set1_epi32(w), _mm512_set1_epi32(w << 16));
             for (b, (acc, &vj)) in accs.iter_mut().zip(&vjs).enumerate() {
                 let at = lo_bound + 64 * b;
-                let vl = _mm512_loadu_si512(bytes.as_ptr().add(PAD + at - d).cast());
-                let vr = _mm512_loadu_si512(bytes.as_ptr().add(PAD + at + d).cast());
+                let vl = _mm512_loadu_si512(bytes.as_ptr().add(BYTES_PAD + at - d).cast());
+                let vr = _mm512_loadu_si512(bytes.as_ptr().add(BYTES_PAD + at + d).cast());
                 // Lanes whose left (right) candidate pair exists, less the
                 // culprit neighbours whose pair on that side is a culprit pair.
                 let lane_md = if m >= d { lane_of64(at, m - d) } else { 0 };
@@ -966,13 +1159,9 @@ fn lane_of64(block: usize, p: usize) -> __mmask64 {
 }
 
 /// One group of up to eight rows of the row-lane sweep, lane `l` holding
-/// row `d0 + l`: its bitsets of occupied buckets (`seen`), plus the tracked
-/// charges still owed to right endpoints (`right`) and the rows' weights
-/// `ERR(d0 + l)` (`weights`).
+/// row `d0 + l`: its bitsets of occupied buckets.
 struct RowGroup<const W: usize> {
     seen: [__m512i; W],
-    right: __m512i,
-    weights: __m512i,
 }
 
 impl<const W: usize> RowGroup<W> {
@@ -981,12 +1170,9 @@ impl<const W: usize> RowGroup<W> {
     /// `δ` lands in the first word whose end exceeds it, at bit `δ mod 64`
     /// (`vprolvq` rotates by the count's low six bits, negative counts
     /// included); the words span 64 consecutive differences each, so
-    /// distinct differences get distinct bits.  With `TRACK`, a lane whose
-    /// bit was already set is a charged pair: `ERR(d)` is added to `errors`
-    /// at both endpoints.  The
-    /// left endpoint `i` takes the sum over the charged lanes; lane `l` of
-    /// `right` gathers the charges of position `i + d0 + l` and slides down
-    /// one lane per step, so lane 0 is final when it leaves.
+    /// distinct differences get distinct bits.  With `TRACK`, returns the
+    /// lanes whose bit was already set — the charged pairs — and zero
+    /// without.
     ///
     /// # Safety
     ///
@@ -1001,32 +1187,125 @@ impl<const W: usize> RowGroup<W> {
         d0: usize,
         live: __mmask8,
         word_ends: &[__m512i; W],
-        errors: &mut [u64],
-    ) {
+    ) -> __mmask8 {
         let left = base.add(i);
         let right = _mm512_maskz_loadu_epi64(live, left.add(d0));
         let diff = _mm512_sub_epi64(right, _mm512_set1_epi64(*left));
         let bit = _mm512_rolv_epi64(_mm512_set1_epi64(1), diff);
         let mut rest = live;
-        let mut hit = 0;
+        // Each lane's word before the OR, for one hit test over the words.
+        let mut before = self.seen[0];
         for (w, s) in self.seen.iter_mut().enumerate() {
             let k = if w + 1 == W {
                 rest
             } else {
                 _mm512_mask_cmplt_epi64_mask(rest, diff, word_ends[w])
             };
-            if TRACK {
-                hit |= _mm512_mask_test_epi64_mask(k, *s, bit);
+            if TRACK && w > 0 {
+                before = _mm512_mask_mov_epi64(before, k, *s);
             }
             *s = _mm512_mask_or_epi64(*s, k, *s, bit);
             rest &= !k;
         }
         if TRACK {
-            let charge = _mm512_maskz_mov_epi64(hit, self.weights);
-            self.right = _mm512_add_epi64(self.right, charge);
-            errors[i] += _mm512_reduce_add_epi64(charge) as u64;
-            errors[i + d0] += _mm_cvtsi128_si64(_mm512_castsi512_si128(self.right)) as u64;
-            self.right = _mm512_alignr_epi64::<1>(_mm512_setzero_si512(), self.right);
+            _mm512_mask_test_epi64_mask(live, before, bit)
+        } else {
+            0
+        }
+    }
+}
+
+/// The refresh pass's per-position errors while it sweeps: lane `p mod 16`
+/// of `acc[p / 16]` sums the `ERR(d)` charged to position `p < n ≤ 128` in
+/// a `u32`, which holds any position's total, at most `2·Σ ERR(d)` below
+/// 2.8·10⁶ at n = 128.
+struct Charges {
+    acc: [__m512i; ROW_LANES_MAX_ORDER / 16],
+    /// `⌈n / 16⌉`, the registers in use.
+    chunks: usize,
+}
+
+/// Bit `l` of the nibble `k`, as a mask over the sixteen nibbles `k`.
+const NIBBLE_BITS: [__mmask16; 4] = [0xaaaa, 0xcccc, 0xf0f0, 0xff00];
+
+impl Charges {
+    /// Charge the pairs a row group recorded: for the left indices
+    /// `i < pairs`, bit `l` of `hits[i]` marks the pair `(i, i + d0 + l)`,
+    /// whose endpoints both take `weights[l] = ERR(d0 + l)`.  The hit bytes
+    /// are the left endpoints' charges as they stand.  The right endpoints'
+    /// bytes are built a row at a time: a `vptestmb` turns row `l`'s hits
+    /// into a bitmap over `i`, shifted by `d0 + l` it marks the right
+    /// endpoints, and a masked byte add sets their bit `l`.  A charge byte
+    /// then becomes its sum of weights by two sixteen-entry `vpermd`
+    /// lookups, one per nibble.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and BW at runtime.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn add_group(
+        &mut self,
+        hits: &[u8; ROW_LANES_MAX_ORDER],
+        pairs: usize,
+        d0: usize,
+        weights: &[u64],
+    ) {
+        let zero = _mm512_setzero_si512();
+        let mut bytes = [[0u8; ROW_LANES_MAX_ORDER]; 2];
+        let mut left = [zero; 2];
+        for (h, half) in left.iter_mut().enumerate() {
+            let k = low_lanes64(pairs.saturating_sub(64 * h));
+            *half = _mm512_maskz_loadu_epi8(k, hits.as_ptr().add(64 * h).cast());
+        }
+        let mut right = [zero; 2];
+        let (mut low, mut high) = (zero, zero);
+        for (l, &w) in weights.iter().enumerate() {
+            let bit = _mm512_set1_epi8((1u8 << l) as i8);
+            let row = u128::from(_mm512_test_epi8_mask(left[0], bit))
+                | u128::from(_mm512_test_epi8_mask(left[1], bit)) << 64;
+            let ends = row << (d0 + l);
+            right[0] = _mm512_mask_add_epi8(right[0], ends as u64, right[0], bit);
+            right[1] = _mm512_mask_add_epi8(right[1], (ends >> 64) as u64, right[1], bit);
+            let nibble = if l < 4 { &mut low } else { &mut high };
+            let w = _mm512_set1_epi32(w as i32);
+            *nibble = _mm512_mask_add_epi32(*nibble, NIBBLE_BITS[l & 3], *nibble, w);
+        }
+        for (dst, src) in bytes.iter_mut().zip([left, right]) {
+            _mm512_storeu_si512(dst.as_mut_ptr().cast(), src[0]);
+            _mm512_storeu_si512(dst.as_mut_ptr().add(64).cast(), src[1]);
+        }
+        let nibbles = _mm512_set1_epi32(0xf);
+        for (c, acc) in self.acc[..self.chunks].iter_mut().enumerate() {
+            for ends in &bytes {
+                let b = _mm512_cvtepu8_epi32(_mm_loadu_si128(ends.as_ptr().add(16 * c).cast()));
+                let lo = _mm512_permutexvar_epi32(_mm512_and_si512(b, nibbles), low);
+                let hi = _mm512_permutexvar_epi32(_mm512_srli_epi32::<4>(b), high);
+                *acc = _mm512_add_epi32(*acc, _mm512_add_epi32(lo, hi));
+            }
+        }
+    }
+
+    /// Write the totals, widened, into `errors` (one per position).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F at runtime; `errors` holds `n` entries.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn store(&self, errors: &mut [u64]) {
+        let n = errors.len();
+        for (c, &acc) in self.acc[..self.chunks].iter().enumerate() {
+            let halves = [
+                _mm512_castsi512_si256(acc),
+                _mm512_extracti64x4_epi64::<1>(acc),
+            ];
+            for (h, half) in halves.into_iter().enumerate() {
+                let at = 16 * c + 8 * h;
+                let k = low_bits(n.saturating_sub(at)) as __mmask8;
+                let dst = errors.as_mut_ptr().wrapping_add(at).cast();
+                _mm512_mask_storeu_epi64(dst, k, _mm512_cvtepu32_epi64(half));
+            }
         }
     }
 }
@@ -1038,13 +1317,13 @@ impl CostModel {
     ///
     /// # Safety
     ///
-    /// Requires AVX-512 F and DQ at runtime (see [`probe_kernel_available`],
-    /// the gate every caller checks).
+    /// Requires AVX-512 F, DQ and BW at runtime (see
+    /// [`probe_kernel_available`], the gate every caller checks).
     ///
     /// # Panics
     ///
     /// Panics if the order exceeds [`ROW_LANES_MAX_ORDER`].
-    #[target_feature(enable = "avx512f,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
     pub(crate) unsafe fn global_cost_bounded_avx512(
         &self,
         values: &[usize],
@@ -1066,15 +1345,15 @@ impl CostModel {
     /// The row-lane sweep at `W = ⌈(2n − 1) / 64⌉` occupancy words per lane,
     /// for `2 ≤ n ≤ 128`: `Some(cost)` iff the cost is `≤ limit`, checked
     /// after every group of eight rows.  With `TRACK`, `errors` (the table's
-    /// per-position errors, zeroed by the caller) receives every charged
-    /// pair's `ERR(d)` at both endpoints; the reset evaluator leaves it off
-    /// and passes an empty slice.
+    /// per-position errors, one per position) is overwritten with every
+    /// charged pair's `ERR(d)` summed at both endpoints; the reset evaluator
+    /// leaves it off and passes an empty slice.
     ///
     /// # Safety
     ///
-    /// Requires AVX-512 F and DQ at runtime.
+    /// Requires AVX-512 F, DQ and BW at runtime.
     #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
     unsafe fn row_lanes<const W: usize, const TRACK: bool>(
         &self,
         values: &[usize],
@@ -1092,46 +1371,57 @@ impl CostModel {
         for (w, end) in word_ends.iter_mut().enumerate() {
             *end = _mm512_set1_epi64(64 * (w as i64 + 1) - (n as i64 - 1));
         }
+        // Charged lanes of the current group, one byte per left index.
+        let mut hits = [0u8; ROW_LANES_MAX_ORDER];
+        let mut charges = Charges {
+            acc: [_mm512_setzero_si512(); ROW_LANES_MAX_ORDER / 16],
+            chunks: n.div_ceil(16),
+        };
         let mut cost = 0u64;
         for d0 in (1..=dmax).step_by(8) {
             let rows = (dmax + 1 - d0).min(8);
             let live = low_bits(rows) as __mmask8;
             let mut group = RowGroup {
                 seen: [_mm512_setzero_si512(); W],
-                right: _mm512_setzero_si512(),
-                weights: _mm512_setzero_si512(),
             };
-            if TRACK {
-                let mut weights = [0u64; 8];
-                for (l, w) in weights.iter_mut().enumerate().take(rows) {
-                    *w = self.weight_at(n, d0 + l);
-                }
-                group.weights = _mm512_loadu_epi64(weights.as_ptr().cast());
-            }
             // Lane l scores row d0 + l, whose pairs (i, i + d0 + l) exist
             // for i < n − d0 − l: every live row has a pair at i below
             // `full`, and the tail loses one lane per step.
             let full = (n - d0).saturating_sub(7);
             // SAFETY: lane l is live only while i + d0 + l < n, so every
             // pointer handed over stays inside `values`.
-            for i in 0..full {
-                group.mark::<TRACK>(base, i, d0, live, &word_ends, errors);
+            for (i, hit) in hits[..full].iter_mut().enumerate() {
+                let charged = group.mark::<TRACK>(base, i, d0, live, &word_ends);
+                if TRACK {
+                    *hit = charged;
+                }
             }
-            for i in full..n - d0 {
+            for (i, hit) in hits[..n - d0].iter_mut().enumerate().skip(full) {
                 let lanes = live & low_bits(n - d0 - i) as __mmask8;
-                group.mark::<TRACK>(base, i, d0, lanes, &word_ends, errors);
+                let charged = group.mark::<TRACK>(base, i, d0, lanes, &word_ends);
+                if TRACK {
+                    *hit = charged;
+                }
             }
             // Distinct buckets per lane; a row has at most n − 1 ≤ 127.
             let mut distinct = [0u64; 8];
             _mm512_storeu_epi64(distinct.as_mut_ptr().cast(), popcount_lanes(&group.seen));
             // Row d has n − d pairs; each beyond its bucket's first repeats.
-            for (l, &k) in distinct.iter().enumerate().take(rows) {
+            let mut weights = [0u64; 8];
+            for (l, (&k, w)) in distinct.iter().zip(&mut weights).enumerate().take(rows) {
                 let d = d0 + l;
-                cost += ((n - d) as u64 - k) * self.weight_at(n, d);
+                *w = self.weight_at(n, d);
+                cost += ((n - d) as u64 - k) * *w;
+            }
+            if TRACK {
+                charges.add_group(&hits, n - d0, d0, &weights[..rows]);
             }
             if cost > limit {
                 return None;
             }
+        }
+        if TRACK {
+            charges.store(errors);
         }
         Some(cost)
     }
@@ -1146,20 +1436,22 @@ impl ConflictTable {
     ///
     /// # Safety
     ///
-    /// Requires AVX-512 F and DQ at runtime (see [`probe_kernel_available`],
-    /// the gate every caller checks).
+    /// Requires AVX-512 F, DQ and BW at runtime (see
+    /// [`probe_kernel_available`], the gate every caller checks).
     ///
     /// # Panics
     ///
     /// Panics if the order exceeds [`ROW_LANES_MAX_ORDER`].
-    #[target_feature(enable = "avx512f,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw")]
     pub(crate) unsafe fn refresh_avx512(&mut self) {
-        self.errors.iter_mut().for_each(|e| *e = 0);
         let model = *self.model();
         let (values, limit) = (&self.values[..], u64::MAX);
         let out = &mut self.errors[..];
         let swept = match self.mask_words {
-            _ if self.n < 2 => Some(0),
+            _ if self.n < 2 => {
+                out.fill(0);
+                Some(0)
+            }
             1 => model.row_lanes::<1, true>(values, limit, out),
             2 => model.row_lanes::<2, true>(values, limit, out),
             3 => model.row_lanes::<3, true>(values, limit, out),
