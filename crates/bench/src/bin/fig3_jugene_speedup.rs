@@ -92,7 +92,7 @@ fn main() {
     let path = write_csv("fig3_jugene_speedup.csv", &csv.to_csv());
     println!("\nCSV written to {}", path.display());
     println!(
-        "\nShape check vs. the paper: near-linear speed-up all the way to 8,192 cores\n\
-         (the paper: 15.33x and 13.25x against an ideal of 16x)."
+        "\nThe paper reports: near-linear speed-up all the way to 8,192 cores (15.33x and\n\
+         13.25x against an ideal of 16x)."
     );
 }

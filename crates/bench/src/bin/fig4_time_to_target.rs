@@ -86,9 +86,9 @@ fn main() {
     let path = write_csv("fig4_time_to_target.csv", &csv.to_csv());
     println!("CSV written to {}", path.display());
     println!(
-        "\nShape check vs. the paper: every curve is well approximated by a shifted\n\
-         exponential (small KS distance), and doubling the cores shifts the curve left by\n\
-         roughly a factor of two — the two facts that together explain linear speed-up."
+        "\nThe paper reports: every curve is well approximated by a shifted exponential,\n\
+         and doubling the cores shifts the curve left by roughly a factor of two — the\n\
+         two facts that together explain linear speed-up."
     );
 }
 

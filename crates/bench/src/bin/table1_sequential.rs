@@ -107,8 +107,8 @@ fn main() {
     let path = write_csv("table1_sequential.csv", &csv.to_csv());
     println!("CSV written to {}", path.display());
     println!(
-        "\nShape checks vs. the paper: effort grows by roughly an order of magnitude per\n\
-         size increment, and the minimum run is far faster than the average — the\n\
-         property that motivates independent multi-walk parallelism (§IV-C)."
+        "\nThe paper reports: effort grows by roughly an order of magnitude per size\n\
+         increment, and the minimum run is far faster than the average — the property\n\
+         that motivates independent multi-walk parallelism (§IV-C)."
     );
 }

@@ -33,7 +33,7 @@ fn main() {
     let path = write_csv("table3_ha8000.csv", &out.csv.to_csv());
     println!("CSV written to {}", path.display());
     println!(
-        "\nShape check vs. the paper: within each row the completion time roughly halves\n\
-         every time the core count doubles, and the max/min spread collapses as cores grow."
+        "\nThe paper reports: within each row the completion time roughly halves every\n\
+         time the core count doubles, and the max/min spread collapses as cores grow."
     );
 }

@@ -37,8 +37,8 @@ fn main() {
     let path = write_csv("table4_jugene.csv", &out.csv.to_csv());
     println!("CSV written to {}", path.display());
     println!(
-        "\nShape check vs. the paper: times keep halving as cores double all the way to\n\
-         8,192 cores (the paper reports speed-ups of 15.3/13.25 for CAP 21/22 from 512\n\
-         to 8,192 cores, i.e. nearly the ideal 16)."
+        "\nThe paper reports: times keep halving as cores double all the way to 8,192\n\
+         cores, with speed-ups of 15.3/13.25 for CAP 21/22 from 512 to 8,192 cores\n\
+         against an ideal of 16."
     );
 }

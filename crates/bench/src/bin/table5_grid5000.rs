@@ -44,8 +44,8 @@ fn main() {
         println!("CSV written to {}", path.display());
     }
     println!(
-        "\nShape check vs. the paper: both clusters show the same near-linear scaling; only\n\
-         the absolute seconds differ (per-core speed), e.g. the paper's 1-core CAP 18 takes\n\
-         5.28 s on Suno vs 8.16 s on Helios."
+        "\nThe paper reports: both clusters show the same near-linear scaling; only the\n\
+         absolute seconds differ (per-core speed), e.g. its 1-core CAP 18 takes 5.28 s\n\
+         on Suno vs 8.16 s on Helios."
     );
 }

@@ -22,14 +22,6 @@
 //! | `COSTAS_RUNS` | `runs_override` | repetition count override |
 //! | `COSTAS_SEED` | `master_seed` | master seed |
 //! | `COSTAS_BENCH_JSON` | `bench_json` | artefact destination override |
-//! | `COSTAS_SOLVERD_ADDR` | `solverd_addr` | drive a remote solverd over TCP |
-//! | `COSTAS_LOAD_RPS` | `load_rps` | load_gen target request rate |
-//! | `COSTAS_LOAD_REQUESTS` | `load_requests` | load_gen request count |
-//! | `COSTAS_LOAD_WORKERS` | `load_workers` | load_gen in-process pool size |
-//! | `COSTAS_LOAD_QUEUE` | `load_queue` | load_gen admission-queue capacity |
-//! | `COSTAS_LOAD_RETRIES` | `load_retries` | load_gen retry cap on queue-full rejects |
-//! | `COSTAS_LOAD_RETRY_BACKOFF_MS` | `load_retry_backoff_ms` | base backoff of those retries |
-//! | `COSTAS_FAULT_SEED` | `fault_seed` | seed a chaos fault plan into the load run |
 //! | `COSTAS_CAMPAIGN_N` | `campaign_n` | campaign instance order |
 //! | `COSTAS_CAMPAIGN_WALKERS` | `campaign_walkers` | campaign walker count |
 //! | `COSTAS_CAMPAIGN_ROUNDS` | `campaign_rounds` | campaign round budget |
@@ -54,27 +46,6 @@ pub struct BenchConfig {
     pub master_seed: u64,
     /// `COSTAS_BENCH_JSON`: artefact destination override.
     pub bench_json: Option<PathBuf>,
-    /// `COSTAS_SOLVERD_ADDR`: when set, `load_gen` drives this TCP endpoint
-    /// instead of an in-process service.
-    pub solverd_addr: Option<String>,
-    /// `COSTAS_LOAD_RPS`: `load_gen` target offered rate (requests/second).
-    pub load_rps: f64,
-    /// `COSTAS_LOAD_REQUESTS`: `load_gen` total request count.
-    pub load_requests: usize,
-    /// `COSTAS_LOAD_WORKERS`: worker-pool size of `load_gen`'s in-process service.
-    pub load_workers: usize,
-    /// `COSTAS_LOAD_QUEUE`: admission-queue capacity of that service.
-    pub load_queue: usize,
-    /// `COSTAS_LOAD_RETRIES`: how many times `load_gen` re-offers a request
-    /// bounced with `"queue-full"` before counting it rejected (0 disables).
-    pub load_retries: usize,
-    /// `COSTAS_LOAD_RETRY_BACKOFF_MS`: base of the deterministic exponential
-    /// backoff between those retries (`base * 2^attempt` milliseconds).
-    pub load_retry_backoff_ms: u64,
-    /// `COSTAS_FAULT_SEED`: when set, `load_gen` installs a seeded chaos
-    /// fault plan and routes part of its mix through the fault-injection
-    /// wrapper, so the serving numbers are measured under injected failures.
-    pub fault_seed: Option<u64>,
     /// `COSTAS_CAMPAIGN_N`: instance order of the `campaign` harness.
     pub campaign_n: usize,
     /// `COSTAS_CAMPAIGN_WALKERS`: walker count of the `campaign` harness.
@@ -102,14 +73,6 @@ impl Default for BenchConfig {
             runs_override: None,
             master_seed: DEFAULT_MASTER_SEED,
             bench_json: None,
-            solverd_addr: None,
-            load_rps: 20.0,
-            load_requests: 60,
-            load_workers: 2,
-            load_queue: 16,
-            load_retries: 3,
-            load_retry_backoff_ms: 25,
-            fault_seed: None,
             campaign_n: 10,
             campaign_walkers: 2,
             campaign_rounds: 3,
@@ -157,53 +120,6 @@ impl BenchConfig {
                     }
                 },
                 "COSTAS_BENCH_JSON" => config.bench_json = Some(PathBuf::from(value)),
-                "COSTAS_SOLVERD_ADDR" => config.solverd_addr = Some(value),
-                "COSTAS_LOAD_RPS" => match value.parse::<f64>() {
-                    Ok(rps) if rps > 0.0 && rps.is_finite() => config.load_rps = rps,
-                    _ => {
-                        let default = config.load_rps;
-                        config.warn_parse(&name, &value, &format!("using {default}"));
-                    }
-                },
-                "COSTAS_LOAD_REQUESTS" => match value.parse() {
-                    Ok(requests) => config.load_requests = requests,
-                    Err(_) => {
-                        let default = config.load_requests;
-                        config.warn_parse(&name, &value, &format!("using {default}"));
-                    }
-                },
-                "COSTAS_LOAD_WORKERS" => match value.parse::<usize>() {
-                    Ok(workers) if workers > 0 => config.load_workers = workers,
-                    _ => {
-                        let default = config.load_workers;
-                        config.warn_parse(&name, &value, &format!("using {default}"));
-                    }
-                },
-                "COSTAS_LOAD_QUEUE" => match value.parse::<usize>() {
-                    Ok(capacity) if capacity > 0 => config.load_queue = capacity,
-                    _ => {
-                        let default = config.load_queue;
-                        config.warn_parse(&name, &value, &format!("using {default}"));
-                    }
-                },
-                "COSTAS_LOAD_RETRIES" => match value.parse() {
-                    Ok(retries) => config.load_retries = retries,
-                    Err(_) => {
-                        let default = config.load_retries;
-                        config.warn_parse(&name, &value, &format!("using {default}"));
-                    }
-                },
-                "COSTAS_LOAD_RETRY_BACKOFF_MS" => match value.parse() {
-                    Ok(base) => config.load_retry_backoff_ms = base,
-                    Err(_) => {
-                        let default = config.load_retry_backoff_ms;
-                        config.warn_parse(&name, &value, &format!("using {default}"));
-                    }
-                },
-                "COSTAS_FAULT_SEED" => match value.parse() {
-                    Ok(seed) => config.fault_seed = Some(seed),
-                    Err(_) => config.warn_parse(&name, &value, "fault injection stays off"),
-                },
                 "COSTAS_CAMPAIGN_N" => match value.parse::<usize>() {
                     Ok(n) if n > 0 => config.campaign_n = n,
                     _ => {
@@ -239,9 +155,7 @@ impl BenchConfig {
                 },
                 _ => config.warnings.push(format!(
                     "unknown variable {name} (typo? this version knows: FULL, RUNS, SEED, \
-                     BENCH_JSON, SOLVERD_ADDR, LOAD_RPS, LOAD_REQUESTS, \
-                     LOAD_WORKERS, LOAD_QUEUE, LOAD_RETRIES, LOAD_RETRY_BACKOFF_MS, \
-                     FAULT_SEED, CAMPAIGN_N, CAMPAIGN_WALKERS, CAMPAIGN_ROUNDS, \
+                     BENCH_JSON, CAMPAIGN_N, CAMPAIGN_WALKERS, CAMPAIGN_ROUNDS, \
                      CAMPAIGN_INTERVAL, CAMPAIGN_DIR, CAMPAIGN_HALT_AFTER)"
                 )),
             }
@@ -283,14 +197,6 @@ mod tests {
             ("COSTAS_RUNS", "7"),
             ("COSTAS_SEED", "12345"),
             ("COSTAS_BENCH_JSON", "out.json"),
-            ("COSTAS_SOLVERD_ADDR", "127.0.0.1:7777"),
-            ("COSTAS_LOAD_RPS", "12.5"),
-            ("COSTAS_LOAD_REQUESTS", "99"),
-            ("COSTAS_LOAD_WORKERS", "3"),
-            ("COSTAS_LOAD_QUEUE", "5"),
-            ("COSTAS_LOAD_RETRIES", "6"),
-            ("COSTAS_LOAD_RETRY_BACKOFF_MS", "10"),
-            ("COSTAS_FAULT_SEED", "4242"),
             ("COSTAS_CAMPAIGN_N", "12"),
             ("COSTAS_CAMPAIGN_WALKERS", "4"),
             ("COSTAS_CAMPAIGN_ROUNDS", "9"),
@@ -303,14 +209,6 @@ mod tests {
         assert_eq!(config.runs_override, Some(7));
         assert_eq!(config.master_seed, 12345);
         assert_eq!(config.bench_json.as_deref(), Some(Path::new("out.json")));
-        assert_eq!(config.solverd_addr.as_deref(), Some("127.0.0.1:7777"));
-        assert_eq!(config.load_rps, 12.5);
-        assert_eq!(config.load_requests, 99);
-        assert_eq!(config.load_workers, 3);
-        assert_eq!(config.load_queue, 5);
-        assert_eq!(config.load_retries, 6);
-        assert_eq!(config.load_retry_backoff_ms, 10);
-        assert_eq!(config.fault_seed, Some(4242));
         assert_eq!(config.campaign_n, 12);
         assert_eq!(config.campaign_walkers, 4);
         assert_eq!(config.campaign_rounds, 9);
@@ -325,19 +223,22 @@ mod tests {
 
     #[test]
     fn unknown_costas_variables_warn() {
-        // A typo, the two knobs of the retired strong-scaling sweep, and the
-        // exchange interval of the retired cooperative comparison.
+        // A typo, the two knobs of the retired strong-scaling sweep, the
+        // exchange interval of the retired cooperative comparison, and the
+        // offered rate of the retired load generator.
         let names = [
             "COSTAS_THREAD",
             "COSTAS_THREADS",
             "COSTAS_SCALING_STEPS",
             "COSTAS_COOP_INTERVAL",
+            "COSTAS_LOAD_RPS",
         ];
         let config = BenchConfig::from_vars(vars(&[
             (names[0], "8"),
             (names[1], "1,2"),
             (names[2], "5000"),
             (names[3], "128"),
+            (names[4], "40"),
         ]));
         assert_eq!(config.warnings.len(), names.len(), "{:?}", config.warnings);
         for (warning, name) in config.warnings.iter().zip(names) {
@@ -355,19 +256,11 @@ mod tests {
         let config = BenchConfig::from_vars(vars(&[
             ("COSTAS_RUNS", "ten"),
             ("COSTAS_SEED", "0xNOPE"),
-            ("COSTAS_LOAD_RPS", "-3"),
-            ("COSTAS_LOAD_WORKERS", "0"),
-            ("COSTAS_LOAD_RETRIES", "many"),
-            ("COSTAS_FAULT_SEED", "chaotic"),
             ("COSTAS_CAMPAIGN_WALKERS", "0"),
             ("COSTAS_CAMPAIGN_INTERVAL", "soon"),
         ]));
         assert_eq!(config.runs_override, None);
         assert_eq!(config.master_seed, DEFAULT_MASTER_SEED);
-        assert_eq!(config.load_rps, BenchConfig::default().load_rps);
-        assert_eq!(config.load_workers, BenchConfig::default().load_workers);
-        assert_eq!(config.load_retries, BenchConfig::default().load_retries);
-        assert_eq!(config.fault_seed, None, "a bad seed must not arm chaos");
         assert_eq!(
             config.campaign_walkers,
             BenchConfig::default().campaign_walkers,
@@ -377,7 +270,7 @@ mod tests {
             config.campaign_interval,
             BenchConfig::default().campaign_interval
         );
-        assert_eq!(config.warnings.len(), 8, "{:?}", config.warnings);
+        assert_eq!(config.warnings.len(), 4, "{:?}", config.warnings);
         for warning in &config.warnings {
             assert!(warning.contains("could not parse"), "{warning}");
         }

@@ -12,16 +12,15 @@
 //!   seed.
 //! * **Output** — each harness prints the paper-shaped table to stdout and writes a
 //!   CSV with the same rows under `target/experiments/` for plotting.  The
-//!   `load_gen` and `campaign` harnesses additionally
-//!   emit a schema-validated `BENCH_*.json` document (destination overridable
-//!   with `COSTAS_BENCH_JSON`; CI checks and uploads it).  Performance claims
-//!   are not read from these documents: the repository benchmark
-//!   (`perfbench/`, declared in `BENCHMARK.json`) is the one perf ledger.
+//!   `campaign` harness additionally emits a schema-validated
+//!   `BENCH_campaign.json` document (destination overridable with
+//!   `COSTAS_BENCH_JSON`; CI checks it).  Performance claims are not read
+//!   from it: the repository benchmark (`perfbench/`, declared in
+//!   `BENCHMARK.json`) is the one perf ledger.
 
 use std::path::{Path, PathBuf};
 
 pub mod env;
-pub mod loadgen;
 pub mod protocol;
 pub mod schema;
 pub mod tables;

@@ -1,31 +1,19 @@
-//! Schema validation for the `BENCH_*.json` documents the harnesses emit.
+//! Schema validation for the `BENCH_campaign.json` document the `campaign`
+//! harness emits.
 //!
-//! Two harnesses write machine-readable documents: `load_gen` (serving
-//! numbers) and `campaign` (a checkpoint/resume campaign report).  CI checks
-//! and uploads them.  Their consumers need each schema to stay what it claims:
-//! a file announcing `solverd_load/v2` must have the v2 shape, and a stale
-//! document written by an older harness must be rejected loudly, not
-//! mis-read.  Speed is not read from these documents; the repository
-//! benchmark (`perfbench/`) is the perf ledger.
+//! CI checks and uploads that document.  Its consumers need the schema to
+//! stay what it claims: a file announcing `campaign/v1` must have the v1
+//! shape, and a stale document written by an older harness must be rejected
+//! loudly, not mis-read.  Speed is not read from it; the repository benchmark
+//! (`perfbench/`) is the perf ledger.
 //!
-//! This module is that contract, in code: one validator per current schema
-//! ([`validate_solverd_load`], [`validate_campaign`]) plus a dispatching
-//! [`validate_bench_doc`] that recognises a document by its `schema` field and
-//! rejects superseded versions (`solverd_load/v1`, `campaign/v0`, …) with an error
-//! naming the expected one.  Validators are pure functions over parsed
-//! [`Json`]; the round-trip (`render` → [`Json::parse`] → validate) is what
-//! the tests exercise.
+//! [`validate_campaign`] is that contract, in code: it rejects superseded
+//! versions (`campaign/v0`, …) with an error naming the expected one.  It is
+//! a pure function over parsed [`Json`]; the round-trip (`render` →
+//! [`Json::parse`] → validate) is what the tests exercise.
 
 use runtime_stats::Json;
 
-/// Current schema tag of the solverd load-generation section.  v2 adds the
-/// fault-tolerance columns — `retries` (queue-full re-offers with backoff,
-/// *not* folded into `rejected_overflow`), `worker_panicked` (typed
-/// `"worker-panicked"` failures under an installed fault plan) and
-/// `cancels_sent` (cancel messages fired at the victim slots) — and widens
-/// the admission invariant to
-/// `completed + rejected_overflow + rejected_other + worker_panicked == offered`.
-pub const SOLVERD_LOAD_SCHEMA: &str = "solverd_load/v2";
 /// Current schema tag of the campaign section: the checkpoint/resume search
 /// campaign report emitted by `multiwalk::Campaign::artifact_section` (see the
 /// `campaign` harness).  Every value is an integer derived from the
@@ -61,29 +49,6 @@ fn require_u64(obj: &Json, key: &str, context: &str) -> Result<u64, String> {
     obj.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| format!("{context}: missing unsigned integer {key:?}"))
-}
-
-fn require_number(obj: &Json, key: &str, context: &str) -> Result<f64, String> {
-    obj.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("{context}: missing number {key:?}"))
-}
-
-/// A number that may legitimately be `null` (NaN percentiles render as `null`).
-fn require_nullable_number(obj: &Json, key: &str, context: &str) -> Result<(), String> {
-    match obj.get(key) {
-        Some(Json::Null) => Ok(()),
-        Some(v) if v.as_f64().is_some() => Ok(()),
-        Some(_) => Err(format!("{context}: {key:?} must be a number or null")),
-        None => Err(format!("{context}: missing field {key:?}")),
-    }
-}
-
-fn require_object(value: &Json, context: &str) -> Result<(), String> {
-    match value {
-        Json::Object(_) => Ok(()),
-        _ => Err(format!("{context}: expected an object")),
-    }
 }
 
 /// Validate a `campaign/v1` section (standalone document or rider): the
@@ -153,118 +118,9 @@ pub fn validate_campaign(section: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Validate a `solverd_load/v2` section (standalone document or rider): the
-/// load-generation report of `bench::loadgen` / the `load_gen` harness.
-///
-/// Beyond field shape this checks the accounting invariants a correct
-/// service + generator pair must satisfy: every offered request is completed,
-/// rejected, or answered with a typed worker failure; every completed request
-/// has exactly one termination class; and no more requests report a
-/// cancellation than cancel messages were sent.
-pub fn validate_solverd_load(section: &Json) -> Result<(), String> {
-    require_schema(section, SOLVERD_LOAD_SCHEMA)?;
-    let mode = section
-        .get("mode")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "solverd_load: missing string \"mode\"".to_string())?;
-    if mode != "in-process" && mode != "tcp" {
-        return Err(format!(
-            "solverd_load: mode {mode:?} is neither \"in-process\" nor \"tcp\""
-        ));
-    }
-    let workers = require_u64(section, "workers", "solverd_load")?;
-    require_u64(section, "queue_capacity", "solverd_load")?;
-    if mode == "in-process" && workers == 0 {
-        return Err("solverd_load: in-process mode requires workers >= 1".into());
-    }
-    let rps = require_number(section, "target_rps", "solverd_load")?;
-    if rps <= 0.0 || rps.is_nan() {
-        return Err(format!("solverd_load: target_rps {rps} must be > 0"));
-    }
-    require_u64(section, "master_seed", "solverd_load")?;
-    require_number(section, "elapsed_s", "solverd_load")?;
-    require_number(section, "requests_per_sec", "solverd_load")?;
-    let offered = require_u64(section, "offered", "solverd_load")?;
-    if offered == 0 {
-        return Err("solverd_load: offered must be >= 1".into());
-    }
-    let completed = require_u64(section, "completed", "solverd_load")?;
-    let overflow = require_u64(section, "rejected_overflow", "solverd_load")?;
-    let other = require_u64(section, "rejected_other", "solverd_load")?;
-    let panicked = require_u64(section, "worker_panicked", "solverd_load")?;
-    require_u64(section, "retries", "solverd_load")?;
-    if completed + overflow + other + panicked != offered {
-        return Err(format!(
-            "solverd_load: completed {completed} + rejected_overflow {overflow} \
-             + rejected_other {other} + worker_panicked {panicked} != offered {offered}"
-        ));
-    }
-    let solved = require_u64(section, "solved", "solverd_load")?;
-    let deadline = require_u64(section, "deadline_expired", "solverd_load")?;
-    let budget = require_u64(section, "budget_exhausted", "solverd_load")?;
-    let cancelled = require_u64(section, "cancelled", "solverd_load")?;
-    if solved + deadline + budget + cancelled != completed {
-        return Err(format!(
-            "solverd_load: terminations {} != completed {completed}",
-            solved + deadline + budget + cancelled
-        ));
-    }
-    let cancels_sent = require_u64(section, "cancels_sent", "solverd_load")?;
-    if cancelled > cancels_sent {
-        return Err(format!(
-            "solverd_load: cancelled {cancelled} > cancels_sent {cancels_sent} \
-             — the service cannot cancel requests nobody asked to cancel"
-        ));
-    }
-    let latency = section
-        .get("latency_ms")
-        .ok_or_else(|| "solverd_load: missing \"latency_ms\"".to_string())?;
-    require_object(latency, "solverd_load latency_ms")?;
-    for key in ["p50", "p90", "p99"] {
-        require_nullable_number(latency, key, "solverd_load latency_ms")?;
-    }
-    Ok(())
-}
-
-/// Dispatch on the document's `schema` field: current versions validate, stale
-/// or unknown ones are rejected with an explanatory error.
-pub fn validate_bench_doc(doc: &Json) -> Result<(), String> {
-    let schema = schema_of(doc)?.to_string();
-    match schema.split('/').next() {
-        Some("solverd_load") => validate_solverd_load(doc),
-        Some("campaign") => validate_campaign(doc),
-        _ => Err(format!("unknown benchmark schema {schema:?}")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_load_section() -> Json {
-        crate::loadgen::LoadReport {
-            mode: "in-process",
-            workers: 2,
-            queue_capacity: 16,
-            target_rps: 20.0,
-            offered: 10,
-            completed: 7,
-            rejected_overflow: 2,
-            rejected_other: 0,
-            worker_panicked: 1,
-            retries: 3,
-            cancels_sent: 1,
-            solved: 5,
-            deadline_expired: 1,
-            budget_exhausted: 0,
-            cancelled: 1,
-            elapsed_s: 0.6,
-            requests_per_sec: 13.3,
-            latencies_ms: vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
-            master_seed: 7,
-        }
-        .to_json()
-    }
 
     fn sample_campaign_section() -> Json {
         Json::object(vec![
@@ -285,17 +141,13 @@ mod tests {
         ])
     }
 
-    /// Round-trip property for every current schema: what the emitters
-    /// render parses back and validates.
+    /// Round-trip property: what the emitter renders parses back and
+    /// validates.
     #[test]
     fn current_schemas_round_trip_through_parse_and_validate() {
-        for (doc, schema) in [
-            (sample_load_section(), SOLVERD_LOAD_SCHEMA),
-            (sample_campaign_section(), CAMPAIGN_SCHEMA),
-        ] {
-            let parsed = Json::parse(&doc.render()).expect(schema);
-            validate_bench_doc(&parsed).expect(schema);
-        }
+        let doc = sample_campaign_section();
+        let parsed = Json::parse(&doc.render()).expect(CAMPAIGN_SCHEMA);
+        validate_campaign(&parsed).expect(CAMPAIGN_SCHEMA);
     }
 
     /// The campaign validator enforces the dedup accounting, not just shape.
@@ -349,72 +201,23 @@ mod tests {
         validate_campaign(&dry).expect("an unsolved campaign validates");
     }
 
-    /// The load validator enforces the admission/termination accounting, not
-    /// just field shape.
-    #[test]
-    fn solverd_load_accounting_violations_are_caught() {
-        let poke = |key: &str, value: Json| {
-            let mut section = sample_load_section();
-            if let Json::Object(map) = &mut section {
-                map.insert(key.into(), value);
-            }
-            validate_solverd_load(&section)
-        };
-        assert!(poke("completed", Json::from(5u64))
-            .expect_err("admission mismatch")
-            .contains("offered"));
-        assert!(poke("worker_panicked", Json::from(4u64))
-            .expect_err("panics count toward admission")
-            .contains("worker_panicked"));
-        assert!(poke("solved", Json::from(99u64))
-            .expect_err("termination mismatch")
-            .contains("terminations"));
-        assert!(poke("cancels_sent", Json::from(0u64))
-            .expect_err("cancelled must not exceed cancels_sent")
-            .contains("cancels_sent"));
-        assert!(
-            poke("retries", Json::from("lots")).is_err(),
-            "retries must be an unsigned integer"
-        );
-        assert!(poke("mode", Json::from("carrier-pigeon"))
-            .expect_err("bad mode")
-            .contains("mode"));
-        assert!(poke("target_rps", Json::from(0.0))
-            .expect_err("zero rate")
-            .contains("target_rps"));
-        assert!(poke("offered", Json::from(0u64)).is_err());
-        // tcp mode may legitimately report an unknown (0) pool shape
-        let mut remote = sample_load_section();
-        if let Json::Object(map) = &mut remote {
-            map.insert("mode".into(), Json::from("tcp"));
-            map.insert("workers".into(), Json::from(0u64));
-            map.insert("queue_capacity".into(), Json::from(0u64));
-        }
-        validate_solverd_load(&remote).expect("tcp mode allows unknown pool shape");
-    }
-
-    /// Stale versions of a known family are rejected with an error naming the
-    /// current schema — the "reject stale schemas" half of the contract.  The
-    /// retired single-run families are unknown, not stale.
+    /// A stale version of the campaign family is rejected with an error
+    /// naming the current schema — the "reject stale schemas" half of the
+    /// contract.  Other families, retired ones included, are
+    /// not campaigns.
     #[test]
     fn stale_schemas_are_rejected_by_name() {
-        for (stale, current) in [
-            ("solverd_load/v0", SOLVERD_LOAD_SCHEMA),
-            ("solverd_load/v1", SOLVERD_LOAD_SCHEMA),
-            ("campaign/v0", CAMPAIGN_SCHEMA),
-        ] {
-            let doc = Json::object(vec![("schema", Json::from(stale))]);
-            let err = validate_bench_doc(&doc).expect_err(stale);
-            assert!(err.contains("stale"), "{stale}: {err}");
-            assert!(err.contains(current), "{stale}: {err}");
-        }
-        for unknown in ["mystery/v1", "probe_throughput/v4", "scaling_curve/v1"] {
-            let doc = Json::object(vec![("schema", Json::from(unknown))]);
-            assert!(validate_bench_doc(&doc)
-                .expect_err(unknown)
-                .contains("unknown benchmark schema"));
+        let stale = Json::object(vec![("schema", Json::from("campaign/v0"))]);
+        let err = validate_campaign(&stale).expect_err("campaign/v0");
+        assert!(err.contains("stale"), "{err}");
+        assert!(err.contains(CAMPAIGN_SCHEMA), "{err}");
+        for other in ["mystery/v1", "probe_throughput/v4", "scaling_curve/v1"] {
+            let doc = Json::object(vec![("schema", Json::from(other))]);
+            let err = validate_campaign(&doc).expect_err(other);
+            assert!(!err.contains("stale"), "{other}: {err}");
+            assert!(err.contains("is not"), "{other}: {err}");
         }
         let missing = Json::object(vec![("n", Json::from(1u64))]);
-        assert!(validate_bench_doc(&missing).is_err());
+        assert!(validate_campaign(&missing).is_err());
     }
 }

@@ -1,9 +1,8 @@
 //! Focused timing of the table's batched read-only scorers, per order, on
-//! walked table states (not the criterion shim's mixed workload): the probe
-//! (dispatched kernel vs the histogram reference) and the reset's two
-//! batched families, `rotation_costs` over the 2n − 2 anchored rotations of
-//! a culprit and `addition_costs` over the reset's constants 1, 2, n − 2,
-//! n − 3.  The dispatcher picks the body by CPU and order: on AVX-512 F +
+//! walked table states: the probe (dispatched kernel vs the histogram
+//! reference) and the reset's two batched families, `rotation_costs` over
+//! the 2n − 2 anchored rotations of a culprit and `addition_costs` over the
+//! reset's constants 1, 2, n − 2, n − 3.  The dispatcher picks the body by CPU and order: on AVX-512 F +
 //! DQ + BW + VBMI hosts the from-scratch bodies up to n = 32 (sixteen `u32`
 //! lanes per pass up to n = 16, eight `u64` lanes beyond) and the byte-lane
 //! probe body (64 candidates per pass) from 33 to 128; elsewhere and beyond,

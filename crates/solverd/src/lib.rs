@@ -32,10 +32,10 @@
 //! admitted request gets exactly one typed response** — the service answers,
 //! it never aborts.
 //!
-//! The `solverd` binary wires these together; `bench`'s `load_gen` binary
-//! drives a service at a configurable request rate (with bounded retry on
-//! backpressure and optional cancel traffic) and records throughput and
-//! latency percentiles into the `solverd_load/v2` artifact.
+//! The `solverd` binary wires these together.  Serving latency and
+//! throughput are measured by the repository benchmark's `solverd-small`
+//! workload (`perfbench/`); `tests/service_e2e.rs` drives the binary's TCP
+//! accept loop with a burst against a starved pool.
 
 pub mod connection;
 pub mod proto;

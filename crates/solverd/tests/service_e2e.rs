@@ -420,3 +420,101 @@ fn deeply_nested_line_is_rejected_and_the_next_request_answered() {
         assert_eq!(field(ok, "termination"), "solved", "{ok:?}");
     }
 }
+
+/// The real binary's `--tcp` accept loop under a burst against a starved pool
+/// (one worker, one queue slot): every request on the connection gets exactly
+/// one answer, each either `ok` or a `queue-full` reject, the starved pool
+/// does reject, and the pool it shares with a second connection still solves
+/// afterwards.  Whether any burst request is admitted depends on timing, so
+/// none is required to solve.
+#[test]
+fn tcp_burst_on_a_starved_pool_answers_ok_or_queue_full() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::process::{Child, Command, Stdio};
+
+    /// Kills and reaps the server however the test ends.
+    struct Server(Child);
+    impl Drop for Server {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    /// Send `lines`, one request each, on a fresh connection, half-close it
+    /// and read every response up to the server's end of the stream.
+    fn exchange(addr: &str, lines: &[String]) -> Vec<Json> {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .expect("read timeout");
+        stream
+            .write_all((lines.join("\n") + "\n").as_bytes())
+            .expect("send burst");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        BufReader::new(&stream)
+            .lines()
+            .map(|line| Json::parse(&line.expect("read line")).expect("valid JSON"))
+            .collect()
+    }
+
+    let mut server = Server(
+        Command::new(env!("CARGO_BIN_EXE_solverd"))
+            .args(["--tcp", "127.0.0.1:0", "--workers", "1", "--queue", "1"])
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn solverd"),
+    );
+    let mut banner = String::new();
+    BufReader::new(server.0.stdout.take().expect("stdout"))
+        .read_line(&mut banner)
+        .expect("read the listening line");
+    let addr = banner
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected first line {banner:?}"))
+        .to_string();
+
+    // The holder keeps the single worker (or the single queue slot) busy for
+    // about 0.8 s; the burst behind it cycles through every registry model.
+    let mut ids = vec!["hold".to_string()];
+    let mut lines = vec![
+        r#"{"id":"hold","problem":"costas","n":22,"seed":1,"budget":18446744073709551615,"deadline_ms":800}"#
+            .to_string(),
+    ];
+    let models = adaptive_search::problems::registry();
+    for i in 0..30 {
+        let info = &models[i % models.len()];
+        ids.push(format!("b{i}"));
+        lines.push(format!(
+            r#"{{"id":"b{i}","problem":"{}","n":{},"seed":{i},"budget":400000,"deadline_ms":10000}}"#,
+            info.key, info.solvable_sizes[0]
+        ));
+    }
+    let responses = exchange(&addr, &lines);
+
+    let mut answered: Vec<&str> = responses.iter().map(|doc| field(doc, "id")).collect();
+    answered.sort_unstable();
+    ids.sort_unstable();
+    assert_eq!(answered, ids, "exactly one response per request id");
+    let mut queue_full = 0;
+    for doc in &responses {
+        match field(doc, "status") {
+            "ok" => {}
+            "rejected" if field(doc, "reason") == "queue-full" => queue_full += 1,
+            _ => panic!("neither ok nor queue-full: {doc:?}"),
+        }
+    }
+    assert!(queue_full >= 1, "a starved pool must push back");
+
+    let after = exchange(
+        &addr,
+        &[r#"{"id":"after","problem":"costas","n":10,"seed":5}"#.to_string()],
+    );
+    assert_eq!(after.len(), 1, "{after:?}");
+    assert_eq!(field(&after[0], "status"), "ok", "{after:?}");
+    assert_eq!(field(&after[0], "termination"), "solved", "{after:?}");
+}
